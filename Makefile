@@ -1,4 +1,4 @@
-.PHONY: all check build test fuzz bench-json bench-load bench-gate bench-solver bench-incr bench-native clean
+.PHONY: all check build test fuzz bench-json bench-load bench-gate bench-solver bench-incr bench-native perfbench clean
 
 all: build
 
@@ -55,6 +55,16 @@ bench-incr: build
 # notice and exits 0 when the container has no OCaml compiler.
 bench-native: build
 	timeout 600 dune exec bench/native.exe -- --out BENCH_native.json
+
+# The seeded end-to-end benchmark declared in BENCHMARK.json: every workload
+# once, each printing its one-line JSON result last.  Override the seed and
+# the per-workload duration with `make perfbench SEED=7 SECONDS=10`.
+SEED ?= 1
+SECONDS ?= 30
+perfbench:
+	for w in check-batch serve-edit run-kernels; do \
+	  python3 perfbench/run.py --workload $$w --seed $(SEED) --seconds $(SECONDS) || exit 1; \
+	done
 
 clean:
 	dune clean

@@ -832,6 +832,8 @@ let elaborate_tops ctx tprog =
   in
   (final_ctx, List.rev st.obligations)
 
+let with_tyenv ctx mltyenv = { ctx with denv = { ctx.denv with Denv.mltyenv } }
+
 (* export the top-level term bindings through the environment *)
 let export_denv ctx =
   SMap.fold (fun x ds denv -> Denv.add_val denv x ds) ctx.vals ctx.denv

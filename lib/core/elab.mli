@@ -52,6 +52,13 @@ val elaborate_tops : ectx -> Tast.tprogram -> ectx * obligation list
     partition of [p] started from [initial_ectx denv].
     @raise Error as {!elaborate}. *)
 
+val with_tyenv : ectx -> Tyenv.t -> ectx
+(** The context with constructors resolved against [tyenv] — the ML type
+    environment of the whole program, which {!elaborate}'s callers pass
+    through {!Denv.builtin}.  Lets a context elaborated over a prefix (the
+    basis, {!Prelude}) continue over a program inferred after it exactly as
+    if the two had been elaborated in one call. *)
+
 val export_denv : ectx -> Denv.t
 (** The context's environment with the top-level term bindings folded in —
     what {!elaborate} returns as [res_denv]. *)

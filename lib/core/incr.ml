@@ -6,7 +6,8 @@
    content-addresses each unit by a digest over its own (pretty-printed,
    location- and comment-insensitive) source plus the digests of the units
    it references, and keeps every unit's solved verdicts in a store.  On a
-   recheck the front end still runs whole — parse, ML inference and
+   recheck the front end still runs over the whole user program (the basis
+   is processed once per process, {!Prelude}) — parse, ML inference and
    elaboration are cheap and keep every location and warning exact — but
    *solving*, the dominant cost, happens only for units whose digest is not
    in the store: the dirty cone of the edit.
@@ -216,16 +217,10 @@ let check state session src =
   try
     let t0 = Budget.now () in
     let user_prog, spans = Parser.parse_program_with_spans src in
-    let basis_prog = Parser.parse_program Basis.source in
-    let ml0 = Infer.initial Tyenv.builtin [] in
-    let mlenv, tprog = Infer.infer_program ml0 (basis_prog @ user_prog) in
-    let basis_len = List.length basis_prog in
-    let basis_tprog = List.filteri (fun i _ -> i < basis_len) tprog in
-    let user_tprog = List.filteri (fun i _ -> i >= basis_len) tprog in
+    let prelude = Prelude.get () in
+    let mlenv, user_tprog, ectx = Prelude.start prelude user_prog in
     (* stage the elaboration declaration-by-declaration, threading the full
        context, to learn which obligations each unit generates *)
-    let ectx = Elab.initial_ectx (Denv.builtin mlenv.Infer.tyenv) in
-    let ectx, basis_obs = Elab.elaborate_tops ectx basis_tprog in
     let ectx, user_obs_rev =
       List.fold_left
         (fun (ectx, acc) titem ->
@@ -236,7 +231,7 @@ let check state session src =
     let gen_time = Budget.now () -. t0 in
     let digests = unit_digests user_prog in
     let units =
-      (false, Lazy.force basis_digest, basis_obs)
+      (false, Lazy.force basis_digest, prelude.obligations)
       :: List.map2
            (fun d obs -> (true, d, obs))
            digests
@@ -293,7 +288,7 @@ let check state session src =
         fe_annotations = annotations;
         fe_annotation_lines = annotation_lines;
         fe_code_lines = Pipeline.count_code_lines src;
-        fe_tprog = tprog;
+        fe_tprog = prelude.tprog @ user_tprog;
         fe_user_tprog = user_tprog;
         fe_warnings = List.rev !(mlenv.Infer.warnings);
         fe_mlenv = mlenv;

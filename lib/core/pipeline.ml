@@ -125,33 +125,27 @@ let failure_of_exn = function
 
 let frontend_ast_exn ?t0 ~src ~spans user_prog =
   let t0 = match t0 with Some t -> t | None -> Budget.now () in
-  let sp = Trace.start "parse" in
-  let basis_prog = Parser.parse_program Basis.source in
-  Trace.finish sp;
+  let prelude = Prelude.get () in
   let annotations, annotation_lines = annotation_metrics spans in
-  (* phase 1 over basis + user code *)
+  (* phase 1 over the user code, from the post-basis environment *)
   let sp = Trace.start "infer" in
-  let ml0 = Infer.initial Tyenv.builtin [] in
-  let mlenv, tprog = Infer.infer_program ml0 (basis_prog @ user_prog) in
+  let mlenv, user_tprog, ectx = Prelude.start prelude user_prog in
   Trace.finish sp;
-  let basis_len = List.length basis_prog in
-  let user_tprog = List.filteri (fun i _ -> i >= basis_len) tprog in
   (* phase 2 *)
   let sp = Trace.start "elaborate" in
-  let denv0 = Denv.builtin mlenv.Infer.tyenv in
-  let { Elab.res_denv; res_obligations } = Elab.elaborate denv0 tprog in
+  let ectx, obligations = Elab.elaborate_tops ectx user_tprog in
   Trace.finish sp;
   {
-    fe_obligations = res_obligations;
+    fe_obligations = prelude.obligations @ obligations;
     fe_gen_time = Budget.now () -. t0;
     fe_annotations = annotations;
     fe_annotation_lines = annotation_lines;
     fe_code_lines = count_code_lines src;
-    fe_tprog = tprog;
+    fe_tprog = prelude.tprog @ user_tprog;
     fe_user_tprog = user_tprog;
     fe_warnings = List.rev !(mlenv.Infer.warnings);
     fe_mlenv = mlenv;
-    fe_denv = res_denv;
+    fe_denv = Elab.export_denv ectx;
   }
 
 let frontend_exn src =

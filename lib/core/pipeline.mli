@@ -1,8 +1,9 @@
 (** The end-to-end checking pipeline: parse, ML inference (phase 1),
     dependent elaboration (phase 2), constraint solving.
 
-    The basis ({!Basis.source}) is processed through the same pipeline
-    before the user program.
+    The basis ({!Basis.source}) is processed through the same phases as
+    user code, once per process ({!Prelude}); every check continues from
+    there over the user program alone.
 
     Solving is *per-obligation and resource-governed*: each obligation runs
     under its own fresh {!Dml_solver.Budget.t} (built from the
@@ -145,7 +146,7 @@ val assemble :
     solved obligations. *)
 
 val check_s : Session.t -> string -> (report, failure) result
-(** Runs the full pipeline on a user program (the basis is prepended) under
+(** Runs the full pipeline on a user program (after the basis) under
     a {!Session.t}: the session supplies the solve config, the shared
     verdict cache (so the basis and any repeated goals are solved once
     across every check of the session — {!Dml_cache.Cache} states the reuse

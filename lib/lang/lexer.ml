@@ -1,185 +1,194 @@
 exception Error of string * Loc.t
 
-type state = { src : string; mutable pos : int; mutable line : int; mutable col : int }
+type state = {
+  src : string;
+  len : int;
+  mutable pos : int;  (* byte offset of the next character *)
+  mutable line : int;
+  mutable col : int;
+}
 
 let current_pos st = { Loc.line = st.line; col = st.col }
+let error st start msg = raise (Error (msg, Loc.make start (current_pos st)))
 
-let peek st = if st.pos < String.length st.src then Some st.src.[st.pos] else None
+(* Lookahead without allocation: past the end of input both return NUL.
+   NUL never starts or continues a token, so wherever "no more input" means
+   more than "no match" (comments, string bodies, the token dispatch) the
+   code tests [st.pos] against [st.len] itself. *)
+let peek st = if st.pos < st.len then String.unsafe_get st.src st.pos else '\000'
+let peek2 st = if st.pos + 1 < st.len then String.unsafe_get st.src (st.pos + 1) else '\000'
 
-let peek2 st =
-  if st.pos + 1 < String.length st.src then Some st.src.[st.pos + 1] else None
-
+(* Consume the (existing) next character. *)
 let advance st =
-  (match peek st with
-  | Some '\n' ->
-      st.line <- st.line + 1;
-      st.col <- 1
-  | Some _ -> st.col <- st.col + 1
-  | None -> ());
+  if String.unsafe_get st.src st.pos = '\n' then begin
+    st.line <- st.line + 1;
+    st.col <- 1
+  end
+  else st.col <- st.col + 1;
   st.pos <- st.pos + 1
+
+(* Consume [n] characters known to hold no newline. *)
+let skip st n =
+  st.pos <- st.pos + n;
+  st.col <- st.col + n
 
 let is_digit c = c >= '0' && c <= '9'
 let is_alpha c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
 let is_ident_char c = is_alpha c || is_digit c || c = '_' || c = '\''
 
-let rec skip_comment st depth start =
-  match (peek st, peek2 st) with
-  | Some '(', Some '*' ->
-      advance st;
-      advance st;
-      skip_comment st (depth + 1) start
-  | Some '*', Some ')' ->
-      advance st;
-      advance st;
-      if depth > 1 then skip_comment st (depth - 1) start
-  | Some _, _ ->
-      advance st;
-      skip_comment st depth start
-  | None, _ -> raise (Error ("unterminated comment", Loc.make start (current_pos st)))
+module Keywords = Hashtbl.Make (String)
 
-let lex_number st =
-  let start = st.pos in
-  while (match peek st with Some c when is_digit c -> true | _ -> false) do
-    advance st
+let keyword_table =
+  let t = Keywords.create 64 in
+  List.iter (fun (s, kw) -> Keywords.replace t s kw) Token.keywords;
+  t
+
+(* Whitespace and comments, up to the start of the next token.  Comments
+   nest; an unterminated one is reported from its outermost opener to the
+   end of input. *)
+let skip_blanks st =
+  let continue = ref true in
+  while !continue && st.pos < st.len do
+    match String.unsafe_get st.src st.pos with
+    | ' ' | '\t' | '\r' -> skip st 1
+    | '\n' -> advance st
+    | '(' when peek2 st = '*' ->
+        let start = current_pos st in
+        skip st 2;
+        let depth = ref 1 in
+        while !depth > 0 do
+          if st.pos >= st.len then error st start "unterminated comment";
+          match (String.unsafe_get st.src st.pos, peek2 st) with
+          | '(', '*' ->
+              skip st 2;
+              incr depth
+          | '*', ')' ->
+              skip st 2;
+              decr depth
+          | _ -> advance st
+        done
+    | _ -> continue := false
+  done
+
+let lex_ident st =
+  let j = ref st.pos in
+  while !j < st.len && is_ident_char (String.unsafe_get st.src !j) do
+    incr j
   done;
-  int_of_string (String.sub st.src start (st.pos - start))
+  let s = String.sub st.src st.pos (!j - st.pos) in
+  skip st (!j - st.pos);
+  s
+
+let lex_number st start =
+  let n = ref 0 and overflow = ref false in
+  while st.pos < st.len && is_digit (String.unsafe_get st.src st.pos) do
+    let d = Char.code (String.unsafe_get st.src st.pos) - Char.code '0' in
+    if !n > (max_int - d) / 10 then overflow := true else n := (!n * 10) + d;
+    skip st 1
+  done;
+  if !overflow then error st start "integer literal out of range";
+  !n
 
 (* string body after the opening quote; handles backslash escapes for
    newline, tab, backslash, and the double quote *)
 let lex_string_body st start =
   let buf = Buffer.create 16 in
   let rec go () =
-    match peek st with
-    | None -> raise (Error ("unterminated string literal", Loc.make start (current_pos st)))
-    | Some '"' ->
-        advance st;
+    if st.pos >= st.len then error st start "unterminated string literal";
+    match String.unsafe_get st.src st.pos with
+    | '"' ->
+        skip st 1;
         Buffer.contents buf
-    | Some '\\' -> begin
-        advance st;
-        match peek st with
-        | Some 'n' ->
-            advance st;
-            Buffer.add_char buf '\n';
-            go ()
-        | Some 't' ->
-            advance st;
-            Buffer.add_char buf '\t';
-            go ()
-        | Some '\\' ->
-            advance st;
-            Buffer.add_char buf '\\';
-            go ()
-        | Some '"' ->
-            advance st;
-            Buffer.add_char buf '"';
-            go ()
-        | _ -> raise (Error ("illegal escape in string literal", Loc.make start (current_pos st)))
-      end
-    | Some c ->
+    | '\\' ->
+        skip st 1;
+        let c =
+          match peek st with
+          | 'n' -> '\n'
+          | 't' -> '\t'
+          | ('\\' | '"') as c -> c
+          | _ -> error st start "illegal escape in string literal"
+        in
+        skip st 1;
+        Buffer.add_char buf c;
+        go ()
+    | c ->
         advance st;
         Buffer.add_char buf c;
         go ()
   in
   go ()
 
-let lex_ident st =
-  let start = st.pos in
-  while (match peek st with Some c when is_ident_char c -> true | _ -> false) do
-    advance st
-  done;
-  String.sub st.src start (st.pos - start)
-
-let rec skip_ws st =
-  match peek st with
-  | Some (' ' | '\t' | '\r' | '\n') ->
-      advance st;
-      skip_ws st
-  | _ -> ()
-
-let rec next_token st =
-  skip_ws st;
+let next_token st =
+  skip_blanks st;
   let start = current_pos st in
-  let tok t = (t, Loc.make start (current_pos st)) in
   let open Token in
-  match peek st with
-  | None -> tok EOF
-  | Some c when is_digit c -> tok (INT (lex_number st))
-  | Some c when is_alpha c || c = '_' -> begin
-      let s = lex_ident st in
-      if s = "_" then tok UNDERSCORE
-      else match List.assoc_opt s keywords with Some kw -> tok kw | None -> tok (ID s)
-    end
-  | Some '\'' ->
-      advance st;
-      let s = lex_ident st in
-      if s = "" then raise (Error ("expected type variable name after '", Loc.make start (current_pos st)))
-      else tok (TYVAR s)
-  | Some '"' ->
-      advance st;
-      tok (STRING (lex_string_body st start))
-  | Some '#' -> begin
-      advance st;
-      match peek st with
-      | Some '"' -> begin
-          advance st;
+  let t =
+    if st.pos >= st.len then EOF
+    else
+      match String.unsafe_get st.src st.pos with
+      | '0' .. '9' -> INT (lex_number st start)
+      | 'a' .. 'z' | 'A' .. 'Z' | '_' -> (
+          let s = lex_ident st in
+          if s = "_" then UNDERSCORE
+          else match Keywords.find_opt keyword_table s with Some kw -> kw | None -> ID s)
+      | '\'' ->
+          skip st 1;
+          let s = lex_ident st in
+          if s = "" then error st start "expected type variable name after '" else TYVAR s
+      | '"' ->
+          skip st 1;
+          STRING (lex_string_body st start)
+      | '#' ->
+          skip st 1;
+          if peek st <> '"' then error st start "expected a character literal after #";
+          skip st 1;
           let s = lex_string_body st start in
-          if String.length s = 1 then tok (CHAR s.[0])
-          else raise (Error ("character literal must have length 1", Loc.make start (current_pos st)))
-        end
-      | _ -> raise (Error ("expected a character literal after #", Loc.make start (current_pos st)))
-    end
-  | Some c -> (
-      let two target result =
-        advance st;
-        advance st;
-        ignore target;
-        tok result
-      in
-      let one result =
-        advance st;
-        tok result
-      in
-      match (c, peek2 st) with
-      | '(', Some '*' ->
-          advance st;
-          advance st;
-          skip_comment st 1 start;
-          next_token st
-      | '(', _ -> one LPAREN
-      | ')', _ -> one RPAREN
-      | '[', _ -> one LBRACKET
-      | ']', _ -> one RBRACKET
-      | '{', _ -> one LBRACE
-      | '}', _ -> one RBRACE
-      | ',', _ -> one COMMA
-      | ';', _ -> one SEMI
-      | '|', _ -> one BAR
-      | '+', _ -> one PLUS
-      | '~', _ -> one TILDE
-      | '*', _ -> one STAR
-      | '=', Some '>' -> two "=>" DARROW
-      | '=', _ -> one EQ
-      | '-', Some '>' -> two "->" ARROW
-      | '-', _ -> one MINUS
-      | '<', Some '|' -> two "<|" TRIANGLE
-      | '<', Some '=' -> two "<=" LE
-      | '<', Some '>' -> two "<>" NE
-      | '<', _ -> one LT
-      | '>', Some '=' -> two ">=" GE
-      | '>', _ -> one GT
-      | ':', Some ':' -> two "::" COLONCOLON
-      | ':', Some '=' -> two ":=" ASSIGN
-      | ':', _ -> one COLON
-      | '!', _ -> one BANG
-      | '^', _ -> one CARET
-      | '/', Some '\\' -> two "/\\" WEDGE
-      | '\\', Some '/' -> two "\\/" VEE
-      | _ ->
-          raise
-            (Error (Printf.sprintf "illegal character %C" c, Loc.make start (current_pos st))))
+          if String.length s = 1 then CHAR s.[0]
+          else error st start "character literal must have length 1"
+      | c -> (
+          let one t =
+            skip st 1;
+            t
+          and two t =
+            skip st 2;
+            t
+          in
+          match (c, peek2 st) with
+          | '(', _ -> one LPAREN
+          | ')', _ -> one RPAREN
+          | '[', _ -> one LBRACKET
+          | ']', _ -> one RBRACKET
+          | '{', _ -> one LBRACE
+          | '}', _ -> one RBRACE
+          | ',', _ -> one COMMA
+          | ';', _ -> one SEMI
+          | '|', _ -> one BAR
+          | '+', _ -> one PLUS
+          | '~', _ -> one TILDE
+          | '*', _ -> one STAR
+          | '=', '>' -> two DARROW
+          | '=', _ -> one EQ
+          | '-', '>' -> two ARROW
+          | '-', _ -> one MINUS
+          | '<', '|' -> two TRIANGLE
+          | '<', '=' -> two LE
+          | '<', '>' -> two NE
+          | '<', _ -> one LT
+          | '>', '=' -> two GE
+          | '>', _ -> one GT
+          | ':', ':' -> two COLONCOLON
+          | ':', '=' -> two ASSIGN
+          | ':', _ -> one COLON
+          | '!', _ -> one BANG
+          | '^', _ -> one CARET
+          | '/', '\\' -> two WEDGE
+          | '\\', '/' -> two VEE
+          | _ -> error st start (Printf.sprintf "illegal character %C" c))
+  in
+  (t, Loc.make start (current_pos st))
 
 let tokenize src =
-  let st = { src; pos = 0; line = 1; col = 1 } in
+  let st = { src; len = String.length src; pos = 0; line = 1; col = 1 } in
   let rec loop acc =
     match next_token st with
     | (Token.EOF, _) as t -> List.rev (t :: acc)

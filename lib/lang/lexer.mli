@@ -8,4 +8,5 @@ exception Error of string * Loc.t
 
 val tokenize : string -> (Token.t * Loc.t) list
 (** The whole input as a token stream, ending with [EOF].
-    @raise Error on an illegal character or unterminated comment. *)
+    @raise Error on an illegal character, an unterminated comment or
+    string, a malformed literal, or an integer literal beyond [max_int]. *)

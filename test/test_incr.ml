@@ -397,6 +397,38 @@ let test_corpus_patch_solver_calls () =
       | None -> Alcotest.fail "missing check document")
     Pr.table_benchmarks
 
+(* --- per-check warnings under the shared basis prelude ------------------- *)
+
+let nonexhaustive = "datatype t = A | B\nfun f(x) = case x of A => 1\n"
+
+let warnings_of what doc =
+  match J.member "warnings" doc with
+  | Some (J.List ws) ->
+      Alcotest.(check int) (what ^ ": one warning") 1 (List.length ws);
+      J.to_string (J.List ws)
+  | _ -> Alcotest.failf "%s: no warnings in %s" what (J.to_string doc)
+
+let test_warnings_per_recheck () =
+  let st = I.create () and sess = session () in
+  let direct () =
+    match I.check st sess nonexhaustive with
+    | Ok (rp, _) -> warnings_of "Incr.check" (R.of_report ~program:"-" rp)
+    | Error f -> Alcotest.fail (P.failure_to_string f)
+  in
+  let first = direct () in
+  Alcotest.(check string) "second Incr.check" first (direct ());
+  let server = Server.create ~options:{ S.default_options with S.op_incremental = true } () in
+  let served ?base source =
+    let result = expect_ok "check_patch" (Server.handle server (patch_req ?base ~source ())) in
+    match J.member "check" result with
+    | Some doc -> (result, warnings_of "check_patch" doc)
+    | None -> Alcotest.fail "missing check document"
+  in
+  let base, w1 = served nonexhaustive in
+  let _, w2 = served ~base:(source_id_of base) (nonexhaustive ^ zero_probe) in
+  Alcotest.(check string) "server, first check" first w1;
+  Alcotest.(check string) "server, patched recheck" first w2
+
 (* --- unit digests ------------------------------------------------------- *)
 
 let parse src =
@@ -457,5 +489,6 @@ let () =
         [
           Alcotest.test_case "unit digests" `Quick test_unit_digests;
           Alcotest.test_case "fingerprint byte-stability" `Quick test_fingerprint_stability;
+          Alcotest.test_case "warnings are per recheck" `Quick test_warnings_per_recheck;
         ] );
     ]

@@ -41,6 +41,101 @@ let test_lexer_positions () =
       Alcotest.(check int) "col 3" 3 l2.Loc.start_pos.Loc.col
   | _ -> Alcotest.fail "unexpected token stream"
 
+let test_lexer_boundaries () =
+  let open Token in
+  let same what src expected = Alcotest.(check bool) what true (toks src = expected @ [ EOF ]) in
+  same "keyword prefix" "letx" [ ID "letx" ];
+  same "primed identifier" "x'" [ ID "x'" ];
+  same "wildcard" "_" [ UNDERSCORE ];
+  same "underscore-led identifier" "_x" [ ID "_x" ];
+  same "type variable" "'a" [ TYVAR "a" ];
+  same "keyword with suffix" "fun_ fun" [ ID "fun_"; FUN ];
+  same "char literal" "#\"c\"" [ CHAR 'c' ];
+  same "(*) opens a comment" "(*) x *) y" [ ID "y" ];
+  same "nested comments" "(* a (* b *) c *) x (* d *) y" [ ID "x"; ID "y" ];
+  same "largest literal" "4611686018427387903" [ INT max_int ];
+  match Lexer.tokenize "(*)" with
+  | _ -> Alcotest.fail "(*) alone should be an unterminated comment"
+  | exception Lexer.Error (msg, loc) ->
+      Alcotest.(check string) "message" "unterminated comment" msg;
+      Alcotest.(check string) "location" "line 1, characters 1-4" (Loc.to_string loc)
+
+(* An oversized literal used to escape as [Failure "int_of_string"] and
+   surface as an internal error with no location. *)
+let test_lexer_int_overflow () =
+  match Lexer.tokenize "val x = 99999999999999999999" with
+  | _ -> Alcotest.fail "expected an out-of-range error"
+  | exception Lexer.Error (msg, loc) ->
+      Alcotest.(check string) "message" "integer literal out of range" msg;
+      Alcotest.(check string) "location" "line 1, characters 9-29" (Loc.to_string loc)
+
+(* --- lexer properties -------------------------------------------------------- *)
+
+let corpus =
+  Dml_core.Basis.source
+  :: List.map (fun b -> b.Dml_programs.Programs.source) Dml_programs.Programs.all
+  @ List.map (fun t -> t.Dml_programs.Sources_unannotated.u_source) Dml_programs.Sources_unannotated.all
+
+(* Byte offset of a position, given the offsets at which lines start. *)
+let offset starts (p : Loc.pos) = starts.(p.Loc.line - 1) + p.Loc.col - 1
+
+let line_starts src =
+  let starts = ref [ 0 ] in
+  String.iteri (fun i c -> if c = '\n' then starts := (i + 1) :: !starts) src;
+  Array.of_list (List.rev !starts)
+
+(* Either every token re-lexes, from the source slice under its location, to
+   itself, or the input is rejected with a [Lexer.Error]; any other
+   exception escapes and fails the property. *)
+let lexes_consistently src =
+  match Lexer.tokenize src with
+  | exception Lexer.Error _ -> true
+  | tokens ->
+      let starts = line_starts src in
+      List.for_all
+        (fun (tok, (loc : Loc.t)) ->
+          let a = offset starts loc.start_pos and b = offset starts loc.end_pos in
+          match Lexer.tokenize (String.sub src a (b - a)) with
+          | [ (t, _); (Token.EOF, _) ] -> t = tok
+          | [ (Token.EOF, _) ] -> tok = Token.EOF
+          | _ -> false)
+        tokens
+
+let test_lexer_corpus () =
+  List.iteri
+    (fun i src -> Alcotest.(check bool) (Printf.sprintf "corpus source %d" i) true (lexes_consistently src))
+    corpus
+
+(* Seeded byte-level edits of a corpus source: overwrite, delete or insert
+   a byte (mostly one of the lexer's special characters), or truncate. *)
+let mutate seed src =
+  let rand = Random.State.make [| seed |] in
+  let special = "()*\"#'\\_~<>=-|:/\n\t 09azAZ\000\255" in
+  let byte () =
+    if Random.State.int rand 5 > 0 then special.[Random.State.int rand (String.length special)]
+    else Char.chr (Random.State.int rand 256)
+  in
+  let s = ref src in
+  for _ = 0 to Random.State.int rand 8 do
+    let len = String.length !s in
+    let i = Random.State.int rand (len + 1) in
+    let before = String.sub !s 0 i and after = String.sub !s i (len - i) in
+    s :=
+      match Random.State.int rand 10 with
+      | 0 -> before
+      | 1 | 2 | 3 when i < len -> before ^ String.make 1 (byte ()) ^ String.sub after 1 (len - i - 1)
+      | 4 | 5 | 6 when i < len -> before ^ String.sub after 1 (len - i - 1)
+      | _ -> before ^ String.make 1 (byte ()) ^ after
+  done;
+  !s
+
+let prop_lexer_mutations =
+  let gen = QCheck.(pair (int_bound (List.length corpus - 1)) (int_bound 1_000_000)) in
+  let gen = QCheck.set_print (fun (i, seed) -> Printf.sprintf "%S" (mutate seed (List.nth corpus i))) gen in
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x1e8 |])
+    (QCheck.Test.make ~count:1000 ~name:"mutated sources lex consistently" gen (fun (i, seed) ->
+         lexes_consistently (mutate seed (List.nth corpus i))))
+
 (* --- expression parsing ---------------------------------------------------- *)
 
 let parse_ok src =
@@ -292,6 +387,10 @@ let () =
           Alcotest.test_case "comments" `Quick test_lexer_comments;
           Alcotest.test_case "errors" `Quick test_lexer_errors;
           Alcotest.test_case "positions" `Quick test_lexer_positions;
+          Alcotest.test_case "token boundaries" `Quick test_lexer_boundaries;
+          Alcotest.test_case "integer literal overflow" `Quick test_lexer_int_overflow;
+          Alcotest.test_case "corpus re-lexes" `Quick test_lexer_corpus;
+          prop_lexer_mutations;
         ] );
       ( "expressions",
         [

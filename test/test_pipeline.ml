@@ -23,6 +23,7 @@ let stage src =
 
 let test_failure_stages () =
   Alcotest.(check bool) "lex" true (stage "val x = $" = Some `Lex);
+  Alcotest.(check bool) "oversized literal" true (stage "val x = 99999999999999999999" = Some `Lex);
   Alcotest.(check bool) "parse" true (stage "val x = " = Some `Parse);
   Alcotest.(check bool) "mltype" true (stage "val x = 1 + true" = Some `Mltype);
   Alcotest.(check bool) "elab" true
@@ -184,6 +185,61 @@ where oddlen <| {n:nat} 'a list(n) -> bool
   | Ok _ -> ()
   | Error msg -> Alcotest.fail msg
 
+(* --- the basis prelude ------------------------------------------------------ *)
+
+(* The basis is processed once per process; each check must still see only
+   its own warnings, however many checks ran before it. *)
+let nonexhaustive = {|
+datatype t = A | B
+fun f(x) = case x of A => 1
+|}
+
+let test_warnings_per_check () =
+  let warnings () =
+    match check nonexhaustive with
+    | Ok r -> List.map (fun (msg, loc) -> msg ^ " @ " ^ Dml_lang.Loc.to_string loc) r.Pipeline.rp_warnings
+    | Error f -> Alcotest.fail (Pipeline.failure_to_string f)
+  in
+  let first = warnings () in
+  Alcotest.(check int) "one warning" 1 (List.length first);
+  Alcotest.(check (list string)) "second check, same warnings" first (warnings ())
+
+(* Reference front end built from public calls, with the basis re-parsed
+   and run through the same phases as the user program, in one pass. *)
+let reference_obligations src =
+  let open Dml_mltype in
+  let prog = Dml_lang.Parser.parse_program Basis.source @ Dml_lang.Parser.parse_program src in
+  let mlenv, tprog = Infer.infer_program (Infer.initial Tyenv.builtin []) prog in
+  (Elab.elaborate (Denv.builtin mlenv.Infer.tyenv) tprog).Elab.res_obligations
+
+let describe (ob : Elab.obligation) =
+  Printf.sprintf "%s @ %s: %s" ob.ob_what (Dml_lang.Loc.to_string ob.ob_loc)
+    (Dml_constr.Constr.to_string ob.ob_constr)
+
+let test_prelude_matches_one_pass () =
+  List.iter
+    (fun (b : Dml_programs.Programs.benchmark) ->
+      let reference = reference_obligations b.source in
+      (match Pipeline.frontend b.source with
+      | Ok fe ->
+          Alcotest.(check (list string)) (b.name ^ ": obligations")
+            (List.map describe reference) (List.map describe fe.Pipeline.fe_obligations)
+      | Error f -> Alcotest.fail (Pipeline.failure_to_string f));
+      let session = Session.create () in
+      let stats = Solver.new_stats () in
+      let verdicts =
+        List.map (fun ob -> (Pipeline.solve_obligation_s session ~stats ob).Pipeline.co_verdict) reference
+      in
+      match Pipeline.check_s session b.source with
+      | Ok r ->
+          Alcotest.(check bool) (b.name ^ ": verdicts") true
+            (verdicts = List.map (fun co -> co.Pipeline.co_verdict) r.Pipeline.rp_obligations);
+          let untimed s = { s with Solver.solve_time = 0. } in
+          Alcotest.(check bool) (b.name ^ ": solver stats") true
+            (untimed stats = untimed r.Pipeline.rp_solver_stats)
+      | Error f -> Alcotest.fail (Pipeline.failure_to_string f))
+    Dml_programs.Programs.all
+
 let () =
   Alcotest.run "pipeline"
     [
@@ -207,5 +263,10 @@ let () =
         [
           Alcotest.test_case "excerpt rendering" `Quick test_diagnose_excerpt;
           Alcotest.test_case "static failure rendering" `Quick test_diagnose_static_failure;
+        ] );
+      ( "prelude",
+        [
+          Alcotest.test_case "warnings are per check" `Quick test_warnings_per_check;
+          Alcotest.test_case "same as a one-pass basis" `Quick test_prelude_matches_one_pass;
         ] );
     ]
