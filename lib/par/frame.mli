@@ -1,20 +1,20 @@
-(** Length-prefixed marshalled frames over a pipe.
+(** Length-prefixed frames: the one codec under the worker pools and the
+    [dmld] wire protocol.
 
-    The wire format of the worker pool ({!Pool}): every task and reply is one
-    frame — an 8-byte big-endian payload length followed by the payload,
-    [Marshal.to_bytes v []].  The length prefix lets the reader distinguish a
-    clean shutdown (EOF on a frame boundary) from a crash mid-frame, which is
-    what turns a dead worker into an isolated per-task error instead of a
-    wedged pool. *)
-
-val header_len : int
-(** Width of the length prefix (8 bytes, big-endian) — exported for readers
-    that decode frames incrementally from a buffer (the [dmld] server's
-    select loop) instead of through {!read_raw}. *)
+    Every frame is an 8-byte big-endian payload length followed by the
+    payload.  The length prefix lets a reader distinguish a clean shutdown
+    (EOF on a frame boundary) from a crash mid-frame, which is what turns a
+    dead worker into an isolated per-task error instead of a wedged pool.
+    One encoder ({!encode}) and one decoder ({!decode}) carry every frame;
+    the blocking readers and writers below are built on them, and the
+    server's non-blocking socket loop uses the same pair itself. *)
 
 val max_frame : int
 (** Sanity cap on the payload length (bytes).  A header announcing more than
     this is treated as stream corruption, not an allocation request. *)
+
+val encode : string -> string
+(** The complete frame (header and payload) carrying the given bytes. *)
 
 val write : Unix.file_descr -> 'a -> unit
 (** Marshal [v] and write one frame, looping over partial writes and
@@ -22,22 +22,39 @@ val write : Unix.file_descr -> 'a -> unit
     peer died — which the pool maps to a task-level error. *)
 
 val write_raw : Unix.file_descr -> string -> unit
-(** Write one frame whose payload is the given bytes verbatim (no
-    [Marshal]).  The [dmld] server's [dml-server/1] protocol is built on
-    this: the payload is UTF-8 JSON, so the framing discipline is shared
-    with the worker pool while the payload stays language-neutral. *)
+(** Write one frame whose payload is the given bytes verbatim — the [dmld]
+    protocol's UTF-8 JSON, which stays language-neutral. *)
+
+type decoder
+(** An incremental decoder: a byte buffer that frames are consumed from by
+    offset. *)
+
+val decoder : unit -> decoder
+
+val input : decoder -> Unix.file_descr -> int -> int
+(** One [Unix.read] of at most [n] bytes into the decoder's buffer; returns
+    the count read (0 at end of stream).  [Unix.Unix_error] — [EAGAIN] on a
+    non-blocking descriptor, [EINTR] — propagates to the caller. *)
+
+val decode :
+  ?max:int -> decoder -> [ `Frame of string | `Need of int | `Oversized of int ]
+(** Consume the next complete frame and return its payload, or report that
+    [n] more bytes are needed before anything can be decided, or that the
+    buffered header announces a length outside [[0, max]] (default
+    {!max_frame}; a length too large for an [int] is reported as
+    [max_int]).  An out-of-range header is never consumed: the stream
+    cannot be resynchronized past it. *)
 
 val read_raw :
   ?max:int -> Unix.file_descr -> (string, [ `Eof | `Oversized of int | `Error of string ]) result
-(** Read one frame and return its payload bytes.  [max] (default
-    {!max_frame}) caps the announced payload length; a header announcing
-    more is [`Oversized len] — the distinguished rejection the server
-    answers before closing the connection, since the stream cannot be
-    resynchronized past an unread oversized payload. *)
+(** Read one frame, blocking, and return its payload.  [`Eof] only on
+    end-of-stream at a frame boundary; a stream that ends inside a frame is
+    [`Error].  A header outside [[0, max]] is [`Oversized len] — the
+    distinguished rejection the server answers before closing the
+    connection.  Reads exactly the frame's bytes, never past them. *)
 
 val read : Unix.file_descr -> ('a, [ `Eof | `Error of string ]) result
-(** Read one frame.  [`Eof] only on end-of-stream at a frame boundary (the
-    peer shut down cleanly); truncation inside a frame, a corrupt header, or
-    an unmarshalling failure is [`Error].  The ['a] is whatever the writer
-    marshalled — the caller must know the protocol; a type mismatch is
-    undefined behaviour exactly as with [Marshal]. *)
+(** {!read_raw} at the {!max_frame} cap, then unmarshal; an out-of-range
+    header or an unmarshalling failure is [`Error].  The ['a] is whatever
+    the writer marshalled — the caller must know the protocol; a type
+    mismatch is undefined behaviour exactly as with [Marshal]. *)

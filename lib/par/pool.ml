@@ -1,5 +1,3 @@
-module Metrics = Dml_obs.Metrics
-module Trace = Dml_obs.Trace
 module Clock = Dml_obs.Clock
 
 type error = Exception of string | Crashed of string | Timed_out of float
@@ -12,329 +10,82 @@ let error_to_string = function
 
 let cpu_count () = Domain.recommended_domain_count ()
 
-(* One reply per task.  Alongside the value it carries the worker's
-   observability for that task: the metrics delta (the worker resets its
-   registry between tasks, so the export is exactly this task's work) and
-   the completed trace spans recorded under the worker's private sink. *)
-type 'r reply = {
-  rep_value : ('r, string) result;
-  rep_metrics : Metrics.export;
-  rep_spans : Trace.span list;
-}
-
-let describe_status = function
-  | Unix.WEXITED n -> Printf.sprintf "exited with code %d" n
-  | Unix.WSIGNALED n -> Printf.sprintf "killed by signal %d" n
-  | Unix.WSTOPPED n -> Printf.sprintf "stopped by signal %d" n
-
-let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
-
-let flush_std () =
-  Format.pp_print_flush Format.std_formatter ();
-  Format.pp_print_flush Format.err_formatter ();
-  flush stdout;
-  flush stderr
-
-(* ------------------------------------------------------------------ *)
-(* Worker (child process)                                              *)
-(* ------------------------------------------------------------------ *)
-
-(* The child keeps the parent's tracing *decision* but never its sink: spans
-   are recorded under a fresh per-task sink and shipped back as data, so the
-   parent's trace stays well-formed and each task's spans land exactly once. *)
-let worker_main f task_fd reply_fd =
-  let tracing = Trace.enabled () in
-  Trace.set_sink None;
-  Metrics.reset ();
-  let rec loop () =
-    match Frame.read task_fd with
-    | Error `Eof -> Unix._exit 0 (* parent closed the task pipe: shutdown *)
-    | Error (`Error _) -> Unix._exit 1
-    | Ok task ->
-        let sink = if tracing then Some (Trace.create_sink ()) else None in
-        Trace.set_sink sink;
-        let value = try Ok (f task) with e -> Error (Printexc.to_string e) in
-        Trace.set_sink None;
-        let spans = match sink with Some sk -> Trace.roots sk | None -> [] in
-        let reply = { rep_value = value; rep_metrics = Metrics.export (); rep_spans = spans } in
-        Metrics.reset ();
-        (try Frame.write reply_fd reply
-         with e -> (
-           (* an unmarshallable result (a worker function returning closures
-              violates the Pool contract) degrades to a per-task error; a
-              failure on the fallback means the parent is gone *)
-           let fallback =
-             {
-               rep_value = Error ("reply marshalling failed: " ^ Printexc.to_string e);
-               rep_metrics = Metrics.export ();
-               rep_spans = [];
-             }
-           in
-           try Frame.write reply_fd fallback with _ -> Unix._exit 2));
-        loop ()
-  in
-  loop ()
-
-(* ------------------------------------------------------------------ *)
-(* Parent                                                              *)
-(* ------------------------------------------------------------------ *)
-
-type wstate = {
-  ws_pid : int;
-  ws_to : Unix.file_descr;  (* parent writes task frames *)
-  ws_from : Unix.file_descr;  (* parent reads reply frames *)
-  mutable ws_task : int option;  (* index of the in-flight task *)
-  mutable ws_started : float;
-  mutable ws_deadline : float option;
-  mutable ws_alive : bool;
-}
-
 let run ?jobs ?task_timeout_ms ~worker tasks =
   if tasks = [] then []
   else begin
-    let tasks_arr = Array.of_list tasks in
-    let n_tasks = Array.length tasks_arr in
-    let n_workers =
-      let j = match jobs with Some j -> j | None -> cpu_count () in
-      max 1 (min j n_tasks)
-    in
+    let tasks = Array.of_list tasks in
+    let n_tasks = Array.length tasks in
+    let n_workers = max 1 (min (Option.value jobs ~default:(cpu_count ())) n_tasks) in
     let results = Array.make n_tasks None in
     let completed = ref 0 in
+    let finish i r =
+      results.(i) <- Some r;
+      incr completed
+    in
     (* the task queue: fresh indices in order, plus a front-of-queue stack of
        tasks bounced off a worker that died before reading them *)
     let requeued = ref [] in
     let next = ref 0 in
-    let take_task () =
+    let take () =
       match !requeued with
       | i :: rest ->
           requeued := rest;
-          Some i
-      | [] ->
-          if !next < n_tasks then begin
-            let i = !next in
-            incr next;
-            Some i
-          end
-          else None
+          Some (i, tasks.(i))
+      | [] when !next < n_tasks ->
+          incr next;
+          Some (!next - 1, tasks.(!next - 1))
+      | [] -> None
     in
-    let put_back i = requeued := i :: !requeued in
-    let tasks_remain () = !requeued <> [] || !next < n_tasks in
+    let requeue i = requeued := i :: !requeued in
     (* crash-looping tasks must terminate: each replacement fork spends from
        this budget, and when it is gone the rest of the queue degrades *)
     let respawns_left = ref (2 * n_workers) in
-    let workers : wstate option array = Array.make n_workers None in
-    (* fds the parent holds for other workers; a child must close its copies
-       or the parent's close-for-EOF shutdown never reaches those workers *)
-    let parent_fds () =
-      Array.to_list workers
-      |> List.concat_map (function
-           | Some w when w.ws_alive -> [ w.ws_to; w.ws_from ]
-           | _ -> [])
-    in
-    let spawn () =
-      let inherited = parent_fds () in
-      let tr, tw = Unix.pipe () in
-      let rr, rw = Unix.pipe () in
-      flush_std ();
-      match Unix.fork () with
-      | 0 ->
-          List.iter close_quiet inherited;
-          close_quiet tw;
-          close_quiet rr;
-          (try worker_main worker tr rw with _ -> ());
-          Unix._exit 1
-      | pid ->
-          close_quiet tr;
-          close_quiet rw;
-          {
-            ws_pid = pid;
-            ws_to = tw;
-            ws_from = rr;
-            ws_task = None;
-            ws_started = 0.;
-            ws_deadline = None;
-            ws_alive = true;
-          }
-    in
-    let reap w =
-      w.ws_alive <- false;
-      close_quiet w.ws_to;
-      close_quiet w.ws_from;
-      match Unix.waitpid [] w.ws_pid with
-      | _, status -> describe_status status
-      | exception Unix.Unix_error _ -> "unknown status"
-    in
-    let fail_task w err =
-      (match w.ws_task with
-      | Some i ->
-          results.(i) <- Some (Error err);
-          incr completed
-      | None -> ());
-      w.ws_task <- None;
-      w.ws_deadline <- None
-    in
-    let maybe_respawn idx =
-      if tasks_remain () && !respawns_left > 0 then begin
-        decr respawns_left;
-        workers.(idx) <- Some (spawn ())
-      end
-    in
-    let assign () =
-      Array.iteri
-        (fun idx slot ->
-          match slot with
-          | Some w when w.ws_alive && w.ws_task = None -> (
-              match take_task () with
-              | None -> ()
-              | Some i -> (
-                  match Frame.write w.ws_to tasks_arr.(i) with
-                  | () ->
-                      w.ws_task <- Some i;
-                      w.ws_started <- Clock.now ();
-                      w.ws_deadline <-
-                        Option.map
-                          (fun ms -> w.ws_started +. (float_of_int ms /. 1000.))
-                          task_timeout_ms
-                  | exception Unix.Unix_error _ ->
-                      (* the worker died while idle; the task never reached it *)
-                      put_back i;
-                      ignore (reap w);
-                      maybe_respawn idx))
-          | _ -> ())
-        workers
-    in
-    let cleanup () =
-      Array.iter
-        (function
-          | Some w when w.ws_alive ->
-              close_quiet w.ws_to;
-              (* normal completion leaves every worker idle, and an idle
-                 worker exits on EOF; a worker still mid-task here means we
-                 are unwinding on an exception — don't wait for it *)
-              if w.ws_task <> None then (
-                try Unix.kill w.ws_pid Sys.sigkill with Unix.Unix_error _ -> ());
-              (try ignore (Unix.waitpid [] w.ws_pid) with Unix.Unix_error _ -> ());
-              close_quiet w.ws_from
-          | _ -> ())
-        workers
+    let respawn () =
+      (!requeued <> [] || !next < n_tasks)
+      && !respawns_left > 0
+      && (decr respawns_left;
+          true)
     in
     (* a write to a dead worker must surface as EPIPE, not kill the parent *)
     let old_sigpipe =
       try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore) with Invalid_argument _ -> None
     in
     Fun.protect
-      ~finally:(fun () ->
-        cleanup ();
-        match old_sigpipe with
-        | Some b -> Sys.set_signal Sys.sigpipe b
-        | None -> ())
+      ~finally:(fun () -> Option.iter (Sys.set_signal Sys.sigpipe) old_sigpipe)
       (fun () ->
-        for i = 0 to n_workers - 1 do
-          workers.(i) <- Some (spawn ())
-        done;
+        let pool =
+          Worker.create ?timeout_ms:task_timeout_ms ~respawn ~jobs:n_workers (fun () -> worker)
+        in
+        Fun.protect ~finally:(fun () -> Worker.shutdown pool) @@ fun () ->
         while !completed < n_tasks do
-          assign ();
-          let busy =
-            Array.to_list workers
-            |> List.filter_map (function
-                 | Some w when w.ws_alive && w.ws_task <> None -> Some w
-                 | _ -> None)
-          in
-          if busy = [] then begin
-            let any_alive =
-              Array.exists (function Some w -> w.ws_alive | None -> false) workers
-            in
-            if not any_alive then
-              if !respawns_left > 0 && tasks_remain () then begin
-                decr respawns_left;
-                let slot = ref 0 in
-                Array.iteri
-                  (fun i -> function Some w when w.ws_alive -> () | _ -> slot := i)
-                  workers;
-                workers.(!slot) <- Some (spawn ())
-              end
-              else begin
-                (* every worker is gone and the replacement budget is spent:
-                   the rest of the queue degrades, one error per task *)
-                let rec drain () =
-                  match take_task () with
-                  | Some i ->
-                      results.(i) <-
-                        Some (Error (Crashed "no live workers (respawn limit reached)"));
-                      incr completed;
-                      drain ()
-                  | None -> ()
-                in
-                drain ()
-              end
-            (* else: an idle live worker exists; the next [assign] feeds it *)
-          end
+          ignore (Worker.assign pool ~now:(Clock.now ()) ~take ~requeue);
+          if Worker.busy pool = 0 then
+            (* a live idle worker would have been fed: every worker is gone
+               and the respawn budget is spent, so the rest of the queue
+               degrades, one error per task *)
+            Seq.iter
+              (fun (i, _) -> finish i (Error (Crashed "no live workers (respawn limit reached)")))
+              (Seq.of_dispenser take)
           else begin
-            let now = Clock.now () in
             let timeout =
-              List.fold_left
-                (fun acc w ->
-                  match (w.ws_deadline, acc) with
-                  | Some d, None -> Some d
-                  | Some d, Some a -> Some (min a d)
-                  | None, _ -> acc)
-                None busy
-              |> function
+              match Worker.next_deadline pool with
               | None -> -1. (* no deadlines: block until a reply or an EOF *)
-              | Some d -> Float.max 0. (d -. now)
+              | Some d -> Float.max 0. (d -. Clock.now ())
             in
             let ready =
-              match Unix.select (List.map (fun w -> w.ws_from) busy) [] [] timeout with
+              match Unix.select (Worker.fds pool) [] [] timeout with
               | r, _, _ -> r
               | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
             in
-            Array.iteri
-              (fun idx slot ->
-                match slot with
-                | Some w when w.ws_alive && w.ws_task <> None && List.mem w.ws_from ready
-                  -> (
-                    match Frame.read w.ws_from with
-                    | Ok reply ->
-                        Metrics.absorb reply.rep_metrics;
-                        List.iter Trace.adopt reply.rep_spans;
-                        (match w.ws_task with
-                        | Some i ->
-                            results.(i) <-
-                              Some
-                                (match reply.rep_value with
-                                | Ok v -> Ok v
-                                | Error msg -> Error (Exception msg));
-                            incr completed
-                        | None -> ());
-                        w.ws_task <- None;
-                        w.ws_deadline <- None
-                    | Error (`Eof | `Error _) ->
-                        let status = reap w in
-                        fail_task w (Crashed status);
-                        maybe_respawn idx)
-                | _ -> ())
-              workers;
-            (* the watchdog: a worker past its deadline is hung or thrashing;
-               only SIGKILL is guaranteed to reclaim it *)
-            let now = Clock.now () in
-            Array.iteri
-              (fun idx slot ->
-                match slot with
-                | Some w when w.ws_alive && w.ws_task <> None -> (
-                    match w.ws_deadline with
-                    | Some d when now >= d ->
-                        (try Unix.kill w.ws_pid Sys.sigkill
-                         with Unix.Unix_error _ -> ());
-                        ignore (reap w);
-                        fail_task w (Timed_out (now -. w.ws_started));
-                        maybe_respawn idx
-                    | _ -> ())
-                | _ -> ())
-              workers
+            List.iter
+              (function
+                | Worker.Reply (i, Ok v) -> finish i (Ok v)
+                | Worker.Reply (i, Error msg) -> finish i (Error (Exception msg))
+                | Worker.Died (i, status) -> finish i (Error (Crashed status))
+                | Worker.Timed_out (i, s) -> finish i (Error (Timed_out s)))
+              (Worker.collect pool ~now:(Clock.now ()) ~ready)
           end
         done);
     Array.to_list results
-    |> List.map (function
-         | Some r -> r
-         | None -> Error (Crashed "internal: task never completed"))
+    |> List.map (function Some r -> r | None -> Error (Crashed "internal: task never completed"))
   end

@@ -1,28 +1,21 @@
-(** Fork-based worker pool: shard a list of tasks across [N] processes.
+(** Run a list of tasks to completion on forked workers.
 
-    {!run} forks [min jobs (length tasks)] workers, each a child process
-    that inherited the worker function by [fork] (so the function itself is
-    never marshalled — only tasks and results cross the pipe, as
-    length-prefixed {!Frame}s).  The parent hands out tasks one at a time,
-    so a slow task never blocks the queue behind a fixed pre-partition.
+    The run-to-completion policy over the {!Worker} core: the core forks,
+    frames, times out and reaps; this module owns the queue and the
+    respawn budget.  Tasks are handed out one at a time, so a slow task
+    never blocks the queue behind a fixed pre-partition.
 
-    Isolation is per task: a worker that raises returns [Error (Exception _)]
-    for that task and keeps serving; a worker that dies (segfault, [exit],
-    kill) or outlives [task_timeout_ms] costs exactly the task it was
-    running — [Error (Crashed _)] / [Error (Timed_out _)] — and a
-    replacement worker is forked for the remaining queue.  This mirrors the
-    solver's own graceful degradation: a lost task degrades its own site,
-    never the batch.
+    Isolation is per task: a worker that raises costs that task an
+    [Error (Exception _)]; a worker that dies or outlives
+    [task_timeout_ms] costs exactly the task it was running
+    ([Crashed _] / [Timed_out _]) and is replaced for the remaining queue.
+    Replacements are budgeted at [2 * workers]; once the budget is spent
+    and no worker is left, every task still queued becomes [Crashed].  A
+    lost task degrades its own result, never the batch.
 
     Results are returned in task order regardless of scheduling, which is
     what makes the batch front-end's [--json] output byte-stable across
-    [-j N].
-
-    Observability crosses the process boundary with the results: each reply
-    carries the worker's {!Dml_obs.Metrics.export} for that task (absorbed
-    into the parent registry) and its completed trace spans (adopted at the
-    parent's current position) — [--profile] and [--trace] account for all
-    solver work wherever it ran. *)
+    [-j N]. *)
 
 type error =
   | Exception of string  (** the worker function raised; payload is the exception text *)
@@ -55,4 +48,4 @@ val run :
     Tasks and results must be marshallable plain data (no closures, no
     custom blocks).  The worker function runs in a forked child: mutations
     it makes to global state are invisible to the parent except through the
-    metrics/trace channel described above. *)
+    metrics/trace channel {!Worker} describes. *)

@@ -51,17 +51,17 @@ let summarize ?(inferred = false) (rp : Pipeline.report) =
     sm_inferred = inferred;
   }
 
-(* An ephemeral session around the full session options and an
-   already-built cache object: what each execution site (sequential loop,
-   forked worker) assembles from the plain-data options that crossed the
-   pipe.  The parallelism shape is stripped — the execution site is already
-   a worker (or the sequential loop), and must not fork a nested pool —
-   but everything else, [op_infer] included, is preserved: a worker checks
+(* The parallelism shape is stripped — the execution site is already a
+   worker (or the sequential loop), and must not fork a nested pool — but
+   everything else, [op_infer] included, is preserved: a worker checks
    under exactly the policy the batch was submitted with. *)
-let session_for ?cache (options : Session.options) =
-  Session.create ?cache
-    ~options:{ options with Session.op_jobs = None; op_shard_obligations = false }
-    ()
+let worker_options (options : Session.options) =
+  { options with Session.op_jobs = None; op_shard_obligations = false }
+
+(* An ephemeral session around the full session options: what each
+   execution site (sequential loop, forked worker) assembles from the
+   plain-data options that crossed the pipe. *)
+let session_for options = Session.create ~options:(worker_options options) ()
 
 let check_one session target =
   match target.tg_source with

@@ -67,6 +67,16 @@ val summarize : ?inferred:bool -> Dml_core.Pipeline.report -> summary
     checks in-process against its own warm session.  [inferred] (default
     [false]) marks rows produced under [--infer]. *)
 
+val worker_options : Dml_core.Session.options -> Dml_core.Session.options
+(** The options an execution site checks under: the given ones with the
+    parallelism shape ([op_jobs], [op_shard_obligations]) stripped, since a
+    worker must not fork a nested pool. *)
+
+val check_one : Dml_core.Session.t -> target -> (summary, string) result
+(** Check one target against the session — under the {!Dml_infer.Engine}
+    fixpoint when the session's options set [op_infer] — and summarize it.
+    The one per-program check behind every batch row, wherever it runs. *)
+
 type mode =
   | Sequential  (** in-process, no forking: the reference the oracle tests compare against *)
   | Workers of int  (** a {!Pool} of this many forked workers *)

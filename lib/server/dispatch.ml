@@ -3,10 +3,10 @@ module Session = Dml_core.Session
 module Pipeline = Dml_core.Pipeline
 module Report_json = Dml_core.Report_json
 module Runner = Dml_par.Runner
-module Frame = Dml_par.Frame
+module Worker = Dml_par.Worker
 
-(* process-wide fault/robustness counters, mirrored into the metrics
-   registry so the server's [metrics]/[status] ops report them *)
+(* process-wide fault/robustness counters, kept in the metrics registry so
+   the server's [metrics] and [status] ops report the same figures *)
 let m_retries = Metrics.counter "server.retries"
 let m_shed = Metrics.counter "server.shed"
 let m_respawned = Metrics.counter "server.workers_respawned"
@@ -46,49 +46,27 @@ let check_doc session ~program source =
     | Error f -> Report_json.of_failure ~program f
 
 let batch_doc session programs =
-  let infer = (Session.options session).Session.op_infer in
+  let options = Session.options session in
+  let targets =
+    List.map (fun (name, src) -> { Runner.tg_name = name; tg_source = Ok src }) programs
+  in
   let rows =
-    List.map
-      (fun (name, src) ->
-        {
-          Runner.row_name = name;
-          Runner.row_result =
-            (if infer then (
-               match Dml_infer.Engine.check_s session src with
-               | Ok oc ->
-                   Ok (Runner.summarize ~inferred:true oc.Dml_infer.Engine.oc_report)
-               | Error f -> Error (Pipeline.failure_to_string f))
-             else
-               match Pipeline.check_s session src with
-               | Ok rp -> Ok (Runner.summarize rp)
-               | Error f -> Error (Pipeline.failure_to_string f));
-        })
-      programs
+    if options.Session.op_jobs = None && not options.Session.op_shard_obligations then
+      (* in-process, against the session's warm verdict cache *)
+      targets
+      |> List.map (fun (tg : Runner.target) ->
+             { Runner.row_name = tg.tg_name; row_result = Runner.check_one session tg })
+    else Runner.check_targets_s options targets
   in
   Runner.batch_json
-    ?schema:(if infer then Some "dml-batch/2" else None)
+    ?schema:(if options.Session.op_infer then Some "dml-batch/2" else None)
     ~passes:[ rows ] ()
 
-let run_task session = function
-  | T_check { program; source } -> check_doc session ~program source
-  | T_batch { programs } -> batch_doc session programs
-
-(* ------------------------------------------------------------------ *)
-(* Worker (child process)                                              *)
-(* ------------------------------------------------------------------ *)
-
-(* One reply per task: the result document (or the text of an escaped
-   exception — a checker bug, not a protocol error) plus the worker's
-   metrics delta for exactly this task's work. *)
-type reply = { r_value : (Json.t, string) result; r_metrics : Metrics.export }
-
-(* A warm worker loop: the base session (shared verdict cache, built
-   lazily after the fork) plus derived sessions per override fingerprint,
-   all sharing the base cache object — the same soundness argument as the
-   server's own [with_options] path. *)
-let worker_main base_options task_fd reply_fd =
-  Trace.set_sink None;
-  Metrics.reset ();
+(* A warm worker, built after the fork: the base session (shared verdict
+   cache, built on first use) plus derived sessions per override
+   fingerprint, all sharing the base cache object — the same soundness
+   argument as the server's own [with_options] path. *)
+let worker base_options () =
   let base = lazy (Session.create ~options:base_options ()) in
   let base_fp = Session.fingerprint base_options in
   let derived : (string, Session.t) Hashtbl.t = Hashtbl.create 4 in
@@ -103,30 +81,20 @@ let worker_main base_options task_fd reply_fd =
           Hashtbl.replace derived fp s;
           s
   in
-  let rec loop () =
-    match Frame.read task_fd with
-    | Error `Eof -> Unix._exit 0 (* parent closed the task pipe: shutdown *)
-    | Error (`Error _) -> Unix._exit 1
-    | Ok ((opts : Session.options), task) ->
-        Runner.test_injection (task_label task);
-        let value =
-          try Ok (run_task (session_for opts) task) with e -> Error (Printexc.to_string e)
-        in
-        let reply = { r_value = value; r_metrics = Metrics.export () } in
-        Metrics.reset ();
-        (try Frame.write reply_fd reply with _ -> Unix._exit 2);
-        loop ()
-  in
-  loop ()
+  fun ((opts : Session.options), task) ->
+    Runner.test_injection (task_label task);
+    match task with
+    | T_check { program; source } -> check_doc (session_for opts) ~program source
+    | T_batch { programs } -> batch_doc (session_for opts) programs
 
 (* ------------------------------------------------------------------ *)
-(* Parent: the dispatcher                                              *)
+(* The dispatcher                                                      *)
 (* ------------------------------------------------------------------ *)
 
 type outcome =
   | Done of Json.t
   | Failed of string  (** worker exception: deterministic, not retried *)
-  | Timed_out of float  (** seconds the final attempt ran before its deadline *)
+  | Timed_out of float  (** seconds since submission when the retry hung too *)
   | Lost of string  (** worker crashed on the retry as well *)
 
 type job = {
@@ -138,206 +106,54 @@ type job = {
   mutable j_not_before : float;  (** retry backoff gate *)
 }
 
-type worker = {
-  w_pid : int;
-  w_to : Unix.file_descr;
-  w_from : Unix.file_descr;
-  mutable w_job : job option;
-  mutable w_started : float;
-  mutable w_deadline : float option;
-  mutable w_alive : bool;
-}
-
 type t = {
-  d_base : Session.options;
+  d_pool : (Session.options * task, job, Json.t) Worker.t;
   d_timeout_ms : int option;
   d_max_queue : int;
-  d_workers : worker option array;
   d_fresh : job Queue.t;  (** admitted, never attempted *)
   mutable d_retry : job list;  (** bounced off a dead/hung worker, run next *)
   mutable d_next_id : int;
-  mutable d_zombies : int list;  (** killed/exited pids not yet reaped *)
-  mutable d_shed : int;
-  mutable d_retries : int;
-  mutable d_respawned : int;
-  mutable d_timeouts : int;
-  mutable d_lost : int;
 }
 
 let retry_backoff_s = 0.05
 
-let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
+let create ?timeout_ms ?(max_queue = 256) ~jobs options =
+  (* a long-lived server always replaces a dead worker *)
+  let respawn () = Metrics.incr m_respawned; true in
+  {
+    d_pool = Worker.create ?timeout_ms ~respawn ~jobs (worker (Runner.worker_options options));
+    d_timeout_ms = timeout_ms;
+    d_max_queue = max 0 max_queue;
+    d_fresh = Queue.create ();
+    d_retry = [];
+    d_next_id = 0;
+  }
 
-let flush_std () =
-  Format.pp_print_flush Format.std_formatter ();
-  Format.pp_print_flush Format.err_formatter ();
-  flush stdout;
-  flush stderr
-
-(* SIGCHLD-safe reaping: always [WNOHANG] against the specific pid — never
-   a wait(-1), which could steal the exit status of a batch pool's workers
-   running in the same process — with unfinished pids parked on the zombie
-   list and retried every step. *)
-let reap_soft t pid =
-  match Unix.waitpid [ Unix.WNOHANG ] pid with
-  | 0, _ -> t.d_zombies <- pid :: t.d_zombies
-  | _, _ -> ()
-  | exception Unix.Unix_error _ -> ()
-
-let reap_zombies t =
-  t.d_zombies <-
-    List.filter
-      (fun pid ->
-        match Unix.waitpid [ Unix.WNOHANG ] pid with
-        | 0, _ -> true
-        | _, _ -> false
-        | exception Unix.Unix_error _ -> false)
-      t.d_zombies
-
-let parent_fds t =
-  Array.to_list t.d_workers
-  |> List.concat_map (function
-       | Some w when w.w_alive -> [ w.w_to; w.w_from ]
-       | _ -> [])
-
-let spawn t =
-  let inherited = parent_fds t in
-  let tr, tw = Unix.pipe () in
-  let rr, rw = Unix.pipe () in
-  flush_std ();
-  match Unix.fork () with
-  | 0 ->
-      List.iter close_quiet inherited;
-      close_quiet tw;
-      close_quiet rr;
-      (try worker_main t.d_base tr rw with _ -> ());
-      Unix._exit 1
-  | pid ->
-      close_quiet tr;
-      close_quiet rw;
-      {
-        w_pid = pid;
-        w_to = tw;
-        w_from = rr;
-        w_job = None;
-        w_started = 0.;
-        w_deadline = None;
-        w_alive = true;
-      }
-
-(* The base the workers check under: the server's options with the
-   parallelism shape stripped — a worker is already a fork, it must not
-   fork a nested pool of its own. *)
-let worker_options (options : Session.options) =
-  { options with Session.op_jobs = None; op_shard_obligations = false }
-
-let create ?timeout_ms ?(max_queue = 256) ~jobs (options : Session.options) =
-  let n = max 1 jobs in
-  let t =
-    {
-      d_base = worker_options options;
-      d_timeout_ms = timeout_ms;
-      d_max_queue = max 0 max_queue;
-      d_workers = Array.make n None;
-      d_fresh = Queue.create ();
-      d_retry = [];
-      d_next_id = 0;
-      d_zombies = [];
-      d_shed = 0;
-      d_retries = 0;
-      d_respawned = 0;
-      d_timeouts = 0;
-      d_lost = 0;
-    }
-  in
-  Array.iteri (fun i _ -> t.d_workers.(i) <- Some (spawn t)) t.d_workers;
-  t
-
-let workers t = Array.length t.d_workers
+let workers t = Worker.size t.d_pool
 let timeout_ms t = t.d_timeout_ms
-
-let in_flight t =
-  Array.to_list t.d_workers
-  |> List.filter (function Some w -> w.w_alive && w.w_job <> None | None -> false)
-  |> List.length
-
 let queued t = Queue.length t.d_fresh + List.length t.d_retry
-
-let shed t = t.d_shed
-let retries t = t.d_retries
-let respawned t = t.d_respawned
-let timeouts t = t.d_timeouts
-let lost t = t.d_lost
-
-(* fds the serve loop must select on: every live worker's reply pipe.  An
-   idle worker's EOF is how the dispatcher notices an idle crash early. *)
-let fds t =
-  Array.to_list t.d_workers
-  |> List.filter_map (function Some w when w.w_alive -> Some w.w_from | _ -> None)
-
-let kill_worker t w =
-  w.w_alive <- false;
-  close_quiet w.w_to;
-  close_quiet w.w_from;
-  (try Unix.kill w.w_pid Sys.sigkill with Unix.Unix_error _ -> ());
-  reap_soft t w.w_pid
-
-(* a worker that exited on its own (EOF on the reply pipe) *)
-let bury_worker t w =
-  w.w_alive <- false;
-  close_quiet w.w_to;
-  close_quiet w.w_from;
-  reap_soft t w.w_pid
-
-let respawn t idx =
-  t.d_respawned <- t.d_respawned + 1;
-  Metrics.incr m_respawned;
-  t.d_workers.(idx) <- Some (spawn t)
+let fds t = Worker.fds t.d_pool
 
 let take_job t now =
   match t.d_retry with
   | j :: rest when j.j_not_before <= now ->
       t.d_retry <- rest;
       Some j
-  | _ -> ( match Queue.take_opt t.d_fresh with Some j -> Some j | None -> None)
+  | _ -> Queue.take_opt t.d_fresh
 
-let put_back t j = t.d_retry <- j :: t.d_retry
-
-(* Feed idle workers.  A write that fails means the worker died while idle:
-   the task never reached it, so it is not an attempt — requeue without
-   penalty and respawn. *)
-let rec assign t now =
-  let progressed = ref false in
-  Array.iteri
-    (fun idx slot ->
-      match slot with
-      | Some w when w.w_alive && w.w_job = None -> (
-          match take_job t now with
-          | None -> ()
-          | Some j -> (
-              match Frame.write w.w_to (j.j_options, j.j_task) with
-              | () ->
-                  Metrics.incr m_dispatched;
-                  w.w_job <- Some j;
-                  w.w_started <- now;
-                  w.w_deadline <-
-                    Option.map (fun ms -> now +. (float_of_int ms /. 1000.)) t.d_timeout_ms
-              | exception Unix.Unix_error _ ->
-                  put_back t j;
-                  bury_worker t w;
-                  respawn t idx;
-                  progressed := true))
-      | _ -> ())
-    t.d_workers;
-  if !progressed then assign t now
+let assign t now =
+  let take () = Option.map (fun j -> (j, (j.j_options, j.j_task))) (take_job t now) in
+  let sent =
+    Worker.assign t.d_pool ~now ~take ~requeue:(fun j -> t.d_retry <- j :: t.d_retry)
+  in
+  Metrics.incr ~by:sent m_dispatched
 
 (* How a failed attempt resolves: the first crash or hang earns one retry
-   on a fresh worker after a short backoff; the second becomes a structured
-   verdict for the client instead of a dropped connection. *)
-let fail_attempt t now j (kind : [ `Crash of string | `Hang ]) =
+   on a fresh worker after a short backoff; the second becomes [final], a
+   structured verdict for the client instead of a dropped connection. *)
+let fail_attempt t now j ~final counter =
   j.j_attempts <- j.j_attempts + 1;
   if j.j_attempts <= 1 then begin
-    t.d_retries <- t.d_retries + 1;
     Metrics.incr m_retries;
     j.j_not_before <- now +. retry_backoff_s;
     (* retried jobs go behind other already-bounced jobs but ahead of fresh
@@ -345,109 +161,34 @@ let fail_attempt t now j (kind : [ `Crash of string | `Hang ]) =
     t.d_retry <- t.d_retry @ [ j ];
     None
   end
-  else
-    match kind with
-    | `Hang ->
-        t.d_timeouts <- t.d_timeouts + 1;
-        Metrics.incr m_timeouts;
-        Some (j.j_id, Timed_out (now -. j.j_submitted))
-    | `Crash status ->
-        t.d_lost <- t.d_lost + 1;
-        Metrics.incr m_worker_lost;
-        Some (j.j_id, Lost status)
+  else begin
+    Metrics.incr counter;
+    Some (j.j_id, final)
+  end
 
-let describe_status = function
-  | Unix.WEXITED n -> Printf.sprintf "exited with code %d" n
-  | Unix.WSIGNALED n -> Printf.sprintf "killed by signal %d" n
-  | Unix.WSTOPPED n -> Printf.sprintf "stopped by signal %d" n
-
-(* One dispatcher turn: reap, read completed replies from [ready] pipes,
-   enforce deadlines, refill idle workers.  Returns the finished jobs. *)
 let step t ~now ~ready =
-  reap_zombies t;
-  let completed = ref [] in
-  Array.iteri
-    (fun idx slot ->
-      match slot with
-      | Some w when w.w_alive && List.memq w.w_from ready -> (
-          match Frame.read w.w_from with
-          | Ok (reply : reply) -> (
-              Metrics.absorb reply.r_metrics;
-              match w.w_job with
-              | Some j ->
-                  w.w_job <- None;
-                  w.w_deadline <- None;
-                  let outcome =
-                    match reply.r_value with Ok doc -> Done doc | Error msg -> Failed msg
-                  in
-                  completed := (j.j_id, outcome) :: !completed
-              | None -> () (* a reply with no job: drop it, the worker is confused *))
-          | Error (`Eof | `Error _) -> (
-              (* the worker died; recover its exit status for the verdict *)
-              let status =
-                match Unix.waitpid [ Unix.WNOHANG ] w.w_pid with
-                | 0, _ ->
-                    t.d_zombies <- w.w_pid :: t.d_zombies;
-                    "crashed"
-                | _, st -> describe_status st
-                | exception Unix.Unix_error _ -> "crashed"
-              in
-              w.w_alive <- false;
-              close_quiet w.w_to;
-              close_quiet w.w_from;
-              (match w.w_job with
-              | Some j -> (
-                  w.w_job <- None;
-                  match fail_attempt t now j (`Crash status) with
-                  | Some done_ -> completed := done_ :: !completed
-                  | None -> ())
-              | None -> ());
-              respawn t idx))
-      | _ -> ())
-    t.d_workers;
-  (* the watchdog: a worker past its deadline is hung or thrashing; only
-     SIGKILL is guaranteed to reclaim it *)
-  Array.iteri
-    (fun idx slot ->
-      match slot with
-      | Some w when w.w_alive && w.w_job <> None -> (
-          match w.w_deadline with
-          | Some d when now >= d -> (
-              kill_worker t w;
-              (match w.w_job with
-              | Some j -> (
-                  w.w_job <- None;
-                  match fail_attempt t now j `Hang with
-                  | Some done_ -> completed := done_ :: !completed
-                  | None -> ())
-              | None -> ());
-              respawn t idx)
-          | _ -> ())
-      | _ -> ())
-    t.d_workers;
-  assign t now;
-  List.rev !completed
-
-(* The earliest instant [step] must run even with no pipe activity: a
-   deadline to enforce or a backed-off retry to launch. *)
-let next_wake t =
-  let deadline =
-    Array.to_list t.d_workers
+  let completed =
+    Worker.collect t.d_pool ~now ~ready
     |> List.filter_map (function
-         | Some w when w.w_alive && w.w_job <> None -> w.w_deadline
-         | _ -> None)
+         | Worker.Reply (j, Ok doc) -> Some (j.j_id, Done doc)
+         | Worker.Reply (j, Error msg) -> Some (j.j_id, Failed msg)
+         | Worker.Died (j, status) -> fail_attempt t now j ~final:(Lost status) m_worker_lost
+         | Worker.Timed_out (j, _) ->
+             fail_attempt t now j ~final:(Timed_out (now -. j.j_submitted)) m_timeouts)
   in
-  let backoff = if t.d_retry = [] then [] else List.map (fun j -> j.j_not_before) t.d_retry in
-  match deadline @ backoff with
-  | [] -> None
-  | x :: rest -> Some (List.fold_left min x rest)
+  assign t now;
+  completed
+
+let next_wake t =
+  List.fold_left
+    (fun acc j -> Some (Option.fold ~none:j.j_not_before ~some:(Float.min j.j_not_before) acc))
+    (Worker.next_deadline t.d_pool) t.d_retry
 
 (* Admission: run now if a worker is idle, queue if there is room, shed
    with an explicit [`Overloaded] otherwise — bounded latency, not
    unbounded queueing. *)
 let submit t ~now ~options task =
-  if queued t >= t.d_max_queue && in_flight t >= Array.length t.d_workers then begin
-    t.d_shed <- t.d_shed + 1;
+  if queued t >= t.d_max_queue && Worker.busy t.d_pool >= workers t then begin
     Metrics.incr m_shed;
     Error `Overloaded
   end
@@ -456,9 +197,9 @@ let submit t ~now ~options task =
       {
         j_id = t.d_next_id;
         (* strip the parallelism shape here too, so a no-override request
-           fingerprints equal to [d_base] and reuses the worker's warm base
-           session instead of deriving one *)
-        j_options = worker_options options;
+           fingerprints equal to the workers' base options and reuses their
+           warm base session instead of deriving one *)
+        j_options = Runner.worker_options options;
         j_task = task;
         j_submitted = now;
         j_attempts = 0;
@@ -471,29 +212,16 @@ let submit t ~now ~options task =
     Ok j.j_id
   end
 
-let shutdown t =
-  Array.iter
-    (function
-      | Some w when w.w_alive ->
-          close_quiet w.w_to;
-          (* an idle worker exits on EOF; one mid-task gets the axe *)
-          if w.w_job <> None then (
-            try Unix.kill w.w_pid Sys.sigkill with Unix.Unix_error _ -> ());
-          (try ignore (Unix.waitpid [] w.w_pid) with Unix.Unix_error _ -> ());
-          close_quiet w.w_from;
-          w.w_alive <- false
-      | _ -> ())
-    t.d_workers;
-  List.iter
-    (fun pid -> try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
-    t.d_zombies;
-  t.d_zombies <- []
+let shutdown t = Worker.shutdown t.d_pool
 
+(* The fault counts are read back from the registry: a server process runs
+   one dispatcher, and its parent never resets the registry. *)
 let to_json t =
+  let count m = Json.Int (Metrics.value m) in
   Json.Obj
     [
-      ("workers", Json.Int (Array.length t.d_workers));
-      ("in_flight", Json.Int (in_flight t));
+      ("workers", Json.Int (workers t));
+      ("in_flight", Json.Int (Worker.busy t.d_pool));
       ("queued", Json.Int (queued t));
       ("max_queue", Json.Int t.d_max_queue);
       ( "request_timeout_ms",
@@ -501,10 +229,10 @@ let to_json t =
       ( "faults",
         Json.Obj
           [
-            ("retries", Json.Int t.d_retries);
-            ("shed", Json.Int t.d_shed);
-            ("workers_respawned", Json.Int t.d_respawned);
-            ("timeouts", Json.Int t.d_timeouts);
-            ("worker_lost", Json.Int t.d_lost);
+            ("retries", count m_retries);
+            ("shed", count m_shed);
+            ("workers_respawned", count m_respawned);
+            ("timeouts", count m_timeouts);
+            ("worker_lost", count m_worker_lost);
           ] );
     ]

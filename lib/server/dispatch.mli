@@ -1,26 +1,22 @@
-(** The server-side worker-pool dispatcher: warm forked workers behind the
-    [dml-server/1] request path.
+(** The [dmld] dispatcher: warm forked workers behind the [dml-server/1]
+    request path.
 
-    Where {!Dml_par.Pool} runs a fixed task list to completion and returns,
-    this dispatcher is built for a long-lived multi-client server: workers
-    stay warm across requests (each holds a lazily-built
-    {!Dml_core.Session.t} whose verdict cache persists between tasks, with
-    a shared [--cache-dir] crossing processes through the store's atomic
-    writes), jobs arrive one at a time from the serve loop, and every
-    failure becomes a structured outcome rather than a torn-down pool:
+    The long-lived policy over the {!Dml_par.Worker} core, which forks,
+    frames, enforces deadlines and reaps.  Workers stay warm across
+    requests: each holds a lazily built {!Dml_core.Session.t} whose
+    verdict cache persists between tasks, with a shared [--cache-dir]
+    crossing processes through the store's atomic writes.  Jobs arrive one
+    at a time from the serve loop, and every failure becomes a structured
+    outcome rather than a torn-down pool:
 
-    - a {e crash} (the reply pipe hits EOF mid-task) or a {e hang} (the
-      per-request deadline expires and the worker is SIGKILLed) earns the
-      job one retry on a fresh worker after a short backoff; a second
-      failure resolves to {!Lost} or {!Timed_out};
+    - a {e crash} or a {e hang} (the deadline expired and the worker was
+      killed) earns the job one retry on a fresh worker after a short
+      backoff; a second failure resolves to {!Lost} or {!Timed_out};
     - a worker {e exception} (the checker raised — deterministic) resolves
       to {!Failed} immediately, no retry;
     - past the admission bound, {!submit} sheds the job with [`Overloaded]
       instead of queueing without bound;
-    - dead workers are respawned and reaped SIGCHLD-safely: always
-      [waitpid [WNOHANG]] against the specific pid (never a [wait(-1)] that
-      could steal a batch pool's children), with stragglers parked on a
-      zombie list and re-reaped every {!step}.
+    - a dead worker is always replaced.
 
     The dispatcher is transport-free: the serve loop selects on {!fds},
     wakes by {!next_wake}, and calls {!step} with the readable pipes. *)
@@ -31,17 +27,16 @@ type task =
   | T_check of { program : string; source : string }
   | T_batch of { programs : (string * string) list }
 
-val task_label : task -> string
-(** The program name fault injection is keyed by ([DML_PAR_TEST_*]). *)
-
 val check_doc : Dml_core.Session.t -> program:string -> string -> Json.t
 (** The [dml-check/1] document for one source — the single builder used by
     pool workers and by the server's inline path, so [-j] responses are
     byte-identical to inline ones. *)
 
 val batch_doc : Dml_core.Session.t -> (string * string) list -> Json.t
-(** The [dml-batch/1] document for a named-program list, checked
-    sequentially against the given session. *)
+(** The [dml-batch/1] document for a named-program list: each program
+    checked in turn against the given session by
+    {!Dml_par.Runner.check_one}, or by {!Dml_par.Runner.check_targets_s}
+    when the session's options ask for parallelism. *)
 
 type outcome =
   | Done of Json.t  (** the result document *)
@@ -65,33 +60,24 @@ val submit :
     id, or shed it when every worker is busy and the queue is full. *)
 
 val step : t -> now:float -> ready:Unix.file_descr list -> (int * outcome) list
-(** One dispatcher turn: reap zombies, read replies from the [ready]
-    pipes, enforce deadlines, refill idle workers.  Returns finished jobs
+(** One dispatcher turn: collect replies from the [ready] pipes, enforce
+    deadlines, refill idle workers.  Returns finished jobs
     as [(job id, outcome)].  Call with [ready = []] to drive deadlines and
     retries alone. *)
 
 val fds : t -> Unix.file_descr list
-(** Reply pipes of every live worker — the serve loop's extra read set
-    (an idle worker's EOF is how an idle crash is noticed early). *)
+(** The workers' reply pipes — the serve loop's extra read set. *)
 
 val next_wake : t -> float option
 (** Earliest monotonic instant {!step} must run without pipe activity: a
     deadline to enforce or a backed-off retry to launch. *)
 
 val shutdown : t -> unit
-(** Close task pipes (idle workers exit on EOF), SIGKILL mid-task workers,
-    and reap everything, blocking. *)
+(** Stop every worker and reap it, blocking; queued jobs are dropped. *)
 
 val workers : t -> int
 val timeout_ms : t -> int option
-val in_flight : t -> int
 val queued : t -> int
-
-val shed : t -> int
-val retries : t -> int
-val respawned : t -> int
-val timeouts : t -> int
-val lost : t -> int
 
 val to_json : t -> Json.t
 (** The [status] document's ["pool"] object: shape, occupancy and the

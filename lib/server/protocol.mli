@@ -42,9 +42,9 @@
 
     Error codes: ["bad-json"] (unparseable payload), ["bad-request"]
     (envelope/field errors), ["unknown-base"] (a [check_patch] named a base
-    source id the server has never checked), ["oversized-frame"] (header
-    announced more than {!max_frame}; the connection is closed, since the
-    stream cannot be resynchronized). *)
+    source id the server has never checked), ["oversized-frame"] (a header
+    announcing a negative length or more than {!max_frame}, on either
+    transport; the connection is closed: the stream cannot be resynchronized). *)
 
 open Dml_obs
 
@@ -104,5 +104,5 @@ val recv :
   (Json.t, [ `Eof | `Oversized of int | `Bad_json of string | `Error of string ]) result
 (** One frame, parsed.  [`Bad_json] is a well-framed but unparseable
     payload — the stream is still in sync, so the connection can continue;
-    [`Oversized] and [`Error] (truncation, corrupt header) leave it
-    unresynchronizable. *)
+    [`Oversized] (a header outside [[0, max]]) and [`Error] (truncation)
+    leave it unresynchronizable. *)

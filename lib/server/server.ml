@@ -2,7 +2,6 @@ open Dml_obs
 module Session = Dml_core.Session
 module Pipeline = Dml_core.Pipeline
 module Report_json = Dml_core.Report_json
-module Runner = Dml_par.Runner
 module Cache = Dml_cache.Cache
 
 let ops = [ "check"; "batch"; "status"; "metrics"; "shutdown" ]
@@ -87,10 +86,13 @@ let memo_key_of opts ~program source =
 
 let memo_store t key doc = Hashtbl.replace t.t_memo key doc
 
-(* The structured verdicts a failed dispatch degrades to: a well-formed
-   error document on the wire, never a dropped connection. *)
-let response_of_outcome ~id ~op ~timeout_ms = function
-  | Dispatch.Done doc -> Protocol.ok_response ~id ~op doc
+(* The answer to a dispatched job; a finished check's document is memoized
+   under [key].  A failed dispatch degrades to a structured verdict: a
+   well-formed error document on the wire, never a dropped connection. *)
+let response_of_outcome t ~id ~op ?key = function
+  | Dispatch.Done doc ->
+      Option.iter (fun k -> memo_store t k doc) key;
+      Protocol.ok_response ~id ~op doc
   | Dispatch.Failed msg ->
       Protocol.error_response ~id ~code:"internal" ("worker exception: " ^ msg)
   | Dispatch.Timed_out elapsed ->
@@ -98,7 +100,9 @@ let response_of_outcome ~id ~op ~timeout_ms = function
         (Printf.sprintf
            "request exceeded its %s deadline twice (%.2fs since submission; the worker was \
             killed and the request retried once)"
-           (match timeout_ms with Some ms -> Printf.sprintf "%dms" ms | None -> "")
+           (match Option.bind t.t_dispatch Dispatch.timeout_ms with
+           | Some ms -> Printf.sprintf "%dms" ms
+           | None -> "")
            elapsed)
   | Dispatch.Lost status ->
       Protocol.error_response ~id ~code:"worker-lost"
@@ -113,31 +117,31 @@ let overloaded_response ~id d =
        "server at capacity (%d workers busy, %d requests queued); retry after backoff"
        (Dispatch.workers d) (Dispatch.queued d))
 
-(* Drive one dispatched job to completion (the stdio serve loop and the
-   transport-free [handle] path: one client, so blocking on the pool is the
-   protocol's request/response order anyway).  Deadlines, retries and
-   respawns still apply — this is what gives a --stdio server crash and
-   hang isolation. *)
-let dispatch_sync d ~options task =
+(* Drive one dispatched job to completion and answer it (the stdio serve
+   loop and the transport-free [handle] path: one client, so blocking on the
+   pool is the protocol's request/response order anyway).  Deadlines,
+   retries and respawns still apply — this is what gives a --stdio server
+   crash and hang isolation. *)
+let dispatch_sync t d ~id ~op ?key ~options task =
   match Dispatch.submit d ~now:(Clock.now ()) ~options task with
-  | Error `Overloaded -> None
+  | Error `Overloaded -> overloaded_response ~id d
   | Ok job_id ->
       let rec wait () =
-        let now = Clock.now () in
         let timeout =
           match Dispatch.next_wake d with
           | None -> -1.
-          | Some at -> Float.max 0. (at -. now)
+          | Some at -> Float.max 0. (at -. Clock.now ())
         in
         let ready =
           match Unix.select (Dispatch.fds d) [] [] timeout with
           | r, _, _ -> r
           | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
         in
-        let completed = Dispatch.step d ~now:(Clock.now ()) ~ready in
-        match List.assoc_opt job_id completed with Some outcome -> outcome | None -> wait ()
+        match List.assoc_opt job_id (Dispatch.step d ~now:(Clock.now ()) ~ready) with
+        | Some outcome -> outcome
+        | None -> wait ()
       in
-      Some (wait ())
+      response_of_outcome t ~id ~op ?key (wait ())
 
 let do_check t ~id ~program ~source ~options =
   match request_session t options with
@@ -154,18 +158,11 @@ let do_check t ~id ~program ~source ~options =
       | None -> (
           match t.t_dispatch with
           | None ->
-              let doc = Dispatch.check_doc session ~program source in
-              memo_store t key doc;
-              Protocol.ok_response ~id ~op:"check" doc
-          | Some d -> (
-              match dispatch_sync d ~options:opts (Dispatch.T_check { program; source }) with
-              | None -> overloaded_response ~id d
-              | Some (Dispatch.Done doc) ->
-                  memo_store t key doc;
-                  Protocol.ok_response ~id ~op:"check" doc
-              | Some outcome ->
-                  response_of_outcome ~id ~op:"check" ~timeout_ms:(Dispatch.timeout_ms d)
-                    outcome)))
+              response_of_outcome t ~id ~op:"check" ~key
+                (Dispatch.Done (Dispatch.check_doc session ~program source))
+          | Some d ->
+              dispatch_sync t d ~id ~op:"check" ~key ~options:opts
+                (Dispatch.T_check { program; source })))
 
 let incr_json ~source_id ~units ~dirty ~reused ~solver_calls =
   Json.Obj
@@ -265,32 +262,8 @@ let do_batch t ~id ~programs ~options =
   | Error e -> Protocol.error_response ~id ~code:"bad-request" e
   | Ok (opts, session) -> (
       match t.t_dispatch with
-      | None ->
-          let doc =
-            match (opts.Session.op_jobs, opts.Session.op_shard_obligations) with
-            | None, false ->
-                (* in-process, against the server's warm session cache *)
-                Dispatch.batch_doc session programs
-            | _ ->
-                Runner.batch_json
-                  ?schema:(if opts.Session.op_infer then Some "dml-batch/2" else None)
-                  ~passes:
-                    [
-                      Runner.check_targets_s opts
-                        (List.map
-                           (fun (name, src) ->
-                             { Runner.tg_name = name; Runner.tg_source = Ok src })
-                           programs);
-                    ]
-                  ()
-          in
-          Protocol.ok_response ~id ~op:"batch" doc
-      | Some d -> (
-          match dispatch_sync d ~options:opts (Dispatch.T_batch { programs }) with
-          | None -> overloaded_response ~id d
-          | Some (Dispatch.Done doc) -> Protocol.ok_response ~id ~op:"batch" doc
-          | Some outcome ->
-              response_of_outcome ~id ~op:"batch" ~timeout_ms:(Dispatch.timeout_ms d) outcome))
+      | None -> Protocol.ok_response ~id ~op:"batch" (Dispatch.batch_doc session programs)
+      | Some d -> dispatch_sync t d ~id ~op:"batch" ~options:opts (Dispatch.T_batch { programs }))
 
 let status_doc t =
   let requests =
@@ -350,6 +323,13 @@ let handle t v =
 let ignore_sigpipe () =
   if Sys.os_type = "Unix" then Sys.set_signal Sys.sigpipe Sys.Signal_ignore
 
+(* Any header outside [0, Protocol.max_frame], on either transport: the
+   stream cannot be resynchronized, so the connection closes after it. *)
+let oversized_response n =
+  Protocol.error_response ~id:Json.Null ~code:"oversized-frame"
+    (Printf.sprintf "frame header announces %d bytes, outside the 0..%d-byte limit" n
+       Protocol.max_frame)
+
 let shutdown_pool t = match t.t_dispatch with None -> () | Some d -> Dispatch.shutdown d
 
 let serve_stdio ?(input = Unix.stdin) ?(output = Unix.stdout) t =
@@ -365,10 +345,7 @@ let serve_stdio ?(input = Unix.stdin) ?(output = Unix.stdout) t =
           (* the frame was consumed whole; the stream is still in sync *)
           Protocol.send output (Protocol.error_response ~id:Json.Null ~code:"bad-json" msg);
           loop ()
-      | Error (`Oversized n) ->
-          Protocol.send output
-            (Protocol.error_response ~id:Json.Null ~code:"oversized-frame"
-               (Printf.sprintf "frame of %d bytes exceeds the %d-byte limit" n Protocol.max_frame))
+      | Error (`Oversized n) -> Protocol.send output (oversized_response n)
       | Error (`Error msg) ->
           Protocol.send output (Protocol.error_response ~id:Json.Null ~code:"bad-json" msg)
   in
@@ -380,14 +357,14 @@ let serve_stdio ?(input = Unix.stdin) ?(output = Unix.stdout) t =
 
 (* Per-connection state.  Both directions are buffered: a half-received
    request frame from one client never blocks the loop (incremental
-   assembly in [c_in]), and a half-sent response to a slow reader never
-   blocks it either ([c_out]/[c_out_pos] carry the unwritten tail until the
-   socket is writable again). *)
+   decoding in [c_in]), and a half-sent response to a slow reader never
+   blocks it either ([c_out] holds encoded frames, [c_out_pos] the bytes of
+   the first already written, until the socket is writable again). *)
 type conn = {
   c_id : int;
   c_fd : Unix.file_descr;
-  c_in : Buffer.t;
-  mutable c_out : Bytes.t;
+  c_in : Dml_par.Frame.decoder;
+  c_out : string Queue.t;
   mutable c_out_pos : int;
   mutable c_alive : bool;
   mutable c_close_after_flush : bool;
@@ -398,90 +375,58 @@ let close_conn conn =
   conn.c_alive <- false;
   try Unix.close conn.c_fd with Unix.Unix_error _ -> ()
 
-let conn_has_output conn = Bytes.length conn.c_out - conn.c_out_pos > 0
+let conn_has_output conn = not (Queue.is_empty conn.c_out)
 
-(* Append one framed response to the connection's output buffer. *)
 let enqueue_response conn v =
-  if conn.c_alive then begin
-    let payload = Json.to_string v in
-    let n = String.length payload in
-    let pending = Bytes.length conn.c_out - conn.c_out_pos in
-    let next = Bytes.create (pending + Dml_par.Frame.header_len + n) in
-    Bytes.blit conn.c_out conn.c_out_pos next 0 pending;
-    Bytes.set_int64_be next pending (Int64.of_int n);
-    Bytes.blit_string payload 0 next (pending + Dml_par.Frame.header_len) n;
-    conn.c_out <- next;
-    conn.c_out_pos <- 0
-  end
+  if conn.c_alive then Queue.add (Dml_par.Frame.encode (Json.to_string v)) conn.c_out
 
 (* Write as much buffered output as the socket accepts right now. *)
 let flush_conn conn =
   let rec go () =
-    let pending = Bytes.length conn.c_out - conn.c_out_pos in
-    if pending > 0 && conn.c_alive then
-      match Unix.write conn.c_fd conn.c_out conn.c_out_pos pending with
-      | 0 -> ()
-      | n ->
-          conn.c_out_pos <- conn.c_out_pos + n;
-          go ()
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-      | exception Unix.Unix_error (_, _, _) -> close_conn conn
+    match Queue.peek_opt conn.c_out with
+    | Some frame when conn.c_alive -> (
+        let pending = String.length frame - conn.c_out_pos in
+        match Unix.write_substring conn.c_fd frame conn.c_out_pos pending with
+        | 0 -> ()
+        | n when n = pending ->
+            ignore (Queue.pop conn.c_out);
+            conn.c_out_pos <- 0;
+            go ()
+        | n ->
+            conn.c_out_pos <- conn.c_out_pos + n;
+            go ()
+        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
+        | exception Unix.Unix_error (_, _, _) -> close_conn conn)
+    | _ -> ()
   in
   go ();
-  if not (conn_has_output conn) then begin
-    conn.c_out <- Bytes.empty;
-    conn.c_out_pos <- 0;
-    if conn.c_close_after_flush then close_conn conn
-  end
+  if conn.c_close_after_flush && not (conn_has_output conn) then close_conn conn
 
-(* Pull every complete frame out of [conn.c_in]; [on_frame] is called per
-   decoded payload.  A garbage length header poisons the stream — answer
-   and mark the connection for close-after-flush. *)
+(* Decode every complete frame buffered in [conn.c_in]; [on_frame] is
+   called per payload.  A header outside the protocol's range poisons the
+   stream — answer and mark the connection for close-after-flush. *)
 let drain_frames conn ~on_frame =
   let rec go () =
-    let len = Buffer.length conn.c_in in
-    if len < Dml_par.Frame.header_len || conn.c_close_after_flush then ()
-    else
-      let header = Bytes.of_string (Buffer.sub conn.c_in 0 Dml_par.Frame.header_len) in
-      let flen64 = Bytes.get_int64_be header 0 in
-      if Int64.compare flen64 0L < 0 || Int64.compare flen64 (Int64.of_int Protocol.max_frame) > 0
-      then begin
-        enqueue_response conn
-          (Protocol.error_response ~id:Json.Null ~code:"oversized-frame"
-             (Printf.sprintf "frame of %Ld bytes exceeds the %d-byte limit" flen64
-                Protocol.max_frame));
-        conn.c_close_after_flush <- true
-      end
-      else
-        let flen = Int64.to_int flen64 in
-        if len < Dml_par.Frame.header_len + flen then ()
-        else begin
-          let payload = Buffer.sub conn.c_in Dml_par.Frame.header_len flen in
-          let rest =
-            Buffer.sub conn.c_in
-              (Dml_par.Frame.header_len + flen)
-              (len - Dml_par.Frame.header_len - flen)
-          in
-          Buffer.clear conn.c_in;
-          Buffer.add_string conn.c_in rest;
+    if not conn.c_close_after_flush then
+      match Dml_par.Frame.decode ~max:Protocol.max_frame conn.c_in with
+      | `Need _ -> ()
+      | `Frame payload ->
           on_frame payload;
           go ()
-        end
+      | `Oversized n ->
+          enqueue_response conn (oversized_response n);
+          conn.c_close_after_flush <- true
   in
   go ()
 
-(* Non-blocking read into the connection's input buffer; [`Closed] on EOF
-   or a hard error. *)
-let read_chunk = Bytes.create 65536
-
+(* Non-blocking read into the connection's decoder; [`Closed] on EOF or a
+   hard error. *)
 let fill_conn conn =
   let rec go () =
-    match Unix.read conn.c_fd read_chunk 0 (Bytes.length read_chunk) with
+    match Dml_par.Frame.input conn.c_in conn.c_fd 65536 with
     | 0 -> `Closed
-    | n ->
-        Buffer.add_subbytes conn.c_in read_chunk 0 n;
-        go ()
+    | _ -> go ()
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> `More
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
     | exception Unix.Unix_error (_, _, _) -> `Closed
@@ -523,82 +468,55 @@ let serve_unix t ~path =
     | None -> ()
     | Some p ->
         Hashtbl.remove routes job_id;
-        (match p.p_key with
-        | Some key ->
-            Hashtbl.remove inflight_keys key;
-            (match outcome with Dispatch.Done doc -> memo_store t key doc | _ -> ())
-        | None -> ());
-        let timeout_ms =
-          match t.t_dispatch with Some d -> Dispatch.timeout_ms d | None -> None
-        in
+        Option.iter (Hashtbl.remove inflight_keys) p.p_key;
         List.iter
-          (fun (cid, id) -> respond_to cid (response_of_outcome ~id ~op:p.p_op ~timeout_ms outcome))
+          (fun (cid, id) ->
+            respond_to cid (response_of_outcome t ~id ~op:p.p_op ?key:p.p_key outcome))
           (List.rev p.p_waiters)
   in
-  (* Handle one decoded request from [conn].  Simple ops answer
-     immediately; with a worker pool, check/batch work is submitted and the
-     response happens in [complete] — so one client's slow check never
-     head-of-line-blocks another's. *)
+  (* Handle one decoded request from [conn].  With a worker pool, check and
+     batch work that the memo cannot answer is submitted and the response
+     happens in [complete] — so one client's slow check never
+     head-of-line-blocks another's.  Everything else (check_patch too: the
+     parent owns the unit store, and the dirty cone is the cheap part)
+     answers immediately through [handle]. *)
   let handle_frame conn payload =
     let immediate v = enqueue_response conn v in
     match Json.of_string payload with
     | Error msg -> immediate (Protocol.error_response ~id:Json.Null ~code:"bad-json" msg)
     | Ok v -> (
-        match t.t_dispatch with
+        let pooled =
+          match (t.t_dispatch, Protocol.parse_request v) with
+          | Some d, Ok { Protocol.id; req = Protocol.Check { program; source; options } } -> (
+              match request_session t options with
+              | Ok (opts, _) ->
+                  let program = Option.value program ~default:"-" in
+                  let key = memo_key_of opts ~program source in
+                  if Hashtbl.mem t.t_memo key then None
+                  else Some (d, id, "check", Some key, opts, Dispatch.T_check { program; source })
+              | Error _ -> None)
+          | Some d, Ok { Protocol.id; req = Protocol.Batch { programs; options } } ->
+              Result.to_option (request_session t options)
+              |> Option.map (fun (opts, _) ->
+                     (d, id, "batch", None, opts, Dispatch.T_batch { programs }))
+          | _ -> None
+        in
+        match pooled with
         | None -> immediate (handle t v)
-        | Some d -> (
-            match Protocol.parse_request v with
-            | Error e ->
-                let id = Option.value (Json.member "id" v) ~default:Json.Null in
-                immediate (Protocol.error_response ~id ~code:"bad-request" e)
-            | Ok { Protocol.id; req } -> (
-                count_request t (Protocol.op_name req);
-                let submit ~op ~key ~options task =
-                  match Dispatch.submit d ~now:(Clock.now ()) ~options task with
-                  | Error `Overloaded -> immediate (overloaded_response ~id d)
-                  | Ok job_id ->
-                      Hashtbl.replace routes job_id
-                        { p_op = op; p_key = key; p_waiters = [ (conn.c_id, id) ] };
-                      Option.iter (fun k -> Hashtbl.replace inflight_keys k job_id) key
-                in
-                match req with
-                | Protocol.Check { program; source; options } -> (
-                    match request_session t options with
-                    | Error e -> immediate (Protocol.error_response ~id ~code:"bad-request" e)
-                    | Ok (opts, _) -> (
-                        let program = Option.value program ~default:"-" in
-                        let key = memo_key_of opts ~program source in
-                        match Hashtbl.find_opt t.t_memo key with
-                        | Some doc ->
-                            t.t_memo_hits <- t.t_memo_hits + 1;
-                            immediate (Protocol.ok_response ~id ~op:"check" ~memo:true doc)
-                        | None -> (
-                            match Hashtbl.find_opt inflight_keys key with
-                            | Some job_id ->
-                                (* coalesce: join the identical in-flight check *)
-                                let p = Hashtbl.find routes job_id in
-                                p.p_waiters <- (conn.c_id, id) :: p.p_waiters
-                            | None ->
-                                submit ~op:"check" ~key:(Some key) ~options:opts
-                                  (Dispatch.T_check { program; source }))))
-                | Protocol.Check_patch { program; source; base; options } ->
-                    (* parent-computed even in pool mode: the parent owns
-                       the unit store, and the dirty cone is the cheap part *)
-                    immediate (do_check_patch t ~id ~program ~source ~base ~options)
-                | Protocol.Batch { programs; options } -> (
-                    match request_session t options with
-                    | Error e -> immediate (Protocol.error_response ~id ~code:"bad-request" e)
-                    | Ok (opts, _) ->
-                        submit ~op:"batch" ~key:None ~options:opts
-                          (Dispatch.T_batch { programs }))
-                | Protocol.Status -> immediate (Protocol.ok_response ~id ~op:"status" (status_doc t))
-                | Protocol.Metrics ->
-                    immediate (Protocol.ok_response ~id ~op:"metrics" (Metrics.to_json ()))
-                | Protocol.Shutdown ->
-                    t.t_stop <- true;
-                    immediate
-                      (Protocol.ok_response ~id ~op:"shutdown"
-                         (Json.Obj [ ("stopping", Json.Bool true) ])))))
+        | Some (d, id, op, key, options, task) -> (
+            count_request t op;
+            match Option.bind key (Hashtbl.find_opt inflight_keys) with
+            | Some job_id ->
+                (* coalesce: join the identical in-flight check *)
+                let p = Hashtbl.find routes job_id in
+                p.p_waiters <- (conn.c_id, id) :: p.p_waiters
+            | None -> (
+                match Dispatch.submit d ~now:(Clock.now ()) ~options task with
+                | Error `Overloaded -> immediate (overloaded_response ~id d)
+                | Ok job_id ->
+                    Hashtbl.replace routes job_id
+                      { p_op = op; p_key = key; p_waiters = [ (conn.c_id, id) ] };
+                    Option.iter (fun k -> Hashtbl.replace inflight_keys k job_id) key)))
   in
   let jobs_outstanding () = Hashtbl.length routes > 0 in
   let output_outstanding () = List.exists (fun c -> c.c_alive && conn_has_output c) !conns in
@@ -654,8 +572,8 @@ let serve_unix t ~path =
                       {
                         c_id = !next_conn_id;
                         c_fd = fd;
-                        c_in = Buffer.create 256;
-                        c_out = Bytes.empty;
+                        c_in = Dml_par.Frame.decoder ();
+                        c_out = Queue.create ();
                         c_out_pos = 0;
                         c_alive = true;
                         c_close_after_flush = false;

@@ -299,6 +299,71 @@ let test_failure_rows_match () =
   Alcotest.(check (list string)) "obligation-sharded failure rows"
     (List.map proj_row seq) (List.map proj_row sh)
 
+(* --- frame codec ---------------------------------------------------------------- *)
+
+let with_pipe f =
+  let r, w = Unix.pipe () in
+  let close fd = try Unix.close fd with Unix.Unix_error _ -> () in
+  Fun.protect ~finally:(fun () -> List.iter close [ r; w ]) (fun () -> f r w)
+
+let write_string fd s = ignore (Unix.write_substring fd s 0 (String.length s))
+
+(* Encode the payloads, deliver the stream in chunks of the given sizes
+   (cycled), and decode incrementally after every chunk. *)
+let prop_decoder_chunking =
+  QCheck.Test.make ~count:300 ~name:"decoder is invariant under chunking"
+    QCheck.(pair (small_list small_string) (small_list small_nat))
+    (fun (payloads, sizes) ->
+      let stream = String.concat "" (List.map Frame.encode payloads) in
+      let sizes = Array.of_list (List.map (fun n -> 1 + n) sizes) in
+      with_pipe (fun r w ->
+          let d = Frame.decoder () in
+          let got = ref [] in
+          let rec drain () =
+            match Frame.decode d with
+            | `Frame p ->
+                got := p :: !got;
+                drain ()
+            | `Need _ -> ()
+            | `Oversized n -> QCheck.Test.fail_reportf "oversized header %d" n
+          in
+          let rec feed ofs k =
+            if ofs < String.length stream then begin
+              let n =
+                if sizes = [||] then String.length stream
+                else min sizes.(k mod Array.length sizes) (String.length stream - ofs)
+              in
+              write_string w (String.sub stream ofs n);
+              ignore (Frame.input d r n);
+              drain ();
+              feed (ofs + n) (k + 1)
+            end
+          in
+          feed 0 0;
+          List.rev !got = payloads))
+
+(* Cut the stream inside its last frame: every complete frame still reads
+   back, and the cut one is an [`Error] — a truncation is never mistaken
+   for a clean end of stream. *)
+let prop_truncation =
+  QCheck.Test.make ~count:300 ~name:"truncated stream ends in Error, never Eof"
+    QCheck.(pair (list_of_size Gen.(1 -- 8) small_string) small_nat)
+    (fun (payloads, cut) ->
+      let frames = List.map Frame.encode payloads in
+      let last = List.nth frames (List.length frames - 1) in
+      let keep = 1 + (cut mod (String.length last - 1)) in
+      let stream =
+        String.concat "" (List.filteri (fun i _ -> i < List.length frames - 1) frames)
+        ^ String.sub last 0 keep
+      in
+      with_pipe (fun r w ->
+          write_string w stream;
+          Unix.close w;
+          let whole = List.filteri (fun i _ -> i < List.length payloads - 1) payloads in
+          let read_back = List.map (fun _ -> Frame.read_raw r) whole in
+          read_back = List.map Result.ok whole
+          && match Frame.read_raw r with Error (`Error _) -> true | _ -> false))
+
 let () =
   Alcotest.run "par"
     [
@@ -314,6 +379,8 @@ let () =
           Alcotest.test_case "metrics aggregated" `Quick test_metrics_aggregated;
           Alcotest.test_case "spans adopted" `Quick test_spans_adopted;
         ] );
+      ( "frame",
+        List.map QCheck_alcotest.to_alcotest [ prop_decoder_chunking; prop_truncation ] );
       ("goals", [ Alcotest.test_case "pooled solver oracle" `Quick test_goal_batch_oracle ]);
       ( "runner",
         [

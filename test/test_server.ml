@@ -243,6 +243,36 @@ let test_stdio_frames () =
       let _, status = Unix.waitpid [] pid in
       Alcotest.(check bool) "server exited cleanly" true (status = Unix.WEXITED 0)
 
+(* Any header outside [0, max_frame] — one too large for the allocation
+   cap, one negative — is a framing error on stdio just as on the socket:
+   answered "oversized-frame", never "bad-json", and the stream closes. *)
+let test_stdio_bad_headers () =
+  List.iter
+    (fun (what, len) ->
+      let req_r, req_w = Unix.pipe () in
+      let resp_r, resp_w = Unix.pipe () in
+      match Unix.fork () with
+      | 0 ->
+          Unix.close req_w;
+          Unix.close resp_r;
+          (try Server.serve_stdio ~input:req_r ~output:resp_w (Server.create ()) with _ -> ());
+          Unix._exit 0
+      | pid ->
+          Unix.close req_r;
+          Unix.close resp_w;
+          let header = Bytes.create 8 in
+          Bytes.set_int64_be header 0 len;
+          write_all req_w header 0 8;
+          expect_error_code what "oversized-frame" (recv_ok what resp_r);
+          (match Protocol.recv resp_r with
+          | Error `Eof -> ()
+          | _ -> Alcotest.fail (what ^ ": stream should close after a bad header"));
+          Unix.close req_w;
+          Unix.close resp_r;
+          let _, status = Unix.waitpid [] pid in
+          Alcotest.(check bool) (what ^ ": server exited cleanly") true (status = Unix.WEXITED 0))
+    [ ("2^40 header", Int64.shift_left 1L 40); ("-1 header", -1L) ]
+
 (* --- warm-session oracle ------------------------------------------------------ *)
 
 let counter_of metrics name =
@@ -704,6 +734,44 @@ let test_pool_shedding () =
       (try Unix.close c1 with Unix.Unix_error _ -> ());
       shutdown_and_reap c2 pid)
 
+(* --- socket framing -------------------------------------------------------------- *)
+
+(* The socket loop decodes frames incrementally: a request trickling in a
+   byte at a time and two requests in one write both decode exactly, and a
+   header outside [0, max_frame] is answered then closes the connection. *)
+let test_socket_frames () =
+  let path = Filename.concat (Filename.get_temp_dir_name ()) "dml_test_frames.sock" in
+  let pid = fork_pooled_server ~options:cached_options ~path () in
+  let fd = connect path in
+  let frame req = Dml_par.Frame.encode (J.to_string req) in
+  let expect_ok_id what id resp =
+    Alcotest.(check bool) (what ^ ": ok") true (J.member "ok" resp = Some (J.Bool true));
+    Alcotest.(check bool) (what ^ ": id") true (J.member "id" resp = Some (J.Int id))
+  in
+  String.iter
+    (fun c ->
+      write_all fd (Bytes.make 1 c) 0 1;
+      Unix.sleepf 0.001)
+    (frame (check_req ~id:1 "trickle.dml" src_ok));
+  expect_ok_id "byte at a time" 1 (recv_ok "byte at a time" fd);
+  let two =
+    frame (check_req ~id:2 "first.dml" src_ok)
+    ^ frame (obj [ ("op", str "status"); ("id", J.Int 3) ])
+  in
+  write_all fd (Bytes.of_string two) 0 (String.length two);
+  expect_ok_id "first of two" 2 (recv_ok "first of two" fd);
+  expect_ok_id "second of two" 3 (recv_ok "second of two" fd);
+  let bad = connect path in
+  let header = Bytes.create 8 in
+  Bytes.set_int64_be header 0 (Int64.of_int (Protocol.max_frame + 1));
+  write_all bad header 0 8;
+  expect_error_code "oversized" "oversized-frame" (recv_ok "oversized" bad);
+  (match Protocol.recv bad with
+  | Error `Eof -> ()
+  | _ -> Alcotest.fail "connection should close after an oversized header");
+  Unix.close bad;
+  shutdown_and_reap fd pid
+
 let () =
   Alcotest.run "server"
     [
@@ -714,7 +782,12 @@ let () =
           Alcotest.test_case "option overrides" `Quick test_overrides;
         ] );
       ("golden", [ Alcotest.test_case "transcript" `Quick test_golden_transcript ]);
-      ("frames", [ Alcotest.test_case "stdio loop" `Quick test_stdio_frames ]);
+      ( "frames",
+        [
+          Alcotest.test_case "stdio loop" `Quick test_stdio_frames;
+          Alcotest.test_case "stdio out-of-range headers" `Quick test_stdio_bad_headers;
+          Alcotest.test_case "socket framing" `Quick test_socket_frames;
+        ] );
       ("warm", [ Alcotest.test_case "memo oracle" `Quick test_warm_oracle ]);
       ("socket", [ Alcotest.test_case "concurrent clients" `Quick test_concurrent_clients ]);
       ( "patch",
