@@ -180,6 +180,8 @@ let divmod x y =
     (q, r)
   end
 
+let div x y = fst (divmod x y)
+
 let fdiv x y =
   let q, r = divmod x y in
   if r.sign <> 0 && r.sign * y.sign < 0 then pred q else q
@@ -252,4 +254,5 @@ let of_string s =
   done;
   if negative then neg !v else !v
 
+let to_bigint x = x
 let pp fmt x = Format.pp_print_string fmt (to_string x)

@@ -48,6 +48,9 @@ val divmod : t -> t -> t * t
     [|r| < |b|] and [r] having the sign of [a] (or zero).
     @raise Division_by_zero when [b] is zero. *)
 
+val div : t -> t -> t
+(** The quotient of {!divmod}. *)
+
 val fdiv : t -> t -> t
 (** Floor division, as in mathematics (rounds towards negative infinity). *)
 
@@ -64,5 +67,8 @@ val lt : t -> t -> bool
 val le : t -> t -> bool
 val gt : t -> t -> bool
 val ge : t -> t -> bool
+
+val to_bigint : t -> t
+(** The identity: with {!div}, makes [Bigint] a {!Number.S}. *)
 
 val pp : Format.formatter -> t -> unit

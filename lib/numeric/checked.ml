@@ -6,6 +6,13 @@
 
 exception Overflow
 
+type t = int
+
+let zero = 0
+let one = 1
+let of_int n = if n = min_int then raise Overflow else n
+let[@inline] sign a = if a > 0 then 1 else if a < 0 then -1 else 0
+let compare = Int.compare
 let[@inline] neg a = if a = min_int then raise Overflow else -a
 let[@inline] abs a = if a < 0 then neg a else a
 
@@ -27,11 +34,13 @@ let mul a b =
     if p / b <> a || p = min_int then raise Overflow
     else p
 
-(* Truncated division (the native [/] and [mod]) matches [Bigint.divmod];
-   the floor variants mirror [Bigint.fdiv]/[Bigint.fmod].  Divisors are
-   never zero where the solver calls these (gcds of non-empty coefficient
-   rows), and [min_int / -1] is unreachable because [min_int] is already
-   rejected by the constructors above. *)
+(* Truncated division (the native [/]) matches [Bigint.div]; the floor
+   variants mirror [Bigint.fdiv]/[Bigint.fmod].  Divisors are never zero
+   where the solver calls these (gcds of non-empty coefficient rows), and
+   [min_int / -1] is unreachable because [min_int] is already rejected by
+   the constructors above. *)
+let[@inline] div a b = a / b
+
 let[@inline] fdiv a b =
   let q = a / b in
   if a mod b <> 0 && a < 0 <> (b < 0) then q - 1 else q
@@ -44,7 +53,4 @@ let gcd a b =
   let rec go a b = if b = 0 then a else go b (a mod b) in
   go (abs a) (abs b)
 
-let of_bigint n =
-  match Bigint.to_int n with
-  | Some i when i <> min_int -> i
-  | _ -> raise Overflow
+let to_bigint = Bigint.of_int

@@ -1,4 +1,5 @@
-(** Overflow-checked native [int] arithmetic.
+(** Overflow-checked native [int] arithmetic: the machine-int instance of
+    {!Number.S}.
 
     The machine-int solver lane runs Fourier--Motzkin and the rational
     simplex over native integers; coefficient growth there is exponential,
@@ -14,24 +15,5 @@
 
 exception Overflow
 
-val neg : int -> int
-val abs : int -> int
-val add : int -> int -> int
-val sub : int -> int -> int
-val mul : int -> int -> int
-
-val fdiv : int -> int -> int
-(** Floor division, mirroring {!Bigint.fdiv}.  The divisor must be
-    non-zero; quotients of representable operands cannot overflow because
-    [min_int] never enters. *)
-
-val fmod : int -> int -> int
-(** Floor remainder, mirroring {!Bigint.fmod}: the result has the sign of
-    the divisor (or is zero). *)
-
-val gcd : int -> int -> int
-(** Non-negative greatest common divisor; [gcd 0 0 = 0], mirroring
-    {!Bigint.gcd}. *)
-
-val of_bigint : Bigint.t -> int
-(** @raise Overflow when the value does not fit (or is [min_int]). *)
+include Number.S with type t = int
+(** [of_int min_int] raises {!Overflow} too. *)

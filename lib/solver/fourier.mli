@@ -1,11 +1,18 @@
-(** Fourier--Motzkin variable elimination (Section 3.2).
+(** Fourier--Motzkin variable elimination (Section 3.2), written once over
+    a {!Linear.S} ({!Make}); this module itself is the bignum instance.
 
     The procedure decides unsatisfiability of a conjunction of linear
     constraints.  It is sound for integers (an [Unsat] answer is definitive)
     and, with the integral tightening rule enabled, refutes the divisibility
     style constraints arising from the optimised byte-copy function that pure
     rational reasoning cannot.  A [Sat] answer means "not refuted": complete
-    over the rationals, conservative over the integers. *)
+    over the rationals, conservative over the integers.
+
+    Every choice the eliminator makes is a function of the constraint set
+    and the variable ids alone, so the two instances take the same steps
+    and record the same {!stats}; over {!Dml_numeric.Checked} the first
+    step that would leave the [int] range raises
+    [Dml_numeric.Checked.Overflow] instead. *)
 
 open Dml_numeric
 open Dml_index
@@ -21,29 +28,36 @@ type stats = {
 
 val new_stats : unit -> stats
 
-val check : ?stats:stats -> ?budget:Budget.t -> tighten:bool -> Linear.cstr list -> verdict
-(** [check ~tighten cs] eliminates all variables from [cs].  Equalities with
-    a unit-coefficient variable are removed first by Gaussian substitution;
-    the remaining equalities are split into inequality pairs.  With
-    [?budget], each upper/lower combination costs one fuel unit and each
-    eliminated variable counts against the budget's elimination limit.
-    @raise Budget.Exhausted when the budget runs out. *)
+module type S = sig
+  type num
+  type rat
 
-val integer_model : ?budget:Budget.t -> Linear.cstr list -> Bigint.t Ivar.Map.t option
-(** Best-effort integer assignment satisfying the system, reconstructed by
-    back-substitution through the tightened elimination order with
-    floor-divided bound endpoints; used to produce counterexample hints in
-    error messages.  [None] when the system is integrally unsat or the
-    endpoint rounding misses the witness.
-    @raise Budget.Exhausted when the budget runs out mid-walk: the caller
-    must report a timeout, not "no counterexample". *)
+  val check : ?stats:stats -> ?budget:Budget.t -> tighten:bool -> num Linear.cstr list -> verdict
+  (** [check ~tighten cs] eliminates all variables from [cs].  Equalities
+      with a unit-coefficient variable are removed first by Gaussian
+      substitution; the remaining equalities are split into inequality
+      pairs.  With [?budget], each upper/lower combination costs one fuel
+      unit and each eliminated variable counts against the budget's
+      elimination limit.  [stats] updates made before an exception stand.
+      @raise Budget.Exhausted when the budget runs out. *)
 
-val rational_model : ?budget:Budget.t -> Linear.cstr list -> Rat.t Ivar.Map.t option
-(** Best-effort rational assignment satisfying the system.  Tries
-    {!integer_model} first (an integer witness is the strongest hint); when
-    that comes up empty — the tightened walk refuted a rationally-satisfiable
-    system, or rounding lost the witness — falls back to an untightened
-    elimination with exact rational bound arithmetic, so fractional-only
-    witnesses (e.g. [2x = 1]) are found instead of silently dropped.
-    [None] only when the system has no rational solution at all.
-    @raise Budget.Exhausted when the budget runs out mid-walk. *)
+  val rational_model : ?budget:Budget.t -> num Linear.cstr list -> rat Ivar.Map.t option
+  (** Best-effort assignment satisfying the system, used for the
+      counterexample hints in error messages.  It is reconstructed by
+      walking the elimination trace backwards: each Gaussian substitution
+      is replayed, and each pivot variable takes its tightest bound.  The
+      first walk follows the tightened elimination and rounds bounds to
+      integers (an integer witness is the strongest hint).  When that
+      comes up empty — tightening refuted a rationally-satisfiable system,
+      or rounding lost the witness — a second, untightened walk keeps the
+      bounds exact, so fractional-only witnesses (e.g. [2x = 1]) are found
+      instead of silently dropped.  [None] only when the system has no
+      rational solution at all.
+      @raise Budget.Exhausted when the budget runs out mid-walk: the caller
+      must report a timeout, not "no counterexample". *)
+end
+
+module Make (L : Linear.S) (R : Rat.S with type num = L.num) :
+  S with type num = L.num and type rat = R.t
+
+include S with type num = Bigint.t and type rat = Rat.t

@@ -1,135 +1,192 @@
 open Dml_numeric
 open Dml_index
-module B = Bigint
 
-type form = { const : B.t; coeffs : B.t Ivar.Map.t }
-
-let zero = { const = B.zero; coeffs = Ivar.Map.empty }
-let const c = { const = c; coeffs = Ivar.Map.empty }
-let of_int n = const (B.of_int n)
-let var v = { const = B.zero; coeffs = Ivar.Map.singleton v B.one }
-
-let merge op a b =
-  Ivar.Map.merge
-    (fun _ x y ->
-      let v = op (Option.value x ~default:B.zero) (Option.value y ~default:B.zero) in
-      if B.is_zero v then None else Some v)
-    a b
-
-let add a b = { const = B.add a.const b.const; coeffs = merge B.add a.coeffs b.coeffs }
-let sub a b = { const = B.sub a.const b.const; coeffs = merge B.sub a.coeffs b.coeffs }
-let neg a = { const = B.neg a.const; coeffs = Ivar.Map.map B.neg a.coeffs }
-
-let scale k a =
-  if B.is_zero k then zero
-  else { const = B.mul k a.const; coeffs = Ivar.Map.map (B.mul k) a.coeffs }
-
-let coeff v a = Option.value (Ivar.Map.find_opt v a.coeffs) ~default:B.zero
-let remove v a = { a with coeffs = Ivar.Map.remove v a.coeffs }
-let is_const a = if Ivar.Map.is_empty a.coeffs then Some a.const else None
-let vars a = Ivar.Map.fold (fun v _ s -> Ivar.Set.add v s) a.coeffs Ivar.Set.empty
-
-let equal a b =
-  B.equal a.const b.const && Ivar.Map.equal B.equal a.coeffs b.coeffs
-
-let of_iexp e =
-  let open Idx in
-  let rec go = function
-    | Ivar v -> Some (var v)
-    | Iconst n -> Some (of_int n)
-    | Iadd (a, b) -> map2 add a b
-    | Isub (a, b) -> map2 sub a b
-    | Ineg a -> Option.map neg (go a)
-    | Imul (a, b) -> (
-        match (go a, go b) with
-        | Some fa, Some fb -> (
-            match (is_const fa, is_const fb) with
-            | Some k, _ -> Some (scale k fb)
-            | _, Some k -> Some (scale k fa)
-            | None, None -> None)
-        | _ -> None)
-    | Idiv _ | Imod _ | Imin _ | Imax _ | Iabs _ | Isgn _ -> None
-  and map2 op a b =
-    match (go a, go b) with Some fa, Some fb -> Some (op fa fb) | _ -> None
-  in
-  go e
-
-let eval env a =
-  Ivar.Map.fold (fun v k acc -> B.add acc (B.mul k (Ivar.Map.find v env))) a.coeffs a.const
-
+type 'n form = { const : 'n; vars : Ivar.t array; coeffs : 'n array }
 type kind = Le | Eq
+type 'n cstr = { kind : kind; form : 'n form }
 
-type cstr = { kind : kind; form : form }
+module type S = sig
+  type num
 
-let cstr_le form = { kind = Le; form }
-let cstr_eq form = { kind = Eq; form }
-let cstr_vars c = vars c.form
+  module N : Number.S with type t = num
 
-let is_trivially_false c =
-  match is_const c.form with
-  | Some k -> ( match c.kind with Le -> B.gt k B.zero | Eq -> not (B.is_zero k))
-  | None -> false
+  val of_int : int -> num form
+  val var : Ivar.t -> num form
+  val add : num form -> num form -> num form
+  val sub : num form -> num form -> num form
+  val neg : num form -> num form
+  val scale : num -> num form -> num form
+  val combine : num -> num form -> num -> num form -> num form
+  val coeff : Ivar.t -> num form -> num
+  val remove : Ivar.t -> num form -> num form
+  val of_iexp : Idx.iexp -> num form option
+  val cstr_le : num form -> num cstr
+  val cstr_eq : num form -> num cstr
+  val is_trivially_false : num cstr -> bool
+  val normalize : tighten:bool -> num cstr -> num cstr option
+end
 
-let is_trivially_true c =
-  match is_const c.form with
-  | Some k -> ( match c.kind with Le -> B.le k B.zero | Eq -> B.is_zero k)
-  | None -> false
+module Make (N : Number.S) = struct
+  type num = N.t
 
-let coeff_gcd f = Ivar.Map.fold (fun _ k g -> B.gcd k g) f.coeffs B.zero
+  module N = N
 
-let normalize ~tighten c =
-  if is_trivially_true c then None
-  else if is_trivially_false c then Some c
-  else begin
-    let g = coeff_gcd c.form in
-    if B.equal g B.one then Some c
-    else
-      match c.kind with
-      | Le ->
-          (* k.x + c <= 0, i.e. (k/g).x <= -c/g.  Over the integers the right
-             hand side may be rounded down: (k/g).x <= floor(-c/g), which is
-             the paper's tightening rule.  Without tightening we only divide
-             when g exactly divides the constant. *)
-          let coeffs = Ivar.Map.map (fun k -> fst (B.divmod k g)) c.form.coeffs in
-          if tighten then begin
-            let bound = B.fdiv (B.neg c.form.const) g in
-            Some { kind = Le; form = { const = B.neg bound; coeffs } }
-          end
-          else if B.is_zero (B.fmod c.form.const g) then
-            Some { kind = Le; form = { const = fst (B.divmod c.form.const g); coeffs } }
-          else Some c
-      | Eq ->
-          (* k.x + c = 0 has no integer solution unless g divides c. *)
-          if B.is_zero (B.fmod c.form.const g) then begin
-            let coeffs = Ivar.Map.map (fun k -> fst (B.divmod k g)) c.form.coeffs in
-            Some { kind = Eq; form = { const = fst (B.divmod c.form.const g); coeffs } }
-          end
-          else if tighten then
-            (* Contradictory: report as a trivially false constant constraint. *)
-            Some { kind = Eq; form = const B.one }
-          else Some c
-  end
+  let const c = { const = c; vars = [||]; coeffs = [||] }
+  let of_int n = const (N.of_int n)
+  let var v = { const = N.zero; vars = [| v |]; coeffs = [| N.one |] }
 
-let pp_form fmt f =
-  let open Format in
-  let first = ref true in
-  Ivar.Map.iter
-    (fun v k ->
-      if !first then begin
-        first := false;
-        if B.equal k B.one then fprintf fmt "%a" Ivar.pp v
-        else if B.equal k B.minus_one then fprintf fmt "-%a" Ivar.pp v
-        else fprintf fmt "%a*%a" B.pp k Ivar.pp v
-      end
-      else if B.sign k >= 0 then
-        if B.equal k B.one then fprintf fmt " + %a" Ivar.pp v
-        else fprintf fmt " + %a*%a" B.pp k Ivar.pp v
-      else if B.equal k B.minus_one then fprintf fmt " - %a" Ivar.pp v
-      else fprintf fmt " - %a*%a" B.pp (B.abs k) Ivar.pp v)
-    f.coeffs;
-  if !first then fprintf fmt "%a" B.pp f.const
-  else if B.sign f.const > 0 then fprintf fmt " + %a" B.pp f.const
-  else if B.sign f.const < 0 then fprintf fmt " - %a" B.pp (B.abs f.const)
+  (* The one merge of two id-sorted forms, in a single pass: a coefficient
+     present only in [a] maps through [fa], only in [b] through [fb], in
+     both through [fab]; zero results are dropped.  The arrays are sized to
+     the union of the two variable sets, and trimmed only when a shared
+     coefficient cancelled. *)
+  let merge const fa fb fab a b =
+    let na = Array.length a.vars and nb = Array.length b.vars in
+    let union =
+      let rec count i j u =
+        if i >= na then u + nb - j
+        else if j >= nb then u + na - i
+        else
+          let c = Int.compare a.vars.(i).Ivar.id b.vars.(j).Ivar.id in
+          if c < 0 then count (i + 1) j (u + 1)
+          else if c > 0 then count i (j + 1) (u + 1)
+          else count (i + 1) (j + 1) (u + 1)
+      in
+      count 0 0 0
+    in
+    if union = 0 then { const; vars = [||]; coeffs = [||] }
+    else begin
+      let vars = Array.make union (if na > 0 then a.vars.(0) else b.vars.(0)) in
+      let coeffs = Array.make union N.zero in
+      let i = ref 0 and j = ref 0 and n = ref 0 in
+      let push v k =
+        if N.sign k <> 0 then begin
+          vars.(!n) <- v;
+          coeffs.(!n) <- k;
+          incr n
+        end
+      in
+      while !i < na || !j < nb do
+        if !j >= nb || (!i < na && a.vars.(!i).Ivar.id < b.vars.(!j).Ivar.id) then begin
+          push a.vars.(!i) (fa a.coeffs.(!i));
+          incr i
+        end
+        else if !i >= na || b.vars.(!j).Ivar.id < a.vars.(!i).Ivar.id then begin
+          push b.vars.(!j) (fb b.coeffs.(!j));
+          incr j
+        end
+        else begin
+          push a.vars.(!i) (fab a.coeffs.(!i) b.coeffs.(!j));
+          incr i;
+          incr j
+        end
+      done;
+      if !n = union then { const; vars; coeffs }
+      else { const; vars = Array.sub vars 0 !n; coeffs = Array.sub coeffs 0 !n }
+    end
 
-let pp_cstr fmt c =
-  Format.fprintf fmt "%a %s 0" pp_form c.form (match c.kind with Le -> "<=" | Eq -> "=")
+  let add a b =
+    let const = N.add a.const b.const in
+    if Array.length b.vars = 0 then { a with const }
+    else if Array.length a.vars = 0 then { b with const }
+    else merge const Fun.id Fun.id N.add a b
+
+  let sub a b =
+    let const = N.sub a.const b.const in
+    if Array.length b.vars = 0 then { a with const } else merge const Fun.id N.neg N.sub a b
+
+  let neg a = { a with const = N.neg a.const; coeffs = Array.map N.neg a.coeffs }
+
+  let scale k a =
+    if N.sign k = 0 then const N.zero
+    else { a with const = N.mul k a.const; coeffs = Array.map (N.mul k) a.coeffs }
+
+  let combine ka a kb b =
+    merge
+      (N.add (N.mul ka a.const) (N.mul kb b.const))
+      (N.mul ka) (N.mul kb)
+      (fun x y -> N.add (N.mul ka x) (N.mul kb y))
+      a b
+
+  let index v a =
+    let rec go i =
+      if i >= Array.length a.vars || a.vars.(i).Ivar.id > v.Ivar.id then -1
+      else if a.vars.(i).Ivar.id = v.Ivar.id then i
+      else go (i + 1)
+    in
+    go 0
+
+  let coeff v a = match index v a with -1 -> N.zero | i -> a.coeffs.(i)
+
+  let remove v a =
+    match index v a with
+    | -1 -> a
+    | i ->
+        let drop arr = Array.append (Array.sub arr 0 i) (Array.sub arr (i + 1) (Array.length arr - i - 1)) in
+        { a with vars = drop a.vars; coeffs = drop a.coeffs }
+
+  let is_const a = if Array.length a.vars = 0 then Some a.const else None
+
+  let of_iexp e =
+    let open Idx in
+    let rec go = function
+      | Ivar v -> Some (var v)
+      | Iconst n -> Some (of_int n)
+      | Iadd (a, b) -> map2 add a b
+      | Isub (a, b) -> map2 sub a b
+      | Ineg a -> Option.map neg (go a)
+      | Imul (a, b) -> (
+          match (go a, go b) with
+          | Some fa, Some fb -> (
+              match (is_const fa, is_const fb) with
+              | Some k, _ -> Some (scale k fb)
+              | _, Some k -> Some (scale k fa)
+              | None, None -> None)
+          | _ -> None)
+      | Idiv _ | Imod _ | Imin _ | Imax _ | Iabs _ | Isgn _ -> None
+    and map2 op a b =
+      match (go a, go b) with Some fa, Some fb -> Some (op fa fb) | _ -> None
+    in
+    go e
+
+  let cstr_le form = { kind = Le; form }
+  let cstr_eq form = { kind = Eq; form }
+
+  let is_trivially_false c =
+    match is_const c.form with
+    | Some k -> ( match c.kind with Le -> N.sign k > 0 | Eq -> N.sign k <> 0)
+    | None -> false
+
+  let is_trivially_true c =
+    match is_const c.form with
+    | Some k -> ( match c.kind with Le -> N.sign k <= 0 | Eq -> N.sign k = 0)
+    | None -> false
+
+  let normalize ~tighten c =
+    if is_trivially_true c then None
+    else if is_trivially_false c then Some c
+    else begin
+      let g = Array.fold_left (fun g k -> N.gcd k g) N.zero c.form.coeffs in
+      if N.compare g N.one = 0 then Some c
+      else
+        let divided const =
+          { c with form = { c.form with const; coeffs = Array.map (fun k -> N.div k g) c.form.coeffs } }
+        in
+        match c.kind with
+        | Le ->
+            (* k.x + c <= 0, i.e. (k/g).x <= -c/g.  Over the integers the
+               right hand side may be rounded down: (k/g).x <= floor(-c/g),
+               which is the paper's tightening rule.  Without tightening we
+               only divide when g exactly divides the constant. *)
+            if tighten then Some (divided (N.neg (N.fdiv (N.neg c.form.const) g)))
+            else if N.sign (N.fmod c.form.const g) = 0 then Some (divided (N.div c.form.const g))
+            else Some c
+        | Eq ->
+            (* k.x + c = 0 has no integer solution unless g divides c. *)
+            if N.sign (N.fmod c.form.const g) = 0 then Some (divided (N.div c.form.const g))
+            else if tighten then Some { kind = Eq; form = const N.one }
+            else Some c
+    end
+end
+
+include Make (Bigint)

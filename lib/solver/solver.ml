@@ -85,83 +85,85 @@ let merge_stats ~into (s : stats) =
 let negation_formula (g : Constr.goal) =
   Idx.band (Idx.conj g.goal_hyps) (Idx.bnot g.goal_concl)
 
-(* Translate one DNF disjunct into a linear system; [None] when the disjunct
-   is unsatisfiable by its boolean literals alone. *)
-let system_of_disjunct literals =
-  let pos = Hashtbl.create 4 and neg = Hashtbl.create 4 in
-  let exception Bool_contradiction in
-  let form_of e =
-    match Linear.of_iexp e with
-    | Some f -> f
-    | None -> raise (Purify.Nonlinear (Idx.iexp_to_string e))
+(* A disjunct whose boolean literals clash ([b] and [not b]) is
+   unsatisfiable before any arithmetic. *)
+let consistent literals =
+  let rec go pos neg = function
+    | [] -> true
+    | Dnf.Lbool (p, v) :: rest ->
+        let id = v.Ivar.id in
+        if p then (not (List.mem id neg)) && go (id :: pos) neg rest
+        else (not (List.mem id pos)) && go pos (id :: neg) rest
+    | (Dnf.Lle _ | Dnf.Leq _) :: rest -> go pos neg rest
   in
-  match
+  go [] [] literals
+
+(* Purify + DNF, boolean-contradictory disjuncts dropped.
+   @raise Purify.Nonlinear, Dnf.Too_large *)
+let disjuncts ?budget formula =
+  List.filter consistent (Dnf.dnf ?budget (Purify.purify formula))
+
+let nonlinear msg = "non-linear constraint: " ^ msg
+let too_large = "constraint normal form too large"
+
+(* One solver lane: the single Linear/Fourier/Simplex body instantiated
+   over one number type.  [system] builds the lane's forms straight from a
+   disjunct's literals, so no lane converts another's representation. *)
+module Lane
+    (L : Linear.S)
+    (F : Fourier.S with type num = L.num)
+    (S : Simplex.S with type num = L.num) =
+struct
+  let system literals =
+    let form_of e =
+      match L.of_iexp e with
+      | Some f -> f
+      | None -> raise (Purify.Nonlinear (Idx.iexp_to_string e))
+    in
     List.filter_map
-      (fun lit ->
-        match lit with
-        | Dnf.Lle (a, b) -> Some (Linear.cstr_le (Linear.sub (form_of a) (form_of b)))
-        | Dnf.Leq (a, b) -> Some (Linear.cstr_eq (Linear.sub (form_of a) (form_of b)))
-        | Dnf.Lbool (p, v) ->
-            let mine, other = if p then (pos, neg) else (neg, pos) in
-            if Hashtbl.mem other v.Ivar.id then raise Bool_contradiction;
-            Hashtbl.replace mine v.Ivar.id ();
-            None)
+      (function
+        | Dnf.Lle (a, b) -> Some (L.cstr_le (L.sub (form_of a) (form_of b)))
+        | Dnf.Leq (a, b) -> Some (L.cstr_eq (L.sub (form_of a) (form_of b)))
+        | Dnf.Lbool _ -> None)
       literals
-  with
-  | cs -> Some cs
-  | exception Bool_contradiction -> None
+
+  let refute ?stats ?budget method_ literals =
+    let system = system literals in
+    let fm_stats = Option.map (fun s -> s.fm) stats in
+    let refuted =
+      match method_ with
+      | Fm_tightened -> F.check ?stats:fm_stats ?budget ~tighten:true system = Fourier.Unsat
+      | Fm_plain -> F.check ?stats:fm_stats ?budget ~tighten:false system = Fourier.Unsat
+      | Simplex_rational -> S.check ?budget system = Simplex.Unsat
+    in
+    if refuted then `Refuted else `Open
+end
+
+module Bignum = Lane (Linear) (Fourier) (Simplex)
+
+module Native = struct
+  module L = Linear.Make (Checked)
+  module R = Rat.Make (Checked)
+  include Lane (L) (Fourier.Make (L) (R)) (Simplex.Make (R))
+end
 
 let disjunct_systems ?budget formula =
-  match
-    let purified = Purify.purify formula in
-    let disjuncts = Dnf.dnf ?budget purified in
-    List.filter_map system_of_disjunct disjuncts
-  with
+  match List.map Bignum.system (disjuncts ?budget formula) with
   | systems -> Ok systems
-  | exception Purify.Nonlinear msg -> Error ("non-linear constraint: " ^ msg)
-  | exception Dnf.Too_large -> Error "constraint normal form too large"
+  | exception Purify.Nonlinear msg -> Error (nonlinear msg)
+  | exception Dnf.Too_large -> Error too_large
 
-let refute_bignum ?stats ?budget method_ system =
-  let fm_stats = Option.map (fun s -> s.fm) stats in
-  match method_ with
-  | Fm_tightened -> (
-      match Fourier.check ?stats:fm_stats ?budget ~tighten:true system with
-      | Fourier.Unsat -> `Refuted
-      | Fourier.Sat -> `Open)
-  | Fm_plain -> (
-      match Fourier.check ?stats:fm_stats ?budget ~tighten:false system with
-      | Fourier.Unsat -> `Refuted
-      | Fourier.Sat -> `Open)
-  | Simplex_rational -> (
-      match Simplex.check ?budget system with Simplex.Unsat -> `Refuted | Simplex.Sat -> `Open)
-
-let refute_native ?stats ?budget method_ system =
-  let fm_stats = Option.map (fun s -> s.fm) stats in
-  match method_ with
-  | Fm_tightened -> (
-      match Nfourier.check ?stats:fm_stats ?budget ~tighten:true system with
-      | Fourier.Unsat -> `Refuted
-      | Fourier.Sat -> `Open)
-  | Fm_plain -> (
-      match Nfourier.check ?stats:fm_stats ?budget ~tighten:false system with
-      | Fourier.Unsat -> `Refuted
-      | Fourier.Sat -> `Open)
-  | Simplex_rational -> (
-      match Nsimplex.check ?budget system with
-      | Nsimplex.Unsat -> `Refuted
-      | Nsimplex.Sat -> `Open)
-
-(* One disjunct, one method, lane-dispatched.  The native lane mirrors the
-   bignum algorithms exactly, so a completed native run IS the bignum
-   verdict; on [Checked.Overflow] the untouched bignum system is re-solved.
-   Overflow escalations are counted separately from ladder escalations —
-   they are an arithmetic-representation event, not an extra proof-method
-   attempt. *)
-let refute ?stats ?budget ~lane method_ system =
+(* One disjunct, one method, lane-dispatched.  Both lanes run the same
+   algorithm body, so a completed native run IS the bignum verdict; on
+   [Checked.Overflow] the bignum lane re-solves the disjunct from its
+   literals.  Overflow escalations are counted separately from ladder
+   escalations — they are an arithmetic-representation event, not an extra
+   proof-method attempt. *)
+let refute ?stats ?budget ~lane method_ literals =
   match lane with
-  | Lane_bignum -> refute_bignum ?stats ?budget method_ system
+  | Lane_bignum -> Bignum.refute ?stats ?budget method_ literals
   | Lane_native | Lane_auto -> (
-      match refute_native ?stats ?budget method_ system with
+      match Native.refute ?stats ?budget method_ literals with
       | answer ->
           Option.iter (fun s -> s.native_solves <- s.native_solves + 1) stats;
           Metrics.incr m_native_solves;
@@ -169,19 +171,9 @@ let refute ?stats ?budget ~lane method_ system =
       | exception Checked.Overflow ->
           Option.iter (fun s -> s.overflow_escalations <- s.overflow_escalations + 1) stats;
           Metrics.incr m_overflow_escalations;
-          refute_bignum ?stats ?budget method_ system)
+          Bignum.refute ?stats ?budget method_ literals)
 
-let model_to_string model =
-  let parts =
-    Ivar.Map.fold
-      (fun v k acc -> Format.asprintf "%a = %a" Ivar.pp v Bigint.pp k :: acc)
-      model []
-  in
-  String.concat ", " (List.rev parts)
-
-(* Rational counterexamples print identically to the old integer ones when
-   every value is integral ([Rat.pp] omits the denominator 1), so hints only
-   change on goals that previously had no counterexample at all. *)
+(* Rational counterexamples print integer values without a denominator. *)
 let rat_model_to_string model =
   let parts =
     Ivar.Map.fold
@@ -202,28 +194,29 @@ let check_goal_uncached ?(method_ = Fm_tightened) ?(lane = Lane_auto) ?stats ?bu
        become [Unsupported] with a diagnostic, exactly as a failure to decide
        (both are conservative: the caller keeps the dynamic check). *)
     match
-      match disjunct_systems ?budget (negation_formula goal) with
-      | Error msg -> Unsupported msg
-      | Ok systems ->
-          Option.iter (fun s -> s.disjuncts <- s.disjuncts + List.length systems) stats;
-          Metrics.incr ~by:(List.length systems) m_disjuncts;
-          Metrics.observe h_dnf_disjuncts (float_of_int (List.length systems));
-          let rec go = function
-            | [] -> Valid
-            | system :: rest -> (
-                match refute ?stats ?budget ~lane method_ system with
-                | `Refuted -> go rest
-                | `Open ->
-                    let hint =
-                      match Fourier.rational_model ?budget system with
-                      | Some model -> "counterexample: " ^ rat_model_to_string model
-                      | None -> "could not refute a disjunct of the negation"
-                    in
-                    Not_valid hint)
-          in
-          go systems
+      let disjuncts = disjuncts ?budget (negation_formula goal) in
+      let n = List.length disjuncts in
+      Option.iter (fun s -> s.disjuncts <- s.disjuncts + n) stats;
+      Metrics.incr ~by:n m_disjuncts;
+      Metrics.observe h_dnf_disjuncts (float_of_int n);
+      let rec go = function
+        | [] -> Valid
+        | literals :: rest -> (
+            match refute ?stats ?budget ~lane method_ literals with
+            | `Refuted -> go rest
+            | `Open ->
+                let hint =
+                  match Fourier.rational_model ?budget (Bignum.system literals) with
+                  | Some model -> "counterexample: " ^ rat_model_to_string model
+                  | None -> "could not refute a disjunct of the negation"
+                in
+                Not_valid hint)
+      in
+      go disjuncts
     with
     | verdict -> verdict
+    | exception Purify.Nonlinear msg -> Unsupported (nonlinear msg)
+    | exception Dnf.Too_large -> Unsupported too_large
     | exception Budget.Exhausted msg ->
         Option.iter (fun s -> s.timeouts <- s.timeouts + 1) stats;
         Metrics.incr m_timeouts;

@@ -26,7 +26,7 @@ type lane =
   | Lane_bignum  (** arbitrary-precision arithmetic only (the original path) *)
   | Lane_native
       (** machine-int fast path with checked arithmetic; overflow re-solves
-          the untouched system on the bignum lane *)
+          the disjunct on the bignum lane *)
   | Lane_auto  (** native-first — currently identical to [Lane_native] *)
 
 val lane_slug : lane -> string
@@ -91,10 +91,10 @@ val check_goal :
     and solver faults are converted to verdicts (see the module preamble).
 
     [?lane] (default [Lane_auto]) picks the arithmetic: the machine-int
-    fast path first, escalating to bignum on checked overflow.  The native
-    algorithms mirror the bignum ones choice-for-choice, so the verdict —
-    and the cache entry it produces — is lane-invariant; lanes therefore
-    share cache keys.
+    fast path first, escalating to bignum on checked overflow.  Both lanes
+    are one algorithm body instantiated at two number types, so the
+    verdict — and the cache entry it produces — is lane-invariant; lanes
+    therefore share cache keys.
 
     With [?cache] the goal is canonicalized and looked up under
     [(digest, method, budget tier)] first; a reusable verdict (see
@@ -140,7 +140,7 @@ val negation_formula : Constr.goal -> Idx.bexp
 (** [hyps /\ ~concl], exposed for tests and the [constraints] CLI command. *)
 
 val disjunct_systems :
-  ?budget:Budget.t -> Idx.bexp -> (Linear.cstr list list, string) result
+  ?budget:Budget.t -> Idx.bexp -> (Bigint.t Linear.cstr list list, string) result
 (** Purify + DNF + literal translation, exposed for tests.  Each inner list
     is one disjunct's linear system (boolean-contradictory disjuncts are
     dropped).
@@ -152,8 +152,6 @@ val verdict_slug : verdict -> string
 (** Machine-readable verdict tag (["valid"], ["not-valid"], ["unsupported"],
     ["timeout"]) used by trace spans and the JSON reports. *)
 
-val model_to_string : Bigint.t Ivar.Map.t -> string
-
 val rat_model_to_string : Rat.t Ivar.Map.t -> string
-(** Rational counterexample printer; integer-valued entries print exactly
-    as {!model_to_string} would print them. *)
+(** Counterexample printer: [name = value] pairs in variable order,
+    integer values without a denominator. *)

@@ -54,7 +54,7 @@ let properties =
         R.equal a (R.add (R.sub a b) b));
     prop "inv . inv" frac (fun a -> R.is_zero a || R.equal a (R.inv (R.inv a)));
     prop "floor <= x < floor+1" frac (fun a ->
-        let f = R.of_bigint (R.floor a) in
+        let f = R.of_num (R.floor a) in
         R.le f a && R.lt a (R.add f R.one));
     prop "normalised: den positive and coprime" frac (fun a ->
         B.sign (R.den a) = 1 && B.equal (B.gcd (R.num a) (R.den a)) B.one

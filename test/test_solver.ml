@@ -52,6 +52,26 @@ let test_counterexample_hint () =
         && String.sub hint 0 (Stdlib.min 14 (String.length hint)) = "counterexample")
   | other -> Alcotest.failf "expected Not_valid, got %a" Solver.pp_verdict other
 
+(* A Gaussian substitution is replayed when the model is rebuilt: the
+   substituted variable takes its image's value, so the equality [w0 = w1]
+   gets the same counterexample as [w0 <= w1 /\ w0 >= w1], on both lanes. *)
+let test_counterexample_substitution () =
+  let w0 = v "w0" and w1 = v "w1" in
+  let ctx = [ (w0, Sint); (w1, Sint) ] and concl = le (Ivar w0) (Iconst 0) in
+  List.iter
+    (fun (name, hyps) ->
+      List.iter
+        (fun lane ->
+          match Solver.check_goal ~lane (goal ctx hyps concl) with
+          | Solver.Not_valid hint ->
+              Alcotest.(check string) name "counterexample: w0 = 1, w1 = 1" hint
+          | other -> Alcotest.failf "%s: expected Not_valid, got %a" name Solver.pp_verdict other)
+        [ Solver.Lane_bignum; Solver.Lane_native ])
+    [
+      ("equality", [ eq (Ivar w0) (Ivar w1) ]);
+      ("two inequalities", [ le (Ivar w0) (Ivar w1); ge (Ivar w0) (Ivar w1) ]);
+    ]
+
 (* --- disjunction, negation, booleans ------------------------------------ *)
 
 let test_boolean_structure () =
@@ -434,6 +454,8 @@ let () =
           Alcotest.test_case "tautologies" `Quick test_tautologies;
           Alcotest.test_case "invalid goals" `Quick test_invalid;
           Alcotest.test_case "counterexample hint" `Quick test_counterexample_hint;
+          Alcotest.test_case "counterexample through a substitution" `Quick
+            test_counterexample_substitution;
           Alcotest.test_case "boolean structure" `Quick test_boolean_structure;
         ] );
       ( "integers",

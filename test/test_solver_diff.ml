@@ -275,9 +275,9 @@ let gen_mixed =
 let arb_mixed = QCheck.make ~print:print_tgoal ~shrink:shrink_tgoal gen_mixed
 
 (* Bit-for-bit verdict equality, hints included: the native lane either
-   completes with the exact verdict the bignum lane would compute (the
-   algorithms mirror each other's deterministic choices) or overflows and
-   re-solves on bignum — in both cases the observable answer is identical. *)
+   completes with the exact verdict the bignum lane would compute (both are
+   one algorithm body over two number types) or overflows and re-solves on
+   bignum — in both cases the observable answer is identical. *)
 let lane_parity tg =
   let g = goal_of_tgoal tg in
   List.for_all
@@ -495,6 +495,38 @@ let test_fractional_witness () =
   Alcotest.(check string) "tightened still refutes 2x = 1" "valid"
     (Solver.verdict_slug (Solver.check_goal ~method_:Solver.Fm_tightened g))
 
+(* v1 = v2 - (0 div 4) /\ 2*v1 + v2 = -1 |- v0 <= v1: the hypotheses force
+   3*v1 = -1, so the goal holds over the integers.  Which unit equality the
+   Gaussian pre-pass substitutes first used to follow hypothesis order, and
+   only one order left an equality the tightening rule could refute
+   (QCHECK_SEED=886000087).  Both orders must now give the same verdicts. *)
+let test_hyp_order_regression () =
+  let tg =
+    {
+      tg_nvars = 3;
+      tg_hyps =
+        [
+          { ta_rel = Idx.Req; ta_lhs = Tvar 1; ta_rhs = Tsub (Tvar 2, Tdiv (Tconst 0, 4)) };
+          { ta_rel = Idx.Req; ta_lhs = Tadd (Tadd (Tvar 1, Tvar 1), Tvar 2); ta_rhs = Tconst (-1) };
+        ];
+      tg_concl = { ta_rel = Idx.Rle; ta_lhs = Tvar 0; ta_rhs = Tvar 1 };
+    }
+  in
+  List.iter
+    (fun (order, tg) ->
+      List.iter
+        (fun (m, name, expected) ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s, %s order" name order)
+            expected
+            (cls_name (check m (goal_of_tgoal tg))))
+        [
+          (Solver.Fm_tightened, "fm", "valid");
+          (Solver.Fm_plain, "fm-plain", "not-valid");
+          (Solver.Simplex_rational, "simplex", "not-valid");
+        ])
+    [ ("given", tg); ("reversed", permute_hyps tg) ]
+
 let () =
   Alcotest.run "solver-diff"
     [
@@ -510,5 +542,7 @@ let () =
             test_forced_overflow_escalation;
           Alcotest.test_case "fractional witness survives reconstruction" `Quick
             test_fractional_witness;
+          Alcotest.test_case "hypothesis order does not move the verdict" `Quick
+            test_hyp_order_regression;
         ] );
     ]
