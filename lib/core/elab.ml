@@ -832,6 +832,11 @@ let elaborate_tops ctx tprog =
   in
   (final_ctx, List.rev st.obligations)
 
+let bind_vals ctx bindings = List.fold_left (fun ctx (x, ds) -> bind_val ctx x ds) ctx bindings
+
+let bound_vals ctx names =
+  List.filter_map (fun x -> Option.map (fun ds -> (x, ds)) (SMap.find_opt x ctx.vals)) names
+
 let with_tyenv ctx mltyenv = { ctx with denv = { ctx.denv with Denv.mltyenv } }
 
 (* export the top-level term bindings through the environment *)

@@ -52,6 +52,18 @@ val elaborate_tops : ectx -> Tast.tprogram -> ectx * obligation list
     partition of [p] started from [initial_ectx denv].
     @raise Error as {!elaborate}. *)
 
+val bound_vals : ectx -> string list -> (string * Denv.dscheme) list
+(** The top-level term bindings of the named values in the context (names
+    the context does not bind are skipped). *)
+
+val bind_vals : ectx -> (string * Denv.dscheme) list -> ectx
+(** The context with the given top-level term bindings added, in order.
+    For a [fun] declaration, [bind_vals ctx (bound_vals ctx' names)] where
+    [ctx'] is [ctx] after elaborating it and [names] are its function names
+    gives back [ctx'] exactly: elaborating a [fun] only binds its names.
+    The incremental checker inserts a reused declaration's products this
+    way instead of re-elaborating it. *)
+
 val with_tyenv : ectx -> Tyenv.t -> ectx
 (** The context with constructors resolved against [tyenv] — the ML type
     environment of the whole program, which {!elaborate}'s callers pass

@@ -5,31 +5,51 @@
    declaration.  This module splits a check into per-declaration *units*,
    content-addresses each unit by a digest over its own (pretty-printed,
    location- and comment-insensitive) source plus the digests of the units
-   it references, and keeps every unit's solved verdicts in a store.  On a
-   recheck the front end still runs over the whole user program (the basis
-   is processed once per process, {!Prelude}) — parse, ML inference and
-   elaboration are cheap and keep every location and warning exact — but
-   *solving*, the dominant cost, happens only for units whose digest is not
-   in the store: the dirty cone of the edit.
+   it depends on, and keeps every unit's solved verdicts in a store.  On a
+   recheck the whole buffer is still parsed (the basis is processed once per
+   process, {!Prelude}), but the rest of the work happens only where the
+   edit reaches:
+   - *solving*, the dominant cost of a cold check, runs only for units whose
+     digest is not in the store: the dirty cone of the edit;
+   - *phases 1 and 2* (ML inference and elaboration) are skipped for every
+     [fun] unit that the last check saw with the same digest at exactly the
+     same source positions.  Its stored ML and dependent schemes are bound
+     into both environments instead, and its typed item, obligations and
+     warnings are reused as they are, so every location in the report stays
+     exact without a relocation pass.  A unit whose tokens moved (a line
+     was inserted above it) simply runs again.  Datatype, typeref, assert,
+     typedef and exception units always run, and so does every unit from
+     the first top-level [val] on: a [val] is the one form that pushes
+     entries into the elaboration context's prefix or leaves weak type
+     variables a later unit can fix.
 
-   Correctness rests on two properties, both hammered by the differential
+   Correctness rests on three properties, all hammered by the differential
    fuzzer in [test/test_incr.ml]:
    - staged elaboration equals whole-program elaboration
      ({!Elab.elaborate_tops} threads the full elaboration context, so this
-     holds by construction), and
+     holds by construction), and binding a [fun]'s stored schemes gives the
+     context its elaboration would ({!Elab.bind_vals});
    - the dependency edges over-approximate every way one declaration's
-     constraints can mention another.  Edges are harvested from the surface
-     syntax: every identifier mentioned anywhere in a unit (terms, patterns,
-     types, index expressions — binders included, constructor/variable
-     ambiguity included) that an earlier unit defines is an edge.  Because a
-     unit's digest folds in its dependencies' digests, dirtiness propagates
-     transitively through the graph with no separate cone walk: editing a
-     callee's interface changes the callee's digest, hence every
-     (transitive) caller's digest, hence re-solves them all.
+     constraints and types can depend on another.  Edges are harvested from
+     the surface syntax: every identifier mentioned anywhere in a unit
+     (terms, patterns, types, index expressions — binders included,
+     constructor/variable ambiguity included) that an earlier unit defines
+     is an edge.  Every earlier top-level [val] is an edge too, mentioned or
+     not, because the existentials its type opens wrap every later
+     obligation.  Because a unit's digest folds in its dependencies'
+     digests, dirtiness propagates transitively through the graph with no
+     separate cone walk: editing a callee's interface changes the callee's
+     digest, hence every (transitive) caller's digest, hence re-solves and
+     re-elaborates them all;
+   - a stored dependent scheme binds all its index variables and every use
+     refreshes them, so a later unit elaborated against a reused scheme
+     gets the constraints it would get against a freshly elaborated one.
 
-   The store is keyed by options fingerprint × unit digest, so a state may
-   be shared across derived sessions without ever reusing a verdict across
-   differing solver policies. *)
+   The verdict store is keyed by options fingerprint × unit digest, so a
+   state may be shared across derived sessions without ever reusing a
+   verdict across differing solver policies.  The front-end products hold
+   only the last successful check's units, so they are bounded by one
+   buffer. *)
 
 open Dml_lang
 open Dml_solver
@@ -42,6 +62,7 @@ let m_dirty = Metrics.counter "incr.dirty"
 let m_reused = Metrics.counter "incr.reused"
 let m_solver_calls = Metrics.counter "incr.solver_calls"
 let m_mismatches = Metrics.counter "incr.mismatches"
+let m_front_reused = Metrics.counter "incr.front_reused"
 
 (* ------------------------------------------------------------------ *)
 (* Name harvesting over the surface syntax                             *)
@@ -156,29 +177,50 @@ let defined_top = function
    every recheck after. *)
 let basis_digest = lazy (Digest.to_hex (Digest.string Basis.source))
 
-(* One digest per declaration, in program order.  The content half is the
-   pretty-printed declaration — parseable, location-free and
-   comment-free, so whitespace and comment edits cannot dirty a unit —
-   and the dependency half is the sorted digests of the latest earlier
-   definer of every mentioned name.  A name no earlier unit defines
-   resolves to the basis or the builtins, both compiled-in constants. *)
-let unit_digests (prog : Ast.program) : string list =
+(* The content half of a unit's digest: the pretty-printed declaration,
+   which is parseable, location-free and comment-free, so whitespace and
+   comment edits cannot dirty a unit. *)
+let content_digest top = Digest.string (Format.asprintf "%a" Pretty.pp_top top)
+
+(* A position-exact fingerprint of a unit's AST: equal exactly when the
+   declaration is the same, token for token, at the same source positions.
+   Much cheaper than [content_digest]. *)
+let exact_fingerprint (top : Ast.top) =
+  Digest.string (Marshal.to_string top [ Marshal.No_sharing ])
+
+let is_val = function Tdec { ddesc = Dval _; _ } -> true | _ -> false
+
+let fun_names = function
+  | Tdec { ddesc = Dfun fds; _ } -> List.map (fun fd -> fd.fname) fds
+  | _ -> []
+
+(* One digest per declaration, in program order: its content digest plus
+   the sorted digests of the latest earlier definer of every mentioned name
+   and of every earlier top-level [val].  A name no earlier unit defines
+   resolves to the basis or the builtins, both compiled-in constants.  The
+   [val] edges are not about names: a top-level [val] whose type opens
+   existential indices pushes universal entries and hypotheses that wrap
+   every later obligation, whatever it mentions. *)
+let digests_of_contents prog contents =
   let definer : (string, string) Hashtbl.t = Hashtbl.create 64 in
-  List.map
-    (fun top ->
-      let text = Format.asprintf "%a" Pretty.pp_top top in
+  let vals = ref [] in
+  List.map2
+    (fun top content ->
       let deps =
-        mentioned_top top
-        |> List.filter_map (Hashtbl.find_opt definer)
+        List.filter_map (Hashtbl.find_opt definer) (mentioned_top top) @ !vals
         |> List.sort_uniq String.compare
       in
-      let digest = Digest.to_hex (Digest.string (String.concat "\n" (text :: deps))) in
+      let digest = Digest.to_hex (Digest.string (String.concat "\n" (content :: deps))) in
       List.iter (fun n -> Hashtbl.replace definer n digest) (defined_top top);
+      if is_val top then vals := digest :: !vals;
       digest)
-    prog
+    prog contents
+
+let unit_digests (prog : Ast.program) : string list =
+  digests_of_contents prog (List.map content_digest prog)
 
 (* ------------------------------------------------------------------ *)
-(* The unit store                                                      *)
+(* The stores                                                          *)
 (* ------------------------------------------------------------------ *)
 
 (* What a clean unit contributes without solving: its verdicts (reused
@@ -192,9 +234,30 @@ type stored_unit = {
   su_stats : Solver.stats;
 }
 
-type state = { store : (string, stored_unit) Hashtbl.t }
+(* What a [fun] unit contributes without running phases 1 and 2: the
+   bindings it adds to both environments, its zonked typed item, its
+   obligations and its warnings (most recent first, as {!Infer} keeps
+   them). *)
+type stored_front = {
+  sf_schemes : (string * Mltype.scheme) list;
+  sf_dschemes : (string * Denv.dscheme) list;
+  sf_titem : Tast.ttop;
+  sf_obligations : Elab.obligation list;
+  sf_warnings : (string * Loc.t) list;
+}
 
-let create () = { store = Hashtbl.create 64 }
+type state = {
+  store : (string, stored_unit) Hashtbl.t;
+  mutable fronts : (string, stored_front) Hashtbl.t;
+      (* the last successful check's [fun] units, by digest and exact
+         fingerprint *)
+  mutable contents : (string, string) Hashtbl.t;
+      (* the last successful check's content digests, by exact fingerprint *)
+}
+
+let create () =
+  { store = Hashtbl.create 64; fronts = Hashtbl.create 1; contents = Hashtbl.create 1 }
+
 let stored_units state = Hashtbl.length state.store
 
 type stats = {
@@ -202,11 +265,92 @@ type stats = {
   st_dirty : int;  (** units (re-)solved this check *)
   st_reused : int;  (** units answered from the store *)
   st_solver_calls : int;  (** obligations actually sent to the solver *)
+  st_front_reused : int;  (** units whose phase 1 and 2 products were reused *)
 }
 
 (* ------------------------------------------------------------------ *)
 (* The incremental check                                               *)
 (* ------------------------------------------------------------------ *)
+
+(* The warnings [Infer] added since the list had [before] entries. *)
+let new_warnings (env : Infer.env) before =
+  let all = !(env.Infer.warnings) in
+  let n = List.length all - before in
+  List.filteri (fun i _ -> i < n) all
+
+(* How phase 1 treated a unit. *)
+type phase1 =
+  | Reused of stored_front
+  | Inferred of Tast.ttop * (string * Mltype.scheme) list * (string * Loc.t) list
+      (** a [fun] unit to store: its item, the schemes it binds, its warnings *)
+  | Always of Tast.ttop  (** a unit that runs the front end on every check *)
+
+(* Phases 1 and 2 over the user program, reusing the stored products of
+   every [fun] unit before the first top-level [val] whose key is in
+   [fronts].  Units from the first [val] onward always run: only a [val]
+   pushes entries into the elaboration context's prefix or leaves weak type
+   variables a later unit can fix, so before it a [fun] unit's products
+   depend on nothing but the declarations it names, which its digest
+   covers.  Returns the final environments, the typed user program, each
+   unit's obligations, the products of every [fun] unit before the first
+   [val] (the next check's [fronts]) and how many units were reused. *)
+let front_end fronts (prelude : Prelude.t) user_prog keys =
+  (* phase 1: units before the first [val] one at a time, each zonked on
+     its own (nothing after it can reach its type variables), then the
+     rest in one pass zonked together, as a cold check does *)
+  let rec phase1 env acc = function
+    | (top, key) :: rest when not (is_val top) ->
+        let names = fun_names top in
+        let stored = if names = [] then None else Hashtbl.find_opt fronts key in
+        let env, p =
+          match stored with
+          | Some sf ->
+              env.Infer.warnings := sf.sf_warnings @ !(env.Infer.warnings);
+              (Infer.bind env sf.sf_schemes, Reused sf)
+          | None -> (
+              let before = List.length !(env.Infer.warnings) in
+              match Infer.infer_program env [ top ] with
+              | env, [ item ] when names <> [] ->
+                  let schemes = List.map (fun x -> (x, Infer.SMap.find x env.Infer.vals)) names in
+                  (env, Inferred (item, schemes, new_warnings env before))
+              | env, [ item ] -> (env, Always item)
+              | _ -> assert false)
+        in
+        phase1 env ((key, p) :: acc) rest
+    | rest ->
+        let env, items = Infer.infer_program env (List.map fst rest) in
+        (env, List.rev_append acc (List.map2 (fun (_, key) item -> (key, Always item)) rest items))
+  in
+  let mlenv, units = phase1 (Prelude.env prelude) [] (List.combine user_prog keys) in
+  (* phase 2, unit by unit, threading the whole elaboration context *)
+  let fronts' = Hashtbl.create 64 in
+  let ectx, done_rev =
+    List.fold_left
+      (fun (ectx, acc) (key, p) ->
+        match p with
+        | Reused sf ->
+            Hashtbl.replace fronts' key sf;
+            (Elab.bind_vals ectx sf.sf_dschemes, (sf.sf_titem, sf.sf_obligations) :: acc)
+        | Inferred (item, schemes, warnings) ->
+            let ectx, obs = Elab.elaborate_tops ectx [ item ] in
+            Hashtbl.replace fronts' key
+              {
+                sf_schemes = schemes;
+                sf_dschemes = Elab.bound_vals ectx (List.map fst schemes);
+                sf_titem = item;
+                sf_obligations = obs;
+                sf_warnings = warnings;
+              };
+            (ectx, (item, obs) :: acc)
+        | Always item ->
+            let ectx, obs = Elab.elaborate_tops ectx [ item ] in
+            (ectx, (item, obs) :: acc))
+      (Elab.with_tyenv prelude.ectx mlenv.Infer.tyenv, [])
+      units
+  in
+  let items, unit_obs = List.split (List.rev done_rev) in
+  let reused = List.length (List.filter (function _, Reused _ -> true | _ -> false) units) in
+  (mlenv, items, ectx, unit_obs, fronts', reused)
 
 let check state session src =
   Pipeline.with_session_sink session @@ fun () ->
@@ -218,24 +362,28 @@ let check state session src =
     let t0 = Budget.now () in
     let user_prog, spans = Parser.parse_program_with_spans src in
     let prelude = Prelude.get () in
-    let mlenv, user_tprog, ectx = Prelude.start prelude user_prog in
-    (* stage the elaboration declaration-by-declaration, threading the full
-       context, to learn which obligations each unit generates *)
-    let ectx, user_obs_rev =
-      List.fold_left
-        (fun (ectx, acc) titem ->
-          let ectx, obs = Elab.elaborate_tops ectx [ titem ] in
-          (ectx, obs :: acc))
-        (ectx, []) user_tprog
+    (* the pretty-printed content digest only for units whose exact form
+       the last check did not see *)
+    let exacts = List.map exact_fingerprint user_prog in
+    let contents =
+      List.map2
+        (fun top exact ->
+          match Hashtbl.find_opt state.contents exact with
+          | Some c -> c
+          | None -> content_digest top)
+        user_prog exacts
     in
+    let digests = digests_of_contents user_prog contents in
+    let mlenv, user_tprog, ectx, user_obs, fronts, front_reused =
+      front_end state.fronts prelude user_prog (List.map2 ( ^ ) digests exacts)
+    in
+    state.fronts <- fronts;
+    state.contents <- Hashtbl.create 64;
+    List.iter2 (Hashtbl.replace state.contents) exacts contents;
     let gen_time = Budget.now () -. t0 in
-    let digests = unit_digests user_prog in
     let units =
       (false, Lazy.force basis_digest, prelude.obligations)
-      :: List.map2
-           (fun d obs -> (true, d, obs))
-           digests
-           (List.rev user_obs_rev)
+      :: List.map2 (fun d obs -> (true, d, obs)) digests user_obs
     in
     (* solve dirty units, reuse clean ones; program order is the assembly
        order, so reordered-but-unedited declarations reuse their verdicts
@@ -308,12 +456,14 @@ let check state session src =
         st_dirty = !dirty;
         st_reused = !reused;
         st_solver_calls = !solver_calls;
+        st_front_reused = front_reused;
       }
     in
     Metrics.incr ~by:st.st_units m_units;
     Metrics.incr ~by:st.st_dirty m_dirty;
     Metrics.incr ~by:st.st_reused m_reused;
     Metrics.incr ~by:st.st_solver_calls m_solver_calls;
+    Metrics.incr ~by:st.st_front_reused m_front_reused;
     Ok (report, st)
   with
   | Sys.Break as e -> raise e

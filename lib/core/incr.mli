@@ -3,12 +3,16 @@
     A {!state} is a store of solved per-declaration units, content-addressed
     by a digest over the declaration's own (pretty-printed, hence location-
     and comment-insensitive) source plus the digests of every earlier
-    declaration it references — so dirtiness propagates transitively
-    through the dependency graph by digest composition alone.  {!check}
-    runs the whole front end (parse, ML inference, staged elaboration; all
-    cheap, keeping locations, warnings and metrics exact) but sends only
-    the obligations of units missing from the store to the solver, reusing
-    stored verdicts for the clean remainder.
+    declaration it references and of every earlier top-level [val] — so
+    dirtiness propagates transitively through the dependency graph by
+    digest composition alone.  {!check} parses the whole source but sends
+    only the obligations of units missing from the store to the solver,
+    reusing stored verdicts for the clean remainder.  It also keeps the
+    phase-1 and phase-2 products (ML and dependent schemes, typed item,
+    obligations, warnings) of each [fun] unit of the last successful check,
+    and reuses them for a unit with the same digest at exactly the same
+    source positions; a unit that moved, a non-[fun] unit and every unit
+    from the first top-level [val] on run inference and elaboration again.
 
     Reports are equivalent to a cold {!Pipeline.check_s} of the same source
     up to the schedule-dependent fields; with no verdict cache the solver
@@ -27,13 +31,17 @@ type state
 val create : unit -> state
 
 val stored_units : state -> int
-(** Units currently held (across every source checked through the state). *)
+(** Solved units currently held (across every source checked through the
+    state). *)
 
 type stats = {
   st_units : int;  (** user declarations in the checked source *)
   st_dirty : int;  (** units (re-)solved this check *)
   st_reused : int;  (** units answered from the store *)
   st_solver_calls : int;  (** obligations actually sent to the solver *)
+  st_front_reused : int;
+      (** units whose phase 1 and phase 2 products were reused, skipping
+          inference and elaboration *)
 }
 
 val check :

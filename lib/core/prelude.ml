@@ -18,7 +18,8 @@ let prelude =
 
 let get () = Lazy.force prelude
 
+let env p = { p.mlenv with Infer.warnings = ref !(p.mlenv.Infer.warnings) }
+
 let start p user_prog =
-  let env = { p.mlenv with Infer.warnings = ref !(p.mlenv.Infer.warnings) } in
-  let mlenv, user_tprog = Infer.infer_program env user_prog in
+  let mlenv, user_tprog = Infer.infer_program (env p) user_prog in
   (mlenv, user_tprog, Elab.with_tyenv p.ectx mlenv.tyenv)

@@ -22,6 +22,10 @@ type t = private {
 val get : unit -> t
 (** The prelude, built on first use. *)
 
+val env : t -> Infer.env
+(** The post-basis phase-1 environment with a warnings list of its own, for
+    front ends that run phase 1 a declaration at a time ({!Incr}). *)
+
 val start : t -> Ast.program -> Infer.env * Tast.tprogram * Elab.ectx
 (** Phase 1 over a user program from the post-basis environment: the
     whole-program environment, with a warnings list of its own so checks

@@ -11,13 +11,10 @@ type env = {
   warnings : (string * Loc.t) list ref;
 }
 
-let initial tyenv bindings =
-  {
-    tyenv;
-    vals = List.fold_left (fun m (x, s) -> SMap.add x s m) SMap.empty bindings;
-    level = 0;
-    warnings = ref [];
-  }
+let bind env bindings =
+  { env with vals = List.fold_left (fun m (x, s) -> SMap.add x s m) env.vals bindings }
+
+let initial tyenv bindings = bind { tyenv; vals = SMap.empty; level = 0; warnings = ref [] } bindings
 
 let warn env loc fmt = Format.kasprintf (fun msg -> env.warnings := (msg, loc) :: !(env.warnings)) fmt
 

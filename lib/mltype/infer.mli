@@ -21,6 +21,11 @@ type env = {
 
 val initial : Tyenv.t -> (string * Mltype.scheme) list -> env
 
+val bind : env -> (string * Mltype.scheme) list -> env
+(** The environment with the given top-level schemes bound, in order: how
+    the incremental checker inserts the stored bindings of a declaration it
+    does not re-infer. *)
+
 val infer_exp : env -> Ast.exp -> Tast.texp
 (** @raise Type_error *)
 

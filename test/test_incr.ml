@@ -8,8 +8,10 @@
    same text.  Edits include binder renames, array-bound changes,
    out-of-bounds weakenings (residual obligations must match too),
    declaration swaps, delete/reinsert, parse-breaking garbage (failure
-   documents must match too) and comment/whitespace-only decorations.  A
-   failing sequence is shrunk to a minimal edit script before reporting. *)
+   documents must match too) and comment/whitespace-only decorations; the
+   moves carry a top-level [val], a weak [ref] and an exception across the
+   boundaries of front-end reuse.  A failing sequence is shrunk to a
+   minimal edit script before reporting. *)
 
 module J = Dml_obs.Json
 module Metrics = Dml_obs.Metrics
@@ -173,20 +175,40 @@ let apply buf op =
       let i = nth_mod buf.segs i in
       { buf with segs = update_at buf.segs i (fun s -> { s with s_comment = k }) }
 
-let initial_buffer () =
+(* Three fixed segments at the boundaries of front-end reuse: a top-level
+   [val] opening an existential (its universal entry wraps every later
+   obligation), a [ref] whose element type a later declaration fixes (a
+   weak type variable), and an exception declaration (a unit that always
+   runs the front end). *)
+let boundary_segments =
+  List.map
+    (fun src -> { s_body = Corpus src; s_comment = 0 })
+    [
+      "exception DmlsegE of int\n";
+      "val dmlseg_n = 3\nwhere dmlseg_n <| [m:nat | m < 8] int(m)\n";
+      "val dmlseg_r = ref nil\nfun dmlseg_fix(x) = (dmlseg_r := x :: nil; x)\n\
+       where dmlseg_fix <| int -> int\n";
+    ]
+
+(* The corpus programs, then the probes, with the boundary segments after
+   the first half of the probes. *)
+let buffer_of ~corpus ~probes =
   let corpus =
-    List.map
-      (fun (b : Pr.benchmark) -> { s_body = Corpus b.Pr.source; s_comment = 0 })
-      Pr.table_benchmarks
+    List.map (fun (b : Pr.benchmark) -> { s_body = Corpus b.Pr.source; s_comment = 0 }) corpus
   in
   let probes =
-    List.init 6 (fun i ->
+    List.init probes (fun i ->
         {
           s_body = Probe { p_slot = i; p_suffix = 0; p_idx = i mod 4; p_rev = 0; p_bad = false };
           s_comment = 0;
         })
   in
-  { segs = corpus @ probes; clipboard = None }
+  let half = List.length probes / 2 in
+  let early = List.filteri (fun i _ -> i < half) probes in
+  let late = List.filteri (fun i _ -> i >= half) probes in
+  { segs = corpus @ early @ boundary_segments @ late; clipboard = None }
+
+let initial_buffer () = buffer_of ~corpus:Pr.table_benchmarks ~probes:6
 
 let gen_op rand =
   let r n = Random.State.int rand n in
@@ -238,14 +260,25 @@ let fuzz_steps () =
   | Some s -> ( match int_of_string_opt s with Some n when n > 0 -> n | _ -> 200)
   | None -> 200
 
+(* [DML_INCR_FUZZ_SEED] is a comma-separated list of integers. *)
+let fuzz_seed () =
+  match Sys.getenv_opt "DML_INCR_FUZZ_SEED" with
+  | None -> [| 0xD31; 0xE02 |]
+  | Some s -> (
+      match List.map int_of_string_opt (String.split_on_char ',' s) with
+      | ints when ints <> [] && List.for_all Option.is_some ints ->
+          Array.of_list (List.filter_map Fun.id ints)
+      | _ -> Alcotest.failf "DML_INCR_FUZZ_SEED=%S is not a comma-separated list of integers" s)
+
 let test_differential_fuzz () =
   let steps = fuzz_steps () in
-  let rand = Random.State.make [| 0xD31; 0xE02 |] in
+  let rand = Random.State.make (fuzz_seed ()) in
   let sess = session () in
   let st = I.create () in
   let buf = ref (initial_buffer ()) in
   let script = ref [] in
-  let report_steps = ref 0 and failure_steps = ref 0 and reused_total = ref 0 in
+  let report_steps = ref 0 and failure_steps = ref 0 in
+  let reused_total = ref 0 and front_reused_total = ref 0 in
   (try
      for step = 1 to steps do
        let op = gen_op rand in
@@ -256,7 +289,8 @@ let test_differential_fuzz () =
        (match stats with
        | Some s ->
            incr report_steps;
-           reused_total := !reused_total + s.I.st_reused
+           reused_total := !reused_total + s.I.st_reused;
+           front_reused_total := !front_reused_total + s.I.st_front_reused
        | None -> incr failure_steps);
        let fdoc = full_doc src in
        if J.to_string idoc <> J.to_string fdoc then begin
@@ -274,6 +308,7 @@ let test_differential_fuzz () =
   Alcotest.(check bool) "mostly real reports" true (!report_steps >= steps / 2);
   Alcotest.(check bool) "some failure steps" true (steps < 50 || !failure_steps > 0);
   Alcotest.(check bool) "reuse actually happened" true (!reused_total > 0);
+  Alcotest.(check bool) "front-end reuse happened" true (!front_reused_total > 0);
   Alcotest.(check bool) "store grew" true (I.stored_units st > 0)
 
 (* --- deterministic regressions ----------------------------------------- *)
@@ -327,6 +362,98 @@ let test_comment_only_edit_is_free () =
         (J.to_string (full_doc decorated))
         (J.to_string (scrub (R.of_report ~program:"fuzz" rp)))
   | Error f -> Alcotest.fail (P.failure_to_string f)
+
+(* (c) a top-level [val] wraps every later obligation in the prefix its
+   type opens, whether or not the later unit names it: here [m < m] makes
+   the prefix contradictory, so [g]'s [sub] is vacuously proven until [f]'s
+   result changes.  The edit must re-solve [g], never reuse its verdict. *)
+let val_prefix_program result =
+  Printf.sprintf
+    "fun f(x) = x\nwhere f <| int -> %s\nval k = f(0)\n\
+     fun g(a) = sub(a, 5)\nwhere g <| {n:nat | n >= 1} int array(n) -> int\n"
+    result
+
+let test_val_prefix_edit () =
+  let sess = session () in
+  let st = I.create () in
+  (match I.check st sess (val_prefix_program "[m:int | m < m] int(m)") with
+  | Ok _ -> ()
+  | Error f -> Alcotest.fail (P.failure_to_string f));
+  let edited = val_prefix_program "[m:int | m >= 0] int(m)" in
+  match I.check st sess edited with
+  | Ok (rp, _) ->
+      let sub_valid =
+        List.exists
+          (fun co ->
+            co.P.co_obligation.Dml_core.Elab.ob_what = "bound check for sub"
+            && co.P.co_verdict = Dml_solver.Solver.Valid)
+          rp.P.rp_obligations
+      in
+      Alcotest.(check bool) "g's sub is unproven" false sub_valid;
+      Alcotest.(check string) "report matches cold full check"
+        (J.to_string (full_doc edited))
+        (J.to_string (scrub (R.of_report ~program:"fuzz" rp)))
+  | Error f -> Alcotest.fail (P.failure_to_string f)
+
+(* --- front-end reuse ------------------------------------------------------ *)
+
+(* Units that run phases 1 and 2 on every check: every non-[fun] unit and
+   every unit from the first top-level [val] onward. *)
+let always_run src =
+  let rec go = function
+    | [] -> 0
+    | Dml_lang.Ast.Tdec { ddesc = Dml_lang.Ast.Dval _; _ } :: _ as rest -> List.length rest
+    | Dml_lang.Ast.Tdec { ddesc = Dml_lang.Ast.Dfun _; _ } :: rest -> go rest
+    | _ :: rest -> 1 + go rest
+  in
+  go (Dml_lang.Parser.parse_program src)
+
+let recheck name base edited =
+  let sess = session () in
+  let st = I.create () in
+  (match I.check st sess base with
+  | Ok _ -> ()
+  | Error f -> Alcotest.fail (P.failure_to_string f));
+  match I.check st sess edited with
+  | Ok (rp, s) ->
+      Alcotest.(check string) (name ^ ": report matches cold full check")
+        (J.to_string (full_doc edited))
+        (J.to_string (scrub (R.of_report ~program:"fuzz" rp)));
+      s
+  | Error f -> Alcotest.fail (P.failure_to_string f)
+
+let insert_before ~anchor text src =
+  let n = String.length src and m = String.length anchor in
+  let rec find i =
+    if i + m > n then None else if String.sub src i m = anchor then Some i else find (i + 1)
+  in
+  match find 0 with
+  | Some i -> String.sub src 0 i ^ text ^ String.sub src i (String.length src - i)
+  | None -> Alcotest.failf "no %S in the buffer" anchor
+
+let test_front_end_reuse () =
+  let buf = buffer_of ~corpus:Pr.all ~probes:20 in
+  let src = render buf.segs in
+  let units = List.length (Dml_lang.Parser.parse_program src) in
+  let always = always_run src in
+  if units < 35 then Alcotest.failf "%d units, want about 40" units;
+  Alcotest.(check bool) "a val splits the buffer" true (always > 3 && always < units / 2);
+  (* a one-probe bound edit: only the edited probe reruns among the funs *)
+  let edited = render (apply buf (Rebound (0, 3))).segs in
+  let s = recheck "bound edit" src edited in
+  Alcotest.(check int) "bound edit: front end runs for the dirty unit only" (1 + always)
+    (s.I.st_units - s.I.st_front_reused);
+  Alcotest.(check int) "bound edit: one unit re-solved" 1 s.I.st_dirty;
+  (* an end-of-line comment moves no token: every fun unit is reused *)
+  let commented = insert_before ~anchor:"\nwhere dmlprobe0_0" " (* eol *)" src in
+  let s = recheck "comment toggle" src commented in
+  Alcotest.(check int) "comment toggle: every fun unit reused" (units - always) s.I.st_front_reused;
+  Alcotest.(check int) "comment toggle: nothing re-solved" 0 s.I.st_dirty;
+  (* a line inserted at the top moves every token: nothing is reused, and
+     the stored locations never leak into the report *)
+  let s = recheck "line at top" src ("(* top *)\n" ^ src) in
+  Alcotest.(check int) "line at top: no front-end reuse" 0 s.I.st_front_reused;
+  Alcotest.(check int) "line at top: nothing re-solved" 0 s.I.st_dirty
 
 (* --- the acceptance criterion: >= 5x fewer solver calls ----------------- *)
 
@@ -447,6 +574,9 @@ let test_unit_digests () =
   List.iter2
     (fun d d' -> Alcotest.(check bool) "digest changed" true (d <> d'))
     ds edited;
+  (* an earlier top-level val is an edge whether or not the unit names it *)
+  let after_val v = List.nth (I.unit_digests (parse (Printf.sprintf "val k = %d\n%s" v caller))) 1 in
+  Alcotest.(check bool) "val edge" true (after_val 1 <> after_val 2);
   (* trivia never reaches a digest *)
   Alcotest.(check (list string)) "comment-insensitive" ds
     (I.unit_digests (parse ("(* x *)\n" ^ callee 0 ^ "\n(* y *)\n" ^ caller)))
@@ -479,6 +609,8 @@ let () =
           Alcotest.test_case "callee interface edit re-solves callers" `Quick
             test_callee_interface_edit;
           Alcotest.test_case "comment-only edit is free" `Quick test_comment_only_edit_is_free;
+          Alcotest.test_case "val prefix edit re-solves later units" `Quick test_val_prefix_edit;
+          Alcotest.test_case "front-end reuse" `Quick test_front_end_reuse;
         ] );
       ( "acceptance",
         [
