@@ -3,12 +3,16 @@ module J = Dml_obs.Json
 
 let json_of_fm (fm : Fourier.stats) =
   J.Obj
-    [
+    ([
       ("eliminations", J.Int fm.Fourier.eliminations);
       ("combinations", J.Int fm.Fourier.combinations);
       ("max_constraints", J.Int fm.Fourier.max_constraints);
       ("max_coeff", J.String (Format.asprintf "%a" Dml_numeric.Bigint.pp fm.Fourier.max_coeff));
     ]
+    (* emitted only when the opposed-pair pre-pass refuted a system, like
+       [overflow_escalations] below *)
+    @ (if fm.Fourier.pair_refuted > 0 then [ ("pair_refuted", J.Int fm.Fourier.pair_refuted) ]
+       else []))
 
 let solver_stats_to_json (s : Solver.stats) =
   J.Obj

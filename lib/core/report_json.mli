@@ -13,7 +13,9 @@ open Dml_solver
 
 val solver_stats_to_json : Solver.stats -> Dml_obs.Json.t
 (** The ["solver"] object: goals, disjuncts, solve seconds, timeouts,
-    escalations, cache hits/misses and the Fourier high-water marks. *)
+    escalations, cache hits/misses and the Fourier counters; the
+    [overflow_escalations] and [fm.pair_refuted] keys appear only when
+    non-zero. *)
 
 val obligation_to_json : Pipeline.checked_obligation -> Dml_obs.Json.t
 (** One ["obligations"] element: what, loc, verdict (+detail), duration. *)

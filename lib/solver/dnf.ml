@@ -42,25 +42,25 @@ let dnf ?budget b =
     | Some bu when Budget.is_limited bu -> fun n -> Budget.spend bu n
     | _ -> fun _ -> ()
   in
-  let count = ref 0 in
+  (* charge an expansion of [n] disjuncts, then cap it; an expansion is
+     sized before it is built, since a product of two in-range factors can
+     be far beyond the heap *)
+  let admit n =
+    charge n;
+    if n > max_disjuncts then raise Too_large
+  in
   let rec go = function
     | Const true -> [ [] ]
     | Const false -> []
     | Lit l -> [ [ l ] ]
     | Or (x, y) ->
         let dx = go x and dy = go y in
-        let d = dx @ dy in
-        count := List.length d;
-        charge !count;
-        if !count > max_disjuncts then raise Too_large;
-        d
+        admit (List.length dx + List.length dy);
+        dx @ dy
     | And (x, y) ->
         let dx = go x and dy = go y in
-        let d = List.concat_map (fun cx -> List.map (fun cy -> cx @ cy) dy) dx in
-        count := List.length d;
-        charge !count;
-        if !count > max_disjuncts then raise Too_large;
-        d
+        admit (List.length dx * List.length dy);
+        List.concat_map (fun cx -> List.map (fun cy -> cx @ cy) dy) dx
   in
   go (nnf true b)
 

@@ -8,16 +8,20 @@ type stats = {
   mutable combinations : int;
   mutable max_constraints : int;
   mutable max_coeff : Bigint.t;
+  mutable pair_refuted : int;
 }
 
 let new_stats () =
-  { eliminations = 0; combinations = 0; max_constraints = 0; max_coeff = Bigint.zero }
+  { eliminations = 0; combinations = 0; max_constraints = 0; max_coeff = Bigint.zero; pair_refuted = 0 }
+
+let m_pair_refuted = Dml_obs.Metrics.counter "solver.pair_refuted"
 
 module type S = sig
   type num
   type rat
 
   val check : ?stats:stats -> ?budget:Budget.t -> tighten:bool -> num Linear.cstr list -> verdict
+  val opposed_pair : num Linear.cstr list -> bool
   val rational_model : ?budget:Budget.t -> num Linear.cstr list -> rat Ivar.Map.t option
 end
 
@@ -123,7 +127,8 @@ module Make (L : Linear.S) (R : Rat.S with type num = L.num) = struct
     in
     Option.get best
 
-  let eliminate ?stats ?budget ~tighten cs =
+  (* Runs on an already-normalised system. *)
+  let eliminate_normalized ?stats ?budget ~tighten cs =
     let stats = match stats with Some s -> s | None -> new_stats () in
     let charge, note_elim =
       match budget with
@@ -147,7 +152,6 @@ module Make (L : Linear.S) (R : Rat.S with type num = L.num) = struct
     in
     Fun.protect ~finally:flush_max_coeff @@ fun () ->
     let trace = ref [] in
-    let cs = norm_all ~tighten cs in
     let cs = gauss ~tighten trace cs in
     let cs = split_eqs cs in
     let rec loop cs =
@@ -188,10 +192,65 @@ module Make (L : Linear.S) (R : Rat.S with type num = L.num) = struct
     in
     loop cs
 
+  let eliminate ?stats ?budget ~tighten cs =
+    eliminate_normalized ?stats ?budget ~tighten (norm_all ~tighten cs)
+
+  (* Whether [f] and [g] agree from variable [i] on: same ids, and
+     coefficients equal ([same]) or negated.  Negation cannot overflow: no
+     lane holds [min_int]. *)
+  let rec agree_from (f : num Linear.form) (g : num Linear.form) same i =
+    i = Array.length f.vars
+    || f.vars.(i).Ivar.id = g.vars.(i).Ivar.id
+       && N.compare f.coeffs.(i) (if same then g.coeffs.(i) else N.neg g.coeffs.(i)) = 0
+       && agree_from f g same (i + 1)
+
+  (* How the variable parts of two forms relate: [`Same] when the
+     coefficients agree, [`Opposed] when they cancel, over the same
+     non-empty variable set. *)
+  let relate (f : num Linear.form) (g : num Linear.form) =
+    let n = Array.length f.vars in
+    if n = 0 || n <> Array.length g.vars then `Unrelated
+    else
+      let same = N.compare f.coeffs.(0) g.coeffs.(0) = 0 in
+      if not (agree_from f g same 0) then `Unrelated else if same then `Same else `Opposed
+
+  (* [c] and [d] sum to a false constant bound.  With [c] as [f + a] and
+     [d] as [-f + b], [a + b > 0] refutes; an equality also bounds its
+     negation, so [f + a = 0] against [f + b <= 0] refutes when [b > a],
+     and two equalities refute whenever their constants disagree. *)
+  let clash (c : num Linear.cstr) (d : num Linear.cstr) =
+    let a = c.form.const and b = d.form.const in
+    match relate c.form d.form with
+    | `Unrelated -> false
+    | `Opposed -> (
+        let sum = N.compare a (N.neg b) in
+        match (c.kind, d.kind) with Linear.Eq, Linear.Eq -> sum <> 0 | _ -> sum > 0)
+    | `Same -> (
+        match (c.kind, d.kind) with
+        | Linear.Le, Linear.Le -> false
+        | Linear.Eq, Linear.Le -> N.compare b a > 0
+        | Linear.Le, Linear.Eq -> N.compare a b > 0
+        | Linear.Eq, Linear.Eq -> N.compare a b <> 0)
+
+  (* The search runs from the back of the system.  A goal's disjuncts list
+     the hypotheses first and the negated conclusion last, and a refuting
+     pair nearly always has one end in the conclusion, so it is usually
+     found within one pass over the hypotheses. *)
+  let opposed_pair cs =
+    let rec go = function [] -> false | c :: rest -> List.exists (clash c) rest || go rest in
+    go (List.rev cs)
+
   let check ?stats ?budget ~tighten cs =
-    match eliminate ?stats ?budget ~tighten cs with
-    | _trace -> Sat
+    match norm_all ~tighten cs with
     | exception Contradiction -> Unsat
+    | cs when opposed_pair cs ->
+        Option.iter (fun s -> s.pair_refuted <- s.pair_refuted + 1) stats;
+        Dml_obs.Metrics.incr m_pair_refuted;
+        Unsat
+    | cs -> (
+        match eliminate_normalized ?stats ?budget ~tighten cs with
+        | _trace -> Sat
+        | exception Contradiction -> Unsat)
 
   (* Reconstruct a model by walking the elimination trace backwards.  A
      substitution step assigns its variable the value of its image; a pivot

@@ -24,6 +24,9 @@ type stats = {
   mutable combinations : int;  (** upper/lower pairs combined *)
   mutable max_constraints : int;  (** high-water mark of the system size *)
   mutable max_coeff : Bigint.t;  (** largest absolute coefficient seen *)
+  mutable pair_refuted : int;
+      (** systems {!S.check} refuted by {!S.opposed_pair} before any
+          elimination; they add nothing to the three counters above *)
 }
 
 val new_stats : unit -> stats
@@ -33,13 +36,36 @@ module type S = sig
   type rat
 
   val check : ?stats:stats -> ?budget:Budget.t -> tighten:bool -> num Linear.cstr list -> verdict
-  (** [check ~tighten cs] eliminates all variables from [cs].  Equalities
-      with a unit-coefficient variable are removed first by Gaussian
-      substitution; the remaining equalities are split into inequality
-      pairs.  With [?budget], each upper/lower combination costs one fuel
-      unit and each eliminated variable counts against the budget's
-      elimination limit.  [stats] updates made before an exception stand.
+  (** [check ~tighten cs] normalises every constraint of [cs] once
+      ({!Linear.S.normalize}; a constraint that normalises to a false
+      constant refutes the system at once).  It then runs the opposed-pair
+      pre-pass, {!opposed_pair}, on the normalised system: a pair found
+      answers [Unsat] before any elimination state is built, and counts in
+      [stats.pair_refuted] and the [solver.pair_refuted] registry counter.
+      Otherwise it eliminates all variables from the normalised system.
+      Equalities with a unit-coefficient variable are removed first by
+      Gaussian substitution; the remaining equalities are split into
+      inequality pairs.
+
+      The pair is a rational refutation of the normalised system, and the
+      elimination is complete over the rationals, so the pre-pass never
+      changes a verdict reached with an unlimited budget.  It spends no
+      fuel and no eliminations: under a limited budget a verdict can only
+      move away from a [Timeout] (to [Valid], or to an open disjunct found
+      further on), never towards one.
+
+      With [?budget], each upper/lower combination costs one fuel unit and
+      each eliminated variable counts against the budget's elimination
+      limit.  [stats] updates made before an exception stand.
       @raise Budget.Exhausted when the budget runs out. *)
+
+  val opposed_pair : num Linear.cstr list -> bool
+  (** [opposed_pair cs] holds when two constraints of [cs] sum to a false
+      constant bound: [f + a <= 0] and [-f + b <= 0] with [a + b > 0],
+      where [f] is a non-empty variable part.  An equality [f + a = 0]
+      stands for both [f + a <= 0] and [-f - a <= 0].  Pure and sound for
+      any system; {!check} applies it to the normalised system, where
+      bounds on one variable part share their coefficients. *)
 
   val rational_model : ?budget:Budget.t -> num Linear.cstr list -> rat Ivar.Map.t option
   (** Best-effort assignment satisfying the system, used for the

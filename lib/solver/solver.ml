@@ -79,6 +79,7 @@ let merge_stats ~into (s : stats) =
   fm.Fourier.eliminations <- fm.Fourier.eliminations + fm'.Fourier.eliminations;
   fm.Fourier.combinations <- fm.Fourier.combinations + fm'.Fourier.combinations;
   fm.Fourier.max_constraints <- max fm.Fourier.max_constraints fm'.Fourier.max_constraints;
+  fm.Fourier.pair_refuted <- fm.Fourier.pair_refuted + fm'.Fourier.pair_refuted;
   if Bigint.compare fm'.Fourier.max_coeff fm.Fourier.max_coeff > 0 then
     fm.Fourier.max_coeff <- fm'.Fourier.max_coeff
 
@@ -114,21 +115,41 @@ module Lane
     (F : Fourier.S with type num = L.num)
     (S : Simplex.S with type num = L.num) =
 struct
-  let system literals =
+  (* The translations made so far for one goal, keyed by the literal
+     itself.  The disjuncts of one DNF share their literals physically, so
+     each literal is translated once per goal.  The memo fills as the
+     disjuncts are visited: a literal that overflows the lane's numbers
+     is never stored, and surfaces again on every disjunct that holds it.
+     A goal has as many distinct literals as its formula has atoms (about
+     13 on the corpus), so an association list is the cheapest map. *)
+  type memo = (Dnf.literal * L.num Linear.cstr option) list ref
+
+  let new_memo () : memo = ref []
+
+  let translate literal =
     let form_of e =
       match L.of_iexp e with
       | Some f -> f
       | None -> raise (Purify.Nonlinear (Idx.iexp_to_string e))
     in
+    match literal with
+    | Dnf.Lle (a, b) -> Some (L.cstr_le (L.sub (form_of a) (form_of b)))
+    | Dnf.Leq (a, b) -> Some (L.cstr_eq (L.sub (form_of a) (form_of b)))
+    | Dnf.Lbool _ -> None
+
+  let system (memo : memo) literals =
     List.filter_map
-      (function
-        | Dnf.Lle (a, b) -> Some (L.cstr_le (L.sub (form_of a) (form_of b)))
-        | Dnf.Leq (a, b) -> Some (L.cstr_eq (L.sub (form_of a) (form_of b)))
-        | Dnf.Lbool _ -> None)
+      (fun literal ->
+        match List.assq_opt literal !memo with
+        | Some c -> c
+        | None ->
+            let c = translate literal in
+            memo := (literal, c) :: !memo;
+            c)
       literals
 
-  let refute ?stats ?budget method_ literals =
-    let system = system literals in
+  let refute ?stats ?budget memo method_ literals =
+    let system = system memo literals in
     let fm_stats = Option.map (fun s -> s.fm) stats in
     let refuted =
       match method_ with
@@ -148,10 +169,14 @@ module Native = struct
 end
 
 let disjunct_systems ?budget formula =
-  match List.map Bignum.system (disjuncts ?budget formula) with
+  let memo = Bignum.new_memo () in
+  match List.map (Bignum.system memo) (disjuncts ?budget formula) with
   | systems -> Ok systems
   | exception Purify.Nonlinear msg -> Error (nonlinear msg)
   | exception Dnf.Too_large -> Error too_large
+
+(* The translation memos of one goal, one per lane. *)
+type memos = { bignum : Bignum.memo; native : Native.memo }
 
 (* One disjunct, one method, lane-dispatched.  Both lanes run the same
    algorithm body, so a completed native run IS the bignum verdict; on
@@ -159,11 +184,11 @@ let disjunct_systems ?budget formula =
    literals.  Overflow escalations are counted separately from ladder
    escalations — they are an arithmetic-representation event, not an extra
    proof-method attempt. *)
-let refute ?stats ?budget ~lane method_ literals =
+let refute ?stats ?budget ~lane memos method_ literals =
   match lane with
-  | Lane_bignum -> Bignum.refute ?stats ?budget method_ literals
+  | Lane_bignum -> Bignum.refute ?stats ?budget memos.bignum method_ literals
   | Lane_native | Lane_auto -> (
-      match Native.refute ?stats ?budget method_ literals with
+      match Native.refute ?stats ?budget memos.native method_ literals with
       | answer ->
           Option.iter (fun s -> s.native_solves <- s.native_solves + 1) stats;
           Metrics.incr m_native_solves;
@@ -171,7 +196,7 @@ let refute ?stats ?budget ~lane method_ literals =
       | exception Checked.Overflow ->
           Option.iter (fun s -> s.overflow_escalations <- s.overflow_escalations + 1) stats;
           Metrics.incr m_overflow_escalations;
-          Bignum.refute ?stats ?budget method_ literals)
+          Bignum.refute ?stats ?budget memos.bignum method_ literals)
 
 (* Rational counterexamples print integer values without a denominator. *)
 let rat_model_to_string model =
@@ -199,14 +224,15 @@ let check_goal_uncached ?(method_ = Fm_tightened) ?(lane = Lane_auto) ?stats ?bu
       Option.iter (fun s -> s.disjuncts <- s.disjuncts + n) stats;
       Metrics.incr ~by:n m_disjuncts;
       Metrics.observe h_dnf_disjuncts (float_of_int n);
+      let memos = { bignum = Bignum.new_memo (); native = Native.new_memo () } in
       let rec go = function
         | [] -> Valid
         | literals :: rest -> (
-            match refute ?stats ?budget ~lane method_ literals with
+            match refute ?stats ?budget ~lane memos method_ literals with
             | `Refuted -> go rest
             | `Open ->
                 let hint =
-                  match Fourier.rational_model ?budget (Bignum.system literals) with
+                  match Fourier.rational_model ?budget (Bignum.system memos.bignum literals) with
                   | Some model -> "counterexample: " ^ rat_model_to_string model
                   | None -> "could not refute a disjunct of the negation"
                 in
@@ -260,12 +286,12 @@ let verdict_slug = function
    can count only uncached solves and the span can carry the cache status. *)
 let check_goal_status ~method_ ?(lane = Lane_auto) ?stats ?budget ?cache goal =
   let sp = Trace.start "solve" in
-  let fm0, disj0 =
+  let fm0, pair0, disj0 =
     if Trace.real sp then
       match stats with
-      | Some s -> (s.fm.Fourier.eliminations, s.disjuncts)
-      | None -> (0, 0)
-    else (0, 0)
+      | Some s -> (s.fm.Fourier.eliminations, s.fm.Fourier.pair_refuted, s.disjuncts)
+      | None -> (0, 0, 0)
+    else (0, 0, 0)
   in
   let tier = match budget with None -> max_int | Some b -> Budget.tier b in
   let digest =
@@ -312,7 +338,8 @@ let check_goal_status ~method_ ?(lane = Lane_auto) ?stats ?budget ?cache goal =
     match stats with
     | Some s ->
         Trace.set_int sp "disjuncts" (s.disjuncts - disj0);
-        Trace.set_int sp "fm_eliminations" (s.fm.Fourier.eliminations - fm0)
+        Trace.set_int sp "fm_eliminations" (s.fm.Fourier.eliminations - fm0);
+        Trace.set_int sp "pair_refuted" (s.fm.Fourier.pair_refuted - pair0)
     | None -> ()
   end;
   Trace.finish sp;

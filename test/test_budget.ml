@@ -91,6 +91,36 @@ let test_unbudgeted_still_works () =
   | Solver.Valid -> ()
   | other -> Alcotest.failf "unlimited budget broke a tautology: %a" Solver.pp_verdict other
 
+(* [k] hypotheses [x_i = 0 \/ x_i = 1] (2^k disjuncts) and the conclusion
+   [\/_{i<m} (y_i = 0 /\ y_i = 1)], whose negation has 4^m: each factor
+   alone is within the DNF cap, their product is not.  At 14 x 5 the
+   product has 2^24 disjuncts, more than the heap of a small process. *)
+let dnf_product_goal k m =
+  let xs = List.init k (fun i -> v (Printf.sprintf "x%d" i)) in
+  let ys = List.init m (fun i -> v (Printf.sprintf "y%d" i)) in
+  let hyps = List.map (fun x -> Bor (eq (Ivar x) (Iconst 0), eq (Ivar x) (Iconst 1))) xs in
+  let concl =
+    List.fold_left
+      (fun acc y -> Bor (acc, Band (eq (Ivar y) (Iconst 0), eq (Ivar y) (Iconst 1))))
+      (Bconst false) ys
+  in
+  goal (List.map (fun x -> (x, Sint)) (xs @ ys)) hyps concl
+
+let test_dnf_product_capped () =
+  let timed f =
+    let t0 = Budget.now () in
+    let verdict = f () in
+    Alcotest.(check bool) "returns promptly" true (Budget.now () -. t0 < 10.);
+    verdict
+  in
+  (match timed (fun () -> Solver.check_goal (dnf_product_goal 14 5)) with
+  | Solver.Unsupported "constraint normal form too large" -> ()
+  | other -> Alcotest.failf "unbudgeted: expected the DNF cap, got %a" Solver.pp_verdict other);
+  let budget = Budget.create ~fuel:200 () in
+  match timed (fun () -> Solver.check_goal ~budget (dnf_product_goal 14 5)) with
+  | Solver.Timeout _ -> ()
+  | other -> Alcotest.failf "fuel 200: expected a timeout, got %a" Solver.pp_verdict other
+
 (* --- escalation ladder --------------------------------------------------- *)
 
 let test_escalation_ladder () =
@@ -260,6 +290,7 @@ let () =
           Alcotest.test_case "expired deadline times out" `Quick test_deadline_timeout;
           Alcotest.test_case "elimination limit times out" `Quick test_elimination_limit;
           Alcotest.test_case "unbudgeted behaviour unchanged" `Quick test_unbudgeted_still_works;
+          Alcotest.test_case "DNF product capped before it is built" `Quick test_dnf_product_capped;
         ] );
       ( "escalation",
         [

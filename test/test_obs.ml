@@ -359,6 +359,51 @@ let test_overflow_escalations_separate () =
   Alcotest.(check bool) "registry: solver.native_solves bumped" true
     (Metrics.value c_native - native0 >= 1)
 
+(* --- the opposed-pair pre-pass counts on every surface ------------------------ *)
+
+(* [x <= 2 |- x <= 5]: the negation's one disjunct, [x <= 2 /\ x >= 6],
+   falls to the pre-pass, which must show in the per-run stats (and their
+   merge), the registry, the solve span and the report's fm object — and
+   not in the elimination counters. *)
+let test_pair_refuted_counted () =
+  let x = Ivar.fresh "x" in
+  let g =
+    let open Idx in
+    {
+      Constr.goal_vars = [ (x, Sint) ];
+      goal_hyps = [ Bcmp (Rle, Ivar x, Iconst 2) ];
+      goal_concl = Bcmp (Rle, Ivar x, Iconst 5);
+    }
+  in
+  let c_pair = Metrics.counter "solver.pair_refuted" in
+  let pair0 = Metrics.value c_pair in
+  let stats = Solver.new_stats () in
+  let sk = Trace.create_sink () in
+  Trace.set_sink (Some sk);
+  let v = Solver.check_goal ~stats g in
+  Trace.set_sink None;
+  Alcotest.(check bool) "valid" true (v = Solver.Valid);
+  Alcotest.(check int) "stats: pair_refuted" 1 stats.Solver.fm.Fourier.pair_refuted;
+  Alcotest.(check int) "stats: no eliminations" 0 stats.Solver.fm.Fourier.eliminations;
+  Alcotest.(check int) "registry: solver.pair_refuted bumped" 1 (Metrics.value c_pair - pair0);
+  (match Trace.roots sk with
+  | [ sp ] -> (
+      match Trace.span_attr sp "pair_refuted" with
+      | Some (Json.Int n) -> Alcotest.(check int) "span: pair_refuted" 1 n
+      | _ -> Alcotest.fail "solve span lacks pair_refuted")
+  | rs -> Alcotest.failf "expected one solve span, got %d" (List.length rs));
+  let merged = Solver.new_stats () in
+  Solver.merge_stats ~into:merged stats;
+  Solver.merge_stats ~into:merged stats;
+  Alcotest.(check int) "merge_stats sums pair_refuted" 2 merged.Solver.fm.Fourier.pair_refuted;
+  let fm_key s =
+    match Json.member "fm" (Dml_core.Report_json.solver_stats_to_json s) with
+    | Some fm -> Json.member "pair_refuted" fm
+    | None -> Alcotest.fail "report lacks the fm object"
+  in
+  Alcotest.(check bool) "report: pair_refuted emitted" true (fm_key stats = Some (Json.Int 1));
+  Alcotest.(check bool) "report: omitted when zero" true (fm_key (Solver.new_stats ()) = None)
+
 (* --------------------------------------------------------------------------- *)
 
 let () =
@@ -395,5 +440,7 @@ let () =
             test_escalations_not_counted_on_hits;
           Alcotest.test_case "overflow escalations are not ladder escalations" `Quick
             test_overflow_escalations_separate;
+          Alcotest.test_case "pair refutations counted on every surface" `Quick
+            test_pair_refuted_counted;
         ] );
     ]

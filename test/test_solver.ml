@@ -240,17 +240,18 @@ let test_gauss_substitution () =
 
 (* --- property: FM verdict agrees with brute force on small systems -------- *)
 
+(* Systems [a*x + b*y + c <= 0] of one to five constraints over two
+   variables, small enough to search exhaustively. *)
+let two_var_systems =
+  QCheck.make
+    ~print:(fun cs ->
+      String.concat "; " (List.map (fun (a, b, c) -> Printf.sprintf "%dx+%dy+%d<=0" a b c) cs))
+    QCheck.Gen.(
+      list_size (int_range 1 5) (triple (int_range (-4) 4) (int_range (-4) 4) (int_range (-6) 6)))
+
 let prop_fm_vs_bruteforce =
   let x = v "x" and y = v "y" in
-  let gen =
-    QCheck.make
-      ~print:(fun cs ->
-        String.concat "; "
-          (List.map (fun (a, b, c) -> Printf.sprintf "%dx+%dy+%d<=0" a b c) cs))
-      QCheck.Gen.(
-        list_size (int_range 1 5)
-          (triple (int_range (-4) 4) (int_range (-4) 4) (int_range (-6) 6)))
-  in
+  let gen = two_var_systems in
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count:400 ~name:"FM agrees with brute force" gen (fun cs ->
          let sys =
@@ -282,6 +283,110 @@ let prop_fm_vs_bruteforce =
             finds a solution, FM must report Sat.  (The converse does not hold
             on a bounded grid.) *)
          (not brute_sat) || fm_sat))
+
+(* --- the opposed-pair pre-pass ------------------------------------------------ *)
+
+let test_opposed_pair () =
+  let x = v "x" and y = v "y" in
+  let open Linear in
+  let f = add (var x) (scale (Dml_numeric.Bigint.of_int 2) (var y)) in
+  let k n = of_int n in
+  let refutes name expected sys =
+    Alcotest.(check bool) name expected (Fourier.opposed_pair sys);
+    if expected then
+      Alcotest.(check bool) (name ^ ": check agrees") true
+        (Fourier.check ~tighten:false sys = Fourier.Unsat)
+  in
+  (* f <= 2 and f >= 3 *)
+  refutes "opposed bounds" true [ cstr_le (sub f (k 2)); cstr_le (add (neg f) (k 3)) ];
+  (* f <= 3 and f >= 3 *)
+  refutes "touching bounds" false [ cstr_le (sub f (k 3)); cstr_le (add (neg f) (k 3)) ];
+  (* f = 5 and f <= 3: the equality bounds f from below too *)
+  refutes "equality above a bound" true [ cstr_eq (sub f (k 5)); cstr_le (sub f (k 3)) ];
+  refutes "bound below an equality" true [ cstr_le (sub f (k 3)); cstr_eq (sub f (k 5)) ];
+  refutes "equality within a bound" false [ cstr_eq (sub f (k 3)); cstr_le (sub f (k 5)) ];
+  (* f = 5 and -f = -3, f = 5 and f = 3, f = 5 and -f = -5 *)
+  refutes "opposed equalities" true [ cstr_eq (sub f (k 5)); cstr_eq (add (neg f) (k 3)) ];
+  refutes "parallel equalities" true [ cstr_eq (sub f (k 5)); cstr_eq (sub f (k 3)) ];
+  refutes "one equality twice" false [ cstr_eq (sub f (k 5)); cstr_eq (add (neg f) (k 5)) ];
+  (* x + 2y <= 2 and -x + 2y + 3 <= 0 do not cancel *)
+  refutes "different variable parts" false
+    [ cstr_le (sub f (k 2)); cstr_le (add (sub (scale (Dml_numeric.Bigint.of_int 2) (var y)) (var x)) (k 3)) ];
+  (* the pre-pass counts its refutations and leaves the FM counters alone *)
+  let stats = Fourier.new_stats () in
+  ignore (Fourier.check ~stats ~tighten:true [ cstr_le (sub f (k 2)); cstr_le (add (neg f) (k 3)) ]);
+  Alcotest.(check int) "pair_refuted" 1 stats.Fourier.pair_refuted;
+  Alcotest.(check int) "no eliminations" 0 stats.Fourier.eliminations
+
+(* Whenever the pair test refutes a normalised system, that system has no
+   rational solution (the simplex agrees) and the original has no integer
+   one (exhaustive search agrees).  Each generated system is tried as
+   drawn and with its first constraint an equality. *)
+module Pair_prop
+    (L : Linear.S)
+    (F : Fourier.S with type num = L.num)
+    (S : Simplex.S with type num = L.num) =
+struct
+  (* [None] when normalisation alone refutes the system *)
+  let normalised ~tighten cs =
+    List.fold_right
+      (fun c acc ->
+        match acc with
+        | None -> None
+        | Some acc -> (
+            match L.normalize ~tighten c with
+            | None -> Some acc
+            | Some c -> if L.is_trivially_false c then None else Some (c :: acc)))
+      cs (Some [])
+
+  let prop ~lane ~tighten =
+    let x = v "x" and y = v "y" in
+    let name = Printf.sprintf "pair refutation is sound (%s lane, tighten %b)" lane tighten in
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:400 ~name two_var_systems (fun cs ->
+           let holds ~first_eq i (a, b, c) xi yi =
+             let r = (a * xi) + (b * yi) + c in
+             if first_eq && i = 0 then r = 0 else r <= 0
+           in
+           let integer_sat ~first_eq =
+             let vals = List.init 49 (fun i -> i - 24) in
+             List.exists
+               (fun xi ->
+                 List.exists
+                   (fun yi ->
+                     List.for_all Fun.id
+                       (List.mapi (fun i abc -> holds ~first_eq i abc xi yi) cs))
+                   vals)
+               vals
+           in
+           let system ~first_eq =
+             List.mapi
+               (fun i (a, b, c) ->
+                 let f =
+                   L.add
+                     (L.add (L.scale (L.N.of_int a) (L.var x)) (L.scale (L.N.of_int b) (L.var y)))
+                     (L.of_int c)
+                 in
+                 if first_eq && i = 0 then L.cstr_eq f else L.cstr_le f)
+               cs
+           in
+           List.for_all
+             (fun first_eq ->
+               match normalised ~tighten (system ~first_eq) with
+               | None -> true
+               | Some n ->
+                   (not (F.opposed_pair n))
+                   || ((not (integer_sat ~first_eq)) && S.check n = Simplex.Unsat))
+             [ false; true ]))
+end
+
+module Pair_bignum = Pair_prop (Linear) (Fourier) (Simplex)
+
+module Pair_native = struct
+  module L = Linear.Make (Dml_numeric.Checked)
+  module R = Dml_numeric.Rat.Make (Dml_numeric.Checked)
+  include Pair_prop (L) (Fourier.Make (L) (R)) (Simplex.Make (R))
+end
 
 let prop_fm_simplex_agree =
   let x = v "x" and y = v "y" and z = v "z" in
@@ -474,6 +579,14 @@ let () =
         [
           Alcotest.test_case "fourier direct" `Quick test_fourier_direct;
           Alcotest.test_case "gauss substitution" `Quick test_gauss_substitution;
+        ] );
+      ( "pair-prepass",
+        [
+          Alcotest.test_case "opposed pairs" `Quick test_opposed_pair;
+          Pair_bignum.prop ~lane:"bignum" ~tighten:true;
+          Pair_bignum.prop ~lane:"bignum" ~tighten:false;
+          Pair_native.prop ~lane:"native" ~tighten:true;
+          Pair_native.prop ~lane:"native" ~tighten:false;
         ] );
       ( "properties",
         [
