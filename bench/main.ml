@@ -4,7 +4,7 @@
    - table1/<program>        : the full checking pipeline (parse, infer,
                                elaborate, solve) per benchmark program — the
                                work behind Table 1's generation/solving time.
-   - table2/<program>/<mode> : the cost-model VM workload under both access
+   - table2/<program>/<mode> : the cost-model workload under both access
                                disciplines (virtual platform A).
    - table3/<program>/<mode> : the compiled backend workload under both
                                access disciplines (wall-clock platform B).
@@ -79,11 +79,11 @@ let backend_tests =
               ~name:(Printf.sprintf "table2/%s/%s" b.Dml_programs.Programs.name mode_name)
               (Staged.stage (fun () ->
                    let counters = Dml_eval.Prims.new_counters () in
-                   let env = Dml_eval.Cycles.initial_env mode counters in
-                   let env = Dml_eval.Cycles.run_program env tprog in
+                   let ce = Dml_eval.Compile.initial_costed mode counters in
+                   let ce = Dml_eval.Compile.run_program ce tprog in
                    ignore
                      (b.Dml_programs.Programs.run
-                        { Dml_programs.Workloads.lookup = Dml_eval.Cycles.lookup env }
+                        { Dml_programs.Workloads.lookup = Dml_eval.Compile.lookup ce }
                         ~scale:1)));
             Test.make
               ~name:(Printf.sprintf "table3/%s/%s" b.Dml_programs.Programs.name mode_name)

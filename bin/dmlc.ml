@@ -5,7 +5,7 @@
    - [dmlc constraints FILE] print every generated constraint with its verdict
    - [dmlc run FILE NAME]    evaluate a program and print a binding
    - [dmlc table1]           regenerate the paper's Table 1
-   - [dmlc table23]          regenerate Table 2 (interp) or 3 (compiled)
+   - [dmlc table23]          regenerate Table 2 (cost model) or 3 (compiled, native)
    - [dmlc list]             list the bundled benchmark programs
 
    Shared flag parsing lives in [Cli_options]; every subcommand assembles a
@@ -437,7 +437,7 @@ let constraints_cmd =
 (* --- run -------------------------------------------------------------------------- *)
 
 let run_cmd =
-  let run config cache_spec degrade obs file binding unchecked backend =
+  let run config cache_spec degrade obs file binding unchecked =
     with_source ~json:obs.ob_json file (fun src ->
         let mode = if degrade then Session.Degrade else Session.Strict in
         let session =
@@ -457,26 +457,13 @@ let run_cmd =
                   let residual_sites = not report.Pipeline.rp_valid in
                   let counters = Dml_eval.Prims.new_counters () in
                   let sp_eval = Trace.start "eval" in
-                  let lookup =
-                    match backend with
-                    | `Interp ->
-                        (* the AST interpreter has no per-site compilation: with
-                           residual sites it conservatively keeps every check *)
-                        let mode = if residual_sites then Dml_eval.Prims.Checked else mode in
-                        let env =
-                          Dml_eval.Interp.initial_env (Dml_eval.Prims.table mode ~counters ())
-                        in
-                        Dml_eval.Interp.lookup (Dml_eval.Interp.run_program env tprog)
-                    | `Compiled ->
-                        let degraded =
-                          if residual_sites then Some (Pipeline.degraded_pred report) else None
-                        in
-                        let ce = Dml_eval.Compile.initial_fast mode ~counters ?degraded () in
-                        Dml_eval.Compile.lookup (Dml_eval.Compile.run_program ce tprog)
+                  let degraded =
+                    if residual_sites then Some (Pipeline.degraded_pred report) else None
                   in
-                  let value = lookup binding in
-                  Trace.set_str sp_eval "backend"
-                    (match backend with `Interp -> "interp" | `Compiled -> "compiled");
+                  let ce = Dml_eval.Compile.initial_fast mode ~counters ?degraded () in
+                  let ce = Dml_eval.Compile.run_program ce tprog in
+                  let value = Dml_eval.Compile.lookup ce binding in
+                  Trace.set_str sp_eval "backend" "compiled";
                   Trace.set_int sp_eval "dynamic_checks" counters.Dml_eval.Prims.dynamic_checks;
                   Trace.set_int sp_eval "eliminated_checks"
                     counters.Dml_eval.Prims.eliminated_checks;
@@ -505,9 +492,7 @@ let run_cmd =
                       ("program", J.String file);
                       ("binding", J.String binding);
                       ("value", J.String (Format.asprintf "%a" Dml_eval.Value.pp value));
-                      ( "backend",
-                        J.String (match backend with `Interp -> "interp" | `Compiled -> "compiled")
-                      );
+                      ("backend", J.String "compiled");
                       ("unchecked", J.Bool unchecked);
                       ("valid", J.Bool report.Pipeline.rp_valid);
                       ("residual", J.Int report.Pipeline.rp_residual);
@@ -533,17 +518,11 @@ let run_cmd =
   let unchecked =
     Arg.(value & flag & info [ "unchecked" ] ~doc:"Use unchecked array primitives.")
   in
-  let backend =
-    Arg.(
-      value
-      & opt (enum [ ("interp", `Interp); ("compiled", `Compiled) ]) `Compiled
-      & info [ "backend" ] ~doc:"Evaluation backend.")
-  in
   let doc = "Type check, evaluate, and print a top-level binding." in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
       const run $ solve_config $ cache_spec_term ~default_on:false $ degrade_flag $ obs_term
-      $ file_arg $ binding $ unchecked $ backend)
+      $ file_arg $ binding $ unchecked)
 
 (* --- tables ------------------------------------------------------------------------- *)
 

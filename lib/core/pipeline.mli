@@ -14,7 +14,7 @@
     strict mode rejects the program ({!check_valid_s}); degraded mode compiles
     it with dynamic checks at exactly the residual sites
     ({!degraded_sites}/{!degraded_pred}, consumed by [Dml_eval.Compile] and
-    [Dml_eval.Cycles]). *)
+    [Dml_eval.Codegen]). *)
 
 open Dml_lang
 open Dml_solver

@@ -60,18 +60,15 @@ let time_pair f g =
   done;
   (!best_f, !best_g)
 
-(* --- platform A: virtual-cycle accounting VM -------------------------------- *)
+let exec ce tprog : exec = { lookup = Compile.lookup (Compile.run_program ce tprog) }
 
-let exec_cost_model ?degraded mode counters tprog : exec =
-  let env = Cycles.initial_env ?degraded mode counters in
-  let env = Cycles.run_program env tprog in
-  { lookup = Cycles.lookup env }
+(* --- platform A: the closure compiler charging the cost model --------------- *)
 
 let measure_cost_model rq =
   (* account virtual cycles under both disciplines *)
   let cycles ?degraded mode =
     let counters = Prims.new_counters () in
-    let ex = exec_cost_model ?degraded mode counters rq.rq_tprog in
+    let ex = exec (Compile.initial_costed ?degraded mode counters) rq.rq_tprog in
     ignore (rq.rq_run ex ~scale:rq.rq_scale);
     counters
   in
@@ -87,10 +84,8 @@ let measure_cost_model rq =
 
 (* --- platform B: compiled closures ------------------------------------------- *)
 
-let exec_compiled mode ?counters ?degraded tprog : exec =
-  let ce = Compile.initial_fast mode ?counters ?degraded () in
-  let ce = Compile.run_program ce tprog in
-  { lookup = Compile.lookup ce }
+let exec_compiled mode ?counters ?degraded tprog =
+  exec (Compile.initial_fast mode ?counters ?degraded ()) tprog
 
 let measure_compiled rq =
   (* timed runs without instrumentation, then a counting run *)

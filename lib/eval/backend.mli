@@ -68,8 +68,9 @@ val time_pair : (unit -> unit) -> (unit -> unit) -> float * float
     (and re-exported by [Dml_programs.Tables]). *)
 
 val cost_model : t
-(** Platform A (["cost-model"], alias ["cycles"]): the virtual-cycle
-    accounting VM ({!Cycles}); "times" are virtual megacycles. *)
+(** Platform A (["cost-model"], alias ["cycles"]): the closure compiler
+    charging its virtual-cycle cost model ({!Compile.initial_costed});
+    "times" are virtual megacycles. *)
 
 val compiled : t
 (** Platform B (["compiled"], alias ["closure"]): the closure compiler

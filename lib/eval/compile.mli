@@ -1,13 +1,41 @@
-(** Closure-compiling backend — the faster of the two evaluation backends
-    ("platform B", standing in for the paper's MLWorks-on-SPARC measurements
-    in Table 3).
+(** Closure-compiling evaluator — the one evaluator core over [Tast].
 
     Expressions are compiled once into OCaml closures with variable accesses
     resolved to list positions; running the program performs no AST traversal
     or name lookup.  Saturated applications of primitives compile to direct
     n-ary calls without tuple allocation (a real compiler's calling
     convention), which is what makes the cost of a bounds check visible in
-    the run time. *)
+    the run time.  Operands run in Standard ML's order: function before
+    argument, then left to right.
+
+    The same compiler serves two platforms of the Tables 2/3 experiment:
+    - {!initial_fast}: wall-clock closures ("platform B", standing in for
+      the paper's MLWorks-on-SPARC measurements in Table 3);
+    - {!initial_costed}: the cost model ("platform A", Table 2).
+
+    {2 The cost model}
+
+    Wall-clock timing of an evaluator compresses the bounds-check share of
+    the run time (the machinery around each access costs an order of
+    magnitude more than the access itself, unlike the paper's native
+    compilers where a check is a sizeable fraction of a loop iteration).
+    The cost model therefore *accounts* rather than times: every node's
+    closure adds its documented virtual-cycle cost, at late-90s RISC
+    granularity, to [counters.cycles] on entry, and the bounds checks add
+    {!Prims.check_cost}.  Table 2 reports virtual megacycles, in which the
+    structural effect of check elimination appears at the paper's scale.
+
+    Virtual cycles per node:
+    - variable access, literal, nullary constructor: 1
+    - function call: 2; closure construction ([fn]): 3
+    - [if], [case], [handle], [andalso], [orelse]: 1
+    - tuple: 2 + size; applied constructor: 3
+    - [raise]: 2; [let] and type annotations: 0
+    - direct primitive call: nothing beyond the primitive's own work,
+      {!Prims.flat_cost} (array access 2, arithmetic 1), which is charged
+      for first-class primitive values too
+    - bounds/tag check: 2 ({!Prims.check_cost})
+    - list-cell traversal in [nth]: 2 per step *)
 
 open Dml_lang
 open Dml_mltype
@@ -28,6 +56,13 @@ val initial_fast :
     use the unchecked [mode] table.  Pass
     [Dml_core.Pipeline.degraded_pred report] to keep checks at exactly the
     unproven obligation sites. *)
+
+val initial_costed : ?degraded:(Loc.t -> bool) -> Prims.mode -> Prims.counters -> compiled_env
+(** Like {!initial_fast} with [counters], and every program compiled in
+    this environment charges the cost model above into [counters.cycles].
+    Under [?degraded] the residual checks at degraded sites are executed
+    and counted ([counters.dynamic_checks], plus {!Prims.check_cost}
+    cycles each). *)
 
 exception Match_failure_dml of string
 

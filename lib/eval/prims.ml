@@ -6,7 +6,7 @@ type counters = {
   mutable dynamic_checks : int;
   mutable eliminated_checks : int;
   mutable cycles : int;
-      (* virtual cycles accumulated by the cost-model backend ({!Cycles});
+      (* virtual cycles accumulated by the cost model ({!Compile.initial_costed});
          primitives add their documented costs here when counters are given *)
 }
 
@@ -362,7 +362,3 @@ let value_of_fast = function
 let table mode ?counters () =
   List.map (fun (name, f) -> (name, value_of_fast f)) (fast_table mode ?counters ())
 
-let costed_table mode counters () =
-  List.map
-    (fun (name, f) -> (name, value_of_fast (with_cost counters (flat_cost name) f)))
-    (fast_table mode ~counters ())

@@ -48,11 +48,6 @@ val table : mode -> ?counters:counters -> unit -> (string * Value.t) list
     corresponding counter (used for the "checks eliminated" columns of
     Tables 2 and 3; timing runs omit it). *)
 
-val costed_table : mode -> counters -> unit -> (string * Value.t) list
-(** Like {!table} with [counters], and additionally accumulates each
-    primitive's virtual-cycle cost into [counters.cycles] — used by the
-    cost-model backend ({!Cycles}). *)
-
 val check_cost : int
 (** Virtual cycles per executed bounds/tag check (the documented cost
     model's central constant). *)

@@ -218,10 +218,10 @@ let test_degraded_cost_model () =
   let r = partial_report () in
   let counters = Prims.new_counters () in
   let degraded = Pipeline.degraded_pred r in
-  let env = Cycles.initial_env ~degraded Prims.Unchecked counters in
-  let env = Cycles.run_program env r.Pipeline.rp_tprog in
-  Alcotest.(check bool) "ok = 7" true (Cycles.lookup env "ok" = Value.Vint 7);
-  Alcotest.(check bool) "caught = -1" true (Cycles.lookup env "caught" = Value.Vint (-1));
+  let ce = Compile.initial_costed ~degraded Prims.Unchecked counters in
+  let ce = Compile.run_program ce r.Pipeline.rp_tprog in
+  Alcotest.(check bool) "ok = 7" true (Compile.lookup ce "ok" = Value.Vint 7);
+  Alcotest.(check bool) "caught = -1" true (Compile.lookup ce "caught" = Value.Vint (-1));
   Alcotest.(check int) "residual checks counted" 2 counters.Prims.dynamic_checks;
   Alcotest.(check bool) "residual checks cost cycles" true (counters.Prims.cycles > 0)
 

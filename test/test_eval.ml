@@ -13,16 +13,6 @@ type backend = {
   run : Prims.mode -> ?counters:Prims.counters -> Dml_mltype.Tast.tprogram -> string -> Value.t;
 }
 
-let interp_backend =
-  {
-    b_name = "interp";
-    run =
-      (fun mode ?counters tprog name ->
-        let env = Interp.initial_env (Prims.table mode ?counters ()) in
-        let env = Interp.run_program env tprog in
-        Interp.lookup env name);
-  }
-
 let compiled_backend =
   {
     b_name = "compiled";
@@ -33,7 +23,19 @@ let compiled_backend =
         Compile.lookup ce name);
   }
 
-let backends = [ interp_backend; compiled_backend ]
+(* the cost model: direct primitive calls, every node charging its cycles *)
+let costed_backend =
+  {
+    b_name = "costed";
+    run =
+      (fun mode ?counters tprog name ->
+        let counters = Option.value counters ~default:(Prims.new_counters ()) in
+        let ce = Compile.initial_costed mode counters in
+        let ce = Compile.run_program ce tprog in
+        Compile.lookup ce name);
+  }
+
+let backends = [ compiled_backend; costed_backend ]
 
 let value = Alcotest.testable Value.pp Value.equal
 
@@ -73,7 +75,9 @@ val x = twice inc 5
     {|
 fun adder(n) = fn m => n + m
 val x = adder(10) 32
-|} "x" (Vint 42)
+|} "x" (Vint 42);
+  (* a local binding shadows the primitive of the same name *)
+  both "shadowed primitive" {| val r = let fun abs x = x + 100 in abs 1 end |} "r" (Vint 101)
 
 let test_recursion () =
   both "factorial"
@@ -205,8 +209,8 @@ val result = sumall(array(100, 2))
     backends
 
 let test_backends_agree () =
-  (* quicksort-ish pivot partitioning: a stateful program exercised on both
-     backends must agree *)
+  (* a stateful program: every backend, checked and unchecked, sums the
+     filled array to the same literal, sum of (37i + 11) mod 100 for i < 50 *)
   let src =
     {|
 fun fill(a) = let
@@ -232,11 +236,12 @@ val result = (fill(a); sumall(a))
 |}
   in
   let tprog = typecheck "agree" src in
-  let v1 = interp_backend.run Prims.Checked tprog "result" in
-  let v2 = compiled_backend.run Prims.Checked tprog "result" in
-  let v3 = compiled_backend.run Prims.Unchecked tprog "result" in
-  Alcotest.check value "interp = compiled" v1 v2;
-  Alcotest.check value "checked = unchecked" v1 v3
+  List.iter
+    (fun b ->
+      Alcotest.check value (b.b_name ^ ", checked") (Vint 2475) (b.run Prims.Checked tprog "result");
+      Alcotest.check value (b.b_name ^ ", unchecked") (Vint 2475)
+        (b.run Prims.Unchecked tprog "result"))
+    backends
 
 let test_match_failure () =
   let tprog = typecheck "partial" {|
@@ -248,7 +253,6 @@ val f = head
       let f = b.run Prims.Checked tprog "f" in
       match as_fun f (Vcon ("nil", None)) with
       | _ -> Alcotest.fail "expected a match failure"
-      | exception Interp.Match_failure_dml _ -> ()
       | exception Compile.Match_failure_dml _ -> ())
     backends
 

@@ -12,32 +12,23 @@ let typecheck name src =
   | Ok r -> r.Pipeline.rp_tprog
   | Error msg -> Alcotest.failf "%s: %s" name msg
 
-let run_compiled tprog name =
-  let ce = Compile.initial_fast Prims.Checked () in
-  Compile.lookup (Compile.run_program ce tprog) name
-
-let run_interp tprog name =
-  let env = Interp.initial_env (Prims.table Prims.Checked ()) in
-  Interp.lookup (Interp.run_program env tprog) name
-
 let value = Alcotest.testable Value.pp Value.equal
 
-let both name src binding expected =
-  let tprog = typecheck name src in
-  Alcotest.check value (name ^ " (compiled)") expected (run_compiled tprog binding);
-  Alcotest.check value (name ^ " (interp)") expected (run_interp tprog binding)
+let expect name src binding expected =
+  let ce = Compile.run_program (Compile.initial_fast Prims.Checked ()) (typecheck name src) in
+  Alcotest.check value name expected (Compile.lookup ce binding)
 
 let test_basic () =
-  both "create, read, write" {|
+  expect "create, read, write" {|
 val r = ref 1
 val x = (r := 41; !r + 1)
 |} "x" (Vint 42);
-  both "aliasing" {|
+  expect "aliasing" {|
 val r = ref 0
 val s = r
 val x = (s := 7; !r)
 |} "x" (Vint 7);
-  both "ref of tuple"
+  expect "ref of tuple"
     {|
 val r = ref (1, true)
 val x = (r := (2, false); !r)
@@ -46,7 +37,7 @@ val x = (r := (2, false); !r)
     (Vtuple [ Vint 2; Vbool false ])
 
 let test_closures_over_state () =
-  both "counter"
+  expect "counter"
     {|
 fun counter() = let
   val c = ref 0
@@ -61,7 +52,7 @@ val x = (tick(), tick(), other(), tick())
     (Vtuple [ Vint 1; Vint 2; Vint 1; Vint 3 ])
 
 let test_imperative_loop () =
-  both "imperative sum via ref"
+  expect "imperative sum via ref"
     {|
 fun sumto(n) = let
   val acc = ref 0
@@ -88,7 +79,7 @@ val b = (cell := true :: nil; !cell)
   | Ok _ -> Alcotest.fail "value restriction violated"
 
 let test_monomorphic_cell_is_fine () =
-  both "monomorphic cell"
+  expect "monomorphic cell"
     {|
 val cell = ref nil
 val x = (cell := 1 :: 2 :: nil; list_length (!cell))
@@ -98,7 +89,7 @@ val x = (cell := 1 :: 2 :: nil; list_length (!cell))
 let test_refs_and_dependent_arrays () =
   (* a ref holding an index into an array: the index loses its static
      information through the cell, so sub must be guarded *)
-  both "guarded access through a ref"
+  expect "guarded access through a ref"
     {|
 val a = array(10, 3)
 val idx = ref 0
