@@ -21,7 +21,7 @@ let () =
     report.Pipeline.rp_constraints;
 
   let counters = Prims.new_counters () in
-  let ce = Compile.initial (Prims.table Prims.Unchecked ~counters ()) in
+  let ce = Compile.initial_fast Prims.Unchecked ~counters () in
   let ce = Compile.run_program ce report.Pipeline.rp_tprog in
   let kmp = Compile.lookup ce "kmpMatch" in
 

@@ -46,7 +46,7 @@ let () =
   (* 3. an evaluator with UNCHECKED array access: safe because the checking
      above proved every sub in range *)
   let counters = Prims.new_counters () in
-  let ce = Compile.initial (Prims.table Prims.Unchecked ~counters ()) in
+  let ce = Compile.initial_fast Prims.Unchecked ~counters () in
   let ce = Compile.run_program ce report.Pipeline.rp_tprog in
 
   (* 4. call dotprod on ordinary arrays *)

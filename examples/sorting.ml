@@ -13,7 +13,7 @@ let build source =
   | Error msg -> failwith msg
 
 let evaluator tprog mode counters =
-  let ce = Compile.initial (Prims.table mode ~counters ()) in
+  let ce = Compile.initial_fast mode ~counters () in
   Compile.run_program ce tprog
 
 let () =

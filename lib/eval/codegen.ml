@@ -255,7 +255,8 @@ let rec emit_exp ctx bound (e : Tast.texp) : string =
       let con = if Hashtbl.mem ctx.exns c then mangle_exn c else mangle_con c in
       fmt "(%s (%s))" con (emit_exp ctx bound arg)
   | Tast.TEtuple [] -> "()"
-  | Tast.TEtuple es -> "(" ^ String.concat ", " (List.map (emit_exp ctx bound) es) ^ ")"
+  | Tast.TEtuple es ->
+      in_order ctx bound es (fun txts -> "(" ^ String.concat ", " txts ^ ")")
   | Tast.TEapp (f, a) -> (
       (* saturated primitive applications lower to direct n-ary code, the
          calling convention [Compile]'s fast table models *)
@@ -265,18 +266,21 @@ let rec emit_exp ctx bound (e : Tast.texp) : string =
             let checked = ctx.mode = Prims.Checked || ctx.degraded e.Tast.tloc in
             match (prim_arity x, a.Tast.tdesc) with
             | Some 1, _ -> Some (direct ctx ~checked x [ emit_exp ctx bound a ])
-            | Some 2, Tast.TEtuple [ e1; e2 ] ->
-                Some (direct ctx ~checked x [ emit_exp ctx bound e1; emit_exp ctx bound e2 ])
-            | Some 3, Tast.TEtuple [ e1; e2; e3 ] ->
-                Some
-                  (direct ctx ~checked x
-                     [ emit_exp ctx bound e1; emit_exp ctx bound e2; emit_exp ctx bound e3 ])
+            | Some 2, Tast.TEtuple ([ _; _ ] as es) | Some 3, Tast.TEtuple ([ _; _; _ ] as es) ->
+                Some (in_order ctx bound es (direct ctx ~checked x))
             | _ -> None)
         | _ -> None
       in
       match direct_txt with
       | Some txt -> txt
-      | None -> fmt "(%s %s)" (emit_exp ctx bound f) (emit_exp ctx bound a))
+      | None -> (
+          match a.Tast.tdesc with
+          | Tast.TEtuple (_ :: _ :: _ as es) ->
+              (* a literal tuple argument stays syntactic, so that ocamlopt
+                 passes a tupled function's fields without building the tuple *)
+              in_order ctx bound (f :: es) (fun txts ->
+                  fmt "(%s (%s))" (List.hd txts) (String.concat ", " (List.tl txts)))
+          | _ -> in_order ctx bound [ f; a ] (fun txts -> "(" ^ String.concat " " txts ^ ")")))
   | Tast.TEif (c, t, f) ->
       fmt "(if %s then %s else %s)" (emit_exp ctx bound c) (emit_exp ctx bound t)
         (emit_exp ctx bound f)
@@ -300,6 +304,35 @@ let rec emit_exp ctx bound (e : Tast.texp) : string =
   | Tast.TEraise inner -> fmt "(raise %s)" (emit_exp ctx bound inner)
   | Tast.TEhandle (body, arms) ->
       fmt "(try %s with %s)" (emit_exp ctx bound body) (emit_arms ctx bound arms)
+
+(* Operands in SML's order.  OCaml leaves the order of an application's
+   arguments and a tuple's fields unspecified (ocamlopt runs them right to
+   left), so when two or more operands are not atoms, the non-atoms are
+   let-bound first, in source order.  Atoms have no effects and stay inline,
+   which keeps the proven access sites as [Array.unsafe_get v_a v_i]. *)
+and in_order ctx bound es (k : string list -> string) =
+  let rec atom (e : Tast.texp) =
+    match e.Tast.tdesc with
+    | Tast.TEint _ | Tast.TEbool _ | Tast.TEchar _ | Tast.TEstring _ | Tast.TEvar _
+    | Tast.TEcon (_, _, None) ->
+        true
+    | Tast.TEannot (inner, _) -> atom inner
+    | _ -> false
+  in
+  let txts = List.map (emit_exp ctx bound) es in
+  if List.length (List.filter (fun e -> not (atom e)) es) < 2 then k txts
+  else
+    let lets, args =
+      List.split
+        (List.mapi
+           (fun i (e, txt) ->
+             if atom e then ("", txt)
+             else
+               let v = fmt "dml_o%d" i in
+               (fmt "let %s = %s in " v txt, v))
+           (List.combine es txts))
+    in
+    "(" ^ String.concat "" lets ^ k args ^ ")"
 
 and emit_arms ctx bound arms =
   String.concat " "

@@ -1,9 +1,14 @@
 (** Closure-compiling evaluator — the one evaluator core over [Tast].
 
-    Expressions are compiled once into OCaml closures with variable accesses
-    resolved to list positions; running the program performs no AST traversal
-    or name lookup.  Saturated applications of primitives compile to direct
-    n-ary calls without tuple allocation (a real compiler's calling
+    Expressions are compiled once into OCaml closures; running the program
+    performs no AST traversal or name lookup.  Each activation of a [fn] or
+    a [fun] clause gets one frame, an array with a slot for every parameter
+    and every binder of its body, and each variable access is resolved at
+    compile time to a (nesting depth, slot) pair, or to a cell for
+    top-level and primitive names.  Saturated applications of primitives
+    compile to direct n-ary calls, and a saturated call to a [fun] that is
+    statically known writes its operands straight into the callee's frame:
+    neither allocates the argument tuple (a real compiler's calling
     convention), which is what makes the cost of a bounds check visible in
     the run time.  Operands run in Standard ML's order: function before
     argument, then left to right.
@@ -31,6 +36,8 @@
     - [if], [case], [handle], [andalso], [orelse]: 1
     - tuple: 2 + size; applied constructor: 3
     - [raise]: 2; [let] and type annotations: 0
+    - call to a known [fun]: the nodes it stands for (call 2, variable 1,
+      and tuple 2 + size when the operands form one), charged on entry
     - direct primitive call: nothing beyond the primitive's own work,
       {!Prims.flat_cost} (array access 2, arithmetic 1), which is charged
       for first-class primitive values too
@@ -41,9 +48,6 @@ open Dml_lang
 open Dml_mltype
 
 type compiled_env
-
-val initial : (string * Value.t) list -> compiled_env
-(** Environment from a plain value table; no direct-call optimisation. *)
 
 val initial_fast :
   Prims.mode -> ?counters:Prims.counters -> ?degraded:(Loc.t -> bool) -> unit -> compiled_env

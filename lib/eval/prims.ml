@@ -358,7 +358,3 @@ let value_of_fast = function
   | F3 f ->
       Vfun
         (function Vtuple [ a; b; c ] -> f a b c | _ -> raise (Runtime_error "triple expected"))
-
-let table mode ?counters () =
-  List.map (fun (name, f) -> (name, value_of_fast f)) (fast_table mode ?counters ())
-

@@ -33,20 +33,18 @@ type fast =
   | F3 of (Value.t -> Value.t -> Value.t -> Value.t)
 
 val fast_table : mode -> ?counters:counters -> unit -> (string * fast) list
+(** The primitives of one discipline.  When [counters] is given every
+    access also bumps the corresponding counter (used for the "checks
+    eliminated" columns of Tables 2 and 3; timing runs omit it). *)
 
 val value_of_fast : fast -> Value.t
+(** A primitive as a first-class value, curried on its argument tuple. *)
 
 val flat_cost : string -> int
 (** Virtual-cycle cost of a primitive's own work in the cost model. *)
 
 val with_cost : counters -> int -> fast -> fast
 (** Wrap a primitive so each invocation adds the given virtual-cycle cost. *)
-
-val table : mode -> ?counters:counters -> unit -> (string * Value.t) list
-(** The primitives as ordinary curried-on-tuples values (derived from
-    {!fast_table}).  When [counters] is given every access also bumps the
-    corresponding counter (used for the "checks eliminated" columns of
-    Tables 2 and 3; timing runs omit it). *)
 
 val check_cost : int
 (** Virtual cycles per executed bounds/tag check (the documented cost

@@ -172,6 +172,97 @@ let dml_run _dml_scale =
       Alcotest.(check bool) "the trap was a counted dynamic check" true
         (match r.Codegen.nr_dynamic with Some d -> d > 0 | None -> false)
 
+(* SML evaluates operands left to right; ocamlopt runs an application's
+   arguments right to left.  Two printing operands followed by two raising
+   ones in an application, a direct primitive call, a constructor argument
+   and a tuple: the binary must print and raise exactly what [Compile] does. *)
+let operand_order_src =
+  {|
+exception First
+exception Second
+fun say(s) = (print s; 1)
+fun fail1(x) = if x = 0 then raise First else x
+fun fail2(x) = if x = 0 then raise Second else x
+fun quad(a, b, c, d) = a + b + c + d
+fun run () = let
+  val a = say "1\n" + say "2\n"
+  val b = SOME (say "3\n", say "4\n")
+  val c = (fn x => fn y => x + y) (say "5\n") (say "6\n")
+in
+  quad (say "7\n", say "8\n", fail1 0, fail2 0)
+end
+|}
+
+(* what [f] prints on stdout, and its result *)
+let capture_stdout f =
+  let tmp = Filename.temp_file "dml_stdout" ".txt" in
+  flush stdout;
+  let saved = Unix.dup Unix.stdout in
+  let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  Unix.dup2 fd Unix.stdout;
+  Unix.close fd;
+  let result = Fun.protect f ~finally:(fun () -> flush stdout; Unix.dup2 saved Unix.stdout; Unix.close saved) in
+  let out = In_channel.with_open_bin tmp In_channel.input_all in
+  Sys.remove tmp;
+  (out, result)
+
+let test_operand_order () =
+  let tc = require_toolchain () in
+  let tprog =
+    match Pipeline.check_valid_s (Session.create ()) operand_order_src with
+    | Ok r -> r.Pipeline.rp_tprog
+    | Error msg -> Alcotest.failf "operand order: %s" msg
+  in
+  let host_out, host_exn =
+    capture_stdout (fun () ->
+        let ce = Compile.run_program (Compile.initial_fast Prims.Checked ()) tprog in
+        match Value.as_fun (Compile.lookup ce "run") Value.unit_v with
+        | _ -> "none"
+        | exception Value.Dml_exn (Value.Vcon (c, None)) -> c)
+  in
+  Alcotest.(check string) "host prints in source order" "1\n2\n3\n4\n5\n6\n7\n8\n" host_out;
+  Alcotest.(check string) "host raises the first raising operand" "First" host_exn;
+  let driver =
+    {|
+let dml_run _ = try ignore (v_run ()); "none" with E_First -> "First" | E_Second -> "Second"
+|}
+  in
+  let text =
+    Codegen.emit_executable ~name:"order" ~mode:Prims.Checked ~instrument:true ~driver tprog
+  in
+  let dir = Filename.temp_file "dml_order" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o700;
+  let path f = Filename.concat dir f in
+  Out_channel.with_open_bin (path "main.ml") (fun oc -> output_string oc text);
+  let build =
+    Printf.sprintf "%s > %s 2>&1"
+      (tc.Codegen.tc_compile ~src:(path "main.ml") ~exe:(path "main.exe"))
+      (Filename.quote (path "build.log"))
+  in
+  if Sys.command build <> 0 then Alcotest.failf "operand order: native build failed in %s" dir;
+  if Sys.command (Printf.sprintf "%s 1 > %s" (Filename.quote (path "main.exe")) (Filename.quote (path "out.txt"))) <> 0
+  then Alcotest.failf "operand order: native binary failed in %s" dir;
+  let lines = String.split_on_char '\n' (In_channel.with_open_bin (path "out.txt") In_channel.input_all) in
+  (* the program's own lines sit between the "scale" header and the summary *)
+  let rec body = function
+    | l :: rest when String.starts_with ~prefix:"scale " l -> program rest []
+    | _ :: rest -> body rest
+    | [] -> ([], "")
+  and program lines acc =
+    match lines with
+    | l :: _ when String.starts_with ~prefix:"summary " l ->
+        (List.rev acc, String.sub l 8 (String.length l - 8))
+    | l :: rest -> program rest (l :: acc)
+    | [] -> (List.rev acc, "")
+  in
+  let printed, summary = body lines in
+  Alcotest.(check string) "native prints what the host prints" host_out
+    (String.concat "" (List.map (fun l -> l ^ "\n") printed));
+  Alcotest.(check string) "native raises what the host raises" host_exn summary;
+  Array.iter (fun f -> Sys.remove (path f)) (Sys.readdir dir);
+  Sys.rmdir dir
+
 (* --- mangling and registry ------------------------------------------------ *)
 
 (* the driver snippets hardcode these names; a mangling change must fail
@@ -209,7 +300,11 @@ let () =
             test_degraded_site_keeps_check;
         ] );
       ("differential (native vs host)", differential_tests);
-      ("soundness", [ Alcotest.test_case "oob program traps" `Slow test_oob_traps ]);
+      ( "soundness",
+        [
+          Alcotest.test_case "oob program traps" `Slow test_oob_traps;
+          Alcotest.test_case "operands run in SML order" `Slow test_operand_order;
+        ] );
       ( "api",
         [
           Alcotest.test_case "mangling is stable" `Quick test_mangling;

@@ -13,12 +13,13 @@ type backend = {
   run : Prims.mode -> ?counters:Prims.counters -> Dml_mltype.Tast.tprogram -> string -> Value.t;
 }
 
-let compiled_backend =
+(* the closure instance that run-kernels and Table 3 time *)
+let fast_backend =
   {
-    b_name = "compiled";
+    b_name = "fast";
     run =
       (fun mode ?counters tprog name ->
-        let ce = Compile.initial (Prims.table mode ?counters ()) in
+        let ce = Compile.initial_fast mode ?counters () in
         let ce = Compile.run_program ce tprog in
         Compile.lookup ce name);
   }
@@ -35,7 +36,7 @@ let costed_backend =
         Compile.lookup ce name);
   }
 
-let backends = [ compiled_backend; costed_backend ]
+let backends = [ fast_backend; costed_backend ]
 
 let value = Alcotest.testable Value.pp Value.equal
 
@@ -77,7 +78,93 @@ fun adder(n) = fn m => n + m
 val x = adder(10) 32
 |} "x" (Vint 42);
   (* a local binding shadows the primitive of the same name *)
-  both "shadowed primitive" {| val r = let fun abs x = x + 100 in abs 1 end |} "r" (Vint 101)
+  both "shadowed primitive" {| val r = let fun abs x = x + 100 in abs 1 end |} "r" (Vint 101);
+  (* a primitive passed as a value goes through its curried-on-tuple form *)
+  both "first-class primitive"
+    {|
+fun app1 f a = f a
+fun app2 f (a, i) = f (a, i)
+fun app3 f (a, i, v) = f (a, i, v)
+val a = array(3, 7)
+val x = (app3 updateCK (a, 2, 32); app2 subCK (a, 1) + app2 subCK (a, 2) + app1 length a)
+|}
+    "x" (Vint 42)
+
+(* --- frames and known calls --------------------------------------------------- *)
+
+let test_frames () =
+  both "known function shadowed by a later val"
+    {|
+fun f(a, b) = a - b
+val g = f(10, 3)
+val f = fn (a, b) => a * b
+val h = let fun k(a, b) = a - b val k = fn (a, b) => a + b in k(10, 3) end
+val x = (g, f(10, 3), h)
+|}
+    "x"
+    (Vtuple [ Vint 7; Vint 30; Vint 13 ]);
+  both "known function passed first-class"
+    {|
+fun add(a, b) = a + b
+fun fold(f, acc, l) = case l of nil => acc | y :: ys => fold(f, f(acc, y), ys)
+val x = fold(add, 0, 1 :: 2 :: 3 :: nil) + add(100, 0)
+|}
+    "x" (Vint 106);
+  both "non-literal tuple argument"
+    {|
+fun f(a, b) = a * 10 + b
+val p = (4, 2)
+fun g(q) = f q
+val x = (f p, g (1, 3))
+|}
+    "x"
+    (Vtuple [ Vint 42; Vint 13 ]);
+  both "closures capture their own activation"
+    {|
+fun build(i, acc) =
+  if i = 0 then acc else let val j = i * i in build(i - 1, (fn u => j + u) :: acc) end
+fun callAll(nil, k) = 0
+  | callAll(f :: fs, k) = k * f 0 + callAll(fs, k + 1)
+val x = callAll(build(3, nil), 1)
+|}
+    "x" (Vint 36);
+  both "variables several nestings out"
+    {|
+fun outer(a) = let
+  fun mid(b) = let fun inner(c) = a * 100 + b * 10 + c in inner(3) end
+in
+  mid(2)
+end
+fun l1(a) = let
+  fun l2(b) = let fun l3(c) = let fun l4(d) = a + b + c + d in l4(4000) end in l3(300) end
+in
+  l2(20)
+end
+val x = (outer(1), l1(1), (fn a => fn b => fn c => a * 100 + b * 10 + c) 4 5 6)
+|}
+    "x"
+    (Vtuple [ Vint 123; Vint 4321; Vint 456 ]);
+  both "clause fails inside a nested constructor pattern"
+    {|
+fun pick(SOME (x :: 0 :: _)) = x
+  | pick(SOME (y :: _)) = y * 10
+  | pick(NONE) = ~1
+  | pick(SOME nil) = ~2
+fun firstZero(x :: 0 :: _, k) = x + k
+  | firstZero(y :: _, k) = y * k
+  | firstZero(nil, k) = k
+val x = (pick(SOME (5 :: 7 :: nil)), pick(SOME (5 :: 0 :: nil)), pick(NONE), pick(SOME nil),
+         firstZero(3 :: 1 :: nil, 2), firstZero(3 :: 0 :: nil, 2), firstZero(nil, 2))
+|}
+    "x"
+    (Vtuple [ Vint 50; Vint 5; Vint (-1); Vint (-2); Vint 6; Vint 5; Vint 2 ]);
+  both "handle arm binder"
+    {|
+exception Fail of int
+fun risky(n) = if n > 2 then raise Fail(n * 2) else n
+val x = (risky(5) handle Fail k => k + 1) + (risky(1) handle Fail k => 100)
+|}
+    "x" (Vint 12)
 
 let test_recursion () =
   both "factorial"
@@ -243,6 +330,60 @@ val result = (fill(a); sumall(a))
         (b.run Prims.Unchecked tprog "result"))
     backends
 
+(* Known calls are tail calls: a 2e6-step loop runs in constant stack on both
+   instances, under a stack limit that a non-tail loop of the same depth
+   overflows. *)
+let test_tail_calls () =
+  let tprog =
+    typecheck "tail loops"
+      {|
+fun count(i, n, acc) = if i = n then acc else count(i + 1, n, acc + 2)
+fun down(n) = if n = 0 then 7 else down(n - 1)
+fun deep(n) = if n = 0 then 0 else 1 + deep(n - 1)
+|}
+  in
+  let with_small_stack f =
+    let saved = Gc.get () in
+    Gc.set { saved with Gc.stack_limit = 1 lsl 20 };
+    Fun.protect f ~finally:(fun () -> Gc.set saved)
+  in
+  List.iter
+    (fun b ->
+      let call name v = as_fun (b.run Prims.Unchecked tprog name) v in
+      with_small_stack (fun () ->
+          Alcotest.check value (b.b_name ^ ": tuple loop") (Vint 4000000)
+            (call "count" (Vtuple [ Vint 0; Vint 2000000; Vint 0 ]));
+          Alcotest.check value (b.b_name ^ ": one-argument loop") (Vint 7) (call "down" (Vint 2000000));
+          match call "deep" (Vint 2000000) with
+          | _ -> Alcotest.fail (b.b_name ^ ": the non-tail control did not overflow")
+          | exception Stack_overflow -> ()))
+    backends
+
+(* Cycles of a known-call loop, from the cost table in compile.mli: a known
+   call charges app 2 + var 1 (+ tuple 2+n), on entry.
+   - [loop(10, 0)]: call 2+1+4 with two literal operands = 9; each of the ten
+     stepping iterations: if 1, [i = 0] 1+1+1, call 7, [i - 1] 1+1+1,
+     [acc + i] 1+1+1 = 17; the last: if 1, [i = 0] 3, [acc] 1 = 5.
+     9 + 170 + 5 = 184.
+   - [down(10)]: call 2+1 with one literal = 4; each step: if 1, [n = 0] 3,
+     call 3, [n - 1] 3 = 10; the last: 1 + 3 + 1 = 5.  4 + 100 + 5 = 109. *)
+let test_known_call_cycles () =
+  let cycles src =
+    let counters = Prims.new_counters () in
+    ignore (costed_backend.run Prims.Unchecked ~counters (typecheck "cycles" src) "r");
+    counters.Prims.cycles
+  in
+  Alcotest.(check int) "tuple loop" 184
+    (cycles {|
+fun loop(i, acc) = if i = 0 then acc else loop(i - 1, acc + i)
+val r = loop(10, 0)
+|});
+  Alcotest.(check int) "one-argument loop" 109
+    (cycles {|
+fun down(n) = if n = 0 then 0 else down(n - 1)
+val r = down(10)
+|})
+
 let test_match_failure () =
   let tprog = typecheck "partial" {|
 fun head(x :: _) = x
@@ -268,6 +409,7 @@ let () =
           Alcotest.test_case "case and sequences" `Quick test_case_and_sequence;
           Alcotest.test_case "short circuit" `Quick test_short_circuit;
           Alcotest.test_case "reverse" `Quick test_reverse_runs;
+          Alcotest.test_case "frames and known calls" `Quick test_frames;
         ] );
       ( "checking",
         [
@@ -275,5 +417,7 @@ let () =
           Alcotest.test_case "check counters" `Quick test_counters;
           Alcotest.test_case "backends agree" `Quick test_backends_agree;
           Alcotest.test_case "match failure" `Quick test_match_failure;
+          Alcotest.test_case "tail calls" `Quick test_tail_calls;
+          Alcotest.test_case "known-call cycles" `Quick test_known_call_cycles;
         ] );
     ]

@@ -137,7 +137,18 @@ fun g x = raise A
 fun h x = raise B
 val r = (g 1 + h 1) handle A => 1 | B => 2
 |}
-    "r" (Vint 1)
+    "r" (Vint 1);
+  (* a call to a known [fun] writes its operands into the callee's frame in
+     order: the first operand's effect happens before the second raises *)
+  both "known call operands"
+    {|
+exception Boom
+val log = ref ""
+fun pair(a, b) = a + b
+fun note(v) = (log := !log ^ "first"; v)
+val r = ((pair(note 1, raise Boom)) handle Boom => 0; !log)
+|}
+    "r" (Vstring "first")
 
 let test_uncaught_escapes () =
   let tprog = typecheck "uncaught" {|
