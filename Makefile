@@ -1,4 +1,4 @@
-.PHONY: all check build test fuzz bench-json bench-load bench-gate bench-solver bench-incr bench-native perfbench clean
+.PHONY: all check build test fuzz bench-json bench-load bench-gate bench-solver bench-incr perfbench clean
 
 all: build
 
@@ -48,13 +48,6 @@ bench-solver: build
 # and asserts the reports are byte-identical first.
 bench-incr: build
 	timeout 300 dune exec bench/incr.exe -- --out BENCH_incr.json
-
-# Measured wall-clock Table 3 on compiled native binaries (schema
-# dml-bench/1): each kernel built twice by the codegen backend — all accesses
-# checked vs proven sites unsafe — and timed at paper scale.  Prints a
-# notice and exits 0 when the container has no OCaml compiler.
-bench-native: build
-	timeout 600 dune exec bench/native.exe -- --out BENCH_native.json
 
 # The seeded end-to-end benchmark declared in BENCHMARK.json: every workload
 # once, each printing its one-line JSON result last.  Override the seed and

@@ -19,25 +19,23 @@ module Metrics = Dml_obs.Metrics
 let twin_suffix = ":unannotated"
 
 let read_source path_or_name =
-  match Dml_programs.Programs.find path_or_name with
-  | Some b -> Ok b.Dml_programs.Programs.source
-  | None -> (
-      let n = String.length path_or_name and sn = String.length twin_suffix in
-      let twin =
-        if n > sn && String.sub path_or_name (n - sn) sn = twin_suffix then
-          Dml_programs.Sources_unannotated.find (String.sub path_or_name 0 (n - sn))
-        else None
-      in
-      match twin with
-      | Some t -> Ok t.Dml_programs.Sources_unannotated.u_source
-      | None -> (
+  let open Dml_programs in
+  let twin =
+    if String.ends_with ~suffix:twin_suffix path_or_name then
+      Programs.find (Filename.chop_suffix path_or_name twin_suffix)
+    else None
+  in
+  match (Programs.find path_or_name, twin) with
+  | Some b, _ -> Ok b.Programs.source
+  | None, Some b -> Ok (Programs.unannotated b)
+  | None, None -> (
       try
         let ic = open_in path_or_name in
         let n = in_channel_length ic in
         let s = really_input_string ic n in
         close_in ic;
         Ok s
-      with Sys_error msg -> Error msg))
+      with Sys_error msg -> Error msg)
 
 let exit_err msg =
   prerr_endline msg;
@@ -87,7 +85,7 @@ let solve_config =
     Arg.(value & opt (some int) None & info [ "max-elim" ] ~docv:"N" ~doc)
   in
   let escalate =
-    let doc = "Retry unproven goals with stronger methods (fm-plain, fm, simplex) \
+    let doc = "Retry unproven goals with stronger methods (fm-plain, then fm) \
                under the remaining budget." in
     Arg.(value & flag & info [ "escalate" ] ~doc)
   in

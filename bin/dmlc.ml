@@ -225,10 +225,7 @@ let batch_cmd =
     in
     let named_twins =
       if all_unannot then
-        List.map
-          (fun (t : Dml_programs.Sources_unannotated.twin) ->
-            t.Dml_programs.Sources_unannotated.u_name ^ twin_suffix)
-          Dml_programs.Sources_unannotated.all
+        List.map (fun b -> b.Dml_programs.Programs.name ^ twin_suffix) Dml_programs.Programs.all
       else []
     in
     let targets = named @ named_twins @ files in
@@ -550,6 +547,10 @@ let pooled_rows ~jobs ~row_of_benchmark =
        | Ok row -> row
        | Error e -> Error (Dml_par.Pool.error_to_string e))
 
+(* like [batch]: the table is printed in full, then a failed row fails the
+   command *)
+let exit_if_failed rows = if List.exists Result.is_error rows then exit 1
+
 let table1_cmd =
   let run infer jobs obs =
     let rows, sink =
@@ -595,7 +596,8 @@ let table1_cmd =
     else begin
       Dml_programs.Tables.print_table1_rows Format.std_formatter rows;
       profile_text obs
-    end
+    end;
+    exit_if_failed rows
   in
   Cmd.v
     (Cmd.info "table1" ~doc:"Regenerate the paper's Table 1 (--infer adds the \
@@ -651,7 +653,8 @@ let table23_cmd =
     else begin
       Dml_programs.Tables.print_table23_rows Format.std_formatter backend ~scale rows;
       profile_text obs
-    end
+    end;
+    exit_if_failed rows
   in
   (* the enum maps to registry keys, not Backend.t values: backend records
      hold closures, which cmdliner's structural-equality printer would choke

@@ -36,8 +36,9 @@ type solve_config = Session.solve_config = {
   sc_method : Solver.method_;  (** first (or only) method tried per goal *)
   sc_lane : Solver.lane;  (** machine-int fast path vs bignum arithmetic *)
   sc_escalate : bool;
-      (** retry unproven goals along {!Solver.default_ladder} under the
-          remaining budget *)
+      (** retry an unproven goal under the remaining budget: [sc_method]
+          first, then the other rungs of {!Solver.default_ladder} (fm-plain,
+          then fm); simplex runs only when it is [sc_method] *)
   sc_fuel : int option;  (** abstract work units per obligation *)
   sc_timeout_ms : int option;  (** wall-clock deadline per obligation *)
   sc_max_eliminations : int option;

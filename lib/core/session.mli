@@ -30,8 +30,9 @@ type solve_config = {
           {!Solver.Lane_auto}, native-first).  Folded into the options
           fingerprint only when forced away from the default. *)
   sc_escalate : bool;
-      (** retry unproven goals along {!Solver.default_ladder} under the
-          remaining budget *)
+      (** retry an unproven goal under the remaining budget: [sc_method]
+          first, then the other rungs of {!Solver.default_ladder} (fm-plain,
+          then fm); simplex runs only when it is [sc_method] *)
   sc_fuel : int option;  (** abstract work units per obligation *)
   sc_timeout_ms : int option;  (** wall-clock deadline per obligation *)
   sc_max_eliminations : int option;

@@ -9,8 +9,8 @@
     reports the paired timings plus eliminated/residual check counts.
 
     All backends are registered here, in one place, at module
-    initialization; [Tables], [dmlc table23] and [bench-native] consume the
-    registry uniformly instead of switching on a variant. *)
+    initialization; [Tables] and [dmlc table23] consume the registry
+    uniformly instead of switching on a variant. *)
 
 type exec = { lookup : string -> Value.t }
 (** A running program: entry points by name.  [Dml_programs.Workloads.exec]

@@ -26,3 +26,10 @@ module Equal : sig
   val top : Ast.top -> Ast.top -> bool
   val program : Ast.program -> Ast.program -> bool
 end
+
+val erase : Ast.program -> Ast.program
+(** The plain ML program a DML program refines: every [where ... <| ...]
+    on a [fun] or [val], every explicit [('a){n:nat}] parameter list and
+    every [(e : t)] annotation dropped.  Top-level [type], [assert],
+    [datatype] and [typeref] declarations are library signatures and are
+    kept.  Idempotent. *)

@@ -13,6 +13,9 @@ type benchmark = {
   description : string;
   workload_note : string;  (** paper workload → ours *)
   source : string;
+  driver : string;
+      (** concrete top-level calls that exercise the program on inputs of
+          known size; appended to its erasure by {!unannotated} *)
   in_tables : bool;  (** appears in the paper's Tables 1–3 *)
   run : Workloads.exec -> scale:int -> string;
   paper_alpha : paper_row;  (** Table 2: DEC Alpha / SML-NJ *)
@@ -24,3 +27,8 @@ val all : benchmark list
 
 val table_benchmarks : benchmark list
 val find : string -> benchmark option
+
+val unannotated : benchmark -> string
+(** The benchmark's unannotated twin, the corpus [--infer] is measured
+    against: {!Dml_lang.Pretty.erase} of [source], printed, then [driver].
+    Derived on each call. *)

@@ -16,39 +16,30 @@ type t1_row = {
 
 (* an ephemeral per-row session: table rows are deliberately checked cold,
    so one benchmark's verdicts never warm another's timings *)
-let check_cold ?(method_ = Dml_solver.Solver.Fm_tightened) src =
+let cold_session ?(method_ = Dml_solver.Solver.Fm_tightened) ~infer () =
   let options =
     {
       Session.default_options with
       Session.op_solve = { Session.default_solve_config with Session.sc_method = method_ };
+      op_infer = infer;
     }
   in
-  Pipeline.check_s (Session.create ~options ()) src
+  Session.create ~options ()
+
+let check_cold ?method_ src = Pipeline.check_s (cold_session ?method_ ~infer:false ()) src
 
 (* Residual bound checks when the benchmark's *unannotated twin* is checked
    under qualifier inference, cold like the annotated row.  0 means parity
    with the annotated column (every site the annotations prove, inference
    proves too); an [Error] records a front-end failure or an abandoned
    fixpoint rather than disqualifying the annotated row. *)
-let inferred_residual ?(method_ = Dml_solver.Solver.Fm_tightened) (b : Programs.benchmark) =
-  match Sources_unannotated.find b.Programs.name with
-  | None -> None
-  | Some twin ->
-      let options =
-        {
-          Session.default_options with
-          Session.op_solve = { Session.default_solve_config with Session.sc_method = method_ };
-          op_infer = true;
-        }
-      in
-      let session = Session.create ~options () in
-      Some
-        (match Dml_infer.Engine.check_s session twin.Sources_unannotated.u_source with
-        | Error f -> Error (Pipeline.failure_to_string f)
-        | Ok oc -> (
-            match oc.Dml_infer.Engine.oc_abandoned with
-            | Some why -> Error ("abandoned: " ^ why)
-            | None -> Ok oc.Dml_infer.Engine.oc_report.Pipeline.rp_residual))
+let inferred_residual ?method_ (b : Programs.benchmark) =
+  match Dml_infer.Engine.check_s (cold_session ?method_ ~infer:true ()) (Programs.unannotated b) with
+  | Error f -> Error (Pipeline.failure_to_string f)
+  | Ok oc -> (
+      match oc.Dml_infer.Engine.oc_abandoned with
+      | Some why -> Error ("abandoned: " ^ why)
+      | None -> Ok oc.Dml_infer.Engine.oc_report.Pipeline.rp_residual)
 
 let table1_row ?method_ ?(infer = false) (b : Programs.benchmark) =
   match check_cold ?method_ b.Programs.source with
@@ -65,7 +56,7 @@ let table1_row ?method_ ?(infer = false) (b : Programs.benchmark) =
             t1_annotations = r.Pipeline.rp_annotations;
             t1_annotation_lines = r.Pipeline.rp_annotation_lines;
             t1_code_lines = r.Pipeline.rp_code_lines;
-            t1_inferred = (if infer then inferred_residual ?method_ b else None);
+            t1_inferred = (if infer then Some (inferred_residual ?method_ b) else None);
           }
 
 let table1 ?infer () = List.map (fun b -> table1_row ?infer b) Programs.table_benchmarks

@@ -17,9 +17,10 @@ type t1_row = {
   t1_code_lines : int;
   t1_inferred : (int, string) result option;
       (** residual bound checks when the benchmark's unannotated twin
-          ({!Sources_unannotated}) is checked under qualifier inference —
-          [Ok 0] is parity with the annotated column; [None] when the
-          inferred column was not requested or no twin exists *)
+          ({!Programs.unannotated}: its source with the annotations erased,
+          plus its driver) is checked under qualifier inference — [Ok 0] is
+          parity with the annotated column; [None] when the inferred column
+          was not requested *)
 }
 
 val table1_row :

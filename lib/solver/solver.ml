@@ -348,7 +348,7 @@ let check_goal_status ~method_ ?(lane = Lane_auto) ?stats ?budget ?cache goal =
 let check_goal ?(method_ = Fm_tightened) ?lane ?stats ?budget ?cache goal =
   fst (check_goal_status ~method_ ?lane ?stats ?budget ?cache goal)
 
-let default_ladder = [ Fm_plain; Fm_tightened; Simplex_rational ]
+let default_ladder = [ Fm_plain; Fm_tightened ]
 
 (* Prefer the verdict carrying the most information when nothing proves the
    goal: a concrete refutation beats a timeout beats "unsupported". *)

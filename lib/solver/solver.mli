@@ -103,10 +103,11 @@ val check_goal :
     records the computed verdict for later calls. *)
 
 val default_ladder : method_ list
-(** The escalation order [Fm_plain; Fm_tightened; Simplex_rational]: try the
-    cheap plain elimination first, then the paper's tightened rule, then the
-    rational simplex whose polynomial pivoting survives systems on which the
-    elimination blows up. *)
+(** The escalation order [Fm_plain; Fm_tightened]: try the cheap plain
+    elimination first, then the paper's tightened rule.  Rational simplex
+    decides the same rational feasibility as [Fm_plain], so it is no rung
+    of its own; a ladder headed by an explicit method (e.g. [--solver
+    simplex]) tries that method first and then these. *)
 
 val check_goal_escalating :
   ?ladder:method_ list ->

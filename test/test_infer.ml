@@ -4,7 +4,6 @@
 
 open Dml_core
 module Engine = Dml_infer.Engine
-module Sources_unannotated = Dml_programs.Sources_unannotated
 module Programs = Dml_programs.Programs
 
 let session ?(options = Session.default_options) () = Session.create ~options ()
@@ -51,8 +50,9 @@ let test_dotprod_smoke () =
 
 (* --- the inferred-vs-annotated oracle -------------------------------------- *)
 
-(* Residual sites no annotation-free program can avoid — each twin below is
-   allowed exactly these, and nothing else:
+(* The inference outcome per twin, pinned: (residual sites, constraints,
+   liquid variables, weakening rounds, qualifiers tested, qualifiers kept).
+   A nonzero residual is a site no annotation-free program can avoid:
    - "matrix mult" (2): the driver builds rows with [array(8, array(8, 1))],
      and the elaborator instantiates the element type variable covariantly,
      which erases the inner length index (the [3 :: nil : int list] rule) —
@@ -63,49 +63,69 @@ let test_dotprod_smoke () =
      level, so the synthesized template for [computePrefix] cannot restate
      the element refinement; the one residual site is a [subPrefixCK] call
      that performs its own runtime check by design. *)
-let known_residual = [ ("matrix mult", 2); ("kmp", 1) ]
+let pinned =
+  [
+    ("bcopy", (0, 20, 5, 6, 346, 92));
+    ("binary search", (0, 9, 5, 7, 338, 57));
+    ("bubble sort", (0, 14, 6, 9, 470, 53));
+    ("matrix mult", (2, 24, 14, 10, 1332, 93));
+    ("queen", (0, 19, 10, 17, 994, 54));
+    ("quick sort", (0, 22, 11, 14, 1102, 92));
+    ("hanoi towers", (0, 17, 14, 50, 3424, 191));
+    ("list access", (0, 20, 5, 22, 1073, 42));
+    ("dotprod", (0, 8, 7, 7, 375, 49));
+    ("reverse", (0, 10, 5, 9, 322, 26));
+    ("filter", (0, 10, 2, 9, 204, 9));
+    ("kmp", (1, 34, 10, 12, 1011, 75));
+  ]
 
 let test_oracle () =
+  Alcotest.(check (list string)) "one pin per program"
+    (List.map (fun (b : Programs.benchmark) -> b.Programs.name) Programs.all)
+    (List.map fst pinned);
   List.iter
     (fun (b : Programs.benchmark) ->
       let name = b.Programs.name in
-      match Sources_unannotated.find name with
-      | None -> Alcotest.failf "%s: no unannotated twin" name
-      | Some t ->
-          (* baseline: the annotated original proves every site *)
-          let annotated =
-            match Pipeline.check_s (session ()) b.Programs.source with
-            | Error f -> Alcotest.failf "%s annotated: %s" name (Pipeline.failure_to_string f)
-            | Ok r ->
-                if not r.Pipeline.rp_valid then
-                  Alcotest.failf "%s annotated left residual sites: %s" name (render_unproven r);
-                r
-          in
-          let oc =
-            match Engine.check_s (session ()) t.Sources_unannotated.u_source with
-            | Error f -> Alcotest.failf "%s twin: %s" name (Pipeline.failure_to_string f)
-            | Ok oc -> oc
-          in
-          (match oc.Engine.oc_abandoned with
-          | Some why -> Alcotest.failf "%s: inference abandoned (%s)" name why
-          | None -> ());
-          let r = oc.Engine.oc_report in
-          (* the twins really are stripped: no annotations at all, except
-             kmp's retained library [type]/[assert] signatures, which must
-             still be fewer than the original's *)
-          if String.equal name "kmp" then
-            Alcotest.(check bool)
-              (name ^ " twin strictly less annotated") true
-              (r.Pipeline.rp_annotations < annotated.Pipeline.rp_annotations)
-          else Alcotest.(check int) (name ^ " twin is annotation-free") 0 r.Pipeline.rp_annotations;
-          Alcotest.(check bool) (name ^ " synthesized templates") true
-            (oc.Engine.oc_stats.Engine.st_liquid_vars > 0);
-          let allowed =
-            match List.assoc_opt name known_residual with Some n -> n | None -> 0
-          in
-          if r.Pipeline.rp_residual > allowed then
-            Alcotest.failf "%s: %d residual site(s), %d allowed: %s" name r.Pipeline.rp_residual
-              allowed (render_unproven r))
+      (* baseline: the annotated original proves every site *)
+      let annotated =
+        match Pipeline.check_s (session ()) b.Programs.source with
+        | Error f -> Alcotest.failf "%s annotated: %s" name (Pipeline.failure_to_string f)
+        | Ok r ->
+            if not r.Pipeline.rp_valid then
+              Alcotest.failf "%s annotated left residual sites: %s" name (render_unproven r);
+            r
+      in
+      let oc =
+        match Engine.check_s (session ()) (Programs.unannotated b) with
+        | Error f -> Alcotest.failf "%s twin: %s" name (Pipeline.failure_to_string f)
+        | Ok oc -> oc
+      in
+      (match oc.Engine.oc_abandoned with
+      | Some why -> Alcotest.failf "%s: inference abandoned (%s)" name why
+      | None -> ());
+      let r = oc.Engine.oc_report in
+      (* the twins really are stripped: no annotations at all, except
+         kmp's retained library [type]/[assert] signatures, which must
+         still be fewer than the original's *)
+      if String.equal name "kmp" then
+        Alcotest.(check bool)
+          (name ^ " twin strictly less annotated") true
+          (r.Pipeline.rp_annotations < annotated.Pipeline.rp_annotations)
+      else Alcotest.(check int) (name ^ " twin is annotation-free") 0 r.Pipeline.rp_annotations;
+      let residual, constraints, liquid, iterations, tested, kept = List.assoc name pinned in
+      if r.Pipeline.rp_residual <> residual then
+        Alcotest.failf "%s: %d residual site(s), %d pinned: %s" name r.Pipeline.rp_residual
+          residual (render_unproven r);
+      let st = oc.Engine.oc_stats in
+      List.iter
+        (fun (what, pin, got) -> Alcotest.(check int) (name ^ " " ^ what) pin got)
+        [
+          ("constraints", constraints, r.Pipeline.rp_constraints);
+          ("liquid vars", liquid, st.Engine.st_liquid_vars);
+          ("iterations", iterations, st.Engine.st_iterations);
+          ("qualifiers tested", tested, st.Engine.st_quals_tested);
+          ("qualifiers kept", kept, st.Engine.st_quals_kept);
+        ])
     Programs.all
 
 (* --- soundness under vocabulary subsetting --------------------------------- *)
@@ -154,9 +174,9 @@ let test_budget_degrades () =
   in
   match
     Engine.check_s (session ~options ())
-      (match Sources_unannotated.find "bubble sort" with
-      | Some t -> t.Sources_unannotated.u_source
-      | None -> Alcotest.fail "bubble sort twin missing")
+      (match Programs.find "bubble sort" with
+      | Some b -> Programs.unannotated b
+      | None -> Alcotest.fail "bubble sort missing")
   with
   | Error f -> Alcotest.failf "front end failed: %s" (Pipeline.failure_to_string f)
   | Ok oc ->

@@ -74,7 +74,7 @@ let test_lexer_int_overflow () =
 let corpus =
   Dml_core.Basis.source
   :: List.map (fun b -> b.Dml_programs.Programs.source) Dml_programs.Programs.all
-  @ List.map (fun t -> t.Dml_programs.Sources_unannotated.u_source) Dml_programs.Sources_unannotated.all
+  @ List.map Dml_programs.Programs.unannotated Dml_programs.Programs.all
 
 (* Byte offset of a position, given the offsets at which lines start. *)
 let offset starts (p : Loc.pos) = starts.(p.Loc.line - 1) + p.Loc.col - 1

@@ -308,6 +308,26 @@ let test_escalations_not_counted_on_hits () =
   Alcotest.(check int) "every rung was a cache hit" 0 s2.Solver.cache_misses;
   Alcotest.(check bool) "cache hits were recorded" true (s2.Solver.cache_hits >= 1)
 
+(* --- the default ladder has two rungs ------------------------------------------ *)
+
+(* [x <= 2 |- x <= 1] fails at x = 2 under every method, so the ladder
+   climbs from fm-plain to fm and stops there: one escalation. *)
+let test_not_valid_escalates_once () =
+  let x = Ivar.fresh "x" in
+  let g =
+    let open Idx in
+    {
+      Constr.goal_vars = [ (x, Sint) ];
+      goal_hyps = [ Bcmp (Rle, Ivar x, Iconst 2) ];
+      goal_concl = Bcmp (Rle, Ivar x, Iconst 1);
+    }
+  in
+  let stats = Solver.new_stats () in
+  (match Solver.check_goal_escalating ~stats g with
+  | Solver.Not_valid _ -> ()
+  | v -> Alcotest.failf "expected not valid, got %a" Solver.pp_verdict v);
+  Alcotest.(check int) "one escalation: fm-plain to fm" 1 stats.Solver.escalations
+
 (* --- regression: overflow escalations are not ladder escalations ------------ *)
 
 (* The two counters answer different questions — "did a weaker method fail?"
@@ -438,6 +458,8 @@ let () =
             test_tier_stable_under_clock;
           Alcotest.test_case "cache hits are not escalations" `Quick
             test_escalations_not_counted_on_hits;
+          Alcotest.test_case "a not-valid goal escalates once" `Quick
+            test_not_valid_escalates_once;
           Alcotest.test_case "overflow escalations are not ladder escalations" `Quick
             test_overflow_escalations_separate;
           Alcotest.test_case "pair refutations counted on every surface" `Quick

@@ -1,6 +1,7 @@
 (* Round-trip tests for the pretty-printer: parse, print, re-parse, compare
    structurally.  Exercised on every bundled program (including the basis)
-   and on randomly generated expressions. *)
+   and on randomly generated expressions.  Then the erasure to plain ML that
+   the unannotated twins are built from. *)
 
 open Dml_lang
 
@@ -164,10 +165,115 @@ let prop_stype_roundtrip =
          | reparsed -> Pretty.Equal.stype t reparsed
          | exception _ -> false))
 
+(* --- erasure ----------------------------------------------------------------------- *)
+
+let parse name src =
+  try Parser.parse_program src
+  with Parser.Error (msg, loc) -> Alcotest.failf "%s: parse: %s at %s" name msg (Loc.to_string loc)
+
+let check_program what expected got =
+  if not (Pretty.Equal.program expected got) then
+    Alcotest.failf "%s\n--- expected:\n%s--- got:\n%s" what (Pretty.program_to_string expected)
+      (Pretty.program_to_string got)
+
+(* one of each annotation form, and the library declarations that stay *)
+let test_erase_constructs () =
+  let dml =
+    {|
+type pos = [i:int | 0 < i] int(i)
+
+assert mkpos <| int -> pos
+
+fun('a){n:nat} fill(a, x) = let
+  fun loop(i) = if i < length a then (update(a, i, x); loop(i+1)) else ()
+  where loop <| {i:nat} int(i) -> unit
+  val start = (0 : int(0))
+in
+  loop(start)
+end
+where fill <| 'a array(n) * 'a -> unit
+
+val three = 3 where three <| int(3)
+|}
+  and ml =
+    {|
+type pos = [i:int | 0 < i] int(i)
+
+assert mkpos <| int -> pos
+
+fun fill(a, x) = let
+  fun loop(i) = if i < length a then (update(a, i, x); loop(i+1)) else ()
+  val start = 0
+in
+  loop(start)
+end
+
+val three = 3
+|}
+  in
+  check_program "erasure" (parse "ml" ml) (Pretty.erase (parse "dml" dml))
+
+(* The ML schemes of a program's top-level bindings, after the basis. *)
+let top_level_schemes prog =
+  let open Dml_mltype in
+  let env, _, _ = Dml_core.Prelude.start (Dml_core.Prelude.get ()) prog in
+  List.concat_map
+    (function
+      | Ast.Tdec { Ast.ddesc = Ast.Dval (p, _, _); _ } -> Ast.pat_vars p
+      | Ast.Tdec { Ast.ddesc = Ast.Dfun fs; _ } -> List.map (fun f -> f.Ast.fname) fs
+      | _ -> [])
+    prog
+  |> List.map (fun x -> (x, Infer.SMap.find x env.Infer.vals))
+
+(* [s] with its quantified variables renamed in order of occurrence, so an
+   annotation's ['a] prints like an inferred ['_0] *)
+let canonical s =
+  let open Dml_mltype in
+  Format.asprintf "%a" Mltype.pp_scheme (Mltype.generalize ~level:0 (Mltype.instantiate ~level:1 s))
+
+(* [specific] is an instance of [general]: its quantified variables held
+   rigid, it unifies with a fresh instance of [general] *)
+let instance_of ~general specific =
+  let open Dml_mltype in
+  match Mltype.unify (Mltype.instantiate ~level:1 general) specific.Mltype.sbody with
+  | () -> true
+  | exception Mltype.Unify_error _ -> false
+
+(* Bindings whose annotation fixes a type that ML inference alone leaves
+   polymorphic: bcopy's arrays are [int array], binary search's key and
+   element types are one ['a].  Every other binding keeps its exact type. *)
+let generalised_by_erasure = [ "bcopy"; "bsearch" ]
+
+(* Over the whole corpus: erasure is idempotent, its printed form re-parses
+   to the same program, and ML inference gives every top-level binding of
+   the erased program a type of which the annotated one is an instance
+   (DML is a conservative extension of ML: annotations only refine). *)
+let erasure_cases =
+  List.map
+    (fun (b : Dml_programs.Programs.benchmark) ->
+      let name = b.Dml_programs.Programs.name in
+      Alcotest.test_case name `Quick (fun () ->
+          let p = parse name b.Dml_programs.Programs.source in
+          let e = Pretty.erase p in
+          check_program "idempotent" e (Pretty.erase e);
+          check_program "printed erasure re-parses" e (parse name (Pretty.program_to_string e));
+          List.iter2
+            (fun (x, annotated) (x', erased) ->
+              Alcotest.(check string) "same bindings" x x';
+              if List.mem x generalised_by_erasure then
+                Alcotest.(check bool) (x ^ ": annotated type is an instance") true
+                  (instance_of ~general:erased annotated)
+              else
+                Alcotest.(check string) (x ^ ": same ML type") (canonical annotated)
+                  (canonical erased))
+            (top_level_schemes p) (top_level_schemes e)))
+    Dml_programs.Programs.all
+
 let () =
   Alcotest.run "pretty"
     [
       ("programs round-trip", program_cases);
       ("basis", [ Alcotest.test_case "basis round-trip" `Quick test_basis ]);
       ("properties", [ prop_exp_roundtrip; prop_stype_roundtrip ]);
+      ("erasure", Alcotest.test_case "each construct" `Quick test_erase_constructs :: erasure_cases);
     ]
