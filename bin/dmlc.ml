@@ -1,7 +1,9 @@
 (* dmlc: the command-line driver.
 
    - [dmlc check FILE]       type check a program (phases 1 and 2 + solving)
-   - [dmlc batch FILE...]    check many programs against one shared verdict cache
+   - [dmlc batch FILE...]    check many programs through [Dml_par.Runner], in
+                             process against one shared verdict cache or on a
+                             worker pool
    - [dmlc constraints FILE] print every generated constraint with its verdict
    - [dmlc run FILE NAME]    evaluate a program and print a binding
    - [dmlc table1]           regenerate the paper's Table 1
@@ -138,84 +140,41 @@ let check_cmd =
 
 (* --- batch ------------------------------------------------------------------ *)
 
-(* Check many programs against one shared verdict cache: the basis (and any
-   goals shared between programs) is solved once, every later occurrence is
-   a cache hit.  Per-program rows and per-pass aggregates expose the
-   amortization; [--repeat 2] shows the fully warm behaviour. *)
-(* The parallel batch path: resolve sources in the parent, shard across a
-   worker pool, print/emit rows in input order.  The JSON document contains
-   only schedule-independent fields, so it is byte-identical across -j
-   widths; the text table keeps the volatile timing/cache columns. *)
-let batch_parallel ~config ~cache_spec ~jobs ~shard ~repeat ~infer ~obs targets =
-  let jobs_n = if jobs <= 0 then Dml_par.Pool.cpu_count () else jobs in
-  let options =
-    session_options ~jobs:jobs_n ~shard_obligations:shard ~infer ~solve:config ~cache_spec ()
-  in
-  let resolved =
-    List.map
-      (fun name -> { Dml_par.Runner.tg_name = name; tg_source = read_source name })
-      targets
-  in
-  let failures = ref 0 in
-  let passes = ref [] in
-  let (), sink =
-    with_sink obs (fun () ->
-        for pass = 1 to repeat do
-          if repeat > 1 && not obs.ob_json then
-            Format.printf "--- pass %d/%d ---@." pass repeat;
-          let rows = Dml_par.Runner.check_targets_s options resolved in
-          passes := rows :: !passes;
-          if not obs.ob_json then begin
-            Format.printf "%-16s %-10s %5s %6s %6s %6s %9s %9s@." "program" "status" "cons"
-              "goals" "hits" "miss" "solve(s)" "gen(s)";
-            let agg_goals = ref 0 and agg_fail = ref 0 in
-            List.iter
-              (fun (r : Dml_par.Runner.row) ->
-                match r.Dml_par.Runner.row_result with
-                | Error msg ->
-                    incr agg_fail;
-                    Format.printf "%-16s %-10s %s@." r.Dml_par.Runner.row_name "failed" msg
-                | Ok s ->
-                    let status =
-                      if s.Dml_par.Runner.sm_valid then "valid"
-                      else Printf.sprintf "resid:%d" s.Dml_par.Runner.sm_residual
-                    in
-                    agg_goals := !agg_goals + s.Dml_par.Runner.sm_goals;
-                    Format.printf "%-16s %-10s %5d %6d %6d %6d %9.4f %9.4f@."
-                      r.Dml_par.Runner.row_name status s.Dml_par.Runner.sm_constraints
-                      s.Dml_par.Runner.sm_goals s.Dml_par.Runner.sm_cache_hits
-                      s.Dml_par.Runner.sm_cache_misses s.Dml_par.Runner.sm_solve_s
-                      s.Dml_par.Runner.sm_gen_s)
-              rows;
-            Format.printf "pass %d: %d program(s), %d failed; goals=%d; jobs=%d%s@." pass
-              (List.length rows) !agg_fail !agg_goals jobs_n
-              (if shard then " (obligation-sharded)" else "")
-          end;
-          List.iter
-            (fun (r : Dml_par.Runner.row) ->
-              if Result.is_error r.Dml_par.Runner.row_result then incr failures)
-            rows
-        done)
-  in
-  ignore sink;
-  if obs.ob_json then begin
-    let doc =
-      Dml_par.Runner.batch_json
-        ?schema:(if infer then Some "dml-batch/2" else None)
-        ~passes:(List.rev !passes) ()
-    in
-    (* --profile opts into volatile figures, forfeiting byte-stability *)
-    let doc =
-      if obs.ob_profile then
-        match doc with
-        | J.Obj fields -> J.Obj (fields @ [ ("metrics", Metrics.to_json ()) ])
-        | d -> d
-      else doc
-    in
-    emit_json doc
-  end
-  else profile_text obs;
-  if !failures > 0 then exit 1
+(* Check many programs.  Every row comes from [Dml_par.Runner]: in process
+   against one session, whose verdict cache is shared by every program and
+   every [--repeat] pass (the basis and any shared goal are solved once), or
+   sharded across a worker pool under -j / --shard-obligations.  Rows are
+   printed and emitted in input order.  The JSON document holds only
+   schedule-independent fields unless --profile adds the volatile ones, so
+   it is byte-identical whatever the execution site; the text table always
+   shows the timing and cache columns. *)
+module Runner = Dml_par.Runner
+
+let print_batch_pass ~pass ~mode ~shard rows =
+  Format.printf "%-16s %-10s %5s %6s %6s %6s %9s %9s@." "program" "status" "cons" "goals"
+    "hits" "miss" "solve(s)" "gen(s)";
+  List.iter
+    (fun (r : Runner.row) ->
+      match r.Runner.row_result with
+      | Error msg -> Format.printf "%-16s %-10s %s@." r.Runner.row_name "failed" msg
+      | Ok s ->
+          let status =
+            if s.Runner.sm_valid then "valid" else Printf.sprintf "resid:%d" s.Runner.sm_residual
+          in
+          Format.printf "%-16s %-10s %5d %6d %6d %6d %9.4f %9.4f@." r.Runner.row_name status
+            s.Runner.sm_constraints s.Runner.sm_goals s.Runner.sm_cache_hits
+            s.Runner.sm_cache_misses s.Runner.sm_solve_s s.Runner.sm_gen_s)
+    rows;
+  let a = Runner.aggregate rows in
+  Format.printf
+    "pass %d: %d program(s), %d failed; goals=%d solver-calls=%d cache-hits=%d (%.1f%% hit \
+     rate); solve=%.4fs lookup=%.4fs%s@."
+    pass a.Runner.ag_programs a.Runner.ag_failed a.Runner.ag_goals a.Runner.ag_solver_calls
+    a.Runner.ag_cache_hits (Runner.hit_rate_pct a) a.Runner.ag_solve_s a.Runner.ag_lookup_s
+    (match mode with
+    | Runner.Sequential -> ""
+    | Runner.Workers n ->
+        Printf.sprintf "; jobs=%d%s" n (if shard then " (obligation-sharded)" else ""))
 
 let batch_cmd =
   let run config cache_spec jobs shard all all_unannot repeat infer obs files =
@@ -231,151 +190,61 @@ let batch_cmd =
     let targets = named @ named_twins @ files in
     if targets = [] then exit_err "batch: no programs given (pass FILE... or --all)";
     if repeat < 1 then exit_err "batch: --repeat must be at least 1";
-    if jobs <> None || shard then
-      batch_parallel ~config ~cache_spec
-        ~jobs:(Option.value jobs ~default:0)
-        ~shard ~repeat ~infer ~obs targets
-    else begin
+    let options =
+      session_options ?jobs ~shard_obligations:shard ~infer ~solve:config ~cache_spec ()
+    in
+    let mode = Runner.mode_of options in
+    (* the in-process session; pooled workers build their own *)
     let session =
-      Session.create ~options:(session_options ~infer ~solve:config ~cache_spec ()) ()
+      match mode with
+      | Runner.Sequential -> Some (Session.create ~options ())
+      | Runner.Workers _ -> None
     in
-    let cache = Session.cache session in
-    let failures = ref 0 in
-    let pass_docs = ref [] in
-    let (), sink =
-      with_sink obs (fun () ->
-          for pass = 1 to repeat do
-            if repeat > 1 && not obs.ob_json then Format.printf "--- pass %d/%d ---@." pass repeat;
-            if not obs.ob_json then
-              Format.printf "%-16s %-10s %5s %6s %6s %6s %9s %9s@." "program" "status" "cons"
-                "goals" "hits" "miss" "solve(s)" "gen(s)";
-            let agg_goals = ref 0 and agg_hits = ref 0 and agg_misses = ref 0 in
-            let agg_solves = ref 0 and agg_fail = ref 0 in
-            let agg_solve = ref 0. and agg_lookup = ref 0. in
-            let rows = ref [] in
-            List.iter
-              (fun target ->
-                match read_source target with
-                | Error msg ->
-                    incr agg_fail;
-                    rows :=
-                      J.Obj [ ("program", J.String target); ("error", J.String msg) ] :: !rows;
-                    if not obs.ob_json then Format.printf "%-16s %-10s %s@." target "error" msg
-                | Ok src -> (
-                    let checked =
-                      if infer then
-                        match Dml_infer.Engine.check_s session src with
-                        | Error f -> Error f
-                        | Ok oc -> Ok oc.Dml_infer.Engine.oc_report
-                      else Pipeline.check_s session src
-                    in
-                    match checked with
-                    | Error f ->
-                        incr agg_fail;
-                        rows :=
-                          J.Obj
-                            [
-                              ("program", J.String target);
-                              ("error", J.String (Pipeline.stage_name f.Pipeline.f_stage));
-                            ]
-                          :: !rows;
-                        if not obs.ob_json then
-                          Format.printf "%-16s %-10s %s@." target "failed"
-                            (Pipeline.stage_name f.Pipeline.f_stage)
-                    | Ok r ->
-                        let s = r.Pipeline.rp_solver_stats in
-                        let goals = s.Dml_solver.Solver.checked_goals in
-                        let hits = s.Dml_solver.Solver.cache_hits in
-                        let status =
-                          if r.Pipeline.rp_valid then "valid"
-                          else Printf.sprintf "resid:%d" r.Pipeline.rp_residual
-                        in
-                        agg_goals := !agg_goals + goals;
-                        agg_hits := !agg_hits + hits;
-                        agg_misses := !agg_misses + s.Dml_solver.Solver.cache_misses;
-                        (* without a cache every goal is a solver call *)
-                        agg_solves :=
-                          !agg_solves
-                          + (if cache = None then goals else s.Dml_solver.Solver.cache_misses);
-                        agg_solve := !agg_solve +. r.Pipeline.rp_solve_time;
-                        (match r.Pipeline.rp_cache_stats with
-                        | Some cs -> agg_lookup := !agg_lookup +. cs.Dml_cache.Cache.s_lookup_time
-                        | None -> ());
-                        rows :=
-                          J.Obj
-                            ([
-                               ("program", J.String target);
-                               ("valid", J.Bool r.Pipeline.rp_valid);
-                               ("residual", J.Int r.Pipeline.rp_residual);
-                               ("constraints", J.Int r.Pipeline.rp_constraints);
-                               ("goals", J.Int goals);
-                               ("cache_hits", J.Int hits);
-                               ("cache_misses", J.Int s.Dml_solver.Solver.cache_misses);
-                               ("solve_s", J.Float r.Pipeline.rp_solve_time);
-                               ("gen_s", J.Float r.Pipeline.rp_gen_time);
-                             ]
-                            @ if infer then [ ("inferred", J.Bool true) ] else [])
-                          :: !rows;
-                        if not obs.ob_json then
-                          Format.printf "%-16s %-10s %5d %6d %6d %6d %9.4f %9.4f@." target
-                            status r.Pipeline.rp_constraints goals hits
-                            s.Dml_solver.Solver.cache_misses r.Pipeline.rp_solve_time
-                            r.Pipeline.rp_gen_time))
-              targets;
-            failures := !failures + !agg_fail;
-            let hit_rate =
-              if !agg_goals = 0 then 0.
-              else 100. *. float_of_int !agg_hits /. float_of_int !agg_goals
-            in
-            pass_docs :=
-              J.Obj
-                [
-                  ("pass", J.Int pass);
-                  ("programs", J.List (List.rev !rows));
-                  ( "aggregate",
-                    J.Obj
-                      [
-                        ("programs", J.Int (List.length targets));
-                        ("failed", J.Int !agg_fail);
-                        ("goals", J.Int !agg_goals);
-                        ("solver_calls", J.Int !agg_solves);
-                        ("cache_hits", J.Int !agg_hits);
-                        ("cache_misses", J.Int !agg_misses);
-                        ("hit_rate_pct", J.Float hit_rate);
-                        ("solve_s", J.Float !agg_solve);
-                        ("lookup_s", J.Float !agg_lookup);
-                      ] );
-                ]
-              :: !pass_docs;
-            if not obs.ob_json then
-              Format.printf
-                "pass %d: %d program(s), %d failed; goals=%d solver-calls=%d cache-hits=%d \
-                 (%.1f%% hit rate); solve=%.4fs lookup=%.4fs@."
-                pass (List.length targets) !agg_fail !agg_goals !agg_solves !agg_hits hit_rate
-                !agg_solve !agg_lookup
-          done)
+    let resolved =
+      List.map (fun name -> { Runner.tg_name = name; tg_source = read_source name }) targets
     in
-    if obs.ob_json then
+    let rec run_passes pass =
+      if pass > repeat then []
+      else begin
+        if repeat > 1 && not obs.ob_json then Format.printf "--- pass %d/%d ---@." pass repeat;
+        let rows = Runner.check_targets_s ?session options resolved in
+        if not obs.ob_json then print_batch_pass ~pass ~mode ~shard rows;
+        rows :: run_passes (pass + 1)
+      end
+    in
+    let passes, sink = with_sink obs (fun () -> run_passes 1) in
+    let cache = Option.bind session Session.cache in
+    if obs.ob_json then begin
+      (* --profile opts into volatile figures, forfeiting byte-stability *)
+      let cache_field =
+        if obs.ob_profile then
+          [
+            ( "cache",
+              match cache with
+              | None -> J.Null
+              | Some c -> Dml_cache.Cache.snapshot_to_json (Dml_cache.Cache.snapshot c) );
+          ]
+        else []
+      in
+      (* worker spans arrive in completion order: a pooled document
+         carries none, which keeps it byte-identical across -j widths *)
+      let sink = match mode with Runner.Sequential -> sink | Runner.Workers _ -> None in
       emit_json
-        (J.Obj
-           ([
-              ("schema", J.String (if infer then "dml-batch/2" else "dml-batch/1"));
-              ("passes", J.List (List.rev !pass_docs));
-              ( "cache",
-                match cache with
-                | None -> J.Null
-                | Some c -> Dml_cache.Cache.snapshot_to_json (Dml_cache.Cache.snapshot c) );
-            ]
-           @ obs_fields obs sink))
+        (Runner.batch_json
+           ?schema:(if infer then Some "dml-batch/2" else None)
+           ~profile:obs.ob_profile
+           ~extra:(cache_field @ obs_fields obs sink)
+           ~passes ())
+    end
     else begin
-      (match cache with
-      | Some c ->
-          Format.printf "cache: %a@." Dml_cache.Cache.pp_snapshot (Dml_cache.Cache.snapshot c)
-      | None -> ());
+      Option.iter
+        (fun c ->
+          Format.printf "cache: %a@." Dml_cache.Cache.pp_snapshot (Dml_cache.Cache.snapshot c))
+        cache;
       profile_text obs
     end;
-    if !failures > 0 then exit 1
-    end
+    if List.exists (List.exists (fun (r : Runner.row) -> Result.is_error r.Runner.row_result)) passes
+    then exit 1
   in
   let files =
     let doc = "Program files or bundled benchmark names (see $(b,dmlc list))." in
@@ -395,8 +264,11 @@ let batch_cmd =
     Arg.(
       value & opt int 1
       & info [ "repeat" ] ~docv:"N"
-          ~doc:"Run the whole batch $(docv) times against the same cache; later passes \
-                show the fully warm amortization.")
+          ~doc:"Run the whole batch $(docv) times.  In process, every pass checks \
+                against the same session, so later passes show the fully warm \
+                amortization; pooled passes ($(b,-j), $(b,--shard-obligations)) fork \
+                fresh workers, so only a $(b,--cache-dir) carries verdicts over \
+                between them.")
   in
   let doc =
     "Check many programs against one shared solver-verdict cache and report per-program \

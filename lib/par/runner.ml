@@ -18,6 +18,7 @@ type summary = {
   sm_cache_misses : int;
   sm_gen_s : float;
   sm_solve_s : float;
+  sm_lookup_s : float;
   sm_obligations : obligation_row list;
   sm_inferred : bool;
 }
@@ -47,22 +48,27 @@ let summarize ?(inferred = false) (rp : Pipeline.report) =
     sm_cache_misses = rp.rp_solver_stats.Solver.cache_misses;
     sm_gen_s = rp.rp_gen_time;
     sm_solve_s = rp.rp_solve_time;
+    sm_lookup_s =
+      Option.fold ~none:0. ~some:(fun cs -> cs.Cache.s_lookup_time) rp.rp_cache_stats;
     sm_obligations = obligation_rows;
     sm_inferred = inferred;
   }
 
 (* The parallelism shape is stripped — the execution site is already a
-   worker (or the sequential loop), and must not fork a nested pool — but
+   worker (or the in-process loop), and must not fork a nested pool — but
    everything else, [op_infer] included, is preserved: a worker checks
    under exactly the policy the batch was submitted with. *)
 let worker_options (options : Session.options) =
   { options with Session.op_jobs = None; op_shard_obligations = false }
 
 (* An ephemeral session around the full session options: what each
-   execution site (sequential loop, forked worker) assembles from the
-   plain-data options that crossed the pipe. *)
+   execution site (the in-process loop when the caller passes no session,
+   a forked worker) assembles from the plain-data options. *)
 let session_for options = Session.create ~options:(worker_options options) ()
 
+(* The one per-program check behind every batch row, in process or in a
+   worker: the inference fixpoint when the session's options set
+   [op_infer], the plain pipeline otherwise. *)
 let check_one session target =
   match target.tg_source with
   | Error msg -> Error msg
@@ -213,47 +219,82 @@ let run_obligation_sharded ~jobs ?task_timeout_ms (options : Session.options) ta
 (* Front door                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let run ~mode ~shard_obligations ?task_timeout_ms (options : Session.options) targets =
-  match mode with
+(* Obligation sharding solves goals against a front end built once in the
+   parent; inference rewrites the AST and re-runs the front end every
+   fixpoint round, so the grains are incompatible.  Degrade to program
+   grain rather than refusing, keeping the worker pool: each program's
+   whole fixpoint becomes one task. *)
+let effective_options (options : Session.options) =
+  if options.Session.op_infer && options.Session.op_shard_obligations then
+    {
+      options with
+      Session.op_shard_obligations = false;
+      op_jobs = (match options.Session.op_jobs with None -> Some 0 | j -> j);
+    }
+  else options
+
+let mode_of options =
+  let options = effective_options options in
+  match options.Session.op_jobs with
+  | None when not options.Session.op_shard_obligations -> Sequential
+  | None | Some 0 -> Workers (Pool.cpu_count ())
+  | Some n -> Workers n
+
+let check_targets_s ?task_timeout_ms ?session (options : Session.options) targets =
+  let options = effective_options options in
+  match mode_of options with
   | Sequential ->
-      let session = session_for options in
+      let session = match session with Some s -> s | None -> session_for options in
       List.map (fun t -> { row_name = t.tg_name; row_result = check_one session t }) targets
   | Workers jobs ->
-      if shard_obligations then run_obligation_sharded ~jobs ?task_timeout_ms options targets
+      if options.Session.op_shard_obligations then
+        run_obligation_sharded ~jobs ?task_timeout_ms options targets
       else run_program_sharded ~jobs ?task_timeout_ms options targets
 
-let check_targets_s ?task_timeout_ms (options : Session.options) targets =
-  (* Obligation sharding solves goals against a front end built once in the
-     parent; inference rewrites the AST and re-runs the front end every
-     fixpoint round, so the grains are incompatible.  Degrade to program
-     grain rather than refusing, keeping the worker pool: each program's
-     whole fixpoint becomes one task. *)
-  let options =
-    if options.Session.op_infer && options.Session.op_shard_obligations then
-      {
-        options with
-        Session.op_shard_obligations = false;
-        op_jobs = (match options.Session.op_jobs with None -> Some 0 | j -> j);
-      }
-    else options
-  in
-  let mode =
-    match options.Session.op_jobs with
-    | None when not options.Session.op_shard_obligations -> Sequential
-    | None | Some 0 -> Workers (Pool.cpu_count ())
-    | Some n -> Workers n
-  in
-  run ~mode ~shard_obligations:options.Session.op_shard_obligations ?task_timeout_ms
-    options targets
-
 (* ------------------------------------------------------------------ *)
-(* Deterministic JSON                                                  *)
+(* The dml-batch document                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Only schedule-independent fields: verdict-derived counts, never times,
-   cache hit rates or worker identities.  This is what makes the document
-   byte-identical across [-j 1] / [-j N] / [--shard-obligations]. *)
-let row_json r =
+type aggregate = {
+  ag_programs : int;
+  ag_failed : int;
+  ag_constraints : int;
+  ag_goals : int;
+  ag_residual : int;
+  ag_solver_calls : int;
+  ag_cache_hits : int;
+  ag_cache_misses : int;
+  ag_solve_s : float;
+  ag_lookup_s : float;
+}
+
+let aggregate rows =
+  let ok = List.filter_map (fun r -> Result.to_option r.row_result) rows in
+  let sum f = List.fold_left (fun acc s -> acc + f s) 0 ok in
+  let sumf f = List.fold_left (fun acc s -> acc +. f s) 0. ok in
+  {
+    ag_programs = List.length rows;
+    ag_failed = List.length rows - List.length ok;
+    ag_constraints = sum (fun s -> s.sm_constraints);
+    ag_goals = sum (fun s -> s.sm_goals);
+    ag_residual = sum (fun s -> s.sm_residual);
+    (* a goal that was not a cache hit went to the solver: without a cache
+       that is every goal *)
+    ag_solver_calls = sum (fun s -> s.sm_goals - s.sm_cache_hits);
+    ag_cache_hits = sum (fun s -> s.sm_cache_hits);
+    ag_cache_misses = sum (fun s -> s.sm_cache_misses);
+    ag_solve_s = sumf (fun s -> s.sm_solve_s);
+    ag_lookup_s = sumf (fun s -> s.sm_lookup_s);
+  }
+
+let hit_rate_pct a =
+  if a.ag_goals = 0 then 0. else 100. *. float_of_int a.ag_cache_hits /. float_of_int a.ag_goals
+
+(* Without [profile], only schedule-independent fields: verdict-derived
+   counts, never times, cache hit rates or worker identities.  This is what
+   makes the document byte-identical across in-process / [-j 1] / [-j N] /
+   [--shard-obligations]. *)
+let row_json ?(profile = false) r =
   match r.row_result with
   | Ok s ->
       Json.Obj
@@ -266,26 +307,45 @@ let row_json r =
          ]
         (* only under --infer: pre-inference dml-batch/1 rows stay
            byte-identical *)
-        @ if s.sm_inferred then [ ("inferred", Json.Bool true) ] else [])
+        @ (if s.sm_inferred then [ ("inferred", Json.Bool true) ] else [])
+        @
+        if profile then
+          [
+            ("cache_hits", Json.Int s.sm_cache_hits);
+            ("cache_misses", Json.Int s.sm_cache_misses);
+            ("solve_s", Json.Float s.sm_solve_s);
+            ("gen_s", Json.Float s.sm_gen_s);
+          ]
+        else [])
   | Error e -> Json.Obj [ ("program", Json.String r.row_name); ("error", Json.String e) ]
 
-let rows_json rows = List.map row_json rows
+let rows_json ?profile rows = List.map (row_json ?profile) rows
 
-let aggregate_json rows =
-  let ok = List.filter_map (fun r -> Result.to_option r.row_result) rows in
-  let sum f = List.fold_left (fun acc s -> acc + f s) 0 ok in
+let aggregate_json ~profile rows =
+  let a = aggregate rows in
   Json.Obj
-    [
-      ("programs", Json.Int (List.length rows));
-      ("failed", Json.Int (List.length rows - List.length ok));
-      ("constraints", Json.Int (sum (fun s -> s.sm_constraints)));
-      ("goals", Json.Int (sum (fun s -> s.sm_goals)));
-      ("residual", Json.Int (sum (fun s -> s.sm_residual)));
-    ]
+    ([
+       ("programs", Json.Int a.ag_programs);
+       ("failed", Json.Int a.ag_failed);
+       ("constraints", Json.Int a.ag_constraints);
+       ("goals", Json.Int a.ag_goals);
+       ("residual", Json.Int a.ag_residual);
+     ]
+    @
+    if profile then
+      [
+        ("solver_calls", Json.Int a.ag_solver_calls);
+        ("cache_hits", Json.Int a.ag_cache_hits);
+        ("cache_misses", Json.Int a.ag_cache_misses);
+        ("hit_rate_pct", Json.Float (hit_rate_pct a));
+        ("solve_s", Json.Float a.ag_solve_s);
+        ("lookup_s", Json.Float a.ag_lookup_s);
+      ]
+    else [])
 
-let batch_json ?(schema = "dml-batch/1") ~passes () =
+let batch_json ?(schema = "dml-batch/1") ?(profile = false) ?(extra = []) ~passes () =
   Json.Obj
-    [
+    ([
       ("schema", Json.String schema);
       ( "passes",
         Json.List
@@ -294,8 +354,9 @@ let batch_json ?(schema = "dml-batch/1") ~passes () =
                Json.Obj
                  [
                    ("pass", Json.Int (i + 1));
-                   ("programs", Json.List (rows_json rows));
-                   ("aggregate", aggregate_json rows);
+                   ("programs", Json.List (rows_json ~profile rows));
+                   ("aggregate", aggregate_json ~profile rows);
                  ])
              passes) );
     ]
+    @ extra)

@@ -1,6 +1,10 @@
-(** The parallel batch front-end: check many programs with {!Pool} workers.
+(** The batch front-end: every [dml-batch] row, in process or from {!Pool}
+    workers, is checked here.
 
-    Two sharding grains:
+    In process ([Sequential]), targets are checked in order against one
+    session — the caller's when it passes one, so a [dmlc batch --repeat]
+    or a warm [dmld] session amortizes across calls.  Under [Workers n],
+    two sharding grains:
 
     - {e program sharding} (the default under [Workers n]): each task is one
       whole program; a worker runs the full {!Dml_core.Pipeline.check_s} on it
@@ -26,8 +30,9 @@
     scheduling, and {!rows_json}/{!batch_json} serialize only
     schedule-independent fields (verdict counts, not wall-clock times or
     cache hit rates), so the [dml-batch/1] document is byte-identical across
-    [-j 1] / [-j N] / [--shard-obligations].  Volatile figures stay
-    available in {!summary} for the human-readable table. *)
+    in-process / [-j 1] / [-j N] / [--shard-obligations].  The volatile
+    figures stay in {!summary}; [~profile:true] adds them to the document,
+    forfeiting that byte-stability. *)
 
 type target = {
   tg_name : string;
@@ -53,6 +58,8 @@ type summary = {
   sm_gen_s : float;
   sm_solve_s : float;  (** aggregate solver seconds (the sum over obligations
                            under obligation sharding) *)
+  sm_lookup_s : float;  (** seconds spent in verdict-cache lookups (0 under
+                            obligation sharding, whose parent holds no cache) *)
   sm_obligations : obligation_row list;  (** in generation order *)
   sm_inferred : bool;
       (** the report came from the {!Dml_infer.Engine} fixpoint over an
@@ -61,39 +68,38 @@ type summary = {
 
 type row = { row_name : string; row_result : (summary, string) result }
 
-val summarize : ?inferred:bool -> Dml_core.Pipeline.report -> summary
-(** Project a report onto its marshallable summary — what crosses the pipe
-    from workers, and what the [dmld] server builds batch rows from when it
-    checks in-process against its own warm session.  [inferred] (default
-    [false]) marks rows produced under [--infer]. *)
-
 val worker_options : Dml_core.Session.options -> Dml_core.Session.options
 (** The options an execution site checks under: the given ones with the
     parallelism shape ([op_jobs], [op_shard_obligations]) stripped, since a
     worker must not fork a nested pool. *)
 
-val check_one : Dml_core.Session.t -> target -> (summary, string) result
-(** Check one target against the session — under the {!Dml_infer.Engine}
-    fixpoint when the session's options set [op_infer] — and summarize it.
-    The one per-program check behind every batch row, wherever it runs. *)
-
 type mode =
-  | Sequential  (** in-process, no forking: the reference the oracle tests compare against *)
+  | Sequential  (** in-process, no forking: the default, and the reference
+                    the oracle tests compare against *)
   | Workers of int  (** a {!Pool} of this many forked workers *)
 
+val mode_of : Dml_core.Session.options -> mode
+(** Where {!check_targets_s} runs a batch under these options. *)
+
 val check_targets_s :
-  ?task_timeout_ms:int -> Dml_core.Session.options -> target list -> row list
+  ?task_timeout_ms:int ->
+  ?session:Dml_core.Session.t ->
+  Dml_core.Session.options ->
+  target list ->
+  row list
 (** One row per target, in target order, under unified session options:
     [op_jobs = None] checks in-process (sequentially), [Some 0] forks one
     worker per core, [Some n] forks [n]; [op_shard_obligations] selects the
-    obligation grain (implying workers when [op_jobs] is unset).  The
-    verdict cache is built from [op_cache] at each execution site (the
-    in-memory LRU stays per-process, a [dir] is shared through the
-    filesystem).  [task_timeout_ms] is the pool watchdog for one task (a
-    whole program, or one obligation when sharding); under obligation
-    sharding it defaults to the config's per-obligation deadline plus a
-    grace period, so a worker whose in-process budget fails to fire still
-    cannot wedge the batch.
+    obligation grain (implying workers when [op_jobs] is unset).  In
+    process, the targets are checked against [session] when given (its
+    verdict cache stays warm across calls), else against a fresh session
+    built from the options; a pooled run ignores [session].  Workers build
+    their verdict cache from [op_cache] (the in-memory LRU stays per
+    worker, a [dir] is shared through the filesystem).  [task_timeout_ms]
+    is the pool watchdog for one task (a whole program, or one obligation
+    when sharding); under obligation sharding it defaults to the config's
+    per-obligation deadline plus a grace period, so a worker whose
+    in-process budget fails to fire still cannot wedge the batch.
 
     Under [op_infer] each program is checked by the {!Dml_infer.Engine}
     fixpoint instead of the plain pipeline.  Inference re-runs the front end
@@ -101,20 +107,50 @@ val check_targets_s :
     [op_infer && op_shard_obligations] degrades to program sharding with the
     pool kept (one worker per core when [op_jobs] was unset). *)
 
-val rows_json : row list -> Dml_obs.Json.t list
-(** Deterministic per-program rows:
-    [{"program", "valid", "constraints", "goals", "residual"}] or
-    [{"program", "error"}]; rows checked under [--infer] additionally carry
-    [{"inferred": true}] (never emitted otherwise, so pre-inference
-    documents stay byte-identical). *)
+type aggregate = {
+  ag_programs : int;
+  ag_failed : int;
+  ag_constraints : int;
+  ag_goals : int;
+  ag_residual : int;
+  ag_solver_calls : int;  (** goals that were not cache hits *)
+  ag_cache_hits : int;
+  ag_cache_misses : int;
+  ag_solve_s : float;
+  ag_lookup_s : float;
+}
 
-val aggregate_json : row list -> Dml_obs.Json.t
-(** [{"programs", "failed", "constraints", "goals", "residual"}]. *)
+val aggregate : row list -> aggregate
+(** Sums over one pass; failed rows count only in [ag_programs] and
+    [ag_failed]. *)
 
-val batch_json : ?schema:string -> passes:row list list -> unit -> Dml_obs.Json.t
-(** The full deterministic batch document.  [schema] defaults to
-    ["dml-batch/1"]; callers batching under [--infer] bump it to
-    ["dml-batch/2"], the schema whose rows may carry ["inferred"]. *)
+val hit_rate_pct : aggregate -> float
+(** Cache hits as a percentage of goals (0 for a pass without goals). *)
+
+val rows_json : ?profile:bool -> row list -> Dml_obs.Json.t list
+(** Per-program rows: [{"program", "valid", "constraints", "goals",
+    "residual"}] or [{"program", "error"}]; rows checked under [--infer]
+    additionally carry [{"inferred": true}] (never emitted otherwise, so
+    pre-inference documents stay byte-identical).  [profile] (default
+    [false]) appends the volatile [{"cache_hits", "cache_misses",
+    "solve_s", "gen_s"}]. *)
+
+val batch_json :
+  ?schema:string ->
+  ?profile:bool ->
+  ?extra:(string * Dml_obs.Json.t) list ->
+  passes:row list list ->
+  unit ->
+  Dml_obs.Json.t
+(** The batch document [{schema, passes: [{pass, programs, aggregate}]}],
+    with aggregate [{"programs", "failed", "constraints", "goals",
+    "residual"}].  [schema] defaults to ["dml-batch/1"]; callers batching
+    under [--infer] bump it to ["dml-batch/2"], the schema whose rows may
+    carry ["inferred"].  [profile] (default [false]) adds the volatile row
+    fields of {!rows_json} and the aggregate's [{"solver_calls",
+    "cache_hits", "cache_misses", "hit_rate_pct", "solve_s", "lookup_s"}];
+    without it the document is deterministic.  [extra] fields (the
+    caller's cache snapshot, spans, metrics) are appended last. *)
 
 val test_injection : string -> unit
 (** Test-only fault injection, shared by every fork-worker execution site

@@ -50,17 +50,9 @@ let batch_doc session programs =
   let targets =
     List.map (fun (name, src) -> { Runner.tg_name = name; tg_source = Ok src }) programs
   in
-  let rows =
-    if options.Session.op_jobs = None && not options.Session.op_shard_obligations then
-      (* in-process, against the session's warm verdict cache *)
-      targets
-      |> List.map (fun (tg : Runner.target) ->
-             { Runner.row_name = tg.tg_name; row_result = Runner.check_one session tg })
-    else Runner.check_targets_s options targets
-  in
   Runner.batch_json
     ?schema:(if options.Session.op_infer then Some "dml-batch/2" else None)
-    ~passes:[ rows ] ()
+    ~passes:[ Runner.check_targets_s ~session options targets ] ()
 
 (* A warm worker, built after the fork: the base session (shared verdict
    cache, built on first use) plus derived sessions per override

@@ -33,10 +33,10 @@ val check_doc : Dml_core.Session.t -> program:string -> string -> Json.t
     byte-identical to inline ones. *)
 
 val batch_doc : Dml_core.Session.t -> (string * string) list -> Json.t
-(** The [dml-batch/1] document for a named-program list: each program
-    checked in turn against the given session by
-    {!Dml_par.Runner.check_one}, or by {!Dml_par.Runner.check_targets_s}
-    when the session's options ask for parallelism. *)
+(** The [dml-batch/1] document for a named-program list, from
+    {!Dml_par.Runner.check_targets_s}: in process against the given
+    (warm) session, or pooled when the session's options ask for
+    parallelism. *)
 
 type outcome =
   | Done of Json.t  (** the result document *)

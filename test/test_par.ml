@@ -282,7 +282,10 @@ let test_injected_hang () =
     (Unix.gettimeofday () -. t0 < 30.)
 
 (* a front-end failure is diagnosed in the parent under obligation sharding
-   and in a worker under program sharding — same row either way *)
+   and in a worker under program sharding — same row either way.  The
+   in-process path against a caller's session (what [dmlc batch] without
+   -j and [dmld] use) gives the same rows too, and its second pass over the
+   same session is all cache hits with an unchanged document. *)
 let test_failure_rows_match () =
   let targets =
     corpus_targets ()
@@ -294,10 +297,29 @@ let test_failure_rows_match () =
   let seq = check_targets ~mode:Runner.Sequential targets in
   let j2 = check_targets ~mode:(Runner.Workers 2) targets in
   let sh = check_targets ~mode:(Runner.Workers 2) ~shard_obligations:true targets in
+  let options =
+    { Dml_core.Session.default_options with op_cache = Some Dml_cache.Cache.default_config }
+  in
+  let session = Dml_core.Session.create ~options () in
+  let pass1 = Runner.check_targets_s ~session options targets in
+  let pass2 = Runner.check_targets_s ~session options targets in
   Alcotest.(check (list string)) "program-sharded failure rows"
     (List.map proj_row seq) (List.map proj_row j2);
   Alcotest.(check (list string)) "obligation-sharded failure rows"
-    (List.map proj_row seq) (List.map proj_row sh)
+    (List.map proj_row seq) (List.map proj_row sh);
+  Alcotest.(check (list string)) "in-process session failure rows"
+    (List.map proj_row seq) (List.map proj_row pass1);
+  (match (List.find (fun r -> r.Runner.row_name = "bad") pass1).Runner.row_result with
+  | Error e ->
+      Alcotest.(check bool) ("failure row carries its location: " ^ e) true
+        (String.starts_with ~prefix:"syntax error at line 1" e)
+  | Ok _ -> Alcotest.fail "the unparsable program checked");
+  let pass_bytes rows = Json.to_string (Json.List (Runner.rows_json rows)) in
+  Alcotest.(check string) "second pass: same rows" (pass_bytes pass1) (pass_bytes pass2);
+  let a1 = Runner.aggregate pass1 and a2 = Runner.aggregate pass2 in
+  Alcotest.(check bool) "first pass fills the cache" true (a1.Runner.ag_cache_misses > 0);
+  Alcotest.(check int) "second pass: no cache misses" 0 a2.Runner.ag_cache_misses;
+  Alcotest.(check int) "second pass: every goal a hit" a2.Runner.ag_goals a2.Runner.ag_cache_hits
 
 (* --- frame codec ---------------------------------------------------------------- *)
 
