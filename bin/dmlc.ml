@@ -150,7 +150,7 @@ let check_cmd =
    shows the timing and cache columns. *)
 module Runner = Dml_par.Runner
 
-let print_batch_pass ~pass ~mode ~shard rows =
+let print_batch_pass ~pass ~label rows =
   Format.printf "%-16s %-10s %5s %6s %6s %6s %9s %9s@." "program" "status" "cons" "goals"
     "hits" "miss" "solve(s)" "gen(s)";
   List.iter
@@ -170,11 +170,7 @@ let print_batch_pass ~pass ~mode ~shard rows =
     "pass %d: %d program(s), %d failed; goals=%d solver-calls=%d cache-hits=%d (%.1f%% hit \
      rate); solve=%.4fs lookup=%.4fs%s@."
     pass a.Runner.ag_programs a.Runner.ag_failed a.Runner.ag_goals a.Runner.ag_solver_calls
-    a.Runner.ag_cache_hits (Runner.hit_rate_pct a) a.Runner.ag_solve_s a.Runner.ag_lookup_s
-    (match mode with
-    | Runner.Sequential -> ""
-    | Runner.Workers n ->
-        Printf.sprintf "; jobs=%d%s" n (if shard then " (obligation-sharded)" else ""))
+    a.Runner.ag_cache_hits (Runner.hit_rate_pct a) a.Runner.ag_solve_s a.Runner.ag_lookup_s label
 
 let batch_cmd =
   let run config cache_spec jobs shard all all_unannot repeat infer obs files =
@@ -208,7 +204,7 @@ let batch_cmd =
       else begin
         if repeat > 1 && not obs.ob_json then Format.printf "--- pass %d/%d ---@." pass repeat;
         let rows = Runner.check_targets_s ?session options resolved in
-        if not obs.ob_json then print_batch_pass ~pass ~mode ~shard rows;
+        if not obs.ob_json then print_batch_pass ~pass ~label:(Runner.jobs_label options) rows;
         rows :: run_passes (pass + 1)
       end
     in

@@ -6,9 +6,15 @@
    content-addresses each unit by a digest over its own (pretty-printed,
    location- and comment-insensitive) source plus the digests of the units
    it depends on, and keeps every unit's solved verdicts in a store.  On a
-   recheck the whole buffer is still parsed (the basis is processed once per
-   process, {!Prelude}), but the rest of the work happens only where the
-   edit reaches:
+   recheck the work happens only where the edit reaches (the basis is
+   processed once per process, {!Prelude}):
+   - *parsing* runs only for the declarations the edit can reach
+     ({!Reparse}): the last successfully parsed text is kept unit by unit,
+     the new text is diffed against it by common byte prefix and suffix,
+     and lexing and parsing restart after the last unit the prefix fully
+     determines and stop where the old suffix resumes at the same line and
+     column.  Reused units keep their exact fingerprints, so only the
+     re-parsed ones are hashed;
    - *solving*, the dominant cost of a cold check, runs only for units whose
      digest is not in the store: the dirty cone of the edit;
    - *phases 1 and 2* (ML inference and elaboration) are skipped for every
@@ -47,9 +53,9 @@
 
    The verdict store is keyed by options fingerprint × unit digest, so a
    state may be shared across derived sessions without ever reusing a
-   verdict across differing solver policies.  The front-end products hold
-   only the last successful check's units, so they are bounded by one
-   buffer. *)
+   verdict across differing solver policies.  The front-end products and
+   the kept parse hold only the last successful check's (or parse's) units,
+   so they are bounded by one buffer. *)
 
 open Dml_lang
 open Dml_solver
@@ -182,12 +188,6 @@ let basis_digest = lazy (Digest.to_hex (Digest.string Basis.source))
    comment edits cannot dirty a unit. *)
 let content_digest top = Digest.string (Format.asprintf "%a" Pretty.pp_top top)
 
-(* A position-exact fingerprint of a unit's AST: equal exactly when the
-   declaration is the same, token for token, at the same source positions.
-   Much cheaper than [content_digest]. *)
-let exact_fingerprint (top : Ast.top) =
-  Digest.string (Marshal.to_string top [ Marshal.No_sharing ])
-
 let is_val = function Tdec { ddesc = Dval _; _ } -> true | _ -> false
 
 let fun_names = function
@@ -248,6 +248,8 @@ type stored_front = {
 
 type state = {
   store : (string, stored_unit) Hashtbl.t;
+  mutable parsed : Reparse.t option;
+      (* the last successfully parsed text, declaration by declaration *)
   mutable fronts : (string, stored_front) Hashtbl.t;
       (* the last successful check's [fun] units, by digest and exact
          fingerprint *)
@@ -256,7 +258,12 @@ type state = {
 }
 
 let create () =
-  { store = Hashtbl.create 64; fronts = Hashtbl.create 1; contents = Hashtbl.create 1 }
+  {
+    store = Hashtbl.create 64;
+    parsed = None;
+    fronts = Hashtbl.create 1;
+    contents = Hashtbl.create 1;
+  }
 
 let stored_units state = Hashtbl.length state.store
 
@@ -266,6 +273,7 @@ type stats = {
   st_reused : int;  (** units answered from the store *)
   st_solver_calls : int;  (** obligations actually sent to the solver *)
   st_front_reused : int;  (** units whose phase 1 and 2 products were reused *)
+  st_reparsed : int;  (** units lexed and parsed this check *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -360,11 +368,13 @@ let check state session src =
   let fp = Session.fingerprint (Session.options session) in
   try
     let t0 = Budget.now () in
-    let user_prog, spans = Parser.parse_program_with_spans src in
+    let parsed = Reparse.parse ?last:state.parsed src in
+    state.parsed <- Some parsed;
+    let user_prog = Reparse.program parsed and spans = Reparse.spans parsed in
     let prelude = Prelude.get () in
     (* the pretty-printed content digest only for units whose exact form
        the last check did not see *)
-    let exacts = List.map exact_fingerprint user_prog in
+    let exacts = Reparse.fingerprints parsed in
     let contents =
       List.map2
         (fun top exact ->
@@ -457,6 +467,7 @@ let check state session src =
         st_reused = !reused;
         st_solver_calls = !solver_calls;
         st_front_reused = front_reused;
+        st_reparsed = Reparse.reparsed parsed;
       }
     in
     Metrics.incr ~by:st.st_units m_units;

@@ -5,9 +5,11 @@
     and comment-insensitive) source plus the digests of every earlier
     declaration it references and of every earlier top-level [val] — so
     dirtiness propagates transitively through the dependency graph by
-    digest composition alone.  {!check} parses the whole source but sends
-    only the obligations of units missing from the store to the solver,
-    reusing stored verdicts for the clean remainder.  It also keeps the
+    digest composition alone.  {!check} lexes and parses only the
+    declarations an edit reaches ({!Dml_lang.Reparse}, against the last
+    successfully parsed text) and sends only the obligations of units
+    missing from the store to the solver, reusing stored verdicts for the
+    clean remainder.  It also keeps the
     phase-1 and phase-2 products (ML and dependent schemes, typed item,
     obligations, warnings) of each [fun] unit of the last successful check,
     and reuses them for a unit with the same digest at exactly the same
@@ -42,13 +44,16 @@ type stats = {
   st_front_reused : int;
       (** units whose phase 1 and phase 2 products were reused, skipping
           inference and elaboration *)
+  st_reparsed : int;  (** units lexed and parsed; the rest came from the last parse *)
 }
 
 val check :
   state -> Session.t -> string -> (Pipeline.report * stats, Pipeline.failure) result
 (** Incrementally check [src] under the session, updating the state.
-    Never raises (same failure conversion as {!Pipeline.check_s}); a
-    front-end failure leaves the state unchanged. *)
+    Never raises (same failure conversion as {!Pipeline.check_s}).  A
+    failure leaves the verdict store and the front-end products unchanged;
+    a text that parses is kept as the next check's re-parse base even when
+    a later phase fails. *)
 
 val unit_digests : Dml_lang.Ast.program -> string list
 (** The per-declaration digests, in program order (exposed for tests and

@@ -60,9 +60,16 @@ type report = {
 }
 
 let count_code_lines src =
-  String.split_on_char '\n' src
-  |> List.filter (fun l -> String.exists (fun c -> c <> ' ' && c <> '\t' && c <> '\r') l)
-  |> List.length
+  let lines = ref 0 and blank = ref true in
+  for i = 0 to String.length src - 1 do
+    match String.unsafe_get src i with
+    | '\n' ->
+        if not !blank then incr lines;
+        blank := true
+    | ' ' | '\t' | '\r' -> ()
+    | _ -> blank := false
+  done;
+  if !blank then !lines else !lines + 1
 
 let annotation_metrics spans =
   let lines = Hashtbl.create 32 in

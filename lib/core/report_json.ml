@@ -45,7 +45,7 @@ let obligation_to_json (co : Pipeline.checked_obligation) =
     ([
        ("what", J.String co.Pipeline.co_obligation.Elab.ob_what);
        ( "loc",
-         J.String (Format.asprintf "%a" Dml_lang.Loc.pp co.Pipeline.co_obligation.Elab.ob_loc)
+         J.String (Dml_lang.Loc.to_string co.Pipeline.co_obligation.Elab.ob_loc)
        );
      ]
     @ json_of_verdict co.Pipeline.co_verdict
@@ -72,7 +72,7 @@ let of_report ?(schema = "dml-check/1") ~program ?(extra = []) (r : Pipeline.rep
                 J.Obj
                   [
                     ("msg", J.String msg);
-                    ("loc", J.String (Format.asprintf "%a" Dml_lang.Loc.pp loc));
+                    ("loc", J.String (Dml_lang.Loc.to_string loc));
                   ])
               r.Pipeline.rp_warnings) );
        ("obligations", J.List (List.map obligation_to_json r.Pipeline.rp_obligations));
@@ -107,7 +107,7 @@ let of_failure ?(schema = "dml-check/1") ~program ?(extra = []) (f : Pipeline.fa
       ("stage", J.String (stage_slug f.Pipeline.f_stage));
       ("stage_name", J.String (Pipeline.stage_name f.Pipeline.f_stage));
       ("msg", J.String f.Pipeline.f_msg);
-      ("loc", J.String (Format.asprintf "%a" Dml_lang.Loc.pp f.Pipeline.f_loc));
+      ("loc", J.String (Dml_lang.Loc.to_string f.Pipeline.f_loc));
     ]
 
 let of_io_failure ?(schema = "dml-check/1") ~program ?(extra = []) msg =

@@ -6,7 +6,11 @@ type state = {
   mutable pos : int;  (* byte offset of the next character *)
   mutable line : int;
   mutable col : int;
+  mutable tok_start : int;  (* byte offset of the last token's first character *)
 }
+
+let start src ~pos (p : Loc.pos) =
+  { src; len = String.length src; pos; line = p.Loc.line; col = p.Loc.col; tok_start = pos }
 
 let current_pos st = { Loc.line = st.line; col = st.col }
 let error st start msg = raise (Error (msg, Loc.make start (current_pos st)))
@@ -120,6 +124,7 @@ let lex_string_body st start =
 
 let next_token st =
   skip_blanks st;
+  st.tok_start <- st.pos;
   let start = current_pos st in
   let open Token in
   let t =
@@ -188,7 +193,7 @@ let next_token st =
   (t, Loc.make start (current_pos st))
 
 let tokenize src =
-  let st = { src; len = String.length src; pos = 0; line = 1; col = 1 } in
+  let st = start src ~pos:0 { Loc.line = 1; col = 1 } in
   let rec loop acc =
     match next_token st with
     | (Token.EOF, _) as t -> List.rev (t :: acc)

@@ -6,12 +6,15 @@ let dummy = { start_pos = { line = 0; col = 0 }; end_pos = { line = 0; col = 0 }
 let make start_pos end_pos = { start_pos; end_pos }
 let merge a b = { start_pos = a.start_pos; end_pos = b.end_pos }
 
-let pp fmt l =
-  if l.start_pos.line = 0 then Format.pp_print_string fmt "<unknown>"
+(* Built directly: the [dml-check/1] report renders one per obligation. *)
+let to_string l =
+  let n = string_of_int in
+  if l.start_pos.line = 0 then "<unknown>"
   else if l.start_pos.line = l.end_pos.line then
-    Format.fprintf fmt "line %d, characters %d-%d" l.start_pos.line l.start_pos.col l.end_pos.col
+    String.concat ""
+      [ "line "; n l.start_pos.line; ", characters "; n l.start_pos.col; "-"; n l.end_pos.col ]
   else
-    Format.fprintf fmt "lines %d.%d-%d.%d" l.start_pos.line l.start_pos.col l.end_pos.line
-      l.end_pos.col
+    String.concat ""
+      [ "lines "; n l.start_pos.line; "."; n l.start_pos.col; "-"; n l.end_pos.line; "."; n l.end_pos.col ]
 
-let to_string l = Format.asprintf "%a" pp l
+let pp fmt l = Format.pp_print_string fmt (to_string l)

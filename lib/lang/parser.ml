@@ -3,22 +3,44 @@ open Token
 
 exception Error of string * Loc.t
 
+(* The parser reads tokens on demand from a lexer and never backtracks, so
+   it keeps a window of three: the last token consumed, the current one and
+   the one after it (all of its lookahead, [peek2]).  Byte offsets ride
+   along as plain ints, so unit boundaries cost no extra pass. *)
 type state = {
-  toks : (Token.t * Loc.t) array;
-  mutable i : int;
+  lx : Lexer.state;
+  mutable cur : Token.t * Loc.t;
+  mutable cur_off : int;  (* byte offset of the current token *)
+  mutable cur_stop : int;  (* byte offset just past it *)
+  mutable next : Token.t * Loc.t;
+  mutable next_off : int;
+  mutable next_stop : int;
+  mutable prev_loc : Loc.t;  (* the last token consumed *)
+  mutable prev_stop : int;
   mutable spans : (int * int) list;
       (* line spans of the type annotations parsed so far, innermost last;
          reproduces Table 1's "annotation lines" metric without leaking
          state across parses *)
 }
 
-let peek st = fst st.toks.(st.i)
-let peek_loc st = snd st.toks.(st.i)
+let peek st = fst st.cur
+let peek_loc st = snd st.cur
+let peek2 st = fst st.next
 
-let peek2 st =
-  if st.i + 1 < Array.length st.toks then fst st.toks.(st.i + 1) else EOF
-
-let advance st = if st.i + 1 < Array.length st.toks then st.i <- st.i + 1
+(* Every token after the last is [EOF], so at [EOF] the window stays put. *)
+let advance st =
+  match fst st.cur with
+  | EOF -> ()
+  | _ ->
+      st.prev_loc <- snd st.cur;
+      st.prev_stop <- st.cur_stop;
+      st.cur <- st.next;
+      st.cur_off <- st.next_off;
+      st.cur_stop <- st.next_stop;
+      let lx = st.lx in
+      st.next <- Lexer.next_token lx;
+      st.next_off <- lx.Lexer.tok_start;
+      st.next_stop <- lx.Lexer.pos
 
 let error st msg = raise (Error (msg, peek_loc st))
 
@@ -274,9 +296,7 @@ and p_index_args st =
 let p_annot_stype st =
   let start_line = (peek_loc st).Loc.start_pos.Loc.line in
   let t = p_stype st in
-  let end_line =
-    if st.i > 0 then (snd st.toks.(st.i - 1)).Loc.end_pos.Loc.line else start_line
-  in
+  let end_line = st.prev_loc.Loc.end_pos.Loc.line in
   st.spans <- (start_line, end_line) :: st.spans;
   t
 
@@ -819,28 +839,92 @@ let p_top st =
   | VAL | FUN | EXCEPTION -> Tdec (p_dec st)
   | t -> raise (Error (Printf.sprintf "expected a top-level declaration, found %s" (to_string t), peek_loc st))
 
-let make_state src = { toks = Array.of_list (Lexer.tokenize src); i = 0; spans = [] }
+let make_state ?(pos = 0) ?(at = { Loc.line = 1; col = 1 }) src =
+  let lx = Lexer.start src ~pos at in
+  let cur = Lexer.next_token lx in
+  let cur_off = lx.Lexer.tok_start and cur_stop = lx.Lexer.pos in
+  let next = Lexer.next_token lx in
+  {
+    lx;
+    cur;
+    cur_off;
+    cur_stop;
+    next;
+    next_off = lx.Lexer.tok_start;
+    next_stop = lx.Lexer.pos;
+    prev_loc = Loc.dummy;
+    prev_stop = pos;
+    spans = [];
+  }
 
-let parse_program_with_spans src =
-  let st = make_state src in
+(* A lexical error anywhere in the input wins over a syntax error, so the
+   stage a bad input fails in does not depend on where parsing stopped: on
+   a syntax error, lex the rest of the input first. *)
+let lexing_first st f =
+  try f ()
+  with Error _ as e ->
+    let rec drain () = match Lexer.next_token st.lx with EOF, _ -> () | _ -> drain () in
+    drain ();
+    raise e
+
+type unit_parse = {
+  top : Ast.top;
+  spans : (int * int) list;
+  first : int;
+  first_pos : Loc.pos;
+  last : int;
+  last_pos : Loc.pos;
+  look : int;
+}
+
+let parse_units ?pos ?at ?(stop = fun _ _ -> false) src =
+  let st = make_state ?pos ?at src in
+  lexing_first st @@ fun () ->
   let rec loop acc =
     if eat st SEMI then loop acc
-    else if peek st = EOF then List.rev acc
-    else loop (p_top st :: acc)
+    else
+      match peek st with
+      | EOF -> (List.rev acc, false)
+      | _ ->
+          let first = st.cur_off and first_pos = (peek_loc st).Loc.start_pos in
+          if stop first first_pos then (List.rev acc, true)
+          else begin
+            st.spans <- [];
+            let top = p_top st in
+            loop
+              ({
+                 top;
+                 spans = List.rev st.spans;
+                 first;
+                 first_pos;
+                 last = st.prev_stop;
+                 last_pos = st.prev_loc.Loc.end_pos;
+                 (* the parser decided where the unit ends from the next two
+                    tokens, and the lexer ended the second one by looking
+                    one byte past it *)
+                 look = st.next_stop + 1;
+               }
+              :: acc)
+          end
   in
-  let prog = loop [] in
-  (prog, List.rev st.spans)
+  loop []
+
+let parse_program_with_spans src =
+  let units, _ = parse_units src in
+  (List.map (fun u -> u.top) units, List.concat_map (fun u -> u.spans) units)
 
 let parse_program src = fst (parse_program_with_spans src)
 
 let parse_exp src =
   let st = make_state src in
+  lexing_first st @@ fun () ->
   let e = p_exp st in
   expect st EOF;
   e
 
 let parse_stype src =
   let st = make_state src in
+  lexing_first st @@ fun () ->
   let t = p_stype st in
   expect st EOF;
   t

@@ -240,6 +240,14 @@ let mode_of options =
   | None | Some 0 -> Workers (Pool.cpu_count ())
   | Some n -> Workers n
 
+let jobs_label options =
+  let options = effective_options options in
+  match mode_of options with
+  | Sequential -> ""
+  | Workers n ->
+      Printf.sprintf "; jobs=%d%s" n
+        (if options.Session.op_shard_obligations then " (obligation-sharded)" else "")
+
 let check_targets_s ?task_timeout_ms ?session (options : Session.options) targets =
   let options = effective_options options in
   match mode_of options with

@@ -81,6 +81,13 @@ type mode =
 val mode_of : Dml_core.Session.options -> mode
 (** Where {!check_targets_s} runs a batch under these options. *)
 
+val jobs_label : Dml_core.Session.options -> string
+(** How {!check_targets_s} runs a batch under these options, as the end of
+    [dmlc batch]'s pass line: [""] in process, ["; jobs=N"] on a pool that
+    takes whole programs, ["; jobs=N (obligation-sharded)"] on one that
+    takes single obligations.  An inference batch asked to shard
+    obligations runs at program grain, and says so. *)
+
 val check_targets_s :
   ?task_timeout_ms:int ->
   ?session:Dml_core.Session.t ->

@@ -581,6 +581,36 @@ let test_unit_digests () =
   Alcotest.(check (list string)) "comment-insensitive" ds
     (I.unit_digests (parse ("(* x *)\n" ^ callee 0 ^ "\n(* y *)\n" ^ caller)))
 
+(* --- unit-grain re-parse ---------------------------------------------- *)
+
+(* A recheck lexes and parses only the declarations an edit reaches: an
+   edit inside one body re-parses that declaration; one that adds a line
+   re-parses it and every declaration below it, which moved. *)
+let test_reparse_proportional () =
+  let sess = session () in
+  let st = I.create () in
+  let src ?(extra = "") k =
+    String.concat ""
+      (List.init 8 (fun i ->
+           Printf.sprintf "fun f%d(a) = sub(a, %d)%s\nwhere f%d <| int array(10) -> int\n" i
+             (if i = 4 then k else 1)
+             (if i = 4 then extra else "")
+             i))
+  in
+  let reparsed what src =
+    let idoc, stats = incr_doc st sess src in
+    Alcotest.(check string) (what ^ ": same report as a cold check") (J.to_string (full_doc src))
+      (J.to_string idoc);
+    match stats with
+    | Some s -> s.I.st_reparsed
+    | None -> Alcotest.failf "%s: check failed" what
+  in
+  Alcotest.(check int) "first check parses every declaration" 8 (reparsed "first" (src 1));
+  Alcotest.(check int) "a constant in one body" 1 (reparsed "constant" (src 2));
+  Alcotest.(check int) "a comment in one body" 1 (reparsed "comment" (src ~extra:" (* c *)" 2));
+  Alcotest.(check int) "a line inside the fifth" 4 (reparsed "line" (src ~extra:"\n" 2));
+  Alcotest.(check int) "a line at the top" 8 (reparsed "top" ("\n" ^ src ~extra:"\n" 2))
+
 (* --- byte-stability guard ----------------------------------------------- *)
 
 (* With op_incremental unset, nothing this PR added may perturb options
@@ -622,5 +652,6 @@ let () =
           Alcotest.test_case "unit digests" `Quick test_unit_digests;
           Alcotest.test_case "fingerprint byte-stability" `Quick test_fingerprint_stability;
           Alcotest.test_case "warnings are per recheck" `Quick test_warnings_per_recheck;
+          Alcotest.test_case "edits re-parse what they reach" `Quick test_reparse_proportional;
         ] );
     ]

@@ -378,6 +378,133 @@ let test_index_chaining () =
       ()
   | _ -> Alcotest.fail "0 <= h+1 <= size should chain into a conjunction"
 
+(* --- unit-grain re-parse ------------------------------------------------- *)
+
+(* The cold parse of a text, as a value: the program and its spans, or the
+   exception it raises. *)
+let cold src =
+  match Parser.parse_program_with_spans src with
+  | r -> Ok r
+  | exception ((Parser.Error _ | Lexer.Error _) as e) -> Error e
+
+let reparse ?last src =
+  match Reparse.parse ?last src with
+  | t -> Ok t
+  | exception ((Parser.Error _ | Lexer.Error _) as e) -> Error e
+
+let show_exn = function
+  | Parser.Error (msg, loc) | Lexer.Error (msg, loc) -> msg ^ " at " ^ Loc.to_string loc
+  | e -> Printexc.to_string e
+
+(* [None] when the incremental result equals the cold one: the same
+   declarations with the same locations, spans and fingerprints, or the
+   same exception. *)
+let reparse_differs result src =
+  match (result, cold src) with
+  | Ok t, Ok (prog, spans) ->
+      if Reparse.program t <> prog then Some "programs differ"
+      else if Reparse.spans t <> spans then Some "annotation spans differ"
+      else if Reparse.fingerprints t <> Reparse.fingerprints (Reparse.parse src) then
+        Some "fingerprints differ"
+      else None
+  | Error a, Error b when a = b -> None
+  | Error a, Error b -> Some (Printf.sprintf "errors differ: %s vs %s" (show_exn a) (show_exn b))
+  | Ok _, Error e -> Some ("reparse succeeded, cold parse raised " ^ show_exn e)
+  | Error e, Ok _ -> Some ("reparse raised " ^ show_exn e)
+
+let reparse_base =
+  String.concat "\n;\n"
+    (List.filteri (fun i _ -> i < 6)
+       (List.map (fun b -> b.Dml_programs.Programs.source) Dml_programs.Programs.table_benchmarks))
+
+(* Offsets where a top-level declaration starts or ends in [src]. *)
+let boundaries src =
+  match Parser.parse_units src with
+  | units, _ -> Array.of_list (List.concat_map (fun u -> Parser.[ u.first; u.last ]) units)
+  | exception _ -> [||]
+
+(* The first occurrence of [piece] in [src] at or after [at]. *)
+let find_from src piece at =
+  let n = String.length piece in
+  let rec go i =
+    if i + n > String.length src then None
+    else if String.sub src i n = piece then Some i
+    else go (i + 1)
+  in
+  go at
+
+let fuzz_env name default =
+  match Sys.getenv_opt name with Some s -> s | None -> default
+
+let reparse_fuzz_steps () =
+  match int_of_string_opt (fuzz_env "DML_REPARSE_FUZZ_STEPS" "1000") with
+  | Some n when n > 0 -> n
+  | _ -> Alcotest.fail "DML_REPARSE_FUZZ_STEPS is not a positive integer"
+
+(* [DML_REPARSE_FUZZ_SEED] is a comma-separated list of integers. *)
+let reparse_fuzz_seed () =
+  let s = fuzz_env "DML_REPARSE_FUZZ_SEED" "0x9A25,0x3E1" in
+  match List.map int_of_string_opt (String.split_on_char ',' s) with
+  | ints when List.for_all Option.is_some ints -> Array.of_list (List.filter_map Fun.id ints)
+  | _ -> Alcotest.failf "DML_REPARSE_FUZZ_SEED=%S is not a comma-separated list of integers" s
+
+(* Random insertions and deletions of comment brackets, quotes, separators,
+   keywords, identifier characters and newlines, at declaration boundaries
+   and inside declarations.  After every step the incremental parse against
+   the last successful one must equal the cold parse. *)
+let test_reparse_fuzz () =
+  let rand = Random.State.make (reparse_fuzz_seed ()) in
+  let r n = Random.State.int rand n in
+  let pieces =
+    [| "(*"; "*)"; "\""; ";"; "|"; "and"; "fun"; "val"; "="; "x"; "a1"; "_"; "'"; "\n"; " " |]
+  in
+  let text = ref reparse_base and good = ref reparse_base in
+  let last = ref (Some (Reparse.parse reparse_base)) in
+  let units = ref 0 and reparsed = ref 0 in
+  for step = 1 to reparse_fuzz_steps () do
+    let src = !text in
+    let len = String.length src in
+    let at =
+      let bs = boundaries !good in
+      if Array.length bs > 0 && r 2 = 0 then min len (max 0 (bs.(r (Array.length bs)) + r 9 - 2))
+      else r (len + 1)
+    in
+    let piece = pieces.(r (Array.length pieces)) in
+    let what, edited =
+      match r 10 with
+      | 0 -> ("revert to the last good text", !good)
+      | 1 | 2 | 3 | 4 -> (
+          (* delete the next occurrence of the piece *)
+          let n = String.length piece in
+          match find_from src piece at with
+          | Some i ->
+              ( Printf.sprintf "delete %S at %d" piece i,
+                String.sub src 0 i ^ String.sub src (i + n) (len - i - n) )
+          | None -> ("no-op", src))
+      | _ ->
+          ( Printf.sprintf "insert %S at %d" piece at,
+            String.sub src 0 at ^ piece ^ String.sub src at (len - at) )
+    in
+    text := edited;
+    let result = reparse ?last:!last edited in
+    (match reparse_differs result edited with
+    | None -> ()
+    | Some why ->
+        Alcotest.failf "step %d (%s): %s\nlast good text:\n%s\nedited text:\n%s" step what why !good
+          edited);
+    match result with
+    | Ok t ->
+        units := !units + List.length (Reparse.program t);
+        reparsed := !reparsed + Reparse.reparsed t;
+        last := Some t;
+        good := edited
+    | Error _ -> ()
+  done;
+  (* the differential is only worth something if most declarations came
+     from the last parse *)
+  if !reparsed * 2 > !units then
+    Alcotest.failf "re-parsed %d of %d declarations: reuse barely happens" !reparsed !units
+
 let () =
   Alcotest.run "lang"
     [
@@ -410,4 +537,5 @@ let () =
           Alcotest.test_case "forms" `Quick test_types;
           Alcotest.test_case "chained comparisons" `Quick test_index_chaining;
         ] );
+      ("reparse", [ Alcotest.test_case "byte-edit differential fuzz" `Quick test_reparse_fuzz ]);
     ]

@@ -196,6 +196,77 @@ let test_json_rejects_garbage () =
       | Error _ -> ())
     [ ""; "{"; "[1,]"; "{\"a\":}"; "tru"; "\"unterminated"; "1 2"; "{'a':1}" ]
 
+(* Exact renderings every document depends on, byte for byte: floats on
+   the ["%.12g"] path and on the ["%.17g"] path, integral floats on both
+   sides of 1e15, signed zero, the least subnormal and the largest finite
+   value; every control byte, the two escaped characters and raw UTF-8;
+   and the decoder's escapes, NUL bytes and error offsets. *)
+let float_renderings =
+  [
+    (0x1.999999999999ap-4, "0.1");
+    (0x1.421f5f40d8376p-23, "1.5e-07");
+    (0x1.921f9f01b866ep+1, "3.14159");
+    (0x1.e240c9fbe76c9p+16, "123456.789");
+    (-0x1.47ae147ae147bp-9, "-0.0025");
+    (0x1.cac083126e979p-8, "0.007");
+    (0x1.3333333333334p-2, "0.30000000000000004");
+    (0x1.5555555555555p-2, "0.33333333333333331");
+    (0x1.5555555555555p-1, "0.66666666666666663");
+    (0x1.9e409302678bap-17, "1.2345678901234568e-05");
+    (0x1.b69b4ba630f35p+56, "1.2345678901234568e+17");
+    (0x1p+0, "1.0");
+    (-0x1.5p+5, "-42.0");
+    (0x1.c6bf52633fff8p+49, "999999999999999.0");
+    (0x1.c6bf52634p+49, "1e+15");
+    (-0x1.c6bf52634p+49, "-1e+15");
+    (0x1.1c37937e08p+53, "1e+16");
+    (-0x0p+0, "-0.0");
+    (0x0p+0, "0.0");
+    (0x0.0000000000001p-1022, "4.94065645841e-324");
+    (0x1p-1022, "2.2250738585072014e-308");
+    (0x1.fffffffffffffp+1023, "1.7976931348623157e+308");
+    (Float.infinity, "null");
+    (Float.nan, "null");
+  ]
+
+let string_renderings =
+  [
+    ( String.init 32 Char.chr,
+      {|"\u0000\u0001\u0002\u0003\u0004\u0005\u0006\u0007\u0008\t\n\u000b\u000c\r\u000e\u000f\u0010\u0011\u0012\u0013\u0014\u0015\u0016\u0017\u0018\u0019\u001a\u001b\u001c\u001d\u001e\u001f"|}
+    );
+    ("q\"b\\s/\195\169\226\130\172\240\159\152\128\127", "\"q\\\"b\\\\s/\195\169\226\130\172\240\159\152\128\127\"");
+    ("", {|""|});
+    ("plain run", {|"plain run"|});
+  ]
+
+let decodings =
+  [
+    ({|"\/\b\fAé€"|}, Ok (Json.String "/\b\012A\195\169\226\130\172"));
+    ({|"\u0041\u00e9\u20ac"|}, Ok (Json.String "A\195\169\226\130\172"));
+    ("\"a\000b\"", Ok (Json.String "a\000b"));
+    ({|"\u0000"|}, Ok (Json.String "\000"));
+    ({|"\u12"|}, Error "truncated \\u escape at offset 3");
+    ({|"\u00zz"|}, Error "bad \\u escape at offset 7");
+    ({|"\x"|}, Error "bad escape at offset 3");
+    ("-", Error "bad number at offset 1");
+    ("[-]", Error "bad number at offset 2");
+    ("\000", Error "unexpected character '\\000' at offset 0");
+    ("[1,]", Error "unexpected character ']' at offset 3");
+  ]
+
+let test_json_renderings () =
+  List.iter
+    (fun (f, expected) ->
+      Alcotest.(check string) (Printf.sprintf "%h" f) expected (Json.to_string (Json.Float f)))
+    float_renderings;
+  List.iter
+    (fun (s, expected) -> Alcotest.(check string) (String.escaped s) expected (Json.to_string (Json.String s)))
+    string_renderings;
+  List.iter
+    (fun (input, expected) ->
+      Alcotest.(check bool) (String.escaped input) true (Json.of_string input = expected))
+    decodings
+
 let test_json_golden () =
   (* dune runtest runs in the stanza directory, dune exec in the root *)
   let path =
@@ -449,6 +520,7 @@ let () =
           Alcotest.test_case "value round-trips" `Quick test_json_round_trip;
           Alcotest.test_case "invalid input rejected" `Quick test_json_rejects_garbage;
           Alcotest.test_case "golden file" `Quick test_json_golden;
+          Alcotest.test_case "exact renderings" `Quick test_json_renderings;
         ] );
       ( "regressions",
         [

@@ -386,6 +386,22 @@ let prop_truncation =
           read_back = List.map Result.ok whole
           && match Frame.read_raw r with Error (`Error _) -> true | _ -> false))
 
+(* The pass line's label names the grain the batch actually runs at: an
+   inference batch asked to shard obligations runs whole programs. *)
+let test_jobs_label () =
+  let module S = Dml_core.Session in
+  let opts ?jobs ?(shard = false) ?(infer = false) () =
+    { S.default_options with S.op_jobs = jobs; op_shard_obligations = shard; op_infer = infer }
+  in
+  let check what expected o = Alcotest.(check string) what expected (Runner.jobs_label o) in
+  check "in process" "" (opts ());
+  check "program grain" "; jobs=3" (opts ~jobs:3 ());
+  check "obligation grain" "; jobs=3 (obligation-sharded)" (opts ~jobs:3 ~shard:true ());
+  check "inference degrades to program grain" "; jobs=3" (opts ~jobs:3 ~shard:true ~infer:true ());
+  check "inference, default width"
+    (Printf.sprintf "; jobs=%d" (Pool.cpu_count ()))
+    (opts ~shard:true ~infer:true ())
+
 let () =
   Alcotest.run "par"
     [
@@ -410,5 +426,6 @@ let () =
           Alcotest.test_case "injected crash" `Quick test_injected_crash;
           Alcotest.test_case "injected hang" `Quick test_injected_hang;
           Alcotest.test_case "failure rows" `Quick test_failure_rows_match;
+          Alcotest.test_case "pass line label" `Quick test_jobs_label;
         ] );
     ]

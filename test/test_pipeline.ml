@@ -240,6 +240,25 @@ let test_prelude_matches_one_pass () =
       | Error f -> Alcotest.fail (Pipeline.failure_to_string f))
     Dml_programs.Programs.all
 
+(* [code_lines] counts the lines holding anything but spaces, tabs and
+   carriage returns; this is its definition, checked against the one-pass
+   counter on the corpus and on random text. *)
+let test_count_code_lines () =
+  let reference src =
+    String.split_on_char '\n' src
+    |> List.filter (String.exists (fun c -> c <> ' ' && c <> '\t' && c <> '\r'))
+    |> List.length
+  in
+  let check src =
+    Alcotest.(check int) (String.escaped src) (reference src) (Pipeline.count_code_lines src)
+  in
+  List.iter check [ ""; "\n"; "x"; "x\n"; "\nx"; " \t\r\n\r"; "a\n\n b \n" ];
+  List.iter (fun b -> check b.Dml_programs.Programs.source) Dml_programs.Programs.all;
+  let rand = Random.State.make [| 0x10c |] in
+  for _ = 1 to 2000 do
+    check (String.init (Random.State.int rand 24) (fun _ -> " \t\r\nab".[Random.State.int rand 6]))
+  done
+
 let () =
   Alcotest.run "pipeline"
     [
@@ -247,6 +266,7 @@ let () =
         [
           Alcotest.test_case "failure stages" `Quick test_failure_stages;
           Alcotest.test_case "metrics" `Quick test_metrics;
+          Alcotest.test_case "code lines" `Quick test_count_code_lines;
           Alcotest.test_case "solver selection" `Quick test_solver_selection;
           Alcotest.test_case "user program isolation" `Quick test_user_program_isolation;
         ] );
