@@ -6,7 +6,8 @@
      check, and the always-checked [..CK] sites of kmp stay checked;
    - binary level: every benchmark is compiled and run checked and
      unchecked, and both binaries must report byte-identical summary lines
-     equal to the host [Compile] backend's — the differential oracle.
+     and the same eliminated/dynamic check counts as the host [Compile]
+     backend — the differential oracle.
 
    The binary-level tests skip (with a notice) when no OCaml compiler is
    installed, mirroring the backend's graceful "unavailable" verdict. *)
@@ -93,6 +94,48 @@ let test_degraded_site_keeps_check () =
   Alcotest.(check bool) "without degradation the site would be unsafe" true
     (contains (section ()) "Array.unsafe_get")
 
+(* --- the emission golden -------------------------------------------------- *)
+
+(* The full [emit_program] text of every kernel in the three configurations
+   the native backend builds: checked, unchecked with the degraded sites,
+   and the instrumented unchecked build.  A lowering refactor may not move
+   one byte of it.
+
+   Regenerating after an intentional change to the emission:
+     DML_CODEGEN_GOLDEN=$PWD/test/codegen_golden.txt \
+       dune exec test/test_codegen.exe -- test lowering 4 *)
+let emission_texts () =
+  let buf = Buffer.create (128 * 1024) in
+  List.iter
+    (fun (b : Dml_programs.Programs.benchmark) ->
+      let report = typecheck b in
+      let degraded = Pipeline.degraded_pred report in
+      List.iter
+        (fun (config, mode, degraded, instrument) ->
+          Printf.bprintf buf "==== %s | %s ====\n%s" b.Dml_programs.Programs.name config
+            (Codegen.emit_program ~mode ?degraded ~instrument report.Pipeline.rp_tprog))
+        [
+          ("checked", Prims.Checked, None, false);
+          ("unchecked degraded", Prims.Unchecked, Some degraded, false);
+          ("unchecked degraded instrumented", Prims.Unchecked, Some degraded, true);
+        ])
+    Dml_programs.Programs.all;
+  Buffer.contents buf
+
+let codegen_golden_path () =
+  if Sys.file_exists "codegen_golden.txt" then "codegen_golden.txt"
+  else "test/codegen_golden.txt"
+
+let test_emission_golden () =
+  let got = emission_texts () in
+  match Sys.getenv_opt "DML_CODEGEN_GOLDEN" with
+  | Some out ->
+      Out_channel.with_open_bin out (fun oc -> output_string oc got);
+      print_endline ("wrote the emission golden to " ^ out)
+  | None ->
+      let golden = In_channel.with_open_bin (codegen_golden_path ()) In_channel.input_all in
+      Alcotest.(check string) "emitted programs match the golden file" golden got
+
 (* --- binary-level differential tests ------------------------------------- *)
 
 let toolchain = lazy (Codegen.find_toolchain ())
@@ -104,10 +147,14 @@ let require_toolchain () =
       Printf.printf "skipping native run: %s\n%!" msg;
       Alcotest.skip ()
 
-let host_summary mode ?degraded tprog (b : Dml_programs.Programs.benchmark) =
-  let ce = Compile.initial_fast mode ?degraded () in
-  let ce = Compile.run_program ce tprog in
-  b.Dml_programs.Programs.run { Dml_programs.Workloads.lookup = Compile.lookup ce } ~scale:1
+(* the host closure backend's summary line and check counters *)
+let host_run mode ?degraded tprog (b : Dml_programs.Programs.benchmark) =
+  let counters = Prims.new_counters () in
+  let ce = Compile.run_program (Compile.initial_fast mode ~counters ?degraded ()) tprog in
+  let summary =
+    b.Dml_programs.Programs.run { Dml_programs.Workloads.lookup = Compile.lookup ce } ~scale:1
+  in
+  (summary, counters)
 
 let native_summary ~mode ?degraded (b : Dml_programs.Programs.benchmark) tprog =
   let name = b.Dml_programs.Programs.name in
@@ -120,28 +167,34 @@ let native_summary ~mode ?degraded (b : Dml_programs.Programs.benchmark) tprog =
   | Ok r -> r
   | Error msg -> Alcotest.failf "%s: native build failed: %s" name msg
 
-(* the oracle: for every benchmark, the native binary's summary line equals
-   the host Compile backend's, under both disciplines *)
+(* the oracle: for every benchmark, the instrumented native binary's summary
+   line and its eliminated/dynamic check counts equal the host Compile
+   backend's, under both disciplines (the unchecked one with the degraded
+   sites kept checked) *)
 let test_differential (b : Dml_programs.Programs.benchmark) () =
   ignore (require_toolchain ());
   let name = b.Dml_programs.Programs.name in
   let report = typecheck b in
   let tprog = report.Pipeline.rp_tprog in
-  let degraded = Pipeline.degraded_pred report in
-  let host = host_summary Prims.Checked tprog b in
-  let checked = native_summary ~mode:Prims.Checked b tprog in
-  Alcotest.(check string) (name ^ ": checked native = host") host checked.Codegen.nr_summary;
-  let unchecked = native_summary ~mode:Prims.Unchecked ~degraded b tprog in
-  Alcotest.(check string) (name ^ ": unchecked native = host") host
-    unchecked.Codegen.nr_summary;
-  (* the instrumented unchecked binary reports its residual checks: zero
-     everywhere except kmp's CK sites *)
-  match unchecked.Codegen.nr_dynamic with
-  | None -> Alcotest.fail (name ^ ": instrumented run reported no counters")
-  | Some dyn ->
-      if name = "kmp" then
-        Alcotest.(check bool) "kmp residual checks execute" true (dyn > 0)
-      else Alcotest.(check int) (name ^ ": no dynamic checks") 0 dyn
+  let agree label mode ?degraded () =
+    let host, counters = host_run mode ?degraded tprog b in
+    let native = native_summary ~mode ?degraded b tprog in
+    Alcotest.(check string) (Printf.sprintf "%s: %s native = host" name label) host
+      native.Codegen.nr_summary;
+    Alcotest.(check (option (pair int int)))
+      (Printf.sprintf "%s: %s eliminated/dynamic = host counters" name label)
+      (Some (counters.Prims.eliminated_checks, counters.Prims.dynamic_checks))
+      (match (native.Codegen.nr_eliminated, native.Codegen.nr_dynamic) with
+      | Some e, Some d -> Some (e, d)
+      | _ -> None);
+    counters
+  in
+  ignore (agree "checked" Prims.Checked ());
+  let unchecked = agree "unchecked" Prims.Unchecked ~degraded:(Pipeline.degraded_pred report) () in
+  (* residual checks: zero everywhere except kmp's CK sites *)
+  if name = "kmp" then
+    Alcotest.(check bool) "kmp residual checks execute" true (unchecked.Prims.dynamic_checks > 0)
+  else Alcotest.(check int) (name ^ ": no dynamic checks") 0 unchecked.Prims.dynamic_checks
 
 let differential_tests =
   List.map
@@ -298,6 +351,7 @@ let () =
           Alcotest.test_case "kmp residual sites" `Quick test_kmp_residual_sites;
           Alcotest.test_case "degraded site keeps its check" `Quick
             test_degraded_site_keeps_check;
+          Alcotest.test_case "emission golden" `Quick test_emission_golden;
         ] );
       ("differential (native vs host)", differential_tests);
       ( "soundness",
