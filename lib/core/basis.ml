@@ -80,8 +80,3 @@ and := <| 'a ref * 'a -> unit
 exception Subscript
 exception Div
 |}
-
-(* The primitives whose run-time bound/tag checks the type system proves
-   redundant (compiled unchecked when elaboration succeeds), paired with
-   their always-checked counterparts. *)
-let provable_prims = [ ("sub", "subCK"); ("update", "updateCK"); ("nth", "nthCK") ]

@@ -111,46 +111,38 @@ let measure_compiled rq =
 (* --- platform C: compiled native binaries -------------------------------------- *)
 
 let measure_native rq =
-  match rq.rq_native_driver with
-  | None -> Error (rq.rq_name ^ ": no native driver for this benchmark")
-  | Some driver -> (
-      let build ~mode ?degraded ~instrument () =
-        Codegen.build_and_run ~name:rq.rq_name ~mode ?degraded ~instrument ~driver
-          ~scale:rq.rq_scale rq.rq_tprog
-      in
-      (* three builds: both disciplines timed bare, then the unchecked
-         program once more with counting accessors for the check columns *)
-      match build ~mode:Prims.Checked ~instrument:false () with
-      | Error e -> Error e
-      | Ok checked -> (
-          match build ~mode:Prims.Unchecked ?degraded:rq.rq_degraded ~instrument:false () with
-          | Error e -> Error e
-          | Ok unchecked -> (
-              if checked.Codegen.nr_summary <> unchecked.Codegen.nr_summary then
-                Error
-                  (Printf.sprintf "%s: checked/unchecked native results differ: %S vs %S"
-                     rq.rq_name checked.Codegen.nr_summary unchecked.Codegen.nr_summary)
-              else
-                match
-                  build ~mode:Prims.Unchecked ?degraded:rq.rq_degraded ~instrument:true ()
-                with
-                | Error e -> Error e
-                | Ok counted -> (
-                    if counted.Codegen.nr_summary <> unchecked.Codegen.nr_summary then
-                      Error (rq.rq_name ^ ": instrumented native run diverged")
-                    else
-                      match (checked.Codegen.nr_time_s, unchecked.Codegen.nr_time_s) with
-                      | Some c, Some u ->
-                          Ok
-                            {
-                              ms_checked = c;
-                              ms_unchecked = u;
-                              ms_eliminated =
-                                Option.value counted.Codegen.nr_eliminated ~default:0;
-                              ms_residual =
-                                Option.value counted.Codegen.nr_dynamic ~default:0;
-                            }
-                      | _ -> Error (rq.rq_name ^ ": native binary reported no timing")))))
+  let ( let* ) = Result.bind in
+  let* driver =
+    Option.to_result rq.rq_native_driver
+      ~none:(rq.rq_name ^ ": no native driver for this benchmark")
+  in
+  let build ~mode ?degraded ~instrument () =
+    Codegen.build_and_run ~name:rq.rq_name ~mode ?degraded ~instrument ~driver
+      ~scale:rq.rq_scale rq.rq_tprog
+  in
+  let fail fmt = Printf.ksprintf Result.error fmt in
+  (* three builds: both disciplines timed bare, then the unchecked program
+     once more with counting accessors for the check columns *)
+  let* checked = build ~mode:Prims.Checked ~instrument:false () in
+  let* unchecked = build ~mode:Prims.Unchecked ?degraded:rq.rq_degraded ~instrument:false () in
+  let summary r = r.Codegen.nr_summary in
+  if summary checked <> summary unchecked then
+    fail "%s: checked/unchecked native results differ: %S vs %S" rq.rq_name (summary checked)
+      (summary unchecked)
+  else
+    let* counted = build ~mode:Prims.Unchecked ?degraded:rq.rq_degraded ~instrument:true () in
+    match (checked.Codegen.nr_time_s, unchecked.Codegen.nr_time_s) with
+    | _ when summary counted <> summary unchecked ->
+        fail "%s: instrumented native run diverged" rq.rq_name
+    | Some c, Some u ->
+        Ok
+          {
+            ms_checked = c;
+            ms_unchecked = u;
+            ms_eliminated = Option.value counted.Codegen.nr_eliminated ~default:0;
+            ms_residual = Option.value counted.Codegen.nr_dynamic ~default:0;
+          }
+    | _ -> fail "%s: native binary reported no timing" rq.rq_name
 
 (* --- the three platforms, registered in one place -------------------------------- *)
 

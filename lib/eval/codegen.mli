@@ -3,22 +3,13 @@
     installed toolchain, run the binary, and parse its self-reported
     results.
 
-    Lowering rules (the whole point of the exercise):
-    - a {e direct, saturated} application of a provable access primitive
-      ([sub], [update], [subPrefix], [updatePrefix]) at a site the checker
-      proved is emitted {e inline} as [Array.unsafe_get]/[Array.unsafe_set]
-      when compiling in {!Prims.Unchecked} mode;
-    - the same application at a degraded site (one the solver left unproven
-      — the [degraded] predicate is {!Dml_core.Pipeline.degraded_pred}) or
-      in {!Prims.Checked} mode calls an out-of-line checked helper that
-      performs the bounds comparison and raises the program's [Subscript];
-    - the [..CK] primitives are always checked, mirroring {!Prims};
-    - a first-class (non-direct) use of any primitive gets a tuple-taking
-      wrapper; when a degradation predicate is present every first-class
-      access primitive is checked, exactly as {!Compile.initial_fast} does;
-    - checked/unchecked list access ([nth]/[hd]/[tl]) compile to a
-      tag-testing traversal vs. a tag-assuming one ([Obj.field]), the
-      native equivalent of compiling pattern matches without tag checks.
+    The program is lowered by {!Lower}, which fixes every access site as
+    checked or unchecked.  In Unchecked mode a proven [sub]/[update] site
+    is emitted inline as [Array.unsafe_get]/[Array.unsafe_set]; a checked
+    site calls an out-of-line helper that performs the bounds comparison
+    and raises the program's [Subscript]; checked/unchecked list access
+    ([nth]/[hd]/[tl]) is a tag-testing traversal vs. a tag-assuming one
+    ([Obj.field]).  First-class primitives become tuple-taking wrappers.
 
     The generated program is plain typed OCaml: datatypes become variant
     declarations, [int array] stays a flat unboxed [int array], so the

@@ -1,17 +1,13 @@
-(** Closure-compiling evaluator — the one evaluator core over [Tast].
+(** Closure-compiling evaluator — the one evaluator core.
 
-    Expressions are compiled once into OCaml closures; running the program
-    performs no AST traversal or name lookup.  Each activation of a [fn] or
-    a [fun] clause gets one frame, an array with a slot for every parameter
-    and every binder of its body, and each variable access is resolved at
-    compile time to a (nesting depth, slot) pair, or to a cell for
-    top-level and primitive names.  Saturated applications of primitives
-    compile to direct n-ary calls, and a saturated call to a [fun] that is
-    statically known writes its operands straight into the callee's frame:
-    neither allocates the argument tuple (a real compiler's calling
-    convention), which is what makes the cost of a bounds check visible in
-    the run time.  Operands run in Standard ML's order: function before
-    argument, then left to right.
+    A program is lowered by {!Lower} (which states the resolution rules)
+    and its IR compiled once into OCaml closures; running the program
+    performs no tree traversal or name lookup.  Each activation gets one
+    frame of the slots [Lower] laid out.  Saturated primitive calls compile
+    to direct n-ary calls, and a known call writes its operands straight
+    into the callee's frame: neither allocates the argument tuple (a real
+    compiler's calling convention), which is what makes the cost of a
+    bounds check visible in the run time.
 
     The same compiler serves two platforms of the Tables 2/3 experiment:
     - {!initial_fast}: wall-clock closures ("platform B", standing in for
@@ -39,7 +35,7 @@
     - call to a known [fun]: the nodes it stands for (call 2, variable 1,
       and tuple 2 + size when the operands form one), charged on entry
     - direct primitive call: nothing beyond the primitive's own work,
-      {!Prims.flat_cost} (array access 2, arithmetic 1), which is charged
+      its [flat_cost] ({!Prims.prim}: array access 2, arithmetic 1), charged
       for first-class primitive values too
     - bounds/tag check: 2 ({!Prims.check_cost})
     - list-cell traversal in [nth]: 2 per step *)
@@ -53,13 +49,10 @@ val initial_fast :
   Prims.mode -> ?counters:Prims.counters -> ?degraded:(Loc.t -> bool) -> unit -> compiled_env
 (** Environment from {!Prims.fast_table} with direct primitive calls.
 
-    [?degraded] enables graceful degradation: a direct primitive call whose
-    application node's location satisfies the predicate compiles to the
-    *checked* implementation (it keeps its dynamic bound check), as does
-    every first-class use of a primitive — only direct calls at proven sites
-    use the unchecked [mode] table.  Pass
-    [Dml_core.Pipeline.degraded_pred report] to keep checks at exactly the
-    unproven obligation sites. *)
+    [?degraded] enables graceful degradation: the sites it names, and every
+    first-class use of a primitive, keep their dynamic checks ({!Lower}).
+    Pass [Dml_core.Pipeline.degraded_pred report] to keep checks at exactly
+    the unproven obligation sites. *)
 
 val initial_costed : ?degraded:(Loc.t -> bool) -> Prims.mode -> Prims.counters -> compiled_env
 (** Like {!initial_fast} with [counters], and every program compiled in

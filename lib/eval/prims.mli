@@ -32,16 +32,34 @@ type fast =
   | F2 of (Value.t -> Value.t -> Value.t)
   | F3 of (Value.t -> Value.t -> Value.t -> Value.t)
 
-val fast_table : mode -> ?counters:counters -> unit -> (string * fast) list
-(** The primitives of one discipline.  When [counters] is given every
+(** How the native backend realises a primitive, over operand texts
+    [$0]..[$2]. *)
+type native =
+  | Expr of string  (** one OCaml expression, whatever the flavour *)
+  | Helper of string * string option
+      (** [(stem, inline)]: a primitive with a checked and an unchecked
+          flavour.  Checked calls the prelude helper [p_<stem>_c]; unchecked
+          emits [inline] when given and the build is not instrumented, else
+          the counting helper [p_<stem>_u]. *)
+
+(** A primitive's facts, the same under both disciplines. *)
+type prim = {
+  name : string;
+  arity : int;  (** operands of a saturated call: 1, or the argument tuple's size *)
+  flat_cost : int;  (** virtual cycles of its own work in the cost model *)
+  native : native;
+}
+
+val find : string -> prim option
+(** The descriptor of a primitive name, from the one table of primitives. *)
+
+val fast_table : mode -> ?counters:counters -> unit -> prim -> fast
+(** The implementations of one discipline.  When [counters] is given every
     access also bumps the corresponding counter (used for the "checks
     eliminated" columns of Tables 2 and 3; timing runs omit it). *)
 
 val value_of_fast : fast -> Value.t
 (** A primitive as a first-class value, curried on its argument tuple. *)
-
-val flat_cost : string -> int
-(** Virtual-cycle cost of a primitive's own work in the cost model. *)
 
 val with_cost : counters -> int -> fast -> fast
 (** Wrap a primitive so each invocation adds the given virtual-cycle cost. *)

@@ -9,7 +9,8 @@
       unchanged program under unchanged options is answered from the memo —
       zero solver calls — with the stored result document verbatim and
       ["memo": true] in the envelope.  The memo always lives in the {e
-      parent} process, including under a worker pool;
+      parent} process, including under a worker pool, and holds at most
+      {!memo_capacity} documents, evicting the least recently used;
     - on a [--incremental] server, a per-declaration verdict store
       ({!Dml_core.Incr}) behind the [check_patch] op: an edited source is
       re-solved only over the units whose content-plus-dependency digest
@@ -37,6 +38,9 @@
 open Dml_obs
 
 type t
+
+val memo_capacity : int
+(** 128 — the most result documents the memo keeps. *)
 
 val default_request_timeout_ms : int
 (** 30_000 — the default per-request deadline under a worker pool. *)

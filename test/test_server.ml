@@ -539,6 +539,29 @@ let test_patch_roundtrip () =
     (J.to_string (check_of "r1" r1))
     (J.to_string (check_of "r3" r3))
 
+(* The memo is bounded: after more distinct patches than it holds, it holds
+   exactly its capacity, and the most recent documents are still there, so
+   reverting to the previous source is answered from the memo. *)
+let test_memo_bounded () =
+  let server = Server.create ~options:incr_options () in
+  let src i = Printf.sprintf "val a = array(4, 0)\nval x = sub(a, 2)\nval n = %d\n" i in
+  let base = ref None in
+  for i = 0 to Server.memo_capacity + 4 do
+    let r = Server.handle server (patch_req ~id:i ?base:!base (src i)) in
+    expect_ok "distinct patch" r;
+    base := Some (incr_source_id "distinct patch" r)
+  done;
+  let status = Server.handle server (obj [ ("op", str "status") ]) in
+  let entries =
+    Option.bind (J.member "result" status) (J.member "memo")
+    |> Fun.flip Option.bind (J.member "entries")
+  in
+  Alcotest.(check (option int)) "the memo holds exactly its capacity" (Some Server.memo_capacity)
+    (match entries with Some (J.Int n) -> Some n | _ -> None);
+  let r = Server.handle server (patch_req ~id:999 ?base:!base (src (Server.memo_capacity + 3))) in
+  Alcotest.(check bool) "reverting to the previous source is a memo hit" true
+    (J.member "memo" r = Some (J.Bool true))
+
 let test_patch_rejections () =
   (* parse-level strictness: the op rejects fields it does not know *)
   check_error_mentions "check_patch unknown field"
@@ -793,6 +816,7 @@ let () =
       ( "patch",
         [
           Alcotest.test_case "base, patch, revert" `Quick test_patch_roundtrip;
+          Alcotest.test_case "bounded memo" `Quick test_memo_bounded;
           Alcotest.test_case "strict rejections" `Quick test_patch_rejections;
           Alcotest.test_case "coalescing race" `Quick test_patch_coalescing;
         ] );
