@@ -28,7 +28,7 @@ let () =
   (* encode strings as the paper does: integer arrays *)
   let encode s = Value.of_int_array (Array.init (String.length s) (fun i -> Char.code s.[i])) in
   let search text pat =
-    let result = Value.as_fun kmp (Value.Vtuple [ encode text; encode pat ]) in
+    let result = Value.as_fun kmp (Value.Vtuple [| encode text; encode pat |]) in
     match result with Value.Vint n -> n | _ -> assert false
   in
 

@@ -53,7 +53,7 @@ let () =
   let v1 = Value.of_int_array [| 1; 2; 3; 4 |] in
   let v2 = Value.of_int_array [| 10; 20; 30; 40; 50 |] in
   let dotprod = Compile.lookup ce "dotprod" in
-  let result = Value.as_fun dotprod (Value.Vtuple [ v1; v2 ]) in
+  let result = Value.as_fun dotprod (Value.Vtuple [| v1; v2 |]) in
   Format.printf "@.== evaluation ==@.";
   Format.printf "dotprod [|1;2;3;4|] [|10;20;30;40;50|] = %a@." Value.pp result;
   Format.printf "array accesses performed without a bound check: %d@."

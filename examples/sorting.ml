@@ -62,11 +62,11 @@ let () =
   let hits = ref 0 and misses = ref 0 in
   for _ = 1 to 1000 do
     let key = next () in
-    match Value.as_fun bsearch (Value.Vtuple [ Value.Vint key; varr ]) with
-    | Value.Vcon ("SOME", Some (Value.Vtuple [ Value.Vint i; Value.Vint x ])) ->
+    match Value.as_fun bsearch (Value.Vtuple [| Value.Vint key; varr |]) with
+    | Value.Vcon ({ name = "SOME"; _ }, Value.Vtuple [| Value.Vint i; Value.Vint x |]) ->
         assert (sorted.(i) = x && x = key);
         incr hits
-    | Value.Vcon ("NONE", None) ->
+    | Value.Vtag { name = "NONE"; _ } ->
         assert (not (Array.exists (fun y -> y = key) sorted));
         incr misses
     | v -> failwith (Value.to_string v)

@@ -53,7 +53,7 @@ let () =
   let ce = Compile.initial_fast Prims.Unchecked ~counters () in
   let ce = Compile.run_program ce report.Pipeline.rp_tprog in
   let call1 name a = Value.as_fun (Compile.lookup ce name) a in
-  let call2 name a b = Value.as_fun (Compile.lookup ce name) (Value.Vtuple [ a; b ]) in
+  let call2 name a b = Value.as_fun (Compile.lookup ce name) (Value.Vtuple [| a; b |]) in
 
   let text = "the quick brown fox jumps over the lazy dog" in
   let vtext = Value.Vstring text in

@@ -80,3 +80,7 @@ and := <| 'a ref * 'a -> unit
 exception Subscript
 exception Div
 |}
+
+(* The primitives whose second operand is a divisor: the qualifier harvest
+   ([Dml_infer.Qualifier]) tracks divisibility by their literal divisors. *)
+let divisor_prims = [ "mod"; "modCK" ]

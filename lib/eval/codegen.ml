@@ -117,7 +117,9 @@ let first_class ctx (p : Prims.prim) ~checked =
 
 (* --- expression and declaration emission -------------------------------------- *)
 
-let con_name (c : Ir.con) = if c.Ir.exn then mangle_exn c.Ir.con else mangle_con c.Ir.con
+let con_name (c : Ir.con) =
+  let name = c.Ir.con.Value.name in
+  if c.Ir.exn then mangle_exn name else mangle_con name
 
 let rec emit_pat (p : Ir.pat) =
   match p with
@@ -145,8 +147,8 @@ let rec emit_exp ctx (e : Ir.exp) : string =
   | Ir.Tuple [] -> "()"
   | Ir.Tuple es -> in_order ctx es (fun txts -> "(" ^ String.concat ", " txts ^ ")")
   | Ir.Prim_call { prim; checked; args } -> in_order ctx args (direct ctx ~checked prim)
-  | Ir.Known_call { fn; spread; args; _ } ->
-      call ctx (Ir.Var fn) (if spread = None then List.hd args else Ir.Tuple args)
+  | Ir.Known_call { fn; spread = Some _; args; _ } -> call ctx (Ir.Var fn) (Ir.Tuple args)
+  | Ir.Known_call { fn; spread = None; args; _ } -> emit_exp ctx (Ir.app_chain fn args)
   | Ir.App (f, a) -> call ctx f a
   | Ir.If (c, t, f) ->
       fmt "(if %s then %s else %s)" (emit_exp ctx c) (emit_exp ctx t) (emit_exp ctx f)

@@ -101,16 +101,20 @@ let binder ce = function
       let c = ref unit_v in
       Hashtbl.replace ce.cells id c;
       fun _ v -> c := v
-  | Ir.Prim (p, _) -> invalid_arg ("Compile.binder: " ^ p.Prims.name)
+  | Ir.Prim _ as v -> invalid_arg ("Compile.binder: " ^ Ir.var_name v)
 
 (* --- patterns ------------------------------------------------------------------ *)
 
 (* A pattern compiles to a matcher that writes the values it binds and says
    whether the value matched.  A failed match may leave some of its slots
-   written; nothing reads them. *)
+   written; nothing reads them.  Constructors match by tag. *)
 let rec compile_pat ce (p : Ir.pat) : frame -> Value.t -> bool =
   match p with
   | Ir.Pwild -> fun _ _ -> true
+  | Ir.Pvar (Ir.Local (_, s, _)) ->
+      fun fr v ->
+        Array.unsafe_set fr.slots s v;
+        true
   | Ir.Pvar v ->
       let write = binder ce v in
       fun fr v ->
@@ -122,29 +126,63 @@ let rec compile_pat ce (p : Ir.pat) : frame -> Value.t -> bool =
   | Ir.Pstring a -> (fun _ -> function Vstring b -> b = a | _ -> false)
   | Ir.Ptuple ps -> (
       match List.map (compile_pat ce) ps with
-      | [ m1; m2 ] -> (fun fr -> function Vtuple [ v1; v2 ] -> m1 fr v1 && m2 fr v2 | _ -> false)
+      | [ m1; m2 ] -> (fun fr -> function Vtuple [| v1; v2 |] -> m1 fr v1 && m2 fr v2 | _ -> false)
       | [ m1; m2; m3 ] -> (
           fun fr -> function
-          | Vtuple [ v1; v2; v3 ] -> m1 fr v1 && m2 fr v2 && m3 fr v3
+          | Vtuple [| v1; v2; v3 |] -> m1 fr v1 && m2 fr v2 && m3 fr v3
           | _ -> false)
       | ms ->
-          let rec go fr ms vs =
-            match (ms, vs) with
-            | [], [] -> true
-            | m :: ms, v :: vs -> m fr v && go fr ms vs
-            | _ -> false
-          in
-          fun fr -> function Vtuple vs -> go fr ms vs | _ -> false)
-  | Ir.Pcon ({ Ir.con = c; _ }, None) -> (fun _ -> function Vcon (c', None) -> c' = c | _ -> false)
-  | Ir.Pcon ({ Ir.con = c; _ }, Some argp) ->
+          let ms = Array.of_list ms in
+          let n = Array.length ms in
+          let rec go fr vs i = i = n || (ms.(i) fr (Array.unsafe_get vs i) && go fr vs (i + 1)) in
+          fun fr -> function Vtuple vs when Array.length vs = n -> go fr vs 0 | _ -> false)
+  | Ir.Pcon ({ Ir.con = { tag; _ }; _ }, None) -> (fun _ -> function Vtag c -> c.tag = tag | _ -> false)
+  | Ir.Pcon ({ Ir.con = { tag; _ }; _ }, Some argp) ->
       let m = compile_pat ce argp in
-      fun fr -> function Vcon (c', Some v) when c' = c -> m fr v | _ -> false
+      fun fr -> function Vcon (c, v) when c.tag = tag -> m fr v | _ -> false
+
+(* --- operands ------------------------------------------------------------------ *)
+
+(* An operand of a primitive or known call: a slot of the current or the
+   enclosing activation, a constant, or code.  The first three are read in
+   place, with no closure call.  Only the timed instance fuses them: the
+   cost model charges every variable and literal node on its own. *)
+type 'a operand = Here of int | Up of int | Const of 'a | Code of (frame -> 'a)
+
+(* Value's projections and [of_bool], inlined: the default (dev) build
+   compiles with -opaque, so a call into another module is never inlined,
+   and the run-time paths below box and unbox on every step. *)
+let[@inline] int_of = function Vint n -> n | v -> as_int v
+let[@inline] bool_of = function Vbool b -> b | v -> as_bool v
+let[@inline] boxed_bool b = if b then Vbool true else Vbool false
+let[@inline] fun_of = function Vfun f -> f | v -> as_fun v
+
+let[@inline] get o fr =
+  match o with
+  | Here s -> Array.unsafe_get fr.slots s
+  | Up s -> Array.unsafe_get fr.up.slots s
+  | Const v -> v
+  | Code c -> c fr
+
+let[@inline] iget o fr =
+  match o with
+  | Here s -> int_of (Array.unsafe_get fr.slots s)
+  | Up s -> int_of (Array.unsafe_get fr.up.slots s)
+  | Const n -> n
+  | Code c -> c fr
+
+(* The slot an atom operand reads, if any. *)
+let slot ce depth (e : Ir.exp) =
+  match (ce.cost, e) with
+  | None, Ir.Var (Ir.Local (d, s, _)) when d = depth -> Some (Here s)
+  | None, Ir.Var (Ir.Local (d, s, _)) when d = depth - 1 -> Some (Up s)
+  | _ -> None
 
 (* --- expressions --------------------------------------------------------------- *)
 
 (* A node's closure charges its cost-model cycles on entry.  Without a hook
    the closure is returned as it is. *)
-let charge ce n (c : frame -> Value.t) =
+let charge ce n (c : frame -> 'a) =
   match ce.cost with
   | None -> c
   | Some tick ->
@@ -161,7 +199,7 @@ let fun_value code up =
   | Some 2, _ ->
       Vfun
         (function
-        | Vtuple [ v0; v1 ] ->
+        | Vtuple [| v0; v1 |] ->
             let fr = frame () in
             Array.unsafe_set fr.slots 0 v0;
             Array.unsafe_set fr.slots 1 v1;
@@ -170,9 +208,9 @@ let fun_value code up =
   | Some n, _ ->
       Vfun
         (function
-        | Vtuple vs when List.length vs = n ->
+        | Vtuple vs when Array.length vs = n ->
             let fr = frame () in
-            List.iteri (fun i v -> Array.unsafe_set fr.slots i v) vs;
+            Array.blit vs 0 fr.slots 0 n;
             code.body fr
         | _ -> fail ())
   | None, 1 ->
@@ -196,43 +234,94 @@ let fun_value code up =
 (* Operands run in SML's order, function before argument and then left to
    right: every compound node let-binds its operands, because OCaml leaves
    the order of an application's or constructor's arguments unspecified.
-   [depth] is the depth of the activation being compiled. *)
+   [depth] is the depth of the activation being compiled.
+
+   [compile] gives a node's value; [compile_int] and [compile_bool] give an
+   int- or bool-valued node's result unboxed, for the operands of the typed
+   primitives ({!Prims.fast}) and for conditions.  Each charges the cost
+   model exactly what [compile] charges for the same node. *)
 let rec compile ce depth (e : Ir.exp) : frame -> Value.t =
   let const v = charge ce 1 (fun _ -> v) in
   match e with
   | Ir.Int n -> const (Vint n)
-  | Ir.Bool b -> const (Vbool b)
-  | Ir.Char c -> const (Vchar c)
+  | Ir.Bool b -> const (of_bool b)
+  | Ir.Char c -> const (of_char c)
   | Ir.String s -> const (Vstring s)
   | Ir.Var v -> charge ce 1 (access ce depth v)
-  | Ir.Con ({ Ir.con = c; _ }, None) -> const (Vcon (c, None))
-  | Ir.Con_fn { Ir.con = c; _ } -> const (Vfun (fun v -> Vcon (c, Some v)))
+  | Ir.Con ({ Ir.con = c; _ }, None) -> const (Vtag c)
+  | Ir.Con_fn { Ir.con = c; _ } -> const (Vfun (fun v -> Vcon (c, v)))
   | Ir.Con ({ Ir.con = c; _ }, Some arg) ->
       let carg = compile ce depth arg in
-      charge ce 3 (fun fr -> Vcon (c, Some (carg fr)))
+      charge ce 3 (fun fr -> Vcon (c, carg fr))
   | Ir.Tuple es ->
-      let ces = List.map (compile ce depth) es in
       charge ce
         (2 + List.length es)
-        (match ces with
-        | [ c1; c2 ] ->
+        (match List.map (operand ce depth) es with
+        | [ o1; o2 ] ->
             fun fr ->
-              let v1 = c1 fr in
-              let v2 = c2 fr in
-              Vtuple [ v1; v2 ]
-        | [ c1; c2; c3 ] ->
+              let v1 = get o1 fr in
+              Vtuple [| v1; get o2 fr |]
+        | [ o1; o2; o3 ] ->
             fun fr ->
-              let v1 = c1 fr in
-              let v2 = c2 fr in
-              let v3 = c3 fr in
-              Vtuple [ v1; v2; v3 ]
-        | _ -> fun fr -> Vtuple (List.map (fun c -> c fr) ces))
-  | Ir.Prim_call { prim; checked; args } -> compile_prim_call ce depth (ce.impl checked prim) args
-  | Ir.Known_call { key; args; _ } ->
+              let v1 = get o1 fr in
+              let v2 = get o2 fr in
+              Vtuple [| v1; v2; get o3 fr |]
+        | os ->
+            let os = Array.of_list os in
+            fun fr ->
+              let vs = Array.make (Array.length os) unit_v in
+              for i = 0 to Array.length os - 1 do
+                Array.unsafe_set vs i (get (Array.unsafe_get os i) fr)
+              done;
+              Vtuple vs)
+  | Ir.Prim_call { prim; checked; args } -> (
+      match (ce.impl checked prim, args) with
+      | Prims.I2 g, [ a; b ] ->
+          let a = int_operand ce depth a and b = int_operand ce depth b in
+          fun fr ->
+            let x = iget a fr in
+            Vint (g x (iget b fr))
+      | Prims.I1 g, [ a ] ->
+          let a = int_operand ce depth a in
+          fun fr -> Vint (g (iget a fr))
+      | Prims.N1 g, [ a ] ->
+          let a = operand ce depth a in
+          fun fr -> Vint (g (get a fr))
+      | (Prims.C2 _ | Prims.B1 _), _ ->
+          let c = compile_bool ce depth e in
+          fun fr -> boxed_bool (c fr)
+      | Prims.F1 g, [ a ] ->
+          let a = operand ce depth a in
+          fun fr -> g (get a fr)
+      | Prims.F2 g, [ a; b ] ->
+          let a = operand ce depth a and b = operand ce depth b in
+          fun fr ->
+            let x = get a fr in
+            g x (get b fr)
+      | Prims.F3 g, [ a; b; c ] ->
+          let a = operand ce depth a and b = operand ce depth b and c = operand ce depth c in
+          fun fr ->
+            let x = get a fr in
+            let y = get b fr in
+            g x y (get c fr)
+      | Prims.X2 g, [ a; i ] ->
+          let a = operand ce depth a and i = int_operand ce depth i in
+          fun fr ->
+            let x = get a fr in
+            g x (iget i fr)
+      | Prims.X3 g, [ a; i; v ] ->
+          let a = operand ce depth a and i = int_operand ce depth i and v = operand ce depth v in
+          fun fr ->
+            let x = get a fr in
+            let j = iget i fr in
+            g x j (get v fr)
+      | _ -> invalid_arg "Compile.compile: primitive arity")
+  | Ir.Known_call { key; spread; args; _ } ->
       let code = Hashtbl.find ce.fns key in
-      (* a tupled call stands for app 2 + var 1 + tuple 2+n, an untupled one
-         for app 2 + var 1, all charged on entry *)
-      let n = match code.fd.Ir.spread with Some n -> 5 + n | None -> 3 in
+      (* the call stands for the nodes of the application it replaces, all
+         charged on entry: a tupled call for app 2 + var 1 + tuple 2+n, a
+         curried one of k operands for k apps and the var *)
+      let n = match spread with Some n -> 5 + n | None -> (2 * List.length args) + 1 in
       charge ce n (compile_known_call ce depth code args)
   | Ir.App (f, a) ->
       let cf = compile ce depth f in
@@ -240,12 +329,39 @@ let rec compile ce depth (e : Ir.exp) : frame -> Value.t =
       charge ce 2 (fun fr ->
           let fv = cf fr in
           let av = ca fr in
-          as_fun fv av)
-  | Ir.If (c, t, f) ->
-      let cc = compile ce depth c in
+          fun_of fv av)
+  | Ir.If (c, t, f) -> (
       let ct = compile ce depth t in
       let cf = compile ce depth f in
-      charge ce 1 (fun fr -> if as_bool (cc fr) then ct fr else cf fr)
+      match comparison ce depth c with
+      | Some (g, a, b) ->
+          (* the comparison is tested in the [if]'s own closure *)
+          charge ce 1 (fun fr ->
+              let x = iget a fr in
+              if g x (iget b fr) then ct fr else cf fr)
+      | None ->
+          let cc = compile_bool ce depth c in
+          charge ce 1 (fun fr -> if cc fr then ct fr else cf fr))
+  | Ir.Case (scrut, arms)
+    when List.for_all (function Ir.Pcon ({ Ir.exn = false; _ }, None), _ -> true | _ -> false) arms
+    ->
+      (* every arm tests one nullary datatype constructor: dispatch on its
+         tag, a position in the datatype *)
+      let cs = compile ce depth scrut in
+      let tag = function Ir.Pcon ({ Ir.con = c; _ }, None), _ -> c.tag | _ -> 0 in
+      let table = Array.make (List.fold_left (fun m arm -> max m (tag arm + 1)) 0 arms) None in
+      List.iter
+        (fun ((_, body) as arm) ->
+          if Option.is_none table.(tag arm) then table.(tag arm) <- Some (compile ce depth body))
+        arms;
+      let n = Array.length table in
+      charge ce 1 (fun fr ->
+          match cs fr with
+          | Vtag c as v when c.tag < n -> (
+              match Array.unsafe_get table c.tag with
+              | Some body -> body fr
+              | None -> raise (Match_failure_dml (Value.to_string v)))
+          | v -> raise (Match_failure_dml (Value.to_string v)))
   | Ir.Case (scrut, arms) ->
       let cs = compile ce depth scrut in
       let chain =
@@ -265,27 +381,10 @@ let rec compile ce depth (e : Ir.exp) : frame -> Value.t =
             (fun v ->
               let fr' = { slots = new_slots size; up = fr } in
               if m fr' v then cbody fr' else raise (Match_failure_dml (Value.to_string v))))
-  | Ir.Let (decs, body) ->
-      (* in order: a declaration's cells and functions exist before the code
-         after it is compiled *)
-      let rec go = function
-        | [] -> compile ce depth body
-        | d :: rest ->
-            let cd = compile_dec ce depth d in
-            let crest = go rest in
-            fun fr ->
-              cd fr;
-              crest fr
-      in
-      go decs
-  | Ir.Andalso (a, b) ->
-      let ca = compile ce depth a in
-      let cb = compile ce depth b in
-      charge ce 1 (fun fr -> if as_bool (ca fr) then cb fr else Vbool false)
-  | Ir.Orelse (a, b) ->
-      let ca = compile ce depth a in
-      let cb = compile ce depth b in
-      charge ce 1 (fun fr -> if as_bool (ca fr) then Vbool true else cb fr)
+  | Ir.Let (decs, body) -> compile_let ce depth decs (fun () -> compile ce depth body)
+  | Ir.Andalso _ | Ir.Orelse _ ->
+      let c = compile_bool ce depth e in
+      fun fr -> boxed_bool (c fr)
   | Ir.Raise inner ->
       let ce' = compile ce depth inner in
       charge ce 2 (fun fr -> raise (Dml_exn (ce' fr)))
@@ -304,6 +403,127 @@ let rec compile ce depth (e : Ir.exp) : frame -> Value.t =
                 in
                 try_arms arms))
 
+and compile_int ce depth (e : Ir.exp) : frame -> int =
+  match e with
+  | Ir.Int n -> charge ce 1 (fun _ -> n)
+  | Ir.Prim_call { prim; checked; args } -> (
+      match (ce.impl checked prim, args) with
+      | Prims.I2 g, [ a; b ] ->
+          let a = int_operand ce depth a and b = int_operand ce depth b in
+          fun fr ->
+            let x = iget a fr in
+            g x (iget b fr)
+      | Prims.I1 g, [ a ] ->
+          let a = int_operand ce depth a in
+          fun fr -> g (iget a fr)
+      | Prims.N1 g, [ a ] ->
+          let a = operand ce depth a in
+          fun fr -> g (get a fr)
+      | Prims.X2 g, [ a; i ] ->
+          let a = operand ce depth a and i = int_operand ce depth i in
+          fun fr ->
+            let x = get a fr in
+            int_of (g x (iget i fr))
+      | _ ->
+          let c = compile ce depth e in
+          fun fr -> int_of (c fr))
+  | Ir.Var (Ir.Local (d, s, _)) when d = depth ->
+      charge ce 1 (fun fr -> int_of (Array.unsafe_get fr.slots s))
+  | Ir.If (c, t, f) ->
+      let cc = compile_bool ce depth c in
+      let ct = compile_int ce depth t in
+      let cf = compile_int ce depth f in
+      charge ce 1 (fun fr -> if cc fr then ct fr else cf fr)
+  | Ir.Let (decs, body) -> compile_let ce depth decs (fun () -> compile_int ce depth body)
+  | _ ->
+      let c = compile ce depth e in
+      fun fr -> int_of (c fr)
+
+and compile_bool ce depth (e : Ir.exp) : frame -> bool =
+  match e with
+  | Ir.Bool b -> charge ce 1 (fun _ -> b)
+  | Ir.Prim_call { prim; checked; args } -> (
+      match (ce.impl checked prim, args) with
+      | Prims.C2 g, [ a; b ] ->
+          let a = int_operand ce depth a and b = int_operand ce depth b in
+          fun fr ->
+            let x = iget a fr in
+            g x (iget b fr)
+      | Prims.B1 g, [ a ] ->
+          let c = compile_bool ce depth a in
+          fun fr -> g (c fr)
+      | _ ->
+          let c = compile ce depth e in
+          fun fr -> bool_of (c fr))
+  | Ir.Andalso (a, b) ->
+      let ca = compile_bool ce depth a in
+      let cb = compile_bool ce depth b in
+      charge ce 1 (fun fr -> ca fr && cb fr)
+  | Ir.Orelse (a, b) ->
+      let ca = compile_bool ce depth a in
+      let cb = compile_bool ce depth b in
+      charge ce 1 (fun fr -> ca fr || cb fr)
+  | Ir.If (c, t, f) ->
+      let cc = compile_bool ce depth c in
+      let ct = compile_bool ce depth t in
+      let cf = compile_bool ce depth f in
+      charge ce 1 (fun fr -> if cc fr then ct fr else cf fr)
+  | Ir.Let (decs, body) -> compile_let ce depth decs (fun () -> compile_bool ce depth body)
+  | _ ->
+      let c = compile ce depth e in
+      fun fr -> bool_of (c fr)
+
+(* A condition that is one int comparison: its test and operands. *)
+and comparison ce depth (e : Ir.exp) =
+  match e with
+  | Ir.Prim_call { prim; checked; args = [ a; b ] } -> (
+      match ce.impl checked prim with
+      | Prims.C2 g ->
+          let a = int_operand ce depth a in
+          Some (g, a, int_operand ce depth b)
+      | _ -> None)
+  | _ -> None
+
+and operand ce depth (e : Ir.exp) : Value.t operand =
+  match (slot ce depth e, ce.cost, e) with
+  | Some o, _, _ -> o
+  | None, None, Ir.Int n -> Const (Vint n)
+  | None, None, Ir.Bool b -> Const (of_bool b)
+  | None, None, Ir.Char c -> Const (of_char c)
+  | None, None, Ir.String s -> Const (Vstring s)
+  | _ -> Code (compile ce depth e)
+
+and int_operand ce depth (e : Ir.exp) : int operand =
+  match (slot ce depth e, ce.cost, e) with
+  | Some o, _, _ -> o
+  | None, None, Ir.Int n -> Const n
+  | _ -> Code (compile_int ce depth e)
+
+(* In order: a declaration's cells and functions exist before the code
+   after it, down to the body [body ()], is compiled. *)
+and compile_let : 'a. compiled_env -> int -> Ir.dec list -> (unit -> frame -> 'a) -> frame -> 'a =
+ fun ce depth decs body ->
+  match decs with
+  | [] -> body ()
+  | Ir.Dval (Ir.Pwild, e) :: rest ->
+      let c = compile ce depth e in
+      let crest = compile_let ce depth rest body in
+      fun fr ->
+        ignore (c fr);
+        crest fr
+  | Ir.Dval (Ir.Pvar (Ir.Local (_, s, _)), e) :: rest ->
+      let c = compile ce depth e in
+      let crest = compile_let ce depth rest body in
+      fun fr ->
+        Array.unsafe_set fr.slots s (c fr);
+        crest fr
+  | d :: rest ->
+      let cd = compile_dec ce depth d in
+      let crest = compile_let ce depth rest body in
+      fun fr ->
+        cd fr;
+        crest fr
+
 and compile_arms ce depth arms =
   List.map
     (fun (p, body) ->
@@ -311,53 +531,56 @@ and compile_arms ce depth arms =
       (m, compile ce depth body))
     arms
 
-(* A saturated primitive call is a direct n-ary call; the cost model charges
-   it only the primitive's own work, as a native compiler inlines it. *)
-and compile_prim_call ce depth impl args =
-  match (impl, List.map (compile ce depth) args) with
-  | Prims.F1 g, [ ca ] -> fun fr -> g (ca fr)
-  | Prims.F2 g, [ c1; c2 ] ->
-      fun fr ->
-        let v1 = c1 fr in
-        let v2 = c2 fr in
-        g v1 v2
-  | Prims.F3 g, [ c1; c2; c3 ] ->
-      fun fr ->
-        let v1 = c1 fr in
-        let v2 = c2 fr in
-        let v3 = c3 fr in
-        g v1 v2 v3
-  | _ -> invalid_arg "Compile.compile_prim_call: arity"
-
 (* A call to a statically known [fun]: the operands go straight into the
    parameter slots of the callee's new frame. *)
 and compile_known_call ce depth code operands =
   let up = frame_at ~depth ~target:code.def_depth in
   let size = code.fd.Ir.size in
-  match List.map (compile ce depth) operands with
-  | [ c0 ] ->
+  let frame slots fr = code.body { slots; up = up fr } in
+  (* a frame of just the parameters is built whole *)
+  match (List.map (operand ce depth) operands, size) with
+  | [ o0 ], 1 -> fun fr -> frame [| get o0 fr |] fr
+  | [ o0; o1 ], 2 ->
+      fun fr ->
+        let v0 = get o0 fr in
+        frame [| v0; get o1 fr |] fr
+  | [ o0; o1; o2 ], 3 ->
+      fun fr ->
+        let v0 = get o0 fr in
+        let v1 = get o1 fr in
+        frame [| v0; v1; get o2 fr |] fr
+  | [ o0; o1; o2; o3 ], 4 ->
+      fun fr ->
+        let v0 = get o0 fr in
+        let v1 = get o1 fr in
+        let v2 = get o2 fr in
+        frame [| v0; v1; v2; get o3 fr |] fr
+  | [ o0 ], _ ->
       fun fr ->
         let s = new_slots size in
-        Array.unsafe_set s 0 (c0 fr);
-        code.body { slots = s; up = up fr }
-  | [ c0; c1 ] ->
+        Array.unsafe_set s 0 (get o0 fr);
+        frame s fr
+  | [ o0; o1 ], _ ->
       fun fr ->
         let s = new_slots size in
-        Array.unsafe_set s 0 (c0 fr);
-        Array.unsafe_set s 1 (c1 fr);
-        code.body { slots = s; up = up fr }
-  | [ c0; c1; c2 ] ->
+        Array.unsafe_set s 0 (get o0 fr);
+        Array.unsafe_set s 1 (get o1 fr);
+        frame s fr
+  | [ o0; o1; o2 ], _ ->
       fun fr ->
         let s = new_slots size in
-        Array.unsafe_set s 0 (c0 fr);
-        Array.unsafe_set s 1 (c1 fr);
-        Array.unsafe_set s 2 (c2 fr);
-        code.body { slots = s; up = up fr }
-  | cs ->
+        Array.unsafe_set s 0 (get o0 fr);
+        Array.unsafe_set s 1 (get o1 fr);
+        Array.unsafe_set s 2 (get o2 fr);
+        frame s fr
+  | os, _ ->
+      let os = Array.of_list os in
       fun fr ->
         let s = new_slots size in
-        List.iteri (fun i c -> Array.unsafe_set s i (c fr)) cs;
-        code.body { slots = s; up = up fr }
+        for i = 0 to Array.length os - 1 do
+          Array.unsafe_set s i (get (Array.unsafe_get os i) fr)
+        done;
+        frame s fr
 
 (* The code that binds a declaration's slots in the activation at [depth]. *)
 and compile_dec ce depth (d : Ir.dec) : frame -> unit =
@@ -366,6 +589,9 @@ and compile_dec ce depth (d : Ir.dec) : frame -> unit =
   | Ir.Dval (Ir.Pwild, e) ->
       let c = compile ce depth e in
       fun fr -> ignore (c fr)
+  | Ir.Dval (Ir.Pvar (Ir.Local (_, s, _)), e) ->
+      let c = compile ce depth e in
+      fun fr -> Array.unsafe_set fr.slots s (c fr)
   | Ir.Dval (p, e) ->
       let c = compile ce depth e in
       let m = compile_pat ce p in

@@ -4,10 +4,13 @@
     and its IR compiled once into OCaml closures; running the program
     performs no tree traversal or name lookup.  Each activation gets one
     frame of the slots [Lower] laid out.  Saturated primitive calls compile
-    to direct n-ary calls, and a known call writes its operands straight
-    into the callee's frame: neither allocates the argument tuple (a real
-    compiler's calling convention), which is what makes the cost of a
-    bounds check visible in the run time.
+    to direct n-ary calls, and a known call, tupled or curried, writes its
+    operands straight into the callee's frame: neither allocates the
+    argument tuple (a real compiler's calling convention), which is what
+    makes the cost of a bounds check visible in the run time.  Int- and
+    bool-valued subtrees compile to unboxed [frame -> int] and
+    [frame -> bool] closures, by each primitive's typed realisation
+    ({!Prims.fast}); slot and literal operands are read in place.
 
     The same compiler serves two platforms of the Tables 2/3 experiment:
     - {!initial_fast}: wall-clock closures ("platform B", standing in for
@@ -33,7 +36,8 @@
     - tuple: 2 + size; applied constructor: 3
     - [raise]: 2; [let] and type annotations: 0
     - call to a known [fun]: the nodes it stands for (call 2, variable 1,
-      and tuple 2 + size when the operands form one), charged on entry
+      and tuple 2 + size when the operands form one; a curried call of k
+      operands: k calls and the variable, 2k + 1), charged on entry
     - direct primitive call: nothing beyond the primitive's own work,
       its [flat_cost] ({!Prims.prim}: array access 2, arithmetic 1), charged
       for first-class primitive values too

@@ -5,7 +5,7 @@
 open Dml_lang
 open Dml_mltype
 
-type con = { con : string; exn : bool }
+type con = { con : Value.con; exn : bool }
 
 type var =
   | Local of int * int * string  (** depth of the binding activation, slot, name *)
@@ -33,7 +33,8 @@ type exp =
   | Tuple of exp list
   | Prim_call of { prim : Prims.prim; checked : bool; args : exp list }
   | Known_call of { key : int; fn : var; spread : int option; args : exp list }
-      (** [key]: the callee's {!fundef}; [args]: the tuple's fields, or the one operand *)
+      (** [key]: the callee's {!fundef}; [args]: the tuple's fields, or the
+          curried operands, one per parameter slot *)
   | App of exp * exp
   | If of exp * exp * exp
   | Case of exp * (pat * exp) list
@@ -61,3 +62,6 @@ type top =
 
 (** The source name of a variable. *)
 let var_name = function Local (_, _, x) | Global (_, x) -> x | Prim (p, _) -> p.Prims.name
+
+(** The plain application chain a [Known_call] with [spread = None] stands for. *)
+let app_chain fn args = List.fold_left (fun f a -> App (f, a)) (Var fn) args

@@ -3,17 +3,16 @@
 open Dml_lang
 open Dml_mltype
 module M = Map.Make (String)
-module S = Set.Make (String)
 open Ir
 
-(* [known] is set for a [fun] of one curried argument: its key and layout *)
-type entry = { var : var; known : (int * int option) option }
+(* [known] is set for a [fun]: its key, curried arity and layout *)
+type entry = { var : var; known : (int * int * int option) option }
 
 type env = {
   checked : bool;  (* Checked mode *)
   degraded : (Loc.t -> bool) option;
   scope : entry M.t;
-  exns : S.t;  (* exception constructors in scope *)
+  cons : con M.t;  (* constructors in scope *)
 }
 
 (* An activation being lowered: its depth (0 binds globals) and its frame
@@ -26,10 +25,18 @@ let fresh =
     incr n;
     !n
 
-(* [Subscript] and [Div] are the run time's own exceptions (Value.exn_value_of) *)
+(* Exception tags: 0 and 1 are the run time's own [Subscript] and [Div]
+   (Value.exn_value_of); every other exception declaration takes the next. *)
+let exn_tag =
+  let n = ref 1 in
+  fun () ->
+    incr n;
+    !n
+
 let init mode ?degraded () =
-  let exns = S.of_list [ "Subscript"; "Div" ] in
-  { checked = mode = Prims.Checked; degraded; scope = M.empty; exns }
+  let exn c = (c.Value.name, { con = c; exn = true }) in
+  let cons = M.of_seq (List.to_seq [ exn Value.subscript_exn; exn Value.div_exn ]) in
+  { checked = mode = Prims.Checked; degraded; scope = M.empty; cons }
 
 let resolve env x =
   match M.find_opt x env.scope with
@@ -42,7 +49,20 @@ let var env x =
   | None -> raise (Value.Runtime_error ("unbound variable at compile time: " ^ x))
 
 let add env x ?known var = { env with scope = M.add x { var; known } env.scope }
-let con env c = { con = c; exn = S.mem c env.exns }
+
+let con env c =
+  match M.find_opt c env.cons with
+  | Some c -> c
+  | None -> raise (Value.Runtime_error ("unbound constructor at compile time: " ^ c))
+
+(* A datatype's constructors take their positions as tags. *)
+let datatype env (dt : Ast.datatype_def) =
+  let _, cons =
+    List.fold_left
+      (fun (tag, cons) (c, _) -> (tag + 1, M.add c { con = { Value.tag; name = c }; exn = false } cons))
+      (0, env.cons) dt.Ast.dt_cons
+  in
+  { env with cons }
 
 let bind act x =
   if act.depth = 0 then Global (fresh (), x)
@@ -122,30 +142,49 @@ and arms env act =
       let env', p = pat act env p in
       (p, exp env' act body))
 
+(* An application lowers with its whole curried spine [head a1 .. an]: a
+   saturated call of a primitive or a known [fun] takes the first operands,
+   and the rest apply to its result. *)
 and app env act e f a =
+  (* [site]: the innermost application, [head a1] *)
+  let rec spine site (f : Tast.texp) operands =
+    match f.Tast.tdesc with
+    | Tast.TEapp (g, b) -> spine f g (b :: operands)
+    | _ -> (f, site, operands)
+  in
+  let head, site, operands = spine e f [ a ] in
   let args es = List.map (exp env act) es in
-  match (f.Tast.tdesc, a.Tast.tdesc) with
-  | Tast.TEvar (x, _), adesc -> (
-      let entry = M.find_opt x env.scope in
-      match (entry, (if Option.is_none entry then Prims.find x else None), adesc) with
-      | None, Some prim, _ when prim.Prims.arity = 1 ->
-          Prim_call { prim; checked = site_checked env e; args = [ exp env act a ] }
-      | None, Some prim, Tast.TEtuple es when List.length es = prim.Prims.arity ->
-          Prim_call { prim; checked = site_checked env e; args = args es }
-      | Some { var; known = Some (key, (Some n as spread)) }, _, Tast.TEtuple es
-        when List.length es = n ->
-          Known_call { key; fn = var; spread; args = args es }
-      | Some { var; known = Some (key, None) }, _, _ ->
-          Known_call { key; fn = var; spread = None; args = [ exp env act a ] }
-      | _ -> App (Var (var env x), exp env act a))
-  | _ -> App (exp env act f, exp env act a)
+  let call, rest =
+    match (head.Tast.tdesc, operands) with
+    | Tast.TEvar (x, _), a1 :: rest -> (
+        let entry = M.find_opt x env.scope in
+        match (entry, (if Option.is_none entry then Prims.find x else None), a1.Tast.tdesc) with
+        | None, Some prim, _ when prim.Prims.arity = 1 ->
+            (Prim_call { prim; checked = site_checked env site; args = [ exp env act a1 ] }, rest)
+        | None, Some prim, Tast.TEtuple es when List.length es = prim.Prims.arity ->
+            (Prim_call { prim; checked = site_checked env site; args = args es }, rest)
+        | Some { var; known = Some (key, 1, (Some n as spread)) }, _, Tast.TEtuple es
+          when List.length es = n ->
+            (Known_call { key; fn = var; spread; args = args es }, rest)
+        | Some { var; known = Some (key, 1, None) }, _, _ ->
+            (Known_call { key; fn = var; spread = None; args = [ exp env act a1 ] }, rest)
+        | Some { var; known = Some (key, k, _) }, _, _ when k > 1 && List.length operands >= k ->
+            let now = List.filteri (fun i _ -> i < k) operands in
+            ( Known_call { key; fn = var; spread = None; args = args now },
+              List.filteri (fun i _ -> i >= k) operands )
+        | _ -> (App (Var (var env x), exp env act a1), rest))
+    | _ -> (exp env act head, operands)
+  in
+  List.fold_left (fun call a -> App (call, exp env act a)) call rest
 
 (* A declaration in activation [act]; an exception already in scope lowers
    to nothing. *)
 and dec act env (d : Tast.tdec) =
   match d with
-  | Tast.TDexception (name, _) when S.mem name env.exns -> (env, [])
-  | Tast.TDexception (name, arg) -> ({ env with exns = S.add name env.exns }, [ Dexn (name, arg) ])
+  | Tast.TDexception (name, _) when M.mem name env.cons -> (env, [])
+  | Tast.TDexception (name, arg) ->
+      let c = { con = { Value.tag = exn_tag (); name }; exn = true } in
+      ({ env with cons = M.add name c env.cons }, [ Dexn (name, arg) ])
   | Tast.TDval (p, e, _, _) ->
       let e = exp env act e in
       let env', p = pat act env p in
@@ -164,8 +203,7 @@ and funs act env fds =
   let env' =
     List.fold_left
       (fun env (fd, key, var, arity, spread) ->
-        let known = if arity = 1 then Some (key, spread) else None in
-        add env fd.Tast.tfname ?known var)
+        add env fd.Tast.tfname ~known:(key, arity, spread) var)
       env group
   in
   let fundef (fd, key, var, arity, spread) =
@@ -203,7 +241,7 @@ let exp env e =
 let top env (t : Tast.ttop) =
   let globals = { depth = 0; size = 0 } in
   match t with
-  | Tast.TTdatatype dt -> (env, Some (Tdatatype dt))
+  | Tast.TTdatatype dt -> (datatype env dt, Some (Tdatatype dt))
   | Tast.TTtyperef _ | Tast.TTassert _ | Tast.TTtypedef _ -> (env, None)
   | Tast.TTdec (Tast.TDval (p, e, _, _)) ->
       let e, size = exp env e in

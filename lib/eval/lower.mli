@@ -18,15 +18,24 @@
       application's location.  Any other use of a primitive is first
       class, checked in [Checked] mode and whenever a degradation predicate
       is present.
-    - {b Known calls.}  A call of a [fun] of one curried argument, by the
-      name its group bound, is [Known_call] when the operand fits the
-      callee's layout: a literal n-tuple for [spread = Some n], anything
-      for [spread = None].  Every other call is [App].
+    - {b Known calls.}  A call of a [fun] by the name its group bound is
+      [Known_call] when the operands fit the callee's layout.  For a [fun]
+      of one curried argument: a literal n-tuple for [spread = Some n],
+      anything for [spread = None].  For a [fun] of k > 1 curried
+      arguments: a saturated application [f a1 .. ak], whose k operands
+      ([spread = None]) fill slots 0..k-1; the operands of an
+      over-application after the k-th apply to its result, and a partial
+      application stays [App].  A curried [Known_call] stands for the
+      application chain {!Ir.app_chain}, which [Codegen] prints.  Every
+      other call is [App].
+    - {b Constructors} resolve to a {!Value.con} with an integer tag: a
+      datatype constructor's position in its declaration, an exception's
+      tag unique in the process ([Subscript] 0, [Div] 1, built in).
+      Exception constructors ([exn = true]) are told apart from datatype
+      constructors, and declaring an exception already in scope lowers to
+      nothing.
     - {b Small cases.}  Type annotations are dropped.  A constructor used
       as a function value is [Con_fn], eta-expanded by the backends.
-      Exception constructors ([exn = true]) are told apart from datatype
-      constructors; [Subscript] and [Div] are built in, and declaring an
-      exception already in scope lowers to nothing.
 
     Operands keep SML's order, function before argument and then left to
     right, and the backends run them in that order. *)

@@ -23,14 +23,29 @@ exception Subscript
 (** Raised by a failing run-time bound/tag check (the same exception as
     {!Value.Subscript}, re-exported). *)
 
-(** Uncurried primitive implementations.  The closure-compiling backend calls
-    these directly when a primitive is applied to a literal tuple, passing
-    arguments without allocating the tuple — the calling convention a real
-    compiler would use. *)
+(** Uncurried primitive implementations, typed by the calling convention a
+    real compiler would use.  The closure-compiling backend calls these
+    directly when a primitive is applied to a literal tuple, passing the
+    operands without allocating the tuple, and passing ints and bools
+    unboxed where the row says so:
+    - [F1]..[F3]: boxed operands and result;
+    - [I1], [I2]: int operands, int result ([~], [+], [div], ...);
+    - [C2]: int operands, bool result (the six comparisons);
+    - [B1]: [not];
+    - [N1]: a boxed operand, an int result ([length], [size], [ord]);
+    - [X2], [X3]: an aggregate, an int index and for [X3] the stored value
+      ([sub], [update], [nth], [string_sub]). *)
 type fast =
   | F1 of (Value.t -> Value.t)
   | F2 of (Value.t -> Value.t -> Value.t)
   | F3 of (Value.t -> Value.t -> Value.t -> Value.t)
+  | I1 of (int -> int)
+  | I2 of (int -> int -> int)
+  | C2 of (int -> int -> bool)
+  | B1 of (bool -> bool)
+  | N1 of (Value.t -> int)
+  | X2 of (Value.t -> int -> Value.t)
+  | X3 of (Value.t -> int -> Value.t -> Value.t)
 
 (** How the native backend realises a primitive, over operand texts
     [$0]..[$2]. *)
@@ -55,8 +70,9 @@ val find : string -> prim option
 
 val fast_table : mode -> ?counters:counters -> unit -> prim -> fast
 (** The implementations of one discipline.  When [counters] is given every
-    access also bumps the corresponding counter (used for the "checks
-    eliminated" columns of Tables 2 and 3; timing runs omit it). *)
+    access is wrapped to bump the corresponding counter (used for the
+    "checks eliminated" columns of Tables 2 and 3); timing runs omit it and
+    run the implementations bare. *)
 
 val value_of_fast : fast -> Value.t
 (** A primitive as a first-class value, curried on its argument tuple. *)

@@ -16,9 +16,8 @@ let harvest prog =
     | Ast.Eint n -> note_const n
     | Ast.Ebool _ | Ast.Echar _ | Ast.Estring _ | Ast.Evar _ -> ()
     | Ast.Eapp
-        ( { edesc = Ast.Evar ("mod" | "modCK"); _ },
-          { edesc = Ast.Etuple [ a; { edesc = Ast.Eint d; _ } ]; _ } )
-      when d > 0 ->
+        ({ edesc = Ast.Evar f; _ }, { edesc = Ast.Etuple [ a; { edesc = Ast.Eint d; _ } ]; _ })
+      when d > 0 && List.mem f Dml_core.Basis.divisor_prims ->
         Hashtbl.replace divisors d ();
         note_const d;
         exp a

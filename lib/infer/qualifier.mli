@@ -16,8 +16,9 @@ type harvest = {
       (** distinct integer literals of the program (plus -1, 0, 1), small
           enough to be worth relating variables to *)
   h_divisors : int list;
-      (** literal right-hand sides of [mod] applications: the alignment
-          divisors worth tracking divisibility against *)
+      (** literal right-hand sides of the applications of
+          {!Dml_core.Basis.divisor_prims}: the alignment divisors worth
+          tracking divisibility against *)
 }
 
 val harvest : Ast.program -> harvest

@@ -155,8 +155,6 @@ let print_table1_rows fmt rows =
             r.t1_code_lines inferred)
     rows
 
-let print_table1 fmt () = print_table1_rows fmt (table1 ())
-
 let print_table23_rows fmt (backend : Backend.t) ~scale rows =
   Format.fprintf fmt "Table %s: effect of eliminating array bound checks@."
     backend.Backend.b_table;
@@ -181,6 +179,3 @@ let print_table23_rows fmt (backend : Backend.t) ~scale rows =
             r.t23_checked_s r.t23_unchecked_s r.t23_gain_pct r.t23_eliminated r.t23_residual
             paper_gain)
     Programs.table_benchmarks rows
-
-let print_table23 fmt backend ~scale =
-  print_table23_rows fmt backend ~scale (table23 backend ~scale)

@@ -54,11 +54,8 @@ val run_benchmark :
 
 val table23 : Dml_eval.Backend.t -> scale:int -> (t23_row, string) result list
 
-val print_table1 : Format.formatter -> unit -> unit
-val print_table23 : Format.formatter -> Dml_eval.Backend.t -> scale:int -> unit
-
 val print_table1_rows : Format.formatter -> (t1_row, string) result list -> unit
-(** {!print_table1} on precomputed rows — the parallel [table1 -j] path
+(** Print Table 1 from rows of {!table1}; the parallel [table1 -j] path
     computes rows in worker processes and prints them here. *)
 
 val print_table23_rows :

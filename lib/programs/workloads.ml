@@ -48,7 +48,7 @@ let run_bcopy ex ~scale =
   let vdst = of_int_array (Array.make n 0) in
   let bcopy = ex.lookup "bcopy" in
   for _ = 1 to 4 * scale do
-    ignore (call bcopy (Vtuple [ vsrc; vdst ]))
+    ignore (call bcopy (Vtuple [| vsrc; vdst |]))
   done;
   check_eq "bcopy" vsrc vdst;
   Printf.sprintf "bcopy sum=%d" (sum_int_array (to_int_array vdst))
@@ -63,13 +63,13 @@ let run_bsearch ex ~scale =
   let hits = ref 0 and misses = ref 0 and acc = ref 0 in
   for _ = 1 to 16384 * scale do
     let key = rng (3 * n) in
-    let result = call bsearch (Vtuple [ Vint key; varr ]) in
+    let result = call bsearch (Vtuple [| Vint key; varr |]) in
     match result with
-    | Vcon ("SOME", Some (Vtuple [ Vint i; Vint x ])) ->
+    | Vcon ({ name = "SOME"; _ }, Vtuple [| Vint i; Vint x |]) ->
         if sorted.(i) <> x || x <> key then fail "bsearch: wrong hit %d at %d" x i;
         incr hits;
         acc := !acc + i + x
-    | Vcon ("NONE", None) ->
+    | Vtag { name = "NONE"; _ } ->
         if key mod 3 = 0 then fail "bsearch: missed %d" key;
         incr misses
     | v -> fail "bsearch: unexpected result %s" (Value.to_string v)
@@ -105,7 +105,7 @@ let run_matmult ex ~scale =
   let vc = matrix (Array.init m (fun _ -> Array.make p 0)) in
   let matmult = ex.lookup "matmult" in
   for _ = 1 to scale do
-    ignore (call matmult (Vtuple [ va; vb; vc ]))
+    ignore (call matmult (Vtuple [| va; vb; vc |]))
   done;
   let reference =
     Array.init m (fun i ->
@@ -158,7 +158,7 @@ let run_hanoi ex ~scale =
   let count = ref 0 in
   for _ = 1 to scale do
     let heights = of_int_array [| 16; 0; 0 |] in
-    let r = call hanoi (Vtuple [ trace; heights; Vint 16 ]) in
+    let r = call hanoi (Vtuple [| trace; heights; Vint 16 |]) in
     check_eq "hanoi 16" (Vint 65535) r;
     count := as_int r;
     (* all disks end on the target pole *)
@@ -195,7 +195,7 @@ let run_dotprod ex ~scale =
   let dotprod = ex.lookup "dotprod" in
   let acc = ref 0 in
   for _ = 1 to 16 * scale do
-    let r = call dotprod (Vtuple [ va; vb ]) in
+    let r = call dotprod (Vtuple [| va; vb |]) in
     check_eq "dotprod" (Vint !expected) r;
     acc := !acc + as_int r
   done;
@@ -261,7 +261,7 @@ let run_kmp ex ~scale =
         else Array.sub text (rng 39000) (5 + trial)
       in
       let expected = reference_search text pat in
-      let got = as_int (call kmp (Vtuple [ vtext; of_int_array pat ])) in
+      let got = as_int (call kmp (Vtuple [| vtext; of_int_array pat |])) in
       if got <> expected then fail "kmp: expected %d, got %d" expected got;
       chk := ((!chk * 131) + got + 2) mod 1000000007
     done

@@ -271,7 +271,7 @@ let test_operand_order () =
         let ce = Compile.run_program (Compile.initial_fast Prims.Checked ()) tprog in
         match Value.as_fun (Compile.lookup ce "run") Value.unit_v with
         | _ -> "none"
-        | exception Value.Dml_exn (Value.Vcon (c, None)) -> c)
+        | exception Value.Dml_exn (Value.Vtag c) -> c.Value.name)
   in
   Alcotest.(check string) "host prints in source order" "1\n2\n3\n4\n5\n6\n7\n8\n" host_out;
   Alcotest.(check string) "host raises the first raising operand" "First" host_exn;

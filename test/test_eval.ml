@@ -55,11 +55,11 @@ let both name src binding expected =
 let test_arith () =
   both "arith" {| val x = 1 + 2 * 3 - 4 |} "x" (Vint 3);
   both "division floors" {| val x = (7 div 2, ~7 div 2, 7 mod 3, ~7 mod 3) |} "x"
-    (Vtuple [ Vint 3; Vint (-4); Vint 1; Vint 2 ]);
+    (Vtuple [| Vint 3; Vint (-4); Vint 1; Vint 2 |]);
   both "comparison" {| val x = (1 < 2, 2 <= 1, 3 = 3, 3 <> 3) |} "x"
-    (Vtuple [ Vbool true; Vbool false; Vbool true; Vbool false ]);
+    (Vtuple [| Vbool true; Vbool false; Vbool true; Vbool false |]);
   both "min max abs sgn" {| val x = (min(3, 5), max(3, 5), abs(~7), sgn(~7)) |} "x"
-    (Vtuple [ Vint 3; Vint 5; Vint 7; Vint (-1) ])
+    (Vtuple [| Vint 3; Vint 5; Vint 7; Vint (-1) |])
 
 let test_functions () =
   both "curried" {|
@@ -90,6 +90,94 @@ val x = (app3 updateCK (a, 2, 32); app2 subCK (a, 1) + app2 subCK (a, 2) + app1 
 |}
     "x" (Vint 42)
 
+(* --- curried known calls, typed closures, tagged constructors ------------------ *)
+
+let test_curried_calls () =
+  both "partial and over-application"
+    {|
+fun add3 a b c = a * 100 + b * 10 + c
+fun adder a b = fn c => a + b + c
+fun twice f x = f (f x)
+val p = add3 1 2
+val x = (p 3, add3 4 5 6, twice (add3 0 0) 7, adder 1 2 3, twice (add3 0 1) 2)
+|}
+    "x"
+    (Vtuple [| Vint 123; Vint 456; Vint 7; Vint 6; Vint 22 |]);
+  (* SML runs the function, then each curried operand left to right *)
+  both "operand order across curried arguments"
+    {|
+val log = ref ""
+fun say s = log := !log ^ s
+fun f a b = a + b
+fun g a b c = a * b * c
+val x = (f (say "a"; 1) (say "b"; 2), g (say "c"; 1) (say "d"; 2) (say "e"; 3), !log)
+|}
+    "x"
+    (Vtuple [| Vint 3; Vint 6; Vstring "abcde" |])
+
+let test_typed_paths () =
+  both "int wraps around" {| val x = 4611686018427387903 + 1 |} "x" (Vint min_int);
+  both "Div raised inside a condition"
+    {|
+fun q(a, b) = (if divCK(a, b) > 0 then 1 else 2) handle Div => 3
+fun r(a, b) = (if modCK(a, b) = 0 orelse a < 0 then 4 else 5) handle Div => 6
+val x = (q(7, 2), q(7, 0), r(8, 4), r(8, 0))
+|}
+    "x"
+    (Vtuple [| Vint 1; Vint 3; Vint 4; Vint 6 |]);
+  both "andalso and orelse short-circuit"
+    {|
+val log = ref ""
+fun t s = (log := !log ^ s; true)
+fun f s = (log := !log ^ s; false)
+val x = (if f "a" andalso t "b" then 1 else 2, if t "c" orelse f "d" then 3 else 4,
+         f "e" orelse t "g", t "h" andalso f "i", !log)
+|}
+    "x"
+    (Vtuple [| Vint 2; Vint 3; Vbool true; Vbool false; Vstring "aceghi" |])
+
+let test_constructors () =
+  (* tags are positions, so [Circle], [Cross] and [Small] all have tag 0:
+     a match only ever compares tags of one type *)
+  both "constructors match by tag"
+    {|
+datatype shape = Circle of int | Square of int | Dot
+datatype mark = Cross | Ring of int
+fun area(Circle r) = 3 * r * r
+  | area(Square s) = s * s
+  | area(Dot) = 0
+fun weight(Cross) = 1
+  | weight(Ring n) = n
+fun name(s) = case s of Dot => "dot" | Circle _ => "circle" | Square _ => "square"
+fun kind(m) = case m of Cross => 0 | Ring _ => 1
+val x = (area(Circle 2) + area(Square 3) + area(Dot), weight(Cross) + weight(Ring 5),
+         name(Dot), name(Square 1), kind(Cross), kind(Ring 2))
+|}
+    "x"
+    (Vtuple [| Vint 21; Vint 6; Vstring "dot"; Vstring "square"; Vint 0; Vint 1 |]);
+  (* a constructor name cannot be declared twice, so [Lower] never resolves
+     a shadowed one: the checker refuses the program first *)
+  List.iter
+    (fun src ->
+      match Pipeline.check_valid_s (Session.create ()) src with
+      | Ok _ -> Alcotest.failf "accepted a redeclared constructor: %s" src
+      | Error _ -> ())
+    [
+      "datatype a = Dot | Line\ndatatype b = Dot";
+      "datatype a = Dot | Line\nexception Dot";
+      "exception Boom\nval x = let exception Boom in 1 end";
+    ];
+  both "exception constructors"
+    {|
+exception Small of int
+exception Big
+fun classify(n) = (if n < 10 then raise Small(n) else raise Big) handle Small k => k | Big => 100
+fun sub0(a) = subCK(a, 5) handle Subscript => ~1
+val x = (classify(4), classify(40), sub0(array(2, 0)))
+|}
+    "x"
+    (Vtuple [| Vint 4; Vint 100; Vint (-1) |])
+
 (* --- frames and known calls --------------------------------------------------- *)
 
 let test_frames () =
@@ -102,7 +190,7 @@ val h = let fun k(a, b) = a - b val k = fn (a, b) => a + b in k(10, 3) end
 val x = (g, f(10, 3), h)
 |}
     "x"
-    (Vtuple [ Vint 7; Vint 30; Vint 13 ]);
+    (Vtuple [| Vint 7; Vint 30; Vint 13 |]);
   both "known function passed first-class"
     {|
 fun add(a, b) = a + b
@@ -118,7 +206,7 @@ fun g(q) = f q
 val x = (f p, g (1, 3))
 |}
     "x"
-    (Vtuple [ Vint 42; Vint 13 ]);
+    (Vtuple [| Vint 42; Vint 13 |]);
   both "closures capture their own activation"
     {|
 fun build(i, acc) =
@@ -143,7 +231,7 @@ end
 val x = (outer(1), l1(1), (fn a => fn b => fn c => a * 100 + b * 10 + c) 4 5 6)
 |}
     "x"
-    (Vtuple [ Vint 123; Vint 4321; Vint 456 ]);
+    (Vtuple [| Vint 123; Vint 4321; Vint 456 |]);
   both "clause fails inside a nested constructor pattern"
     {|
 fun pick(SOME (x :: 0 :: _)) = x
@@ -157,7 +245,7 @@ val x = (pick(SOME (5 :: 7 :: nil)), pick(SOME (5 :: 0 :: nil)), pick(NONE), pic
          firstZero(3 :: 1 :: nil, 2), firstZero(3 :: 0 :: nil, 2), firstZero(nil, 2))
 |}
     "x"
-    (Vtuple [ Vint 50; Vint 5; Vint (-1); Vint (-2); Vint 6; Vint 5; Vint 2 ]);
+    (Vtuple [| Vint 50; Vint 5; Vint (-1); Vint (-2); Vint 6; Vint 5; Vint 2 |]);
   both "handle arm binder"
     {|
 exception Fail of int
@@ -180,7 +268,7 @@ and odd n = if n = 0 then false else even (n - 1)
 val x = (even 10, odd 10)
 |}
     "x"
-    (Vtuple [ Vbool true; Vbool false ])
+    (Vtuple [| Vbool true; Vbool false |])
 
 let test_datatypes () =
   both "list sum"
@@ -226,7 +314,7 @@ fun safe(i) = 0 <= i andalso i < length a andalso subCK(a, i) > 0
 val x = (safe(0), safe(5), safe(~1))
 |}
     "x"
-    (Vtuple [ Vbool true; Vbool false; Vbool false ])
+    (Vtuple [| Vbool true; Vbool false; Vbool false |])
 
 let test_reverse_runs () =
   both "reverse"
@@ -255,11 +343,11 @@ where get <| int array * int -> int
     (fun b ->
       let f = b.run Prims.Checked tprog "get" in
       let call v = as_fun f v in
-      Alcotest.check value "in bounds" (Vint 0) (call (Vtuple [ of_int_array [| 0; 0 |]; Vint 1 ]));
+      Alcotest.check value "in bounds" (Vint 0) (call (Vtuple [| of_int_array [| 0; 0 |]; Vint 1 |]));
       Alcotest.check_raises "out of bounds" Prims.Subscript (fun () ->
-          ignore (call (Vtuple [ of_int_array [| 0; 0 |]; Vint 2 ])));
+          ignore (call (Vtuple [| of_int_array [| 0; 0 |]; Vint 2 |])));
       Alcotest.check_raises "negative" Prims.Subscript (fun () ->
-          ignore (call (Vtuple [ of_int_array [| 0; 0 |]; Vint (-1) ]))))
+          ignore (call (Vtuple [| of_int_array [| 0; 0 |]; Vint (-1) |]))))
     backends
 
 let test_counters () =
@@ -352,7 +440,7 @@ fun deep(n) = if n = 0 then 0 else 1 + deep(n - 1)
       let call name v = as_fun (b.run Prims.Unchecked tprog name) v in
       with_small_stack (fun () ->
           Alcotest.check value (b.b_name ^ ": tuple loop") (Vint 4000000)
-            (call "count" (Vtuple [ Vint 0; Vint 2000000; Vint 0 ]));
+            (call "count" (Vtuple [| Vint 0; Vint 2000000; Vint 0 |]));
           Alcotest.check value (b.b_name ^ ": one-argument loop") (Vint 7) (call "down" (Vint 2000000));
           match call "deep" (Vint 2000000) with
           | _ -> Alcotest.fail (b.b_name ^ ": the non-tail control did not overflow")
@@ -373,6 +461,23 @@ let test_known_call_cycles () =
     ignore (costed_backend.run Prims.Unchecked ~counters (typecheck "cycles" src) "r");
     counters.Prims.cycles
   in
+  (* a curried known call of k operands charges the application chain it
+     replaces, k apps and the var: [loopc 10 0] 2+2+1 with two literals = 7;
+     each stepping iteration: if 1, [i = 0] 3, call 5, [i - 1] 3, [acc + i] 3
+     = 15; the last 5.  7 + 150 + 5 = 162.  Reaching it through a partial
+     application costs one more, the read of [p]. *)
+  Alcotest.(check int) "curried loop" 162
+    (cycles {|
+fun loopc i acc = if i = 0 then acc else loopc (i - 1) (acc + i)
+val r = loopc 10 0
+|});
+  Alcotest.(check int) "curried loop through a partial application" 163
+    (cycles
+       {|
+fun loopc i acc = if i = 0 then acc else loopc (i - 1) (acc + i)
+val p = loopc 10
+val r = p 0
+|});
   Alcotest.(check int) "tuple loop" 184
     (cycles {|
 fun loop(i, acc) = if i = 0 then acc else loop(i - 1, acc + i)
@@ -385,14 +490,23 @@ val r = down(10)
 |})
 
 let test_match_failure () =
-  let tprog = typecheck "partial" {|
+  let tprog =
+    typecheck "partial"
+      {|
 fun head(x :: _) = x
 val f = head
-|} in
+fun sign(c) = case c of LESS => ~1 | GREATER => 1
+val g = fn () => sign(EQUAL)
+|}
+  in
   List.iter
     (fun b ->
       let f = b.run Prims.Checked tprog "f" in
-      match as_fun f (Vcon ("nil", None)) with
+      (match as_fun f (Vtag Value.nil) with
+      | _ -> Alcotest.fail "expected a match failure"
+      | exception Compile.Match_failure_dml _ -> ());
+      (* a tag with no arm in a dispatch on nullary constructors *)
+      match as_fun (b.run Prims.Checked tprog "g") unit_v with
       | _ -> Alcotest.fail "expected a match failure"
       | exception Compile.Match_failure_dml _ -> ())
     backends
@@ -410,6 +524,9 @@ let () =
           Alcotest.test_case "short circuit" `Quick test_short_circuit;
           Alcotest.test_case "reverse" `Quick test_reverse_runs;
           Alcotest.test_case "frames and known calls" `Quick test_frames;
+          Alcotest.test_case "curried known calls" `Quick test_curried_calls;
+          Alcotest.test_case "typed int and bool paths" `Quick test_typed_paths;
+          Alcotest.test_case "constructor tags" `Quick test_constructors;
         ] );
       ( "checking",
         [

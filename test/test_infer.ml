@@ -188,6 +188,16 @@ let test_budget_degrades () =
       Alcotest.(check bool) "starved sites degrade, not hang" true
         (oc.Engine.oc_report.Pipeline.rp_residual > 0)
 
+(* --- harvest: the bcopy twin's word loop is aligned to 4 ----------------- *)
+
+let test_harvest_divisor () =
+  match Programs.find "bcopy" with
+  | None -> Alcotest.fail "bcopy missing"
+  | Some b ->
+      let prog = Dml_lang.Parser.parse_program (Programs.unannotated b) in
+      Alcotest.(check (list int)) "divisors" [ 4 ]
+        (Dml_infer.Qualifier.harvest prog).Dml_infer.Qualifier.h_divisors
+
 (* --- cache keying: --infer lives in a separate memo world ------------------ *)
 
 let test_fingerprint_separation () =
@@ -210,5 +220,6 @@ let () =
           fuzz_vocab_soundness;
         ] );
       ("budget", [ Alcotest.test_case "starved solver degrades" `Quick test_budget_degrades ]);
+      ("harvest", [ Alcotest.test_case "bcopy twin divisor" `Quick test_harvest_divisor ]);
       ("memo", [ Alcotest.test_case "fingerprint separation" `Quick test_fingerprint_separation ]);
     ]

@@ -34,7 +34,7 @@ val r = ref (1, true)
 val x = (r := (2, false); !r)
 |}
     "x"
-    (Vtuple [ Vint 2; Vbool false ])
+    (Vtuple [| Vint 2; Vbool false |])
 
 let test_closures_over_state () =
   expect "counter"
@@ -49,7 +49,7 @@ val other = counter()
 val x = (tick(), tick(), other(), tick())
 |}
     "x"
-    (Vtuple [ Vint 1; Vint 2; Vint 1; Vint 3 ])
+    (Vtuple [| Vint 1; Vint 2; Vint 1; Vint 3 |])
 
 let test_imperative_loop () =
   expect "imperative sum via ref"

@@ -39,7 +39,7 @@ let test_append () =
   for _ = 1 to 20 do
     let a = random_list (next 30) and b = random_list (next 30) in
     Alcotest.check value "append" (of_int_list (a @ b))
-      (call (fn "append") (Vtuple [ of_int_list a; of_int_list b ]))
+      (call (fn "append") (Vtuple [| of_int_list a; of_int_list b |]))
   done
 
 let test_map () =
@@ -54,10 +54,10 @@ let test_zip_unzip () =
   for _ = 1 to 20 do
     let n = next 30 in
     let a = random_list n and b = random_list n in
-    let zipped = call (fn "zip") (Vtuple [ of_int_list a; of_int_list b ]) in
+    let zipped = call (fn "zip") (Vtuple [| of_int_list a; of_int_list b |]) in
     let unzipped = call (fn "unzip") zipped in
     Alcotest.check value "unzip (zip a b) = (a, b)"
-      (Vtuple [ of_int_list a; of_int_list b ])
+      (Vtuple [| of_int_list a; of_int_list b |])
       unzipped
   done
 
@@ -70,9 +70,9 @@ let test_take_drop () =
     let a = random_list n in
     let i = if n = 0 then 0 else next (n + 1) in
     Alcotest.check value "take" (of_int_list (take_ocaml a i))
-      (call (fn "take") (Vtuple [ of_int_list a; Vint i ]));
+      (call (fn "take") (Vtuple [| of_int_list a; Vint i |]));
     Alcotest.check value "drop" (of_int_list (drop_ocaml a i))
-      (call (fn "drop") (Vtuple [ of_int_list a; Vint i ]))
+      (call (fn "drop") (Vtuple [| of_int_list a; Vint i |]))
   done
 
 let test_last () =
@@ -96,7 +96,7 @@ let test_merge () =
     let b = List.sort compare (random_list (next 30)) in
     Alcotest.check value "merge"
       (of_int_list (List.merge compare a b))
-      (call (fn "merge") (Vtuple [ of_int_list a; of_int_list b ]))
+      (call (fn "merge") (Vtuple [| of_int_list a; of_int_list b |]))
   done
 
 let test_split () =
@@ -104,7 +104,7 @@ let test_split () =
     let n = next 40 in
     let a = random_list n in
     match call (fn "split") (of_int_list a) with
-    | Vtuple [ l; r ] ->
+    | Vtuple [| l; r |] ->
         let l = to_int_list l and r = to_int_list r in
         Alcotest.(check int) "split lengths" n (List.length l + List.length r);
         Alcotest.(check (list int)) "split partition" (List.sort compare a)
@@ -115,17 +115,17 @@ let test_split () =
 let test_array_utilities () =
   (* afill *)
   let a = of_int_array (Array.make 10 0) in
-  ignore (call (fn "afill") (Vtuple [ a; Vint 7 ]));
+  ignore (call (fn "afill") (Vtuple [| a; Vint 7 |]));
   Alcotest.check value "afill" (of_int_array (Array.make 10 7)) a;
   (* amap *)
   let src = Array.init 12 (fun i -> i) in
   let dst = of_int_array (Array.make 12 0) in
   let inc = Vfun (fun v -> Vint (as_int v + 1)) in
-  ignore (call (fn "amap") (Vtuple [ inc; of_int_array src; dst ]));
+  ignore (call (fn "amap") (Vtuple [| inc; of_int_array src; dst |]));
   Alcotest.check value "amap" (of_int_array (Array.map (fun x -> x + 1) src)) dst;
   (* afoldl *)
-  let plus = Vfun (function Vtuple [ a; b ] -> Vint (as_int a + as_int b) | _ -> assert false) in
-  let sum = call (fn "afoldl") (Vtuple [ plus; Vint 0; of_int_array src ]) in
+  let plus = Vfun (function Vtuple [| a; b |] -> Vint (as_int a + as_int b) | _ -> assert false) in
+  let sum = call (fn "afoldl") (Vtuple [| plus; Vint 0; of_int_array src |]) in
   Alcotest.check value "afoldl" (Vint (Array.fold_left ( + ) 0 src)) sum;
   (* amax *)
   for _ = 1 to 10 do

@@ -37,7 +37,7 @@ let test_operations () =
   both "ord/chr roundtrip" {| val c = chrCK(ord(#"A") + 1) |} "c" (Vchar 'B');
   both "ord/chr exact" {| val c = chr(ord(#"B")) |} "c" (Vchar 'B');
   both "char comparisons" {| val x = (ceq(#"a", #"a"), clt(#"a", #"b")) |} "x"
-    (Vtuple [ Vbool true; Vbool true ]);
+    (Vtuple [| Vbool true; Vbool true |]);
   both "substring" {| val s = substring("typechecking", 4, 5) |} "s" (Vstring "check");
   both "int_to_string" {| val s = int_to_string(42) ^ "!" |} "s" (Vstring "42!")
 
@@ -73,7 +73,7 @@ fun greet("hi") = 1
 val x = (greet("hi"), greet("bye"), greet("what"))
 |}
     "x"
-    (Vtuple [ Vint 1; Vint 2; Vint 0 ]);
+    (Vtuple [| Vint 1; Vint 2; Vint 0 |]);
   both "char patterns"
     {|
 fun classify(#"a") = 1
@@ -82,7 +82,7 @@ fun classify(#"a") = 1
 val x = (classify(#"a"), classify(#"z"))
 |}
     "x"
-    (Vtuple [ Vint 1; Vint 0 ]);
+    (Vtuple [| Vint 1; Vint 0 |]);
   (* matching a string literal pins the length index *)
   both "length hypothesis from a string pattern"
     {|
@@ -120,7 +120,7 @@ let test_string_search () =
   let r = typecheck "string kmp" string_kmp in
   let counters = Prims.new_counters () in
   let f = run ~counters Prims.Unchecked r.Pipeline.rp_tprog "kmpString" in
-  let search text pat = as_int (as_fun f (Vtuple [ Vstring text; Vstring pat ])) in
+  let search text pat = as_int (as_fun f (Vtuple [| Vstring text; Vstring pat |])) in
   Alcotest.(check int) "find word" 16 (search "the quick brown fox" "fox");
   Alcotest.(check int) "find at start" 0 (search "abcabc" "abc");
   Alcotest.(check int) "find at end" 4 (search "xxxxyz" "yz");
@@ -136,7 +136,7 @@ fun at(s, i) = string_subCK(s, i) handle Subscript => #"?"
 val x = (at("hey", 1), at("hey", 9))
 |}
     "x"
-    (Vtuple [ Vchar 'e'; Vchar '?' ])
+    (Vtuple [| Vchar 'e'; Vchar '?' |])
 
 let () =
   Alcotest.run "strings"
