@@ -1,4 +1,4 @@
-.PHONY: all check build test fuzz bench-json bench-load bench-gate bench-solver bench-incr perfbench clean
+.PHONY: all check build test fuzz bench-json bench-load bench-gate bench-solver perfbench clean
 
 all: build
 
@@ -18,11 +18,38 @@ check: build
 	timeout 600 dune runtest
 	$(MAKE) fuzz
 
-# Machine-readable benchmark artifacts: the batch checker's aggregate report
-# (schema dml-batch/1) and the Bechamel microbenchmarks (schema dml-bench/1).
+# Machine-readable benchmark artifacts, each a dmlc document: Table 1
+# (dml-table1/1), Tables 2 and 3 (dml-table23/1) and profiled dml-batch/1
+# batches for the ablations.  Solver and tightening ablations: the corpus
+# checked uncached, five passes per method; the "binary search" row holds the
+# Figure 4 goals, the bcopy row the divisibility obligations, and a best-of-5
+# figure is the minimum solve_s over passes.  Cache ablation: the uncached fm
+# document is "off", passes 1 and 2 of BENCH_batch_seq.json are cold and warm.
+# Batch scheduling: in process, -j 1/2/4 and obligation-sharded, three passes.
 bench-json: build
-	dune exec bin/dmlc.exe -- batch --all --json > BENCH_batch.json
-	dune exec bench/main.exe -- --out BENCH_micro.json
+	dune exec bin/dmlc.exe -- table1 --json > BENCH_table1.json
+	dune exec bin/dmlc.exe -- table23 --backend cost-model --json > BENCH_table2.json
+	dune exec bin/dmlc.exe -- table23 --backend closure --json > BENCH_table3.json
+	for s in fm fm-plain simplex; do \
+	  timeout 300 dune exec bin/dmlc.exe -- batch --all --no-cache --solver $$s \
+	    --repeat 5 --json --profile > BENCH_ablation_$$s.json || exit 1; \
+	done
+	dune exec bin/dmlc.exe -- batch --all --repeat 3 --json --profile > BENCH_batch_seq.json
+	for j in 1 2 4; do \
+	  dune exec bin/dmlc.exe -- batch --all -j $$j --repeat 3 --json --profile \
+	    > BENCH_batch_j$$j.json || exit 1; \
+	done
+	dune exec bin/dmlc.exe -- batch --all -j 4 --shard-obligations --repeat 3 --json --profile \
+	  > BENCH_batch_j4_obligations.json
+	python3 -c 'import json; \
+	passes = lambda f: json.load(open(f"BENCH_{f}.json"))["passes"]; \
+	row = lambda p, n: next(r for r in p["programs"] if r["program"] == n); \
+	best = lambda f, n=None: min((row(p, n) if n else p["aggregate"])["solve_s"] for p in passes(f)); \
+	print("solver, binary search best-of-5 solve_s: " + ", ".join("%s %.5fs" % (s, best("ablation_" + s, "binary search")) for s in ("fm", "fm-plain", "simplex"))); \
+	print("tightening, bcopy best-of-5 solve_s: " + ", ".join("%s %.5fs residual %d" % (s, best("ablation_" + s, "bcopy"), row(passes("ablation_" + s)[0], "bcopy")["residual"]) for s in ("fm", "fm-plain"))); \
+	seq = passes("batch_seq"); \
+	print("cache, aggregate solve_s: off %.4fs cold %.4fs warm %.4fs" % (best("ablation_fm"), seq[0]["aggregate"]["solve_s"], seq[1]["aggregate"]["solve_s"])); \
+	print("batch, best-of-3 aggregate solve_s: " + ", ".join("%s %.4fs" % (b, best("batch_" + b)) for b in ("seq", "j1", "j2", "j4", "j4_obligations")))'
 
 # The dmld fault-injection load harness (schema dml-load/1): concurrent
 # clients against a pooled server with injected worker crashes and hangs.
@@ -48,13 +75,6 @@ bench-solver: build
 	python3 -c 'import json; \
 	best = {l: min(p["aggregate"]["solve_s"] for p in json.load(open(f"BENCH_solver_{l}.json"))["passes"]) for l in ("bignum", "native")}; \
 	print("best-of-5 solve_s: bignum %.4fs native %.4fs (native speedup %.2fx)" % (best["bignum"], best["native"], best["bignum"] / best["native"]))'
-
-# Incremental recheck latency by edit size (schema dml-bench/1): the Table 1
-# corpus as one editor buffer, re-checked after a 1-declaration, ~10% and
-# 100% edit; each row pairs the incremental figure with a cold full check
-# and asserts the reports are byte-identical first.
-bench-incr: build
-	timeout 300 dune exec bench/incr.exe -- --out BENCH_incr.json
 
 # The seeded end-to-end benchmark declared in BENCHMARK.json: every workload
 # once, each printing its one-line JSON result last.  Override the seed and

@@ -146,7 +146,7 @@ let client_main ~socket : sample list =
 
 (* --- percentile helpers ------------------------------------------------ *)
 
-(* shared with bench/incr and unit-tested for the empty/one-sample edges *)
+(* unit-tested for the empty/one-sample edges *)
 let latency_doc samples =
   Dml_gate.Percentile.latency_doc (List.map (fun s -> s.s_latency *. 1000.) samples)
 

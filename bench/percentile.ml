@@ -1,5 +1,5 @@
-(* The one percentile estimator shared by the latency harnesses (bench/load,
-   bench/incr) and anything downstream that summarizes a sample population.
+(* The one percentile estimator of the latency harness (bench/load) and
+   anything downstream that summarizes a sample population.
 
    Nearest-rank on a sorted array: p(q) is the smallest sample such that at
    least q·n samples are <= it.  The edge cases are what the gate history
@@ -22,8 +22,8 @@ let of_samples samples q =
   Array.sort compare a;
   of_sorted a q
 
-(* The latency summary object embedded in dml-load/1 and dml-bench/1
-   documents; field set and order are part of those schemas. *)
+(* The latency summary object embedded in dml-load/1 documents; field set
+   and order are part of that schema. *)
 let latency_doc ms =
   let a = Array.of_list ms in
   Array.sort compare a;

@@ -57,16 +57,15 @@ let solver_method =
 let solver_lane =
   let lanes =
     [
-      ("auto", Dml_solver.Solver.Lane_auto);
       ("native", Dml_solver.Solver.Lane_native);
       ("bignum", Dml_solver.Solver.Lane_bignum);
     ]
   in
-  let doc = "Solver arithmetic lane: auto (machine-int fast path, escalating to \
-             arbitrary precision on checked overflow — the default), native (same \
-             fast path, named explicitly), or bignum (arbitrary precision only).  \
-             Verdicts are identical on every lane; only speed differs." in
-  Arg.(value & opt (enum lanes) Dml_solver.Solver.Lane_auto & info [ "solver-lane" ] ~doc)
+  let doc = "Solver arithmetic lane: native (machine-int fast path, escalating to \
+             arbitrary precision on checked overflow — the default) or bignum \
+             (arbitrary precision only).  Verdicts are identical on both lanes; \
+             only speed differs." in
+  Arg.(value & opt (enum lanes) Dml_solver.Solver.Lane_native & info [ "solver-lane" ] ~doc)
 
 (* Per-obligation solver budget and escalation; together with the method this
    builds the session's solve_config. *)

@@ -363,8 +363,7 @@ let front_end fronts (prelude : Prelude.t) user_prog keys =
 let check state session src =
   Pipeline.with_session_sink session @@ fun () ->
   Metrics.incr m_rechecks;
-  let cache = Session.cache session in
-  let cache_before = Option.map Dml_cache.Cache.snapshot cache in
+  let since = Pipeline.cache_mark session in
   let fp = Session.fingerprint (Session.options session) in
   try
     let t0 = Budget.now () in
@@ -453,13 +452,10 @@ let check state session src =
         fe_denv = Elab.export_denv ectx;
       }
     in
-    let cache_stats =
-      match (cache, cache_before) with
-      | Some c, Some before ->
-          Some (Dml_cache.Cache.diff (Dml_cache.Cache.snapshot c) before)
-      | _ -> None
+    let report =
+      Pipeline.assemble ?cache_stats:(Pipeline.cache_delta since) ~stats:total_stats ~solve_time
+        fe obligations
     in
-    let report = Pipeline.assemble ?cache_stats ~stats:total_stats ~solve_time fe obligations in
     let st =
       {
         st_units = List.length user_prog;

@@ -238,28 +238,31 @@ let assemble ?cache_stats ~stats ~solve_time fe obligations =
     rp_cache_stats = cache_stats;
   }
 
+type cache_mark = (Dml_cache.Cache.t * Dml_cache.Cache.snapshot) option
+
+let cache_mark session =
+  Option.map (fun c -> (c, Dml_cache.Cache.snapshot c)) (Session.cache session)
+
+let cache_delta mark =
+  Option.map (fun (c, before) -> Dml_cache.Cache.diff (Dml_cache.Cache.snapshot c) before) mark
+
+(* The solving half of [check_s], without installing the sink: callers run
+   it inside their own [with_session_sink], once per check. *)
+let solve_frontend session ~since fe =
+  let config = Session.solve session and cache = Session.cache session in
+  let stats = Solver.new_stats () in
+  let t1 = Budget.now () in
+  let obligations = List.map (solve_obligation_raw ~config ~stats ?cache) fe.fe_obligations in
+  let solve_time = Budget.now () -. t1 in
+  assemble ?cache_stats:(cache_delta since) ~stats ~solve_time fe obligations
+
 let check_s session src =
   with_session_sink session @@ fun () ->
-  let config = Session.solve session in
-  let cache = Session.cache session in
-  let cache_before = Option.map Dml_cache.Cache.snapshot cache in
+  let since = cache_mark session in
   let sp_check = Trace.start "check" in
   Metrics.incr m_runs;
   let result =
-  try
-    let fe = frontend_exn src in
-    let stats = Solver.new_stats () in
-    let t1 = Budget.now () in
-    let obligations =
-      List.map (solve_obligation_raw ~config ~stats ?cache) fe.fe_obligations
-    in
-    let solve_time = Budget.now () -. t1 in
-    let cache_stats =
-      match (cache, cache_before) with
-      | Some c, Some before -> Some (Dml_cache.Cache.diff (Dml_cache.Cache.snapshot c) before)
-      | _ -> None
-    in
-    Ok (assemble ?cache_stats ~stats ~solve_time fe obligations)
+  try Ok (solve_frontend session ~since (frontend_exn src))
   with
   | Sys.Break as e -> raise e
   | e -> Error (failure_of_exn e)

@@ -146,6 +146,23 @@ val assemble :
 (** Rebuild a {!report} from a front end and its (merged, generation-order)
     solved obligations. *)
 
+type cache_mark
+(** The session's verdict-cache counters at the start of a check (empty
+    when the session has no cache). *)
+
+val cache_mark : Session.t -> cache_mark
+
+val cache_delta : cache_mark -> Dml_cache.Cache.snapshot option
+(** The cache counters since [mark]: a report's [rp_cache_stats]. *)
+
+val solve_frontend : Session.t -> since:cache_mark -> frontend -> report
+(** The solving half of {!check_s}: decide every obligation under the
+    session's solve config and cache, then {!assemble} the report with the
+    cache delta since [since].  Installs no trace sink: call it inside
+    {!with_session_sink}.  [since] is the caller's, so an engine that
+    solves in rounds ({!Dml_infer.Engine}) reports the delta over all of
+    them. *)
+
 val check_s : Session.t -> string -> (report, failure) result
 (** Runs the full pipeline on a user program (after the basis) under
     a {!Session.t}: the session supplies the solve config, the shared

@@ -13,7 +13,7 @@ type solve_config = {
 let default_solve_config =
   {
     sc_method = Solver.Fm_tightened;
-    sc_lane = Solver.Lane_auto;
+    sc_lane = Solver.Lane_native;
     sc_escalate = false;
     sc_fuel = None;
     sc_timeout_ms = None;
@@ -70,7 +70,7 @@ let options_fields o =
              fingerprints, and a forced lane still deserves its own memo
              space (it changes timing and counters, not verdicts) *)
           @
-          if o.op_solve.sc_lane = Solver.Lane_auto then []
+          if o.op_solve.sc_lane = Solver.Lane_native then []
           else [ ("lane", Json.String (Solver.lane_slug o.op_solve.sc_lane)) ]) );
       ( "cache",
         match o.op_cache with

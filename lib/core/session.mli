@@ -27,7 +27,7 @@ type solve_config = {
   sc_method : Solver.method_;  (** first (or only) method tried per goal *)
   sc_lane : Solver.lane;
       (** arithmetic lane: machine-int fast path vs bignum (default
-          {!Solver.Lane_auto}, native-first).  Folded into the options
+          {!Solver.Lane_native}).  Folded into the options
           fingerprint only when forced away from the default. *)
   sc_escalate : bool;
       (** retry an unproven goal under the remaining budget: [sc_method]

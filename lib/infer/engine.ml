@@ -3,7 +3,6 @@ open Dml_index
 open Dml_constr
 open Dml_solver
 open Dml_core
-module Cache = Dml_cache.Cache
 module Mltype = Dml_mltype.Mltype
 module Tast = Dml_mltype.Tast
 module Json = Dml_obs.Json
@@ -600,26 +599,6 @@ let sweep st =
 
 (* --- end-to-end ---------------------------------------------------------- *)
 
-let with_session_sink session f =
-  match Session.sink session with
-  | None -> f ()
-  | Some sk ->
-      let prev = Trace.current_sink () in
-      Trace.set_sink (Some sk);
-      Fun.protect ~finally:(fun () -> Trace.set_sink prev) f
-
-let final_solve session ~cache_before fe =
-  let stats = Solver.new_stats () in
-  let t1 = Budget.now () in
-  let obligations = List.map (Pipeline.solve_obligation_s session ~stats) fe.Pipeline.fe_obligations in
-  let solve_time = Budget.now () -. t1 in
-  let cache_stats =
-    match (Session.cache session, cache_before) with
-    | Some c, Some before -> Some (Cache.diff (Cache.snapshot c) before)
-    | _ -> None
-  in
-  Pipeline.assemble ?cache_stats ~stats ~solve_time fe obligations
-
 let engine_stats st =
   {
     st_liquid_vars = Hashtbl.length st.registry;
@@ -651,8 +630,8 @@ let bump_metrics s =
   Metrics.incr ~by:s.st_quals_kept m_quals_kept
 
 let check_s ?(vocab_keep = fun _ -> true) session src =
-  with_session_sink session @@ fun () ->
-  let cache_before = Option.map Cache.snapshot (Session.cache session) in
+  Pipeline.with_session_sink session @@ fun () ->
+  let since = Pipeline.cache_mark session in
   let parsed =
     match Parser.parse_program_with_spans src with
     | p -> Ok p
@@ -714,7 +693,7 @@ let check_s ?(vocab_keep = fun _ -> true) session src =
           in
           if st.skeletons = [] then
             (* nothing to infer: behave exactly like a plain check *)
-            outcome (final_solve session ~cache_before fe0)
+            outcome (Pipeline.solve_frontend session ~since fe0)
           else begin
             (* the weakening cap is a belt on top of monotonicity: every
                productive round removes at least one qualifier, so rounds
@@ -742,7 +721,7 @@ let check_s ?(vocab_keep = fun _ -> true) session src =
                    plain (uninferred) check rather than failing the program *)
                 outcome
                   ~abandoned:(Pipeline.failure_to_string f)
-                  (final_solve session ~cache_before fe0)
+                  (Pipeline.solve_frontend session ~since fe0)
             | Ok _ -> (
                 (* final pass without sentinels: the types as a user would
                    have written them, and a report free of marker atoms *)
@@ -751,8 +730,8 @@ let check_s ?(vocab_keep = fun _ -> true) session src =
                 | Error f ->
                     outcome
                       ~abandoned:(Pipeline.failure_to_string f)
-                      (final_solve session ~cache_before fe0)
-                | Ok fe -> outcome (final_solve session ~cache_before fe))
+                      (Pipeline.solve_frontend session ~since fe0)
+                | Ok fe -> outcome (Pipeline.solve_frontend session ~since fe))
           end)
 
 let infer_json ~program oc =

@@ -6,17 +6,15 @@ module Trace = Dml_obs.Trace
 
 type method_ = Fm_tightened | Fm_plain | Simplex_rational
 
-type lane = Lane_bignum | Lane_native | Lane_auto
+type lane = Lane_bignum | Lane_native
 
 let lane_slug = function
   | Lane_bignum -> "bignum"
   | Lane_native -> "native"
-  | Lane_auto -> "auto"
 
 let lane_of_slug = function
   | "bignum" -> Some Lane_bignum
   | "native" -> Some Lane_native
-  | "auto" -> Some Lane_auto
   | _ -> None
 
 type verdict = Valid | Not_valid of string | Unsupported of string | Timeout of string
@@ -187,7 +185,7 @@ type memos = { bignum : Bignum.memo; native : Native.memo }
 let refute ?stats ?budget ~lane memos method_ literals =
   match lane with
   | Lane_bignum -> Bignum.refute ?stats ?budget memos.bignum method_ literals
-  | Lane_native | Lane_auto -> (
+  | Lane_native -> (
       match Native.refute ?stats ?budget memos.native method_ literals with
       | answer ->
           Option.iter (fun s -> s.native_solves <- s.native_solves + 1) stats;
@@ -207,7 +205,7 @@ let rat_model_to_string model =
   in
   String.concat ", " (List.rev parts)
 
-let check_goal_uncached ?(method_ = Fm_tightened) ?(lane = Lane_auto) ?stats ?budget goal =
+let check_goal_uncached ?(method_ = Fm_tightened) ?(lane = Lane_native) ?stats ?budget goal =
   let t0 = Budget.now () in
   Option.iter (fun s -> s.checked_goals <- s.checked_goals + 1) stats;
   Metrics.incr m_goals;
@@ -284,7 +282,7 @@ let verdict_slug = function
 (* The front door with the cache and the trace span around it.  The second
    component reports where the verdict came from, so the escalation ladder
    can count only uncached solves and the span can carry the cache status. *)
-let check_goal_status ~method_ ?(lane = Lane_auto) ?stats ?budget ?cache goal =
+let check_goal_status ~method_ ?(lane = Lane_native) ?stats ?budget ?cache goal =
   let sp = Trace.start "solve" in
   let fm0, pair0, disj0 =
     if Trace.real sp then

@@ -26,11 +26,10 @@ type lane =
   | Lane_bignum  (** arbitrary-precision arithmetic only (the original path) *)
   | Lane_native
       (** machine-int fast path with checked arithmetic; overflow re-solves
-          the disjunct on the bignum lane *)
-  | Lane_auto  (** native-first — currently identical to [Lane_native] *)
+          the disjunct on the bignum lane (the default) *)
 
 val lane_slug : lane -> string
-(** Machine-readable lane tag (["bignum"], ["native"], ["auto"]), the same
+(** Machine-readable lane tag (["bignum"], ["native"]), the same
     strings the CLI's [--solver-lane] accepts. *)
 
 val lane_of_slug : string -> lane option
@@ -90,7 +89,7 @@ val check_goal :
 (** Decide one goal with a single method.  Never raises: budget exhaustion
     and solver faults are converted to verdicts (see the module preamble).
 
-    [?lane] (default [Lane_auto]) picks the arithmetic: the machine-int
+    [?lane] (default [Lane_native]) picks the arithmetic: the machine-int
     fast path first, escalating to bignum on checked overflow.  Both lanes
     are one algorithm body instantiated at two number types, so the
     verdict — and the cache entry it produces — is lane-invariant; lanes

@@ -408,11 +408,16 @@ let always_run src =
   in
   go (Dml_lang.Parser.parse_program src)
 
+(* The establishing check is cold (every unit dirty), so it is compared with
+   a full check too. *)
 let recheck name base edited =
   let sess = session () in
   let st = I.create () in
   (match I.check st sess base with
-  | Ok _ -> ()
+  | Ok (rp, _) ->
+      Alcotest.(check string) (name ^ ": establishing check matches cold full check")
+        (J.to_string (full_doc base))
+        (J.to_string (scrub (R.of_report ~program:"fuzz" rp)))
   | Error f -> Alcotest.fail (P.failure_to_string f));
   match I.check st sess edited with
   | Ok (rp, s) ->
@@ -444,6 +449,12 @@ let test_front_end_reuse () =
   Alcotest.(check int) "bound edit: front end runs for the dirty unit only" (1 + always)
     (s.I.st_units - s.I.st_front_reused);
   Alcotest.(check int) "bound edit: one unit re-solved" 1 s.I.st_dirty;
+  (* a ~10% edit: a tenth of the units, each a probe, change at once *)
+  let k = units / 10 in
+  let bumped = List.fold_left (fun b i -> apply b (Bump (i, 1))) buf (List.init k Fun.id) in
+  let edited = render bumped.segs in
+  let s = recheck "10% edit" src edited in
+  Alcotest.(check int) "10% edit: the edited units re-solved" k s.I.st_dirty;
   (* an end-of-line comment moves no token: every fun unit is reused *)
   let commented = insert_before ~anchor:"\nwhere dmlprobe0_0" " (* eol *)" src in
   let s = recheck "comment toggle" src commented in

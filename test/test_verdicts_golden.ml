@@ -73,7 +73,7 @@ let read_golden () =
 let test_lane lane () =
   let got = document ~lane in
   match Sys.getenv_opt "DML_VERDICTS_GOLDEN" with
-  | Some out when lane = Solver.Lane_auto -> (
+  | Some out when lane = Solver.Lane_native -> (
       match J.write_file out got with
       | Ok () -> print_endline ("wrote golden verdicts to " ^ out)
       | Error msg -> Alcotest.fail msg)
@@ -88,7 +88,7 @@ let () =
     [
       ( "corpus",
         [
-          Alcotest.test_case "native-first lane" `Quick (test_lane Solver.Lane_auto);
+          Alcotest.test_case "native-first lane" `Quick (test_lane Solver.Lane_native);
           Alcotest.test_case "bignum lane" `Quick (test_lane Solver.Lane_bignum);
         ] );
     ]
