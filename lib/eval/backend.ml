@@ -29,15 +29,6 @@ type t = {
   b_measure : request -> (measurement, string) result;
 }
 
-(* --- registry ------------------------------------------------------------- *)
-
-let registry : t list ref = ref []
-let register b = registry := !registry @ [ b ]
-let all () = !registry
-
-let find key =
-  List.find_opt (fun b -> b.b_key = key || List.mem key b.b_aliases) !registry
-
 (* --- paired timing ---------------------------------------------------------- *)
 
 (* Interleaved paired measurement: the two disciplines are timed
@@ -144,7 +135,7 @@ let measure_native rq =
           }
     | _ -> fail "%s: native binary reported no timing" rq.rq_name
 
-(* --- the three platforms, registered in one place -------------------------------- *)
+(* --- the three platforms ------------------------------------------------------------ *)
 
 let cost_model =
   {
@@ -182,7 +173,7 @@ let native =
     b_measure = measure_native;
   }
 
-let () =
-  register cost_model;
-  register compiled;
-  register native
+(* --- registry ------------------------------------------------------------- *)
+
+let all () = [ cost_model; compiled; native ]
+let find key = List.find_opt (fun b -> b.b_key = key || List.mem key b.b_aliases) (all ())

@@ -8,9 +8,9 @@
     that runs a benchmark request under both primitive disciplines and
     reports the paired timings plus eliminated/residual check counts.
 
-    All backends are registered here, in one place, at module
-    initialization; [Tables] and [dmlc table23] consume the registry
-    uniformly instead of switching on a variant. *)
+    All backends are listed here, in one place ({!all}); [Tables] and
+    [dmlc table23] consume the list uniformly instead of switching on a
+    variant. *)
 
 type exec = { lookup : string -> Value.t }
 (** A running program: entry points by name.  [Dml_programs.Workloads.exec]
@@ -26,8 +26,10 @@ type request = {
   rq_run : exec -> scale:int -> string;
       (** the workload driver; returns its deterministic summary line *)
   rq_native_driver : string option;
-      (** OCaml driver fragment defining [dml_run : int -> string] against
-          the mangled program — required by the native backend only *)
+      (** OCaml source defining [dml_run : int -> string] against the
+          mangled program: the native instance of [Dml_programs.Drivers]
+          ([Dml_programs.Native_drivers.find]) — required by the native
+          backend only *)
 }
 
 type measurement = {
@@ -51,14 +53,11 @@ type t = {
   b_measure : request -> (measurement, string) result;
 }
 
-val register : t -> unit
-(** Add a backend to the registry (last registration of a key wins on
-    {!find}; {!all} preserves registration order). *)
-
 val find : string -> t option
 (** Look up by key or alias. *)
 
 val all : unit -> t list
+(** The three platforms, in table order. *)
 
 val time_pair : (unit -> unit) -> (unit -> unit) -> float * float
 (** Interleaved paired measurement on the monotonic wall clock

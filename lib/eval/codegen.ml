@@ -8,8 +8,8 @@ let fmt = Printf.sprintf
 
 (* --- name mangling --------------------------------------------------------- *)
 
-(* Identifier-safe, injective, and stable: the native driver snippets in
-   Dml_programs.Native_drivers hardcode mangled names.  Characters outside
+(* Identifier-safe, injective, and stable: the one-line kernel entries in
+   Dml_programs.Native_drivers name mangled identifiers.  Characters outside
    [A-Za-z0-9_'] become their two-digit hex codes, so "::" -> "3a3a". *)
 let sanitize s =
   let buf = Buffer.create (String.length s) in

@@ -17,8 +17,9 @@
     bounds tests and nothing else. *)
 
 val mangle_var : string -> string
-(** Value-identifier mangling ([v_] + sanitizer); stable — the driver
-    snippets in [Dml_programs.Native_drivers] hardcode mangled names. *)
+(** Value-identifier mangling ([v_] + sanitizer); stable — the one-line
+    kernel entries in [Dml_programs.Native_drivers] name mangled
+    identifiers. *)
 
 val mangle_con : string -> string
 (** Datatype-constructor mangling ([C_] + sanitizer); ["::"] mangles to

@@ -1,212 +1,46 @@
-(* OCaml driver fragments for the native backend, one per benchmark.
+(* The native instance of [Drivers]: its text, compiled after the generated
+   program, applied to the program's own array and list types.  Only the
+   one-line entries below name mangled identifiers ([Codegen.mangle_var]
+   etc.). *)
 
-   Each fragment is appended to the generated program ([Codegen]) and must
-   define [dml_run : int -> string] — the workload at a given scale,
-   returning the same summary line the host driver in [Workloads] computes.
-   The inputs, RNG call order, and summary arithmetic mirror [Workloads]
-   exactly, so a native binary's result is byte-comparable to any host
-   backend's; entry points are referenced by their mangled names
-   ([Codegen.mangle_var] etc.), which is why these snippets live next to
-   the workloads and not in user space. *)
-
-let common =
-  {|
-let dml_rng_state = ref 0
-let dml_rng_seed s = dml_rng_state := s
-let dml_rng bound =
-  dml_rng_state := ((!dml_rng_state * 1103515245) + 12345) land 0x3FFFFFFF;
-  !dml_rng_state mod bound
-let rec dml_of_list = function [] -> C_nil | x :: r -> C_3a3a (x, dml_of_list r)
-let rec dml_fold_list f acc l =
-  match l with C_nil -> acc | C_3a3a (x, r) -> dml_fold_list f (f acc x) r
-let dml_hash_list l = dml_fold_list (fun h x -> ((h * 31) + x) mod 1000000007) 7 l
-let dml_len_list l = dml_fold_list (fun k _ -> k + 1) 0 l
+let instance =
+  format_of_string
+    {|
+module Dml_drivers = struct
+%s
+end
+module D = Dml_drivers.Make (struct
+  type arr = int array
+  type mat = int array array
+  type lst = int t_list
+  let of_array a = a
+  let to_array a = a
+  let of_matrix m = m
+  let to_matrix m = m
+  let rec of_list = function [] -> C_nil | x :: r -> C_3a3a (x, of_list r)
+  let rec fold f acc l = match l with C_nil -> acc | C_3a3a (x, r) -> fold f (f acc x) r
+  let verify = false
+end)
+let dml_run = D.%s (%s)
 |}
 
-let bcopy =
-  {|
-let dml_run dml_scale =
-  let n = 65536 in
-  dml_rng_seed 42;
-  let src = Array.init n (fun _ -> dml_rng 256) in
-  let dst = Array.make n 0 in
-  for _ = 1 to 4 * dml_scale do
-    ignore (v_bcopy (src, dst))
-  done;
-  Printf.sprintf "bcopy sum=%d" (Array.fold_left ( + ) 0 dst)
-|}
-
-let bsearch =
-  {|
-let dml_run dml_scale =
-  let n = 4096 in
-  dml_rng_seed 7;
-  let sorted = Array.init n (fun i -> 3 * i) in
-  let hits = ref 0 and misses = ref 0 and acc = ref 0 in
-  for _ = 1 to 16384 * dml_scale do
-    let key = dml_rng (3 * n) in
-    match v_bsearchInt (key, sorted) with
-    | C_SOME (i, x) ->
-        incr hits;
-        acc := !acc + i + x
-    | C_NONE -> incr misses
-  done;
-  Printf.sprintf "bsearch hits=%d misses=%d acc=%d" !hits !misses !acc
-|}
-
-let bubblesort =
-  {|
-let dml_run dml_scale =
-  let n = 512 in
-  let acc = ref 0 in
-  for round = 1 to dml_scale do
-    dml_rng_seed (913 + round);
-    let data = Array.init n (fun _ -> dml_rng 100000) in
-    ignore (v_bsort data);
-    acc := !acc + data.(0) + data.(n / 2) + data.(n - 1)
-  done;
-  Printf.sprintf "bsort acc=%d" !acc
-|}
-
-let matmult =
-  {|
-let dml_run dml_scale =
-  let m = 48 and n = 48 and p = 48 in
-  dml_rng_seed 1234;
-  let a = Array.init m (fun _ -> Array.init n (fun _ -> dml_rng 100)) in
-  let b = Array.init n (fun _ -> Array.init p (fun _ -> dml_rng 100)) in
-  let c = Array.init m (fun _ -> Array.make p 0) in
-  for _ = 1 to dml_scale do
-    ignore (v_matmult (a, b, c))
-  done;
-  let sum = Array.fold_left (fun t row -> Array.fold_left ( + ) t row) 0 c in
-  Printf.sprintf "matmult sum=%d" sum
-|}
-
-let queens =
-  {|
-let dml_run dml_scale =
-  let total = ref 0 in
-  for _ = 1 to dml_scale do
-    total := !total + v_queens 8
-  done;
-  Printf.sprintf "queens total=%d" !total
-|}
-
-let quicksort =
-  {|
-let dml_run dml_scale =
-  let n = 20000 in
-  let acc = ref 0 in
-  for round = 1 to dml_scale do
-    dml_rng_seed (5 + round);
-    let data = Array.init n (fun _ -> dml_rng 1000000) in
-    ignore (v_qsort data);
-    acc := !acc + data.(0) + data.(n / 2) + data.(n - 1)
-  done;
-  Printf.sprintf "qsort acc=%d" !acc
-|}
-
-let hanoi =
-  {|
-let dml_run dml_scale =
-  let trace = Array.make 1024 0 in
-  let count = ref 0 in
-  for _ = 1 to dml_scale do
-    let heights = [| 16; 0; 0 |] in
-    count := v_hanoi (trace, heights, 16)
-  done;
-  Printf.sprintf "hanoi count=%d trace=%d" !count (Array.fold_left ( + ) 0 trace)
-|}
-
-let listaccess =
-  {|
-let dml_run dml_scale =
-  dml_rng_seed 99;
-  let l = dml_of_list (List.init 64 (fun _ -> dml_rng 1000)) in
-  let acc = ref 0 in
-  for _ = 1 to 4096 * dml_scale do
-    acc := !acc + v_access16 l
-  done;
-  Printf.sprintf "access16 acc=%d" !acc
-|}
-
-let dotprod =
-  {|
-let dml_run dml_scale =
-  let n = 10000 in
-  dml_rng_seed 3;
-  let a = Array.init n (fun _ -> dml_rng 100) in
-  let b = Array.init (n + 3) (fun _ -> dml_rng 100) in
-  let acc = ref 0 in
-  for _ = 1 to 16 * dml_scale do
-    acc := !acc + v_dotprod (a, b)
-  done;
-  Printf.sprintf "dotprod acc=%d" !acc
-|}
-
-let reverse =
-  {|
-let dml_run dml_scale =
-  let l = dml_of_list (List.init 30000 (fun i -> i * 7)) in
-  let acc = ref 0 and len = ref 0 in
-  for _ = 1 to 8 * dml_scale do
-    let r = v_reverse l in
-    len := dml_len_list r;
-    acc := (!acc + dml_hash_list r) mod 1000000007
-  done;
-  Printf.sprintf "reverse len=%d acc=%d" !len !acc
-|}
-
-let filter =
-  {|
-let dml_run dml_scale =
-  dml_rng_seed 17;
-  let l = dml_of_list (List.init 10000 (fun _ -> dml_rng 1000)) in
-  let acc = ref 0 and len = ref 0 in
-  for _ = 1 to 8 * dml_scale do
-    let r = v_filter (fun x -> x mod 2 = 0) l in
-    len := dml_len_list r;
-    acc := (!acc + dml_hash_list r) mod 1000000007
-  done;
-  Printf.sprintf "filter len=%d acc=%d" !len !acc
-|}
-
-let kmp =
-  {|
-let dml_run dml_scale =
-  let chk = ref 0 in
-  for round = 1 to dml_scale do
-    dml_rng_seed (31 + round);
-    let text = Array.init 40000 (fun _ -> dml_rng 4) in
-    for trial = 0 to 8 do
-      let pat =
-        if trial < 4 then Array.init (4 + trial) (fun _ -> dml_rng 4)
-        else if trial = 8 then Array.sub text (Array.length text - 9) 9
-        else Array.sub text (dml_rng 39000) (5 + trial)
-      in
-      let got = v_kmpMatch (text, pat) in
-      chk := ((!chk * 131) + got + 2) mod 1000000007
-    done
-  done;
-  Printf.sprintf "kmp chk=%d" !chk
-|}
+let entries =
+  [
+    ("bcopy", ("bcopy", "fun a -> ignore (v_bcopy a)"));
+    ("binary search", ("bsearch", "fun a -> match v_bsearchInt a with C_SOME p -> Some p | C_NONE -> None"));
+    ("bubble sort", ("bubblesort", "fun a -> ignore (v_bsort a)"));
+    ("matrix mult", ("matmult", "fun a -> ignore (v_matmult a)"));
+    ("queen", ("queens", "v_queens"));
+    ("quick sort", ("quicksort", "fun a -> ignore (v_qsort a)"));
+    ("hanoi towers", ("hanoi", "v_hanoi"));
+    ("list access", ("listaccess", "v_access16"));
+    ("dotprod", ("dotprod", "v_dotprod"));
+    ("reverse", ("reverse", "v_reverse"));
+    ("filter", ("filter", "v_filter"));
+    ("kmp", ("kmp", "v_kmpMatch"));
+  ]
 
 let find name =
-  let body =
-    match name with
-    | "bcopy" -> Some bcopy
-    | "binary search" -> Some bsearch
-    | "bubble sort" -> Some bubblesort
-    | "matrix mult" -> Some matmult
-    | "queen" -> Some queens
-    | "quick sort" -> Some quicksort
-    | "hanoi towers" -> Some hanoi
-    | "list access" -> Some listaccess
-    | "dotprod" -> Some dotprod
-    | "reverse" -> Some reverse
-    | "filter" -> Some filter
-    | "kmp" -> Some kmp
-    | _ -> None
-  in
-  Option.map (fun b -> common ^ b) body
+  Option.map
+    (fun (kernel, entry) -> Printf.sprintf instance Drivers_text.text kernel entry)
+    (List.assoc_opt name entries)

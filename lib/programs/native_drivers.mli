@@ -1,11 +1,12 @@
-(** OCaml driver fragments for the native backend ({!Dml_eval.Backend.native}).
+(** The native instance of {!Drivers} ({!Dml_eval.Backend.native}).
 
     [find name] is the driver for the benchmark of that name ({!Programs}'s
-    registry names), or [None] for programs without one.  A driver defines
-    [dml_run : int -> string] against the generated program's mangled entry
-    points and computes, with plain OCaml arithmetic, the exact summary line
-    the corresponding {!Workloads} driver returns — that byte-equality is
-    asserted by the differential tests and cross-checked between the
-    checked/unchecked native builds on every measurement. *)
+    registry names), or [None] for programs without one: OCaml source that
+    embeds {!Drivers}' own text, applies [Drivers.Make] to the generated
+    program's [int array] and list types without verification, and defines
+    [dml_run : int -> string] through a one-line entry that names the
+    program's mangled identifiers.  Its summary line is the one the host
+    instance ({!Workloads}) returns — the differential tests assert that
+    byte-equality. *)
 
 val find : string -> string option

@@ -1,15 +1,9 @@
-(** Workload drivers for the Section 4 experiments.
-
-    Each driver builds deterministic pseudo-random inputs, runs the program
-    through a backend-agnostic executor, verifies every result against an
-    OCaml reference implementation (a failing run raises
-    {!Verification_failure}), and returns a deterministic one-line summary
-    of what it computed.  The summaries are the cross-backend contract: the
-    native backend's driver snippets ({!Native_drivers}) compute the same
-    lines with plain OCaml arithmetic, so a generated binary's result can
-    be compared byte-for-byte against any host backend's.  Sizes are
-    scaled-down versions of the paper's; [scale] multiplies the iteration
-    counts. *)
+(** The host instance of {!Drivers}: each Section 4 kernel run through a
+    backend-agnostic executor, every result verified against an OCaml
+    reference implementation (a failing run raises {!Verification_failure}).
+    A driver returns the kernel's deterministic one-line summary, the same
+    line the native instance ({!Native_drivers}) prints; [scale] multiplies
+    the iteration counts. *)
 
 type exec = Dml_eval.Backend.exec = { lookup : string -> Dml_eval.Value.t }
 

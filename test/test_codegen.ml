@@ -318,8 +318,9 @@ let dml_run _ = try ignore (v_run ()); "none" with E_First -> "First" | E_Second
 
 (* --- mangling and registry ------------------------------------------------ *)
 
-(* the driver snippets hardcode these names; a mangling change must fail
-   loudly here rather than as 12 opaque compile errors *)
+(* the native entries of Dml_programs.Native_drivers name these mangled
+   identifiers; a mangling change must fail loudly here rather than as 12
+   opaque compile errors *)
 let test_mangling () =
   Alcotest.(check string) "plain var" "v_bsearchInt" (Codegen.mangle_var "bsearchInt");
   Alcotest.(check string) "prime survives" "v_loop'" (Codegen.mangle_var "loop'");

@@ -1,9 +1,11 @@
 (* Integration tests: every benchmark program of Section 4 goes through the
    full pipeline and runs its (verified) workload on the backends.  The
-   drivers in Dml_programs.Workloads check all results against OCaml
-   reference implementations, so a single successful run is an end-to-end
+   drivers of Dml_programs.Drivers, in their host instance
+   (Dml_programs.Workloads), check all results against OCaml reference
+   implementations, so a single successful run is an end-to-end
    correctness check of parser, inference, elaboration, solver, and
-   evaluator together. *)
+   evaluator together; the verification cases below check that a wrong
+   result is caught. *)
 
 open Dml_core
 open Dml_eval
@@ -55,6 +57,28 @@ let benchmark_tests =
     (fun (b : Dml_programs.Programs.benchmark) ->
       Alcotest.test_case b.Dml_programs.Programs.name `Slow (test_benchmark b))
     Dml_programs.Programs.all
+
+(* a host driver rejects a wrong result: each case replaces one kernel's
+   entry point in a real exec with a stub that answers wrongly *)
+let test_verification (name, entry, stub) () =
+  let b = Option.get (Dml_programs.Programs.find name) in
+  let ex = compiled_exec Prims.Unchecked (typecheck b).Pipeline.rp_tprog in
+  let lookup x = if x = entry then Value.Vfun stub else ex.Dml_programs.Workloads.lookup x in
+  match b.Dml_programs.Programs.run { Dml_programs.Workloads.lookup } ~scale:1 with
+  | s -> Alcotest.failf "%s: a wrong result passed verification (%s)" name s
+  | exception Dml_programs.Workloads.Verification_failure _ -> ()
+
+let verification_tests =
+  List.map
+    (fun ((name, _, _) as case) -> Alcotest.test_case name `Quick (test_verification case))
+    [
+      (* copies nothing *)
+      ("bcopy", "bcopy", fun _ -> Value.Vtuple [||]);
+      ("binary search", "bsearchInt", fun _ -> Value.Vtag { Value.tag = 0; name = "NONE" });
+      (* leaves the array unsorted *)
+      ("bubble sort", "bsort", fun _ -> Value.Vtuple [||]);
+      ("reverse", "reverse", fun l -> l);
+    ]
 
 (* the cost model is deterministic: the checked/unchecked cycle difference is
    exactly check_cost per eliminated check *)
@@ -178,6 +202,7 @@ let () =
   Alcotest.run "programs"
     [
       ("benchmarks (both disciplines, verified)", benchmark_tests);
+      ("verification rejects wrong results", verification_tests);
       ( "backends",
         [
           Alcotest.test_case "cost model algebra" `Slow test_cost_model_algebra;
