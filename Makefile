@@ -1,4 +1,4 @@
-.PHONY: all check build test fuzz bench-json bench-load bench-gate bench-solver perfbench clean
+.PHONY: all check build test fuzz bench-json bench-load bench-gate perfbench clean
 
 all: build
 
@@ -25,7 +25,7 @@ check: build
 # Figure 4 goals, the bcopy row the divisibility obligations, and a best-of-5
 # figure is the minimum solve_s over passes.  Cache ablation: the uncached fm
 # document is "off", passes 1 and 2 of BENCH_batch_seq.json are cold and warm.
-# Batch scheduling: in process, -j 1/2/4 and obligation-sharded, three passes.
+# Batch scheduling: in process and -j 1/2/4, three passes.
 bench-json: build
 	dune exec bin/dmlc.exe -- table1 --json > BENCH_table1.json
 	dune exec bin/dmlc.exe -- table23 --backend cost-model --json > BENCH_table2.json
@@ -39,8 +39,6 @@ bench-json: build
 	  dune exec bin/dmlc.exe -- batch --all -j $$j --repeat 3 --json --profile \
 	    > BENCH_batch_j$$j.json || exit 1; \
 	done
-	dune exec bin/dmlc.exe -- batch --all -j 4 --shard-obligations --repeat 3 --json --profile \
-	  > BENCH_batch_j4_obligations.json
 	python3 -c 'import json; \
 	passes = lambda f: json.load(open(f"BENCH_{f}.json"))["passes"]; \
 	row = lambda p, n: next(r for r in p["programs"] if r["program"] == n); \
@@ -49,7 +47,7 @@ bench-json: build
 	print("tightening, bcopy best-of-5 solve_s: " + ", ".join("%s %.5fs residual %d" % (s, best("ablation_" + s, "bcopy"), row(passes("ablation_" + s)[0], "bcopy")["residual"]) for s in ("fm", "fm-plain"))); \
 	seq = passes("batch_seq"); \
 	print("cache, aggregate solve_s: off %.4fs cold %.4fs warm %.4fs" % (best("ablation_fm"), seq[0]["aggregate"]["solve_s"], seq[1]["aggregate"]["solve_s"])); \
-	print("batch, best-of-3 aggregate solve_s: " + ", ".join("%s %.4fs" % (b, best("batch_" + b)) for b in ("seq", "j1", "j2", "j4", "j4_obligations")))'
+	print("batch, best-of-3 aggregate solve_s: " + ", ".join("%s %.4fs" % (b, best("batch_" + b)) for b in ("seq", "j1", "j2", "j4")))'
 
 # The dmld fault-injection load harness (schema dml-load/1): concurrent
 # clients against a pooled server with injected worker crashes and hangs.
@@ -62,19 +60,6 @@ bench-load: build
 # design — it catches lost-memo-class regressions, not percent drift).
 bench-gate: bench-load
 	dune exec bench/gate.exe -- --run BENCH_dmld.json --baseline bench/baseline_dmld.json
-
-# The two-lane solver ablation: the whole corpus checked uncached, five
-# passes on the bignum lane and five on the machine-int lane, each written
-# as a profiled dml-batch/1 document.  A lane's best-of-5 figure is the
-# minimum over passes of the aggregate solve_s.
-bench-solver: build
-	for lane in bignum native; do \
-	  timeout 300 dune exec bin/dmlc.exe -- batch --all --no-cache --solver-lane $$lane \
-	    --repeat 5 --json --profile > BENCH_solver_$$lane.json || exit 1; \
-	done
-	python3 -c 'import json; \
-	best = {l: min(p["aggregate"]["solve_s"] for p in json.load(open(f"BENCH_solver_{l}.json"))["passes"]) for l in ("bignum", "native")}; \
-	print("best-of-5 solve_s: bignum %.4fs native %.4fs (native speedup %.2fx)" % (best["bignum"], best["native"], best["bignum"] / best["native"]))'
 
 # The seeded end-to-end benchmark declared in BENCHMARK.json: every workload
 # once, each printing its one-line JSON result last.  Override the seed and

@@ -4,8 +4,8 @@
    the per-obligation solver budget (--solver/--escalate/--fuel/--timeout-ms/
    --max-elim), the verdict cache (--cache/--no-cache/--cache-dir/
    --cache-entries), observability (--trace/--profile/--json), parallelism
-   (-j/--shard-obligations) and the strict/degrade switch.  Each used to
-   carry its own copy; they are defined once here and assembled into a
+   (-j) and the strict/degrade switch.  Each used to carry its own copy;
+   they are defined once here and assembled into a
    [Dml_core.Session.options] with [session_options]. *)
 
 open Cmdliner
@@ -54,19 +54,6 @@ let solver_method =
   let doc = "Constraint solver: fm (Fourier-Motzkin with integral tightening), fm-plain, simplex." in
   Arg.(value & opt (enum methods) Dml_solver.Solver.Fm_tightened & info [ "solver" ] ~doc)
 
-let solver_lane =
-  let lanes =
-    [
-      ("native", Dml_solver.Solver.Lane_native);
-      ("bignum", Dml_solver.Solver.Lane_bignum);
-    ]
-  in
-  let doc = "Solver arithmetic lane: native (machine-int fast path, escalating to \
-             arbitrary precision on checked overflow — the default) or bignum \
-             (arbitrary precision only).  Verdicts are identical on both lanes; \
-             only speed differs." in
-  Arg.(value & opt (enum lanes) Dml_solver.Solver.Lane_native & info [ "solver-lane" ] ~doc)
-
 (* Per-obligation solver budget and escalation; together with the method this
    builds the session's solve_config. *)
 let solve_config =
@@ -88,10 +75,10 @@ let solve_config =
                under the remaining budget." in
     Arg.(value & flag & info [ "escalate" ] ~doc)
   in
-  let build sc_method sc_lane sc_escalate sc_fuel sc_timeout_ms sc_max_eliminations =
-    { Session.sc_method; sc_lane; sc_escalate; sc_fuel; sc_timeout_ms; sc_max_eliminations }
+  let build sc_method sc_escalate sc_fuel sc_timeout_ms sc_max_eliminations =
+    { Session.sc_method; sc_escalate; sc_fuel; sc_timeout_ms; sc_max_eliminations }
   in
-  Term.(const build $ solver_method $ solver_lane $ escalate $ fuel $ timeout_ms $ max_elim)
+  Term.(const build $ solver_method $ escalate $ fuel $ timeout_ms $ max_elim)
 
 (* --- verdict cache ----------------------------------------------------------- *)
 
@@ -181,15 +168,6 @@ let batch_jobs_term =
        Results are merged back in input order, so --json output is byte-identical \
        to -j 1; a crashed or hung worker degrades only the task it was running."
 
-let shard_term =
-  Arg.(
-    value & flag
-    & info [ "shard-obligations" ]
-        ~doc:"Parallelize at the proof-obligation grain instead of whole programs: \
-              the front end runs in the parent and workers decide individual \
-              constraints (implies -j; balances batches dominated by one \
-              constraint-heavy program).")
-
 (* --- session assembly -------------------------------------------------------- *)
 
 let infer_term =
@@ -202,14 +180,13 @@ let infer_term =
               types.  Inference never proves a site the annotated checker would \
               reject; unprovable sites degrade exactly as without $(b,--infer).")
 
-let session_options ?(mode = Session.Strict) ?jobs ?(shard_obligations = false)
-    ?(infer = false) ?(incremental = false) ~solve ~cache_spec () =
+let session_options ?(mode = Session.Strict) ?jobs ?(infer = false) ?(incremental = false)
+    ~solve ~cache_spec () =
   {
     Session.op_solve = solve;
     op_cache = cache_spec;
     op_mode = mode;
     op_jobs = jobs;
-    op_shard_obligations = shard_obligations;
     op_infer = infer;
     op_incremental = incremental;
   }

@@ -143,11 +143,11 @@ let check_cmd =
 (* Check many programs.  Every row comes from [Dml_par.Runner]: in process
    against one session, whose verdict cache is shared by every program and
    every [--repeat] pass (the basis and any shared goal are solved once), or
-   sharded across a worker pool under -j / --shard-obligations.  Rows are
-   printed and emitted in input order.  The JSON document holds only
-   schedule-independent fields unless --profile adds the volatile ones, so
-   it is byte-identical whatever the execution site; the text table always
-   shows the timing and cache columns. *)
+   sharded across a worker pool under -j.  Rows are printed and emitted in
+   input order.  The JSON document holds only schedule-independent fields
+   unless --profile adds the volatile ones, so it is byte-identical whatever
+   the execution site; the text table always shows the timing and cache
+   columns. *)
 module Runner = Dml_par.Runner
 
 let print_batch_pass ~pass ~label rows =
@@ -173,7 +173,7 @@ let print_batch_pass ~pass ~label rows =
     a.Runner.ag_cache_hits (Runner.hit_rate_pct a) a.Runner.ag_solve_s a.Runner.ag_lookup_s label
 
 let batch_cmd =
-  let run config cache_spec jobs shard all all_unannot repeat infer obs files =
+  let run config cache_spec jobs all all_unannot repeat infer obs files =
     let named =
       if all then List.map (fun b -> b.Dml_programs.Programs.name) Dml_programs.Programs.all
       else []
@@ -186,9 +186,7 @@ let batch_cmd =
     let targets = named @ named_twins @ files in
     if targets = [] then exit_err "batch: no programs given (pass FILE... or --all)";
     if repeat < 1 then exit_err "batch: --repeat must be at least 1";
-    let options =
-      session_options ?jobs ~shard_obligations:shard ~infer ~solve:config ~cache_spec ()
-    in
+    let options = session_options ?jobs ~infer ~solve:config ~cache_spec () in
     let mode = Runner.mode_of options in
     (* the in-process session; pooled workers build their own *)
     let session =
@@ -262,9 +260,8 @@ let batch_cmd =
       & info [ "repeat" ] ~docv:"N"
           ~doc:"Run the whole batch $(docv) times.  In process, every pass checks \
                 against the same session, so later passes show the fully warm \
-                amortization; pooled passes ($(b,-j), $(b,--shard-obligations)) fork \
-                fresh workers, so only a $(b,--cache-dir) carries verdicts over \
-                between them.")
+                amortization; pooled passes ($(b,-j)) fork fresh workers, so only a \
+                $(b,--cache-dir) carries verdicts over between them.")
   in
   let doc =
     "Check many programs against one shared solver-verdict cache and report per-program \
@@ -272,8 +269,8 @@ let batch_cmd =
   in
   Cmd.v (Cmd.info "batch" ~doc)
     Term.(
-      const run $ solve_config $ cache_spec_term ~default_on:true $ batch_jobs_term $ shard_term
-      $ all $ all_unannot $ repeat $ infer_term $ obs_term $ files)
+      const run $ solve_config $ cache_spec_term ~default_on:true $ batch_jobs_term $ all
+      $ all_unannot $ repeat $ infer_term $ obs_term $ files)
 
 (* --- constraints ---------------------------------------------------------------- *)
 

@@ -26,13 +26,9 @@ let socket_arg =
 (* --- serve ------------------------------------------------------------------ *)
 
 let serve_cmd =
-  let run config cache_spec degrade jobs shard incremental stdio socket request_timeout_ms
-      max_queue =
+  let run config cache_spec degrade jobs incremental stdio socket request_timeout_ms max_queue =
     let mode = if degrade then Dml_core.Session.Degrade else Dml_core.Session.Strict in
-    let options =
-      session_options ~mode ?jobs ~shard_obligations:shard ~incremental ~solve:config
-        ~cache_spec ()
-    in
+    let options = session_options ~mode ?jobs ~incremental ~solve:config ~cache_spec () in
     let server = Server.create ~options ~request_timeout_ms ~max_queue () in
     if stdio then Server.serve_stdio server
     else begin
@@ -76,13 +72,12 @@ let serve_cmd =
     "Run the persistent check server.  The verdict cache is enabled by default \
      (--no-cache disables it); -j puts check and batch requests on a pool of warm \
      forked workers with per-request deadlines (--request-timeout-ms), bounded \
-     queueing (--max-queue) and crash recovery; --shard-obligations shapes how \
-     batch requests fan out."
+     queueing (--max-queue) and crash recovery."
   in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
       const run $ solve_config $ cache_spec_term ~default_on:true $ degrade_flag
-      $ batch_jobs_term $ shard_term $ incremental $ stdio $ socket_arg $ request_timeout_ms
+      $ batch_jobs_term $ incremental $ stdio $ socket_arg $ request_timeout_ms
       $ max_queue)
 
 (* --- client helpers ---------------------------------------------------------- *)

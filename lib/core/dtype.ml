@@ -12,10 +12,6 @@ type t =
 
 let int_ i = Dcon ("int", [], [ Iint i ])
 
-let int_any =
-  let a = Ivar.fresh "a" in
-  Dsigma (a, Idx.Sint, int_ (Idx.Ivar a))
-
 let bool_ b = Dcon ("bool", [], [ Ibool b ])
 
 let bool_any =
@@ -23,7 +19,6 @@ let bool_any =
   Dsigma (a, Idx.Sbool, bool_ (Idx.Bvar a))
 
 let unit_ = Dtuple []
-let array_ elt n = Dcon ("array", [ elt ], [ Iint n ])
 
 let subst_index_arg s = function
   | Iint i -> Iint (Idx.subst_iexp s i)

@@ -18,13 +18,10 @@ type t =
   | Dsigma of Ivar.t * Idx.sort * t
 
 val int_ : Idx.iexp -> t
-val int_any : t
-(** [Sigma a:int. int(a)] — the interpretation of unindexed [int]. *)
 
 val bool_ : Idx.bexp -> t
 val bool_any : t
 val unit_ : t
-val array_ : t -> Idx.iexp -> t
 
 (** {1 Substitution} *)
 

@@ -29,7 +29,6 @@ let h_solve_ms = Metrics.histogram "pipeline.solve_ms"
    names for the pre-Session API. *)
 type solve_config = Session.solve_config = {
   sc_method : Solver.method_;
-  sc_lane : Solver.lane;
   sc_escalate : bool;  (* retry unproven goals along Solver.default_ladder *)
   sc_fuel : int option;
   sc_timeout_ms : int option;
@@ -193,9 +192,8 @@ let solve_obligation_raw ~config ?stats ?cache ob =
   let sp = Trace.start "obligation" in
   let ot0 = Budget.now () in
   let verdict =
-    Solver.check_constraint ~method_:config.sc_method ~lane:config.sc_lane
-      ~escalate:config.sc_escalate ?stats
-      ?budget ?cache ob.Elab.ob_constr
+    Solver.check_constraint ~method_:config.sc_method ~escalate:config.sc_escalate ?stats ?budget
+      ?cache ob.Elab.ob_constr
   in
   if Trace.real sp then begin
     Trace.set_str sp "what" ob.Elab.ob_what;

@@ -34,7 +34,6 @@ type checked_obligation = {
 
 type solve_config = Session.solve_config = {
   sc_method : Solver.method_;  (** first (or only) method tried per goal *)
-  sc_lane : Solver.lane;  (** machine-int fast path vs bignum arithmetic *)
   sc_escalate : bool;
       (** retry an unproven goal under the remaining budget: [sc_method]
           first, then the other rungs of {!Solver.default_ladder} (fm-plain,
@@ -79,10 +78,11 @@ type report = {
 (** {1 The staged pipeline}
 
     {!check_s} is the one-call front door; the three stages below are exposed
-    so the parallel executor ({!Dml_par.Runner}) can run the front end in
-    the parent process, ship individual obligations to worker processes
-    (obligations are plain data and survive [Marshal]), and reassemble the
-    same report from the merged results. *)
+    for engines that stage a check themselves: the incremental checker
+    ({!Incr}) solves only the obligations of dirty declarations and
+    reassembles the report from reused and fresh verdicts, and the
+    inference engine ({!Dml_infer.Engine}) re-runs the front end per
+    fixpoint round. *)
 
 type frontend = {
   fe_obligations : Elab.obligation list;  (** in generation order *)
@@ -131,10 +131,10 @@ val annotation_metrics : (int * int) list -> int * int
 val solve_obligation_s :
   Session.t -> ?stats:Solver.stats -> Elab.obligation -> checked_obligation
 (** Decide one obligation under a fresh budget built from the session's
-    solve config (the per-worker deadline inheritance of [-j N]: every
-    process re-derives the same per-obligation allowance from the shipped
-    options).  Never raises: the solver's isolation barrier converts faults
-    to verdicts. *)
+    solve config, against the session's verdict cache and trace sink — what
+    {!check_s} does for each obligation, exposed for {!Incr}, which
+    re-solves only the obligations of dirty declarations.  Never raises:
+    the solver's isolation barrier converts faults to verdicts. *)
 
 val assemble :
   ?cache_stats:Dml_cache.Cache.snapshot ->
@@ -143,8 +143,8 @@ val assemble :
   frontend ->
   checked_obligation list ->
   report
-(** Rebuild a {!report} from a front end and its (merged, generation-order)
-    solved obligations. *)
+(** Rebuild a {!report} from a front end and its solved obligations, in
+    generation order. *)
 
 type cache_mark
 (** The session's verdict-cache counters at the start of a check (empty

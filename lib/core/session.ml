@@ -3,7 +3,6 @@ module Json = Dml_obs.Json
 
 type solve_config = {
   sc_method : Solver.method_;
-  sc_lane : Solver.lane;
   sc_escalate : bool;
   sc_fuel : int option;
   sc_timeout_ms : int option;
@@ -13,7 +12,6 @@ type solve_config = {
 let default_solve_config =
   {
     sc_method = Solver.Fm_tightened;
-    sc_lane = Solver.Lane_native;
     sc_escalate = false;
     sc_fuel = None;
     sc_timeout_ms = None;
@@ -36,7 +34,6 @@ type options = {
   op_cache : Dml_cache.Cache.config option;
   op_mode : mode;
   op_jobs : int option;
-  op_shard_obligations : bool;
   op_infer : bool;
   op_incremental : bool;
 }
@@ -47,7 +44,6 @@ let default_options =
     op_cache = None;
     op_mode = Strict;
     op_jobs = None;
-    op_shard_obligations = false;
     op_infer = false;
     op_incremental = false;
   }
@@ -58,27 +54,19 @@ let options_fields o =
   [
       ( "solve",
         Json.Obj
-          ([
-             ("method", Json.String (Solver.method_slug o.op_solve.sc_method));
-             ("escalate", Json.Bool o.op_solve.sc_escalate);
-             ("fuel", json_of_int_opt o.op_solve.sc_fuel);
-             ("timeout_ms", json_of_int_opt o.op_solve.sc_timeout_ms);
-             ("max_eliminations", json_of_int_opt o.op_solve.sc_max_eliminations);
-           ]
-          (* emitted only when non-default, like [infer] below: verdicts are
-             lane-invariant but the keys must stay byte-stable for existing
-             fingerprints, and a forced lane still deserves its own memo
-             space (it changes timing and counters, not verdicts) *)
-          @
-          if o.op_solve.sc_lane = Solver.Lane_native then []
-          else [ ("lane", Json.String (Solver.lane_slug o.op_solve.sc_lane)) ]) );
+          [
+            ("method", Json.String (Solver.method_slug o.op_solve.sc_method));
+            ("escalate", Json.Bool o.op_solve.sc_escalate);
+            ("fuel", json_of_int_opt o.op_solve.sc_fuel);
+            ("timeout_ms", json_of_int_opt o.op_solve.sc_timeout_ms);
+            ("max_eliminations", json_of_int_opt o.op_solve.sc_max_eliminations);
+          ] );
       ( "cache",
         match o.op_cache with
         | None -> Json.Null
         | Some c -> Dml_cache.Cache.config_to_json c );
       ("mode", Json.String (match o.op_mode with Strict -> "strict" | Degrade -> "degrade"));
       ("jobs", json_of_int_opt o.op_jobs);
-      ("shard_obligations", Json.Bool o.op_shard_obligations);
     ]
     (* emitted only when set: every pre-inference fingerprint, memo key and
        golden transcript stays byte-stable, while inferring and

@@ -25,10 +25,6 @@ open Dml_solver
 
 type solve_config = {
   sc_method : Solver.method_;  (** first (or only) method tried per goal *)
-  sc_lane : Solver.lane;
-      (** arithmetic lane: machine-int fast path vs bignum (default
-          {!Solver.Lane_native}).  Folded into the options
-          fingerprint only when forced away from the default. *)
   sc_escalate : bool;
       (** retry an unproven goal under the remaining budget: [sc_method]
           first, then the other rungs of {!Solver.default_ladder} (fm-plain,
@@ -64,8 +60,6 @@ type options = {
   op_jobs : int option;
       (** [None]: check in-process; [Some 0]: one forked worker per core;
           [Some n]: [n] forked workers (batch fronts only) *)
-  op_shard_obligations : bool;
-      (** parallelize at the proof-obligation grain (implies workers) *)
   op_infer : bool;
       (** run the liquid-qualifier annotation-inference pass
           ({!Dml_infer.Engine}) before checking, so unannotated programs

@@ -661,7 +661,3 @@ let run_program ce prog =
       | Some (Ir.Tdec (Ir.Dexn _, _)) | Some (Ir.Tdatatype _) | None -> ());
       ce)
     ce prog
-
-let eval_exp ce e =
-  let e, size = Lower.exp ce.lower e in
-  run_top ce e size

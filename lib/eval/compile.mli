@@ -71,5 +71,3 @@ val run_program : compiled_env -> Tast.tprogram -> compiled_env
 val lookup : compiled_env -> string -> Value.t
 (** @raise Value.Runtime_error when unbound. *)
 
-val eval_exp : compiled_env -> Tast.texp -> Value.t
-(** Compile and immediately run one expression in the given environment. *)

@@ -53,8 +53,5 @@ val top : env -> Tast.ttop -> env * top option
 (** Lower one top-level declaration; [None] for those with no run-time
     content. *)
 
-val exp : env -> Tast.texp -> exp * int
-(** Lower an expression as top-level code, with its frame size. *)
-
 val resolve : env -> string -> var option
 (** What a top-level name denotes. *)

@@ -242,4 +242,3 @@ let rec pp_sort fmt = function
 
 let iexp_to_string e = Format.asprintf "%a" pp_iexp e
 let bexp_to_string e = Format.asprintf "%a" pp_bexp e
-let sort_to_string s = Format.asprintf "%a" pp_sort s

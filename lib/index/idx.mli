@@ -101,4 +101,3 @@ val pp_bexp : Format.formatter -> bexp -> unit
 val pp_sort : Format.formatter -> sort -> unit
 val iexp_to_string : iexp -> string
 val bexp_to_string : bexp -> string
-val sort_to_string : sort -> string

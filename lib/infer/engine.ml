@@ -44,11 +44,10 @@ let tag_base = 1_000_003
 type kappa = {
   k_tag : int;
   k_var : string;  (* binder name; contains '%' so it can never collide or shadow *)
-  mutable k_kept : Ast.sindex list;  (* current conjunction, shrinks monotonically *)
-  mutable k_snapshot : Ast.sindex list;
-      (* the kept list as rendered into the round currently being processed:
-         goal conclusions align with it positionally even if [k_kept] already
-         lost members to this round's earlier goals *)
+  mutable k_kept : Ast.sindex list;
+      (* current conjunction, shrinks monotonically; only between rounds
+         ([apply_marks], [sweep]), so within a round it is exactly the
+         conjunction rendered into that round's goals *)
 }
 
 type skeleton = {
@@ -93,7 +92,7 @@ let test_goal st g =
   let config = Session.solve st.session in
   let budget = Session.budget_of_solve_config config in
   let cache = Session.cache st.session in
-  Solver.check_constraint ~method_:config.Session.sc_method ~lane:config.Session.sc_lane
+  Solver.check_constraint ~method_:config.Session.sc_method
     ~escalate:config.Session.sc_escalate ~stats:st.solver_stats ?budget ?cache
     (constr_of_goal g)
 
@@ -125,7 +124,7 @@ let new_var bd ~base =
     Qualifier.atoms ~keep:bd.bd_keep bd.bd_harvest ~own:name
       ~candidates:(earlier @ bd.bd_outer)
   in
-  let k = { k_tag = tag; k_var = name; k_kept = kept; k_snapshot = [] } in
+  let k = { k_tag = tag; k_var = name; k_kept = kept } in
   if bd.bd_in_result then bd.bd_sigma <- k :: bd.bd_sigma else bd.bd_pi <- k :: bd.bd_pi;
   k
 
@@ -446,9 +445,7 @@ and requant st ~with_sentinel q =
   match q.Ast.qvars with
   | [ (name, _) ] -> (
       match Hashtbl.find_opt st.kmap name with
-      | Some k ->
-          if with_sentinel then k.k_snapshot <- k.k_kept;
-          { q with Ast.qcond = kappa_qcond ~with_sentinel k }
+      | Some k -> { q with Ast.qcond = kappa_qcond ~with_sentinel k }
       | None -> q)
   | _ -> q
 
@@ -509,10 +506,11 @@ let flatten_band b =
 
 (* A flow goal is one whose conclusion is a liquid conjunction: a left-
    associated [Band] spine headed by a registered sentinel.  Its remaining
-   atoms align positionally with the snapshot taken when this round's types
-   were rendered.  The whole spine is tested first (on an already-converged
-   variable that is one cache-friendly call); only on failure is each atom
-   tried on its own, and every unprovable one is marked for removal. *)
+   atoms align positionally with [k_kept], which this round rendered and
+   which changes only after it.  The whole spine is tested first (on an
+   already-converged variable that is one cache-friendly call); only on
+   failure is each atom tried on its own, and every unprovable one is
+   marked for removal. *)
 let process_goal st marks g =
   match flatten_band g.Constr.goal_concl with
   | Idx.Bcmp (Idx.Req, Idx.Iconst a, Idx.Iconst b) :: rest
@@ -520,17 +518,17 @@ let process_goal st marks g =
       let k = Hashtbl.find st.registry a in
       if rest = [] then () (* the conjunction is already empty: trivially valid *)
       else if test_goal st g = Solver.Valid then ()
-      else if List.length rest = List.length k.k_snapshot then
+      else if List.length rest = List.length k.k_kept then
         List.iter2
           (fun q atom ->
             match test_goal st { g with Constr.goal_concl = atom } with
             | Solver.Valid -> ()
             | _ -> marks := (k, q) :: !marks)
-          k.k_snapshot rest
+          k.k_kept rest
       else
-        (* conclusion and snapshot disagree (never observed: substitution is
-           structural) — drop the whole conjunction rather than misalign *)
-        List.iter (fun q -> marks := (k, q) :: !marks) k.k_snapshot
+        (* conclusion and conjunction disagree (never observed: substitution
+           is structural) — drop the whole conjunction rather than misalign *)
+        List.iter (fun q -> marks := (k, q) :: !marks) k.k_kept
   | _ -> ()
 
 let apply_marks marks =
@@ -544,7 +542,7 @@ let apply_marks marks =
 (* One weakening round: render the current conjunctions into the program,
    re-run the front end, and weaken against every flow goal.  Removals are
    collected during the round and applied at its end, keeping the positional
-   alignment between goals and snapshots intact. *)
+   alignment between goals and [k_kept] intact. *)
 let run_round st ~src ~spans prog =
   let prog' = rewrite st ~ws:true prog in
   match Pipeline.frontend_ast ~src ~spans prog' with

@@ -12,7 +12,6 @@ let tbool = Tcon ("bool", [])
 let tchar = Tcon ("char", [])
 let tstring = Tcon ("string", [])
 let tunit = Ttuple []
-let tarray elt = Tcon ("array", [ elt ])
 
 let counter = ref 0
 

@@ -19,7 +19,6 @@ val tbool : t
 val tchar : t
 val tstring : t
 val tunit : t
-val tarray : t -> t
 
 val fresh_var : level:int -> t
 val repr : t -> t

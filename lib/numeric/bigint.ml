@@ -136,8 +136,6 @@ let mul x y =
     make (x.sign * y.sign) r
   end
 
-let mul_int x n = mul x (of_int n)
-
 let nbits_mag a =
   let l = Array.length a in
   if l = 0 then 0

@@ -39,7 +39,6 @@ val abs : t -> t
 val add : t -> t -> t
 val sub : t -> t -> t
 val mul : t -> t -> t
-val mul_int : t -> int -> t
 val succ : t -> t
 val pred : t -> t
 

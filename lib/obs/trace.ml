@@ -34,7 +34,6 @@ let start name =
 let set sp k v = if sp != null_span then sp.sp_attrs <- (k, v) :: sp.sp_attrs
 let set_str sp k s = set sp k (Json.String s)
 let set_int sp k n = set sp k (Json.Int n)
-let set_float sp k f = set sp k (Json.Float f)
 let set_bool sp k b = set sp k (Json.Bool b)
 
 let attach sk sp =
@@ -70,13 +69,6 @@ let finish sp =
 let with_span name f =
   let sp = start name in
   Fun.protect ~finally:(fun () -> finish sp) (fun () -> f sp)
-
-let instant name attrs =
-  match !current with
-  | None -> ()
-  | Some sk ->
-      let t = Clock.now () in
-      attach sk { sp_name = name; sp_start = t; sp_dur = 0.; sp_attrs = List.rev attrs; sp_children = [] }
 
 let adopt sp =
   if sp != null_span then

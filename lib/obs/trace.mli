@@ -50,7 +50,6 @@ val set : span -> string -> Json.t -> unit
 
 val set_str : span -> string -> string -> unit
 val set_int : span -> string -> int -> unit
-val set_float : span -> string -> float -> unit
 val set_bool : span -> string -> bool -> unit
 
 val finish : span -> unit
@@ -60,9 +59,6 @@ val finish : span -> unit
 
 val with_span : string -> (span -> 'a) -> 'a
 (** [with_span name f] runs [f] inside a span, finishing it on any exit. *)
-
-val instant : string -> (string * Json.t) list -> unit
-(** A zero-duration event attached at the current nesting position. *)
 
 val roots : sink -> span list
 (** Completed top-level spans, in start order. *)

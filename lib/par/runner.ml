@@ -59,7 +59,7 @@ let summarize ?(inferred = false) (rp : Pipeline.report) =
    everything else, [op_infer] included, is preserved: a worker checks
    under exactly the policy the batch was submitted with. *)
 let worker_options (options : Session.options) =
-  { options with Session.op_jobs = None; op_shard_obligations = false }
+  { options with Session.op_jobs = None }
 
 (* An ephemeral session around the full session options: what each
    execution site (the in-process loop when the caller passes no session,
@@ -106,10 +106,10 @@ let error_of_pool_failure = function
   | Pool.Timed_out _ -> "worker timed out"
 
 (* ------------------------------------------------------------------ *)
-(* Program sharding: one task = one whole program                      *)
+(* Pooled batches: one task = one whole program                       *)
 (* ------------------------------------------------------------------ *)
 
-let run_program_sharded ~jobs ?task_timeout_ms (options : Session.options) targets =
+let run_pooled ~jobs ?task_timeout_ms (options : Session.options) targets =
   (* Each worker builds its own cache on first use *after* the fork, from
      the shared [op_cache] config: the memo LRU is private per process,
      while a [dir] is shared through the store's atomic tmp-rename writes. *)
@@ -131,133 +131,24 @@ let run_program_sharded ~jobs ?task_timeout_ms (options : Session.options) targe
     targets outcomes
 
 (* ------------------------------------------------------------------ *)
-(* Obligation sharding: one task = one proof obligation                *)
-(* ------------------------------------------------------------------ *)
-
-let run_obligation_sharded ~jobs ?task_timeout_ms (options : Session.options) targets =
-  let config_v = options.Session.op_solve in
-  (* the pool watchdog backs up the in-process budget: a worker that fails
-     to honour its own deadline is reclaimed a grace period later *)
-  let task_timeout_ms =
-    match task_timeout_ms with
-    | Some _ as t -> t
-    | None -> Option.map (fun ms -> ms + 2000) config_v.Pipeline.sc_timeout_ms
-  in
-  (* front end in the parent: cheap relative to solving, and it keeps every
-     elaboration-order id assignment identical to the sequential run *)
-  let fronts =
-    List.map
-      (fun target ->
-        ( target.tg_name,
-          match target.tg_source with
-          | Error msg -> Error msg
-          | Ok src -> (
-              match Pipeline.frontend src with
-              | Ok fe -> Ok fe
-              | Error f -> Error (Pipeline.failure_to_string f)) ))
-      targets
-  in
-  let tasks =
-    List.concat
-      (List.mapi
-         (fun pi (_, front) ->
-           match front with
-           | Error _ -> []
-           | Ok fe -> List.map (fun ob -> (pi, ob)) fe.Pipeline.fe_obligations)
-         fronts)
-  in
-  let worker_session = lazy (session_for options) in
-  let worker (_pi, ob) =
-    let stats = Solver.new_stats () in
-    let co = Pipeline.solve_obligation_s (Lazy.force worker_session) ~stats ob in
-    (co.Pipeline.co_verdict, co.Pipeline.co_time, stats)
-  in
-  let outcomes = Pool.run ~jobs ?task_timeout_ms ~worker tasks in
-  (* regroup in input order: tasks were flattened in program order, so a
-     simple partition by program index rebuilds each obligation list in
-     generation order *)
-  let solved = List.combine tasks outcomes in
-  List.mapi
-    (fun pi (name, front) ->
-      match front with
-      | Error msg -> { row_name = name; row_result = Error msg }
-      | Ok fe ->
-          let stats = Solver.new_stats () in
-          let cos =
-            List.filter_map
-              (fun (((tpi, ob), outcome) : (int * Elab.obligation) * _) ->
-                if tpi <> pi then None
-                else
-                  let verdict, time =
-                    match outcome with
-                    | Ok (v, t, (wstats : Solver.stats)) ->
-                        Solver.merge_stats ~into:stats wstats;
-                        (v, t)
-                    | Error (Pool.Timed_out _) ->
-                        stats.Solver.timeouts <- stats.Solver.timeouts + 1;
-                        (Solver.Timeout "worker deadline", 0.)
-                    | Error (Pool.Crashed _) -> (Solver.Unsupported "worker crashed", 0.)
-                    | Error (Pool.Exception msg) ->
-                        (Solver.Unsupported ("worker exception: " ^ msg), 0.)
-                  in
-                  Some
-                    {
-                      Pipeline.co_obligation = ob;
-                      co_verdict = verdict;
-                      co_time = time;
-                    })
-              solved
-          in
-          let solve_time =
-            List.fold_left (fun acc co -> acc +. co.Pipeline.co_time) 0. cos
-          in
-          let rp = Pipeline.assemble ~stats ~solve_time fe cos in
-          { row_name = name; row_result = Ok (summarize rp) })
-    fronts
-
-(* ------------------------------------------------------------------ *)
 (* Front door                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Obligation sharding solves goals against a front end built once in the
-   parent; inference rewrites the AST and re-runs the front end every
-   fixpoint round, so the grains are incompatible.  Degrade to program
-   grain rather than refusing, keeping the worker pool: each program's
-   whole fixpoint becomes one task. *)
-let effective_options (options : Session.options) =
-  if options.Session.op_infer && options.Session.op_shard_obligations then
-    {
-      options with
-      Session.op_shard_obligations = false;
-      op_jobs = (match options.Session.op_jobs with None -> Some 0 | j -> j);
-    }
-  else options
-
 let mode_of options =
-  let options = effective_options options in
   match options.Session.op_jobs with
-  | None when not options.Session.op_shard_obligations -> Sequential
-  | None | Some 0 -> Workers (Pool.cpu_count ())
+  | None -> Sequential
+  | Some 0 -> Workers (Pool.cpu_count ())
   | Some n -> Workers n
 
 let jobs_label options =
-  let options = effective_options options in
-  match mode_of options with
-  | Sequential -> ""
-  | Workers n ->
-      Printf.sprintf "; jobs=%d%s" n
-        (if options.Session.op_shard_obligations then " (obligation-sharded)" else "")
+  match mode_of options with Sequential -> "" | Workers n -> Printf.sprintf "; jobs=%d" n
 
 let check_targets_s ?task_timeout_ms ?session (options : Session.options) targets =
-  let options = effective_options options in
   match mode_of options with
   | Sequential ->
       let session = match session with Some s -> s | None -> session_for options in
       List.map (fun t -> { row_name = t.tg_name; row_result = check_one session t }) targets
-  | Workers jobs ->
-      if options.Session.op_shard_obligations then
-        run_obligation_sharded ~jobs ?task_timeout_ms options targets
-      else run_program_sharded ~jobs ?task_timeout_ms options targets
+  | Workers jobs -> run_pooled ~jobs ?task_timeout_ms options targets
 
 (* ------------------------------------------------------------------ *)
 (* The dml-batch document                                              *)
@@ -300,8 +191,7 @@ let hit_rate_pct a =
 
 (* Without [profile], only schedule-independent fields: verdict-derived
    counts, never times, cache hit rates or worker identities.  This is what
-   makes the document byte-identical across in-process / [-j 1] / [-j N] /
-   [--shard-obligations]. *)
+   makes the document byte-identical across in-process / [-j 1] / [-j N]. *)
 let row_json ?(profile = false) r =
   match r.row_result with
   | Ok s ->

@@ -4,35 +4,23 @@
     In process ([Sequential]), targets are checked in order against one
     session — the caller's when it passes one, so a [dmlc batch --repeat]
     or a warm [dmld] session amortizes across calls.  Under [Workers n],
-    two sharding grains:
+    each task is one whole program: a worker runs the full
+    {!Dml_core.Pipeline.check_s} on it against its own verdict cache (built
+    lazily in the worker from the shared cache {e config}, so a
+    [--cache-dir] is shared through the filesystem's atomic writes while
+    the in-memory LRU stays per-worker).
 
-    - {e program sharding} (the default under [Workers n]): each task is one
-      whole program; a worker runs the full {!Dml_core.Pipeline.check_s} on it
-      against its own verdict cache (built lazily in the worker from the
-      shared cache {e config}, so a [--cache-dir] is shared through the
-      filesystem's atomic writes while the in-memory LRU stays per-worker);
-    - {e obligation sharding} ([~shard_obligations:true]): the parent runs
-      the front end (parse/infer/elaborate) for every program, flattens the
-      proof obligations of the whole batch into one task list, and workers
-      decide individual obligations — the grain that balances a batch
-      dominated by one constraint-heavy program.  The parent merges the
-      shipped-back {!Dml_solver.Solver.stats} with
-      {!Dml_solver.Solver.merge_stats} and reassembles each program's report
-      with {!Dml_core.Pipeline.assemble}.
-
-    Worker loss maps onto the solver's graceful-degradation verdicts: a
-    crashed or expired program task becomes that row's error; a crashed
-    obligation task becomes [Unsupported "worker crashed"] and an expired
-    one [Timeout "worker deadline"] — exactly an unproven site, never a lost
-    batch.
+    Worker loss maps onto a row error: a crashed or expired program task
+    becomes that row's ["worker crashed"] / ["worker timed out"], never a
+    lost batch.
 
     Determinism: {!check_targets_s} returns rows in input order whatever the
     scheduling, and {!rows_json}/{!batch_json} serialize only
     schedule-independent fields (verdict counts, not wall-clock times or
     cache hit rates), so the [dml-batch/1] document is byte-identical across
-    in-process / [-j 1] / [-j N] / [--shard-obligations].  The volatile
-    figures stay in {!summary}; [~profile:true] adds them to the document,
-    forfeiting that byte-stability. *)
+    in-process / [-j 1] / [-j N].  The volatile figures stay in {!summary};
+    [~profile:true] adds them to the document, forfeiting that
+    byte-stability. *)
 
 type target = {
   tg_name : string;
@@ -56,10 +44,8 @@ type summary = {
   sm_cache_hits : int;
   sm_cache_misses : int;
   sm_gen_s : float;
-  sm_solve_s : float;  (** aggregate solver seconds (the sum over obligations
-                           under obligation sharding) *)
-  sm_lookup_s : float;  (** seconds spent in verdict-cache lookups (0 under
-                            obligation sharding, whose parent holds no cache) *)
+  sm_solve_s : float;  (** aggregate solver seconds *)
+  sm_lookup_s : float;  (** seconds spent in verdict-cache lookups *)
   sm_obligations : obligation_row list;  (** in generation order *)
   sm_inferred : bool;
       (** the report came from the {!Dml_infer.Engine} fixpoint over an
@@ -70,8 +56,8 @@ type row = { row_name : string; row_result : (summary, string) result }
 
 val worker_options : Dml_core.Session.options -> Dml_core.Session.options
 (** The options an execution site checks under: the given ones with the
-    parallelism shape ([op_jobs], [op_shard_obligations]) stripped, since a
-    worker must not fork a nested pool. *)
+    parallelism shape ([op_jobs]) stripped, since a worker must not fork a
+    nested pool. *)
 
 type mode =
   | Sequential  (** in-process, no forking: the default, and the reference
@@ -83,10 +69,8 @@ val mode_of : Dml_core.Session.options -> mode
 
 val jobs_label : Dml_core.Session.options -> string
 (** How {!check_targets_s} runs a batch under these options, as the end of
-    [dmlc batch]'s pass line: [""] in process, ["; jobs=N"] on a pool that
-    takes whole programs, ["; jobs=N (obligation-sharded)"] on one that
-    takes single obligations.  An inference batch asked to shard
-    obligations runs at program grain, and says so. *)
+    [dmlc batch]'s pass line: [""] in process, ["; jobs=N"] on a pool of
+    [N] workers. *)
 
 val check_targets_s :
   ?task_timeout_ms:int ->
@@ -96,23 +80,17 @@ val check_targets_s :
   row list
 (** One row per target, in target order, under unified session options:
     [op_jobs = None] checks in-process (sequentially), [Some 0] forks one
-    worker per core, [Some n] forks [n]; [op_shard_obligations] selects the
-    obligation grain (implying workers when [op_jobs] is unset).  In
-    process, the targets are checked against [session] when given (its
-    verdict cache stays warm across calls), else against a fresh session
-    built from the options; a pooled run ignores [session].  Workers build
-    their verdict cache from [op_cache] (the in-memory LRU stays per
-    worker, a [dir] is shared through the filesystem).  [task_timeout_ms]
-    is the pool watchdog for one task (a whole program, or one obligation
-    when sharding); under obligation sharding it defaults to the config's
-    per-obligation deadline plus a grace period, so a worker whose
-    in-process budget fails to fire still cannot wedge the batch.
+    worker per core, [Some n] forks [n].  In process, the targets are
+    checked against [session] when given (its verdict cache stays warm
+    across calls), else against a fresh session built from the options; a
+    pooled run ignores [session].  Workers build their verdict cache from
+    [op_cache] (the in-memory LRU stays per worker, a [dir] is shared
+    through the filesystem).  [task_timeout_ms] is the pool watchdog for
+    one whole-program task.
 
     Under [op_infer] each program is checked by the {!Dml_infer.Engine}
-    fixpoint instead of the plain pipeline.  Inference re-runs the front end
-    every round, so it is incompatible with the obligation grain:
-    [op_infer && op_shard_obligations] degrades to program sharding with the
-    pool kept (one worker per core when [op_jobs] was unset). *)
+    fixpoint instead of the plain pipeline; a pooled inference batch runs
+    one program's whole fixpoint per task. *)
 
 type aggregate = {
   ag_programs : int;

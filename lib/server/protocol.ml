@@ -139,7 +139,6 @@ let apply_overrides (base : Session.options) v =
   let allowed =
     [
       "solver";
-      "solver_lane";
       "escalate";
       "fuel";
       "timeout_ms";
@@ -161,17 +160,6 @@ let apply_overrides (base : Session.options) v =
         | Some (Json.String s) ->
             Result.map (fun m -> solve := { !solve with Session.sc_method = m }) (method_of_slug s)
         | Some _ -> Error "option \"solver\" must be a string"
-      in
-      let* () =
-        match Json.member "solver_lane" v with
-        | None -> Ok ()
-        | Some (Json.String s) -> (
-            match Solver.lane_of_slug s with
-            | Some lane ->
-                solve := { !solve with Session.sc_lane = lane };
-                Ok ()
-            | None -> Error (Printf.sprintf "unknown solver lane %S" s))
-        | Some _ -> Error "option \"solver_lane\" must be a string"
       in
       let* () =
         match Json.member "escalate" v with

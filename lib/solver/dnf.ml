@@ -63,9 +63,3 @@ let dnf ?budget b =
         List.concat_map (fun cx -> List.map (fun cy -> cx @ cy) dy) dx
   in
   go (nnf true b)
-
-let pp_literal fmt = function
-  | Lle (a, b) -> Format.fprintf fmt "%a <= %a" pp_iexp a pp_iexp b
-  | Leq (a, b) -> Format.fprintf fmt "%a = %a" pp_iexp a pp_iexp b
-  | Lbool (true, v) -> Ivar.pp fmt v
-  | Lbool (false, v) -> Format.fprintf fmt "~%a" Ivar.pp v

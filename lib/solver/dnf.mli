@@ -29,5 +29,3 @@ val dnf : ?budget:Budget.t -> Idx.bexp -> literal list list
     its size in fuel units.
     @raise Too_large when the expansion exceeds {!max_disjuncts}.
     @raise Budget.Exhausted when the budget runs out first. *)
-
-val pp_literal : Format.formatter -> literal -> unit

@@ -8,15 +8,6 @@ type method_ = Fm_tightened | Fm_plain | Simplex_rational
 
 type lane = Lane_bignum | Lane_native
 
-let lane_slug = function
-  | Lane_bignum -> "bignum"
-  | Lane_native -> "native"
-
-let lane_of_slug = function
-  | "bignum" -> Some Lane_bignum
-  | "native" -> Some Lane_native
-  | _ -> None
-
 type verdict = Valid | Not_valid of string | Unsupported of string | Timeout of string
 
 type stats = {

@@ -28,12 +28,6 @@ type lane =
       (** machine-int fast path with checked arithmetic; overflow re-solves
           the disjunct on the bignum lane (the default) *)
 
-val lane_slug : lane -> string
-(** Machine-readable lane tag (["bignum"], ["native"]), the same
-    strings the CLI's [--solver-lane] accepts. *)
-
-val lane_of_slug : string -> lane option
-
 type verdict =
   | Valid
   | Not_valid of string
@@ -70,8 +64,8 @@ val new_stats : unit -> stats
 
 val merge_stats : into:stats -> stats -> unit
 (** Add a second stats record into [into]: counts and times add, Fourier
-    high-water marks take the maximum.  Used by the parallel executor to
-    fold the per-task records shipped back from worker processes into one
+    high-water marks take the maximum.  Used by the incremental checker
+    ({!Dml_core.Incr}) to fold per-declaration records into one
     per-program view. *)
 
 val method_slug : method_ -> string

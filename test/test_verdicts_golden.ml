@@ -4,7 +4,10 @@
    verdict slug and hint.  A solver fast path may change how much work a
    verdict costs, never the verdict or its counterexample hint, so this
    file must pass unchanged across such changes.  Both arithmetic lanes
-   are held to the same file.
+   are held to the same file: the native lane through the session pipeline
+   every front end uses, the bignum lane (the overflow fallback and the
+   reference) by deciding each front-end obligation with
+   [Solver.check_constraint ~lane:Lane_bignum].
 
    Regenerating after an intentional change to verdicts or hints:
      DML_VERDICTS_GOLDEN=$PWD/test/solver_verdicts_golden.json \
@@ -17,37 +20,51 @@ module Pr = Dml_programs.Programs
 
 let methods = [ Solver.Fm_tightened; Solver.Fm_plain ]
 
-let obligation_json (co : Pipeline.checked_obligation) =
+let obligation_json ((ob : Elab.obligation), verdict) =
   let hint =
-    match co.Pipeline.co_verdict with
+    match verdict with
     | Solver.Valid -> J.Null
     | Solver.Not_valid m | Solver.Unsupported m | Solver.Timeout m -> J.String m
   in
   J.Obj
     [
-      ("loc", J.String (Format.asprintf "%a" Dml_lang.Loc.pp co.Pipeline.co_obligation.Elab.ob_loc));
-      ("verdict", J.String (Solver.verdict_slug co.Pipeline.co_verdict));
+      ("loc", J.String (Format.asprintf "%a" Dml_lang.Loc.pp ob.Elab.ob_loc));
+      ("verdict", J.String (Solver.verdict_slug verdict));
       ("hint", hint);
     ]
 
+(* (obligation, verdict) pairs in generation order, on the given lane *)
+let verdicts ~lane method_ (b : Pr.benchmark) =
+  let fail f = Alcotest.failf "%s: %s" b.Pr.name (Pipeline.failure_to_string f) in
+  match lane with
+  | Solver.Lane_native -> (
+      let options =
+        {
+          Session.default_options with
+          Session.op_solve = { Session.default_solve_config with Session.sc_method = method_ };
+        }
+      in
+      match Pipeline.check_s (Session.create ~options ()) b.Pr.source with
+      | Ok r ->
+          List.map
+            (fun co -> (co.Pipeline.co_obligation, co.Pipeline.co_verdict))
+            r.Pipeline.rp_obligations
+      | Error f -> fail f)
+  | Solver.Lane_bignum -> (
+      match Pipeline.frontend b.Pr.source with
+      | Ok fe ->
+          List.map
+            (fun ob ->
+              (ob, Solver.check_constraint ~method_ ~lane:Solver.Lane_bignum ob.Elab.ob_constr))
+            fe.Pipeline.fe_obligations
+      | Error f -> fail f)
+
 let program_json ~lane method_ (b : Pr.benchmark) =
-  let options =
-    {
-      Session.default_options with
-      Session.op_solve =
-        { Session.default_solve_config with Session.sc_method = method_; sc_lane = lane };
-    }
-  in
-  let obligations =
-    match Pipeline.check_s (Session.create ~options ()) b.Pr.source with
-    | Ok r -> J.List (List.map obligation_json r.Pipeline.rp_obligations)
-    | Error f -> Alcotest.failf "%s: %s" b.Pr.name (Pipeline.failure_to_string f)
-  in
   J.Obj
     [
       ("program", J.String b.Pr.name);
       ("method", J.String (Solver.method_slug method_));
-      ("obligations", obligations);
+      ("obligations", J.List (List.map obligation_json (verdicts ~lane method_ b)));
     ]
 
 let document ~lane =
