@@ -178,7 +178,7 @@ let fork_server ~socket ~cache_dir =
         {
           Session.default_options with
           Session.op_jobs = Some !jobs;
-          op_cache = Some { Cache.default_config with Cache.dir = Some cache_dir };
+          op_cache = Some { Cache.dir = Some cache_dir };
         }
       in
       let server =

@@ -1,11 +1,10 @@
 (* The one place the driver binaries parse their shared flags.
 
-   dmlc's subcommands, and dmld's serve front-end, all take the same knobs:
-   the per-obligation solver budget (--solver/--escalate/--fuel/--timeout-ms/
-   --max-elim), the verdict cache (--cache/--no-cache/--cache-dir/
-   --cache-entries), observability (--trace/--profile/--json), parallelism
-   (-j) and the strict/degrade switch.  Each used to carry its own copy;
-   they are defined once here and assembled into a
+   dmlc's subcommands, dmld's serve front-end and the dmli REPL all take the
+   same knobs: the per-obligation solver budget (--solver/--fuel/
+   --timeout-ms/--max-elim), the persistent verdict cache (--cache-dir),
+   observability (--trace/--profile/--json), parallelism (-j) and the
+   strict/degrade switch.  They are defined once here and assembled into a
    [Dml_core.Session.options] with [session_options]. *)
 
 open Cmdliner
@@ -54,8 +53,8 @@ let solver_method =
   let doc = "Constraint solver: fm (Fourier-Motzkin with integral tightening), fm-plain, simplex." in
   Arg.(value & opt (enum methods) Dml_solver.Solver.Fm_tightened & info [ "solver" ] ~doc)
 
-(* Per-obligation solver budget and escalation; together with the method this
-   builds the session's solve_config. *)
+(* Per-obligation solver budget; together with the method this builds the
+   session's solve_config. *)
 let solve_config =
   let fuel =
     let doc = "Solver fuel per obligation (abstract work units: DNF disjuncts, \
@@ -70,75 +69,25 @@ let solve_config =
     let doc = "Maximum Fourier-Motzkin variable eliminations per obligation." in
     Arg.(value & opt (some int) None & info [ "max-elim" ] ~docv:"N" ~doc)
   in
-  let escalate =
-    let doc = "Retry unproven goals with stronger methods (fm-plain, then fm) \
-               under the remaining budget." in
-    Arg.(value & flag & info [ "escalate" ] ~doc)
+  let build sc_method sc_fuel sc_timeout_ms sc_max_eliminations =
+    { Session.sc_method; sc_fuel; sc_timeout_ms; sc_max_eliminations }
   in
-  let build sc_method sc_escalate sc_fuel sc_timeout_ms sc_max_eliminations =
-    { Session.sc_method; sc_escalate; sc_fuel; sc_timeout_ms; sc_max_eliminations }
-  in
-  Term.(const build $ solver_method $ escalate $ fuel $ timeout_ms $ max_elim)
+  Term.(const build $ solver_method $ fuel $ timeout_ms $ max_elim)
 
 (* --- verdict cache ----------------------------------------------------------- *)
 
-(* [--cache-dir] implies caching; a bare [--cache] keeps the memo table
-   in-process only.  [cache_spec_term] yields the configuration (plain data:
-   what session options carry and worker pools ship); [cache_term] builds
-   the cache object for callers that share one across sessions. *)
-let cache_spec_term ~default_on =
-  let cache =
-    let doc = "Memoize solver verdicts: goals are canonicalized (alpha-renaming, \
-               conjunct order and linear-atom presentation are quotiented away) and \
-               repeated goals reuse their verdict instead of re-running the solver." in
-    Arg.(value & flag & info [ "cache" ] ~doc)
-  in
-  let no_cache =
-    let doc = "Disable the verdict cache (batch and dmld enable it by default)." in
-    Arg.(value & flag & info [ "no-cache" ] ~doc)
-  in
-  let cache_dir =
-    let doc = "Persist cached verdicts under $(docv) so they survive across \
-               invocations (implies --cache).  Corrupt or truncated entries are \
-               detected and treated as misses." in
-    Arg.(value & opt (some string) None & info [ "cache-dir" ] ~docv:"DIR" ~doc)
-  in
-  let cache_entries =
-    let doc = "Capacity of the in-memory verdict table; least-recently-used entries \
-               are evicted past $(docv) (0 = unbounded)." in
-    Arg.(value & opt int Dml_cache.Cache.default_config.Dml_cache.Cache.max_entries
-         & info [ "cache-entries" ] ~docv:"N" ~doc)
-  in
-  let cache_disk_mb =
-    let doc = "Byte cap on the persistent --cache-dir, in MiB: past it the oldest \
-               entry and quarantine files are swept (0 = unbounded)." in
-    Arg.(value
-         & opt int (Dml_cache.Cache.default_config.Dml_cache.Cache.max_disk_bytes / (1024 * 1024))
-         & info [ "cache-disk-mb" ] ~docv:"MB" ~doc)
-  in
-  let cache_disk_entries =
-    let doc = "File-count cap on the persistent --cache-dir (0 = unbounded)." in
-    Arg.(value & opt int Dml_cache.Cache.default_config.Dml_cache.Cache.max_disk_entries
-         & info [ "cache-disk-entries" ] ~docv:"N" ~doc)
-  in
-  let build enabled disabled dir entries disk_mb disk_entries =
-    let wanted = (not disabled) && (enabled || dir <> None || default_on) in
-    if not wanted then None
-    else
-      Some
-        {
-          Dml_cache.Cache.max_entries = entries;
-          dir;
-          max_disk_bytes = disk_mb * 1024 * 1024;
-          max_disk_entries = disk_entries;
-        }
-  in
-  Term.(const build $ cache $ no_cache $ cache_dir $ cache_entries $ cache_disk_mb
-        $ cache_disk_entries)
-
-let cache_term ~default_on =
-  let build spec = Option.map (fun config -> Dml_cache.Cache.create ~config ()) spec in
-  Term.(const build $ cache_spec_term ~default_on)
+(* The only cache switch: [--cache-dir] builds a verdict cache persisted
+   under DIR.  Without it a session is uncached (inference still memoises
+   its own qualifier tests).  The term yields the configuration: plain data
+   that session options carry and worker pools ship. *)
+let cache_spec_term =
+  let doc = "Memoize solver verdicts under $(docv) so they survive across \
+             invocations: goals are canonicalized (alpha-renaming, conjunct order \
+             and linear-atom presentation are quotiented away) and a repeated goal \
+             reuses its verdict instead of re-running the solver.  Corrupt or \
+             truncated entries are detected and treated as misses." in
+  let dir = Arg.(value & opt (some string) None & info [ "cache-dir" ] ~docv:"DIR" ~doc) in
+  Term.(const (Option.map (fun dir -> { Dml_cache.Cache.dir = Some dir })) $ dir)
 
 (* --- strict/degrade ---------------------------------------------------------- *)
 
@@ -195,20 +144,20 @@ let session_options ?(mode = Session.Strict) ?jobs ?(infer = false) ?(incrementa
 
 type obs = { ob_trace : string option; ob_profile : bool; ob_json : bool }
 
+let trace_term =
+  let doc = "Write a structured trace to $(docv) (schema dml-trace/1, see \
+             DESIGN.md): nested spans for parse, infer, elaborate and every \
+             obligation and solver goal, with method, budget tier, cache status, \
+             verdict and monotonic wall-clock durations." in
+  Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
+
+let profile_term =
+  let doc = "Dump the process metrics registry (named counters and histograms \
+             across solver, cache, pipeline and the eval backends) after the \
+             command; with $(b,--json) it is embedded as a \"metrics\" field." in
+  Arg.(value & flag & info [ "profile" ] ~doc)
+
 let obs_term =
-  let trace =
-    let doc = "Write a structured trace to $(docv) (schema dml-trace/1, see \
-               DESIGN.md): nested spans for parse, infer, elaborate and every \
-               obligation and solver goal, with method, budget tier, cache status, \
-               verdict and monotonic wall-clock durations." in
-    Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
-  in
-  let profile =
-    let doc = "Dump the process metrics registry (named counters and histograms \
-               across solver, cache, pipeline and the eval backends) after the \
-               command; with $(b,--json) it is embedded as a \"metrics\" field." in
-    Arg.(value & flag & info [ "profile" ] ~doc)
-  in
   let json =
     let doc = "Emit a machine-readable JSON report on stdout instead of the text \
                output (schemas documented in DESIGN.md); implies span collection, so \
@@ -216,7 +165,7 @@ let obs_term =
     Arg.(value & flag & info [ "json" ] ~doc)
   in
   let build ob_trace ob_profile ob_json = { ob_trace; ob_profile; ob_json } in
-  Term.(const build $ trace $ profile $ json)
+  Term.(const build $ trace_term $ profile_term $ json)
 
 (* Tracing is enabled exactly while the traced work runs: spans are needed
    for the trace file and for the JSON report's "spans" field. *)

@@ -2,8 +2,7 @@
 
    - [dmlc check FILE]       type check a program (phases 1 and 2 + solving)
    - [dmlc batch FILE...]    check many programs through [Dml_par.Runner], in
-                             process against one shared verdict cache or on a
-                             worker pool
+                             process against one session or on a worker pool
    - [dmlc constraints FILE] print every generated constraint with its verdict
    - [dmlc run FILE NAME]    evaluate a program and print a binding
    - [dmlc table1]           regenerate the paper's Table 1
@@ -26,9 +25,9 @@ module Metrics = Dml_obs.Metrics
 let print_stats (report : Pipeline.report) =
   let s = report.Pipeline.rp_solver_stats in
   Format.printf
-    "solver: goals=%d disjuncts=%d escalations=%d timeouts=%d solve=%.4fs gen=%.4fs@."
+    "solver: goals=%d disjuncts=%d timeouts=%d solve=%.4fs gen=%.4fs@."
     s.Dml_solver.Solver.checked_goals s.Dml_solver.Solver.disjuncts
-    s.Dml_solver.Solver.escalations s.Dml_solver.Solver.timeouts
+    s.Dml_solver.Solver.timeouts
     report.Pipeline.rp_solve_time report.Pipeline.rp_gen_time;
   match report.Pipeline.rp_cache_stats with
   | None -> ()
@@ -135,15 +134,15 @@ let check_cmd =
   let doc = "Type check a program with dependent types and solve its constraints." in
   Cmd.v (Cmd.info "check" ~doc)
     Term.(
-      const run $ solve_config $ cache_spec_term ~default_on:false $ stats_flag $ degrade_flag
+      const run $ solve_config $ cache_spec_term $ stats_flag $ degrade_flag
       $ infer_term $ obs_term $ file_arg)
 
 (* --- batch ------------------------------------------------------------------ *)
 
 (* Check many programs.  Every row comes from [Dml_par.Runner]: in process
-   against one session, whose verdict cache is shared by every program and
-   every [--repeat] pass (the basis and any shared goal are solved once), or
-   sharded across a worker pool under -j.  Rows are printed and emitted in
+   against one session (under --cache-dir its verdict cache is shared by
+   every program and every [--repeat] pass), or sharded across a worker pool
+   under -j.  Rows are printed and emitted in
    input order.  The JSON document holds only schedule-independent fields
    unless --profile adds the volatile ones, so it is byte-identical whatever
    the execution site; the text table always shows the timing and cache
@@ -259,17 +258,17 @@ let batch_cmd =
       value & opt int 1
       & info [ "repeat" ] ~docv:"N"
           ~doc:"Run the whole batch $(docv) times.  In process, every pass checks \
-                against the same session, so later passes show the fully warm \
-                amortization; pooled passes ($(b,-j)) fork fresh workers, so only a \
+                against the same session, so with $(b,--cache-dir) later passes \
+                show the fully warm amortization; pooled passes ($(b,-j)) fork fresh workers, so only a \
                 $(b,--cache-dir) carries verdicts over between them.")
   in
   let doc =
-    "Check many programs against one shared solver-verdict cache and report per-program \
-     and aggregate amortization (caching is on by default here; --no-cache disables it)."
+    "Check many programs and report per-program and aggregate figures; with \
+     $(b,--cache-dir) every program and pass shares one solver-verdict cache."
   in
   Cmd.v (Cmd.info "batch" ~doc)
     Term.(
-      const run $ solve_config $ cache_spec_term ~default_on:true $ batch_jobs_term $ all
+      const run $ solve_config $ cache_spec_term $ batch_jobs_term $ all
       $ all_unannot $ repeat $ infer_term $ obs_term $ files)
 
 (* --- constraints ---------------------------------------------------------------- *)
@@ -294,7 +293,7 @@ let constraints_cmd =
   in
   let doc = "Print every constraint generated during elaboration, with its verdict." in
   Cmd.v (Cmd.info "constraints" ~doc)
-    Term.(const run $ solve_config $ cache_spec_term ~default_on:false $ file_arg)
+    Term.(const run $ solve_config $ cache_spec_term $ file_arg)
 
 (* --- run -------------------------------------------------------------------------- *)
 
@@ -383,7 +382,7 @@ let run_cmd =
   let doc = "Type check, evaluate, and print a top-level binding." in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
-      const run $ solve_config $ cache_spec_term ~default_on:false $ degrade_flag $ obs_term
+      const run $ solve_config $ cache_spec_term $ degrade_flag $ obs_term
       $ file_arg $ binding $ unchecked)
 
 (* --- tables ------------------------------------------------------------------------- *)

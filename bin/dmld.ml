@@ -6,9 +6,10 @@
    - [dmld request JSON]         client: send one raw request document
    - [dmld status|metrics|shutdown]  client: the corresponding request
 
-   The server holds one long-lived session: a shared verdict cache plus
-   program-level memoization (source digest x options fingerprint), so a
-   repeated check of an unchanged program costs zero solver calls.  The
+   The server holds one long-lived session with program-level memoization
+   (source digest x options fingerprint), so a repeated check of an
+   unchanged program costs zero solver calls; --cache-dir adds a persistent
+   verdict cache shared by every request.  The
    check result documents are built by the same [Dml_core.Report_json]
    builders as [dmlc check --json], so responses are byte-identical to
    one-shot output modulo the schedule-dependent fields. *)
@@ -69,14 +70,14 @@ let serve_cmd =
     Arg.(value & opt int 256 & info [ "max-queue" ] ~docv:"N" ~doc)
   in
   let doc =
-    "Run the persistent check server.  The verdict cache is enabled by default \
-     (--no-cache disables it); -j puts check and batch requests on a pool of warm \
+    "Run the persistent check server.  $(b,--cache-dir) gives it a persistent \
+     verdict cache; -j puts check and batch requests on a pool of warm \
      forked workers with per-request deadlines (--request-timeout-ms), bounded \
      queueing (--max-queue) and crash recovery."
   in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
-      const run $ solve_config $ cache_spec_term ~default_on:true $ degrade_flag
+      const run $ solve_config $ cache_spec_term $ degrade_flag
       $ batch_jobs_term $ incremental $ stdio $ socket_arg $ request_timeout_ms
       $ max_queue)
 

@@ -89,107 +89,17 @@ let print_binding mlenv lookup name =
           Format.printf "val %s : %a = %a@." name Mltype.pp_scheme scheme Dml_eval.Value.pp v
       | None, _ -> Format.printf "val %s : %a@." name Mltype.pp_scheme scheme)
 
-(* command-line options: budgets, the strict/degrade switch, and the
-   verdict cache (a REPL re-checks the whole session on every entry, so a
-   warm cache pays off immediately: earlier entries' goals are hits) *)
-type options = {
-  mutable degrade : bool;
-  mutable fuel : int option;
-  mutable timeout_ms : int option;
-  mutable escalate : bool;
-  mutable cache : bool;
-  mutable cache_dir : string option;
-  mutable trace : string option;
-  mutable profile : bool;
-}
-
-let usage =
-  "usage: dmli [--degrade] [--fuel N] [--timeout-ms MS] [--escalate]\n\
-  \            [--cache] [--cache-dir DIR] [--trace FILE] [--profile]\n\
-  \  --degrade     accept entries with unproven obligations; their sites keep\n\
-  \                dynamic checks (a failing check raises Subscript)\n\
-  \  --fuel N      solver fuel per obligation\n\
-  \  --timeout-ms MS  wall-clock solver deadline per obligation\n\
-  \  --escalate    retry unproven goals with stronger solver methods\n\
-  \  --cache       memoize solver verdicts across entries (the session is\n\
-  \                re-checked on every entry; earlier goals become hits)\n\
-  \  --cache-dir DIR  persist cached verdicts under DIR (implies --cache)\n\
-  \  --trace FILE  write a structured span trace of the session to FILE on\n\
-  \                exit (schema dml-trace/1, see DESIGN.md)\n\
-  \  --profile     print the process metrics registry on exit\n"
-
-let parse_options () =
-  let o =
-    {
-      degrade = false;
-      fuel = None;
-      timeout_ms = None;
-      escalate = false;
-      cache = false;
-      cache_dir = None;
-      trace = None;
-      profile = false;
-    }
-  in
-  let rec go = function
-    | [] -> o
-    | "--degrade" :: rest ->
-        o.degrade <- true;
-        go rest
-    | "--escalate" :: rest ->
-        o.escalate <- true;
-        go rest
-    | "--cache" :: rest ->
-        o.cache <- true;
-        go rest
-    | "--cache-dir" :: dir :: rest ->
-        o.cache <- true;
-        o.cache_dir <- Some dir;
-        go rest
-    | "--fuel" :: n :: rest when int_of_string_opt n <> None ->
-        o.fuel <- int_of_string_opt n;
-        go rest
-    | "--timeout-ms" :: n :: rest when int_of_string_opt n <> None ->
-        o.timeout_ms <- int_of_string_opt n;
-        go rest
-    | "--trace" :: file :: rest ->
-        o.trace <- Some file;
-        go rest
-    | "--profile" :: rest ->
-        o.profile <- true;
-        go rest
-    | arg :: _ ->
-        prerr_string (Printf.sprintf "dmli: unknown or malformed argument %S\n%s" arg usage);
-        exit 2
-  in
-  go (List.tl (Array.to_list Sys.argv))
-
-let () =
-  let opts = parse_options () in
-  (* one session for the whole REPL: the warm verdict cache is what makes
-     re-checking the growing session cheap (earlier entries' goals are hits) *)
+(* One session for the whole REPL, built from the same flags as [dmlc
+   check]: solver method and budgets, the strict/degrade switch and
+   --cache-dir.  --trace FILE writes the session's spans on exit; --profile
+   prints the metrics registry on exit. *)
+let repl solve cache_spec degrade trace profile =
+  let mode = if degrade then Session.Degrade else Session.Strict in
   let checker =
-    Session.create
-      ~options:
-        {
-          Session.default_options with
-          Session.op_solve =
-            {
-              Session.default_solve_config with
-              Session.sc_escalate = opts.escalate;
-              sc_fuel = opts.fuel;
-              sc_timeout_ms = opts.timeout_ms;
-            };
-          op_cache =
-            (if opts.cache then
-               Some { Dml_cache.Cache.default_config with Dml_cache.Cache.dir = opts.cache_dir }
-             else None);
-          op_mode = (if opts.degrade then Session.Degrade else Session.Strict);
-        }
-      ()
+    Session.create ~options:(Cli_options.session_options ~mode ~solve ~cache_spec ()) ()
   in
   let sink =
-    match opts.trace with
+    match trace with
     | None -> None
     | Some _ ->
         let sk = Dml_obs.Trace.create_sink () in
@@ -198,7 +108,7 @@ let () =
   in
   Format.printf "dml interactive - PLDI'98 dependent types; end entries with ;;@.";
   Format.printf "(#quit to exit, #show to list the session so far%s)@."
-    (if opts.degrade then "; degraded mode: unproven sites stay checked" else "");
+    (if degrade then "; degraded mode: unproven sites stay checked" else "");
   let session = ref "" in
   let rec loop () =
     match read_entry () with
@@ -212,7 +122,7 @@ let () =
         let candidate = !session ^ "\n" ^ fragment ^ "\n" in
         (match Pipeline.check_s checker candidate with
         | Error f -> print_string (Diagnose.render_failure ~src:candidate f)
-        | Ok report when (not report.Pipeline.rp_valid) && not opts.degrade ->
+        | Ok report when (not report.Pipeline.rp_valid) && not degrade ->
             print_string (Diagnose.render_report ~src:candidate report)
         | Ok report -> (
             session := candidate;
@@ -240,11 +150,21 @@ let () =
         loop ()
   in
   loop ();
-  (match (opts.trace, sink) with
+  (match (trace, sink) with
   | Some file, Some sk -> (
       Dml_obs.Trace.set_sink None;
       match Dml_obs.Json.write_file file (Dml_obs.Trace.to_json sk) with
       | Ok () -> ()
       | Error msg -> prerr_endline ("dmli: cannot write trace file: " ^ msg))
   | _ -> ());
-  if opts.profile then Format.printf "%a" Dml_obs.Metrics.pp ()
+  if profile then Format.printf "%a" Dml_obs.Metrics.pp ()
+
+let () =
+  let open Cmdliner in
+  let doc = "Interactive read-check-eval loop for the dependent ML fragment." in
+  let term =
+    Term.(
+      const repl $ Cli_options.solve_config $ Cli_options.cache_spec_term
+      $ Cli_options.degrade_flag $ Cli_options.trace_term $ Cli_options.profile_term)
+  in
+  exit (Cmd.eval (Cmd.v (Cmd.info "dmli" ~doc) term))

@@ -4,22 +4,9 @@ type verdict = Store.verdict =
   | Unsupported of string
   | Timeout of string
 
-type config = {
-  max_entries : int;
-  dir : string option;
-  max_disk_bytes : int;
-  max_disk_entries : int;
-}
+type config = { dir : string option }
 
-let default_config =
-  {
-    max_entries = 4096;
-    dir = None;
-    (* generous but finite: a shared --cache-dir serving a farm of dmld
-       workers must not grow without bound *)
-    max_disk_bytes = 64 * 1024 * 1024;
-    max_disk_entries = 100_000;
-  }
+let default_config = { dir = None }
 
 type snapshot = {
   s_hits : int;
@@ -46,9 +33,7 @@ type t = {
 
 let create ?(config = default_config) () =
   {
-    store =
-      Store.create ~max_entries:config.max_entries ?dir:config.dir
-        ~max_disk_bytes:config.max_disk_bytes ~max_disk_entries:config.max_disk_entries ();
+    store = Store.create ?dir:config.dir ();
     hits = 0;
     disk_hits = 0;
     misses = 0;
@@ -173,14 +158,6 @@ let snapshot_to_json s =
 
 let config_to_json c =
   Dml_obs.Json.Obj
-    [
-      ("max_entries", Dml_obs.Json.Int c.max_entries);
-      ( "dir",
-        match c.dir with
-        | None -> Dml_obs.Json.Null
-        | Some d -> Dml_obs.Json.String d );
-      ("max_disk_bytes", Dml_obs.Json.Int c.max_disk_bytes);
-      ("max_disk_entries", Dml_obs.Json.Int c.max_disk_entries);
-    ]
+    [ ("dir", match c.dir with None -> Dml_obs.Json.Null | Some d -> Dml_obs.Json.String d) ]
 
 let digest_goal = Canon.digest

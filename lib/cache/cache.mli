@@ -31,18 +31,12 @@ type verdict = Store.verdict =
   | Unsupported of string
   | Timeout of string
 
-type config = {
-  max_entries : int;  (** LRU capacity of the memo table; [<= 0] unbounded *)
-  dir : string option;  (** persistent on-disk store ([--cache-dir]) *)
-  max_disk_bytes : int;
-      (** byte cap on the persistent directory; the oldest files are swept
-          when it is exceeded ([<= 0] unbounded) *)
-  max_disk_entries : int;  (** file-count cap on the persistent directory *)
-}
+type config = { dir : string option  (** persistent on-disk store ([--cache-dir]) *) }
 
 val default_config : config
-(** 4096 memo entries, no persistent layer; a persistent directory (when
-    one is configured) is capped at 64 MiB / 100k files. *)
+(** No persistent layer.  The memo table holds {!Store.memo_capacity}
+    entries; a persistent directory is capped at {!Store.disk_byte_cap} /
+    {!Store.disk_entry_cap}. *)
 
 type snapshot = {
   s_hits : int;  (** lookups answered from the cache *)
@@ -82,8 +76,8 @@ val snapshot_to_json : snapshot -> Dml_obs.Json.t
     server). *)
 
 val config_to_json : config -> Dml_obs.Json.t
-(** [{"max_entries", "dir"}] — embedded in session-options documents
-    ([dmld status], fingerprints). *)
+(** [{"dir"}] — embedded in session-options documents ([dmld status],
+    fingerprints). *)
 
 val digest_goal : Constr.goal -> string
 (** {!Canon.digest}, re-exported so clients need not depend on the

@@ -317,7 +317,15 @@ let disk_write t key entry =
 (* Public interface                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let create ?(max_entries = 4096) ?dir ?(max_disk_bytes = 0) ?(max_disk_entries = 0) () =
+let memo_capacity = 4096
+
+(* generous but finite: a shared --cache-dir serving a farm of dmld workers
+   must not grow without bound *)
+let disk_byte_cap = 64 * 1024 * 1024
+let disk_entry_cap = 100_000
+
+let create ?(max_entries = memo_capacity) ?dir ?(max_disk_bytes = disk_byte_cap)
+    ?(max_disk_entries = disk_entry_cap) () =
   let dir =
     match dir with
     | None -> None

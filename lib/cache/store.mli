@@ -22,6 +22,15 @@ type entry = { e_tier : int; e_verdict : verdict }
 
 type t
 
+val memo_capacity : int
+(** Default capacity of the in-memory table: 4096 entries. *)
+
+val disk_byte_cap : int
+(** Default byte cap on the persistent directory: 64 MiB. *)
+
+val disk_entry_cap : int
+(** Default file-count cap on the persistent directory: 100k files. *)
+
 val create :
   ?max_entries:int ->
   ?dir:string ->
@@ -29,15 +38,17 @@ val create :
   ?max_disk_entries:int ->
   unit ->
   t
-(** [max_entries] bounds the in-memory table (default 4096; [<= 0] means
-    unbounded).  [dir] enables the persistent layer; it is created when
-    missing.  A directory that cannot be created or written disables
-    persistence silently (the memo table still works).
+(** [max_entries] bounds the in-memory table (default {!memo_capacity};
+    [<= 0] means unbounded).  [dir] enables the persistent layer; it is
+    created when missing.  A directory that cannot be created or written
+    disables persistence silently (the memo table still works).
 
     [max_disk_bytes]/[max_disk_entries] cap the persistent directory
-    (default 0 = unbounded): when either cap is exceeded, {!sweep} deletes
-    the oldest cache-owned files first.  With a cap set, a sweep runs at
-    [create] and then every {!val-sweep_write_period} disk writes. *)
+    (defaults {!disk_byte_cap}/{!disk_entry_cap}; [<= 0] unbounded): when
+    either cap is exceeded, {!sweep} deletes the oldest cache-owned files
+    first.  With a cap set, a sweep runs at [create] and then every
+    {!val-sweep_write_period} disk writes.  {!Cache} always uses the
+    defaults; the overrides exist for the sweep tests. *)
 
 val find : t -> string -> (entry * [ `Mem | `Disk ]) option
 (** Memo-table lookup first, then the persistent layer; a disk hit is

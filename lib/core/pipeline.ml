@@ -25,19 +25,6 @@ let m_residual = Metrics.counter "pipeline.residual"
 let h_gen_ms = Metrics.histogram "pipeline.gen_ms"
 let h_solve_ms = Metrics.histogram "pipeline.solve_ms"
 
-(* The solving policy lives in Session now; re-exported under the old
-   names for the pre-Session API. *)
-type solve_config = Session.solve_config = {
-  sc_method : Solver.method_;
-  sc_escalate : bool;  (* retry unproven goals along Solver.default_ladder *)
-  sc_fuel : int option;
-  sc_timeout_ms : int option;
-  sc_max_eliminations : int option;
-}
-
-let default_config = Session.default_solve_config
-let budget_of_config = Session.budget_of_solve_config
-
 type report = {
   rp_obligations : checked_obligation list;
   rp_valid : bool;
@@ -188,12 +175,12 @@ let with_session_sink session f =
    one pathological constraint exhausts its own allowance and degrades its
    own site, without starving the rest of the program. *)
 let solve_obligation_raw ~config ?stats ?cache ob =
-  let budget = budget_of_config config in
+  let budget = Session.budget_of_solve_config config in
   let sp = Trace.start "obligation" in
   let ot0 = Budget.now () in
   let verdict =
-    Solver.check_constraint ~method_:config.sc_method ~escalate:config.sc_escalate ?stats ?budget
-      ?cache ob.Elab.ob_constr
+    Solver.check_constraint ~method_:config.Session.sc_method ?stats ?budget ?cache
+      ob.Elab.ob_constr
   in
   if Trace.real sp then begin
     Trace.set_str sp "what" ob.Elab.ob_what;

@@ -7,7 +7,7 @@
 
     Solving is *per-obligation and resource-governed*: each obligation runs
     under its own fresh {!Dml_solver.Budget.t} (built from the
-    {!solve_config}) behind the solver's isolation barrier, so one
+    {!Session.solve_config}) behind the solver's isolation barrier, so one
     pathological constraint times out or faults alone — its verdict becomes
     [Timeout]/[Unsupported] — while every other obligation is still decided.
     A report with residual (unproven) obligations supports two consumptions:
@@ -31,25 +31,6 @@ type checked_obligation = {
   co_verdict : Solver.verdict;
   co_time : float;  (** wall-clock seconds spent deciding this obligation *)
 }
-
-type solve_config = Session.solve_config = {
-  sc_method : Solver.method_;  (** first (or only) method tried per goal *)
-  sc_escalate : bool;
-      (** retry an unproven goal under the remaining budget: [sc_method]
-          first, then the other rungs of {!Solver.default_ladder} (fm-plain,
-          then fm); simplex runs only when it is [sc_method] *)
-  sc_fuel : int option;  (** abstract work units per obligation *)
-  sc_timeout_ms : int option;  (** wall-clock deadline per obligation *)
-  sc_max_eliminations : int option;
-      (** Fourier variable-elimination bound per obligation *)
-}
-(** Re-export of {!Session.solve_config}, where the type now lives. *)
-
-val default_config : solve_config
-(** [Fm_tightened], no escalation, unlimited budget — the seed behaviour. *)
-
-val budget_of_config : solve_config -> Budget.t option
-(** A fresh budget for one obligation; [None] when the config sets no limit. *)
 
 type report = {
   rp_obligations : checked_obligation list;

@@ -21,7 +21,6 @@ let solver_stats_to_json (s : Solver.stats) =
        ("disjuncts", J.Int s.Solver.disjuncts);
        ("solve_s", J.Float s.Solver.solve_time);
        ("timeouts", J.Int s.Solver.timeouts);
-       ("escalations", J.Int s.Solver.escalations);
        ("cache_hits", J.Int s.Solver.cache_hits);
        ("cache_misses", J.Int s.Solver.cache_misses);
      ]

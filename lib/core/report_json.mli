@@ -13,7 +13,7 @@ open Dml_solver
 
 val solver_stats_to_json : Solver.stats -> Dml_obs.Json.t
 (** The ["solver"] object: goals, disjuncts, solve seconds, timeouts,
-    escalations, cache hits/misses and the Fourier counters; the
+    cache hits/misses and the Fourier counters; the
     [overflow_escalations] and [fm.pair_refuted] keys appear only when
     non-zero. *)
 

@@ -3,7 +3,6 @@ module Json = Dml_obs.Json
 
 type solve_config = {
   sc_method : Solver.method_;
-  sc_escalate : bool;
   sc_fuel : int option;
   sc_timeout_ms : int option;
   sc_max_eliminations : int option;
@@ -12,7 +11,6 @@ type solve_config = {
 let default_solve_config =
   {
     sc_method = Solver.Fm_tightened;
-    sc_escalate = false;
     sc_fuel = None;
     sc_timeout_ms = None;
     sc_max_eliminations = None;
@@ -56,7 +54,6 @@ let options_fields o =
         Json.Obj
           [
             ("method", Json.String (Solver.method_slug o.op_solve.sc_method));
-            ("escalate", Json.Bool o.op_solve.sc_escalate);
             ("fuel", json_of_int_opt o.op_solve.sc_fuel);
             ("timeout_ms", json_of_int_opt o.op_solve.sc_timeout_ms);
             ("max_eliminations", json_of_int_opt o.op_solve.sc_max_eliminations);

@@ -20,15 +20,10 @@ open Dml_solver
 
 (** {1 Solver configuration}
 
-    Moved here from [Pipeline] (which re-exports it under its old name for
-    compatibility): the per-obligation solving policy. *)
+    The per-obligation solving policy. *)
 
 type solve_config = {
-  sc_method : Solver.method_;  (** first (or only) method tried per goal *)
-  sc_escalate : bool;
-      (** retry an unproven goal under the remaining budget: [sc_method]
-          first, then the other rungs of {!Solver.default_ladder} (fm-plain,
-          then fm); simplex runs only when it is [sc_method] *)
+  sc_method : Solver.method_;  (** the decision procedure run per goal *)
   sc_fuel : int option;  (** abstract work units per obligation *)
   sc_timeout_ms : int option;  (** wall-clock deadline per obligation *)
   sc_max_eliminations : int option;
@@ -36,7 +31,7 @@ type solve_config = {
 }
 
 val default_solve_config : solve_config
-(** [Fm_tightened], no escalation, unlimited budget — the seed behaviour. *)
+(** [Fm_tightened], unlimited budget — the seed behaviour. *)
 
 val budget_of_solve_config : solve_config -> Budget.t option
 (** A fresh budget for one obligation; [None] when the config sets no

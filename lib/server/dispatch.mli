@@ -3,9 +3,9 @@
 
     The long-lived policy over the {!Dml_par.Worker} core, which forks,
     frames, enforces deadlines and reaps.  Workers stay warm across
-    requests: each holds a lazily built {!Dml_core.Session.t} whose
-    verdict cache persists between tasks, with a shared [--cache-dir]
-    crossing processes through the store's atomic writes.  Jobs arrive one
+    requests: each holds a lazily built {!Dml_core.Session.t}; under
+    [--cache-dir] its verdict cache persists between tasks, and the shared
+    directory crosses processes through the store's atomic writes.  Jobs arrive one
     at a time from the serve loop, and every failure becomes a structured
     outcome rather than a torn-down pool:
 

@@ -139,7 +139,6 @@ let apply_overrides (base : Session.options) v =
   let allowed =
     [
       "solver";
-      "escalate";
       "fuel";
       "timeout_ms";
       "max_eliminations";
@@ -160,14 +159,6 @@ let apply_overrides (base : Session.options) v =
         | Some (Json.String s) ->
             Result.map (fun m -> solve := { !solve with Session.sc_method = m }) (method_of_slug s)
         | Some _ -> Error "option \"solver\" must be a string"
-      in
-      let* () =
-        match Json.member "escalate" v with
-        | None -> Ok ()
-        | Some (Json.Bool b) ->
-            solve := { !solve with Session.sc_escalate = b };
-            Ok ()
-        | Some _ -> Error "option \"escalate\" must be a boolean"
       in
       let* () = int_opt_field "fuel" v (fun n -> solve := { !solve with Session.sc_fuel = n }) in
       let* () =

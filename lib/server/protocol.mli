@@ -23,8 +23,8 @@
     - [status], [metrics], [shutdown]: no extra fields.
 
     Options overrides (["options"]): ["solver"] (["fm"]/["fm-plain"]/
-    ["simplex"]), ["escalate"], ["fuel"], ["timeout_ms"],
-    ["max_eliminations"], ["mode"] (["strict"]/["degrade"]).  Only the
+    ["simplex"]), ["fuel"], ["timeout_ms"], ["max_eliminations"], ["mode"]
+    (["strict"]/["degrade"]), ["infer"].  Only the
     solving policy and mode may change per request; the verdict cache and
     parallelism shape belong to the server.
 

@@ -2,8 +2,9 @@
     [dml-server/1] protocol ({!Protocol}).
 
     Warm state that makes the server worth running:
-    - the session's shared verdict cache, so the basis and repeated goals
-      are solved once across every check of the server's lifetime;
+    - under [--cache-dir], the session's shared verdict cache, so repeated
+      goals are solved once across every check of the server's lifetime
+      (and of earlier servers on the same directory);
     - program-level memoization keyed by {!Dml_core.Session.memo_key}
       (source digest × options fingerprint): a repeated [check] of an
       unchanged program under unchanged options is answered from the memo —

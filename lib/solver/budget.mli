@@ -7,9 +7,9 @@
     in a {!exception:Exhausted} — surfaced as a [Timeout] verdict by
     {!Solver} — instead of hanging the pipeline.
 
-    A budget is mutable and is meant to be shared across the attempts made
-    on one obligation: when an escalation ladder retries a goal with a
-    stronger method, the retry runs under the *remaining* fuel and time. *)
+    A budget is mutable and is meant to be shared across the goals of one
+    obligation: each goal runs under the fuel and time its predecessors
+    left. *)
 
 type t
 

@@ -16,7 +16,6 @@ type stats = {
   mutable fm : Fourier.stats;
   mutable solve_time : float;
   mutable timeouts : int;
-  mutable escalations : int;
   mutable cache_hits : int;
   mutable cache_misses : int;
   mutable native_solves : int;
@@ -29,7 +28,6 @@ type stats = {
 let m_goals = Metrics.counter "solver.goals"
 let m_disjuncts = Metrics.counter "solver.disjuncts"
 let m_timeouts = Metrics.counter "solver.timeouts"
-let m_escalations = Metrics.counter "solver.escalations"
 let m_cache_hits = Metrics.counter "solver.cache_hits"
 let m_cache_misses = Metrics.counter "solver.cache_misses"
 let m_solves = Metrics.counter "solver.uncached_solves"
@@ -47,7 +45,6 @@ let new_stats () =
     fm = Fourier.new_stats ();
     solve_time = 0.;
     timeouts = 0;
-    escalations = 0;
     cache_hits = 0;
     cache_misses = 0;
     native_solves = 0;
@@ -59,7 +56,6 @@ let merge_stats ~into (s : stats) =
   into.disjuncts <- into.disjuncts + s.disjuncts;
   into.solve_time <- into.solve_time +. s.solve_time;
   into.timeouts <- into.timeouts + s.timeouts;
-  into.escalations <- into.escalations + s.escalations;
   into.cache_hits <- into.cache_hits + s.cache_hits;
   into.cache_misses <- into.cache_misses + s.cache_misses;
   into.native_solves <- into.native_solves + s.native_solves;
@@ -170,9 +166,8 @@ type memos = { bignum : Bignum.memo; native : Native.memo }
 (* One disjunct, one method, lane-dispatched.  Both lanes run the same
    algorithm body, so a completed native run IS the bignum verdict; on
    [Checked.Overflow] the bignum lane re-solves the disjunct from its
-   literals.  Overflow escalations are counted separately from ladder
-   escalations — they are an arithmetic-representation event, not an extra
-   proof-method attempt. *)
+   literals.  An overflow escalation is an arithmetic-representation
+   event, not an extra proof-method attempt. *)
 let refute ?stats ?budget ~lane memos method_ literals =
   match lane with
   | Lane_bignum -> Bignum.refute ?stats ?budget memos.bignum method_ literals
@@ -270,10 +265,9 @@ let verdict_slug = function
   | Unsupported _ -> "unsupported"
   | Timeout _ -> "timeout"
 
-(* The front door with the cache and the trace span around it.  The second
-   component reports where the verdict came from, so the escalation ladder
-   can count only uncached solves and the span can carry the cache status. *)
-let check_goal_status ~method_ ?(lane = Lane_native) ?stats ?budget ?cache goal =
+(* The front door with the cache and the trace span around it; the span
+   carries the cache status. *)
+let check_goal ?(method_ = Fm_tightened) ?(lane = Lane_native) ?stats ?budget ?cache goal =
   let sp = Trace.start "solve" in
   let fm0, pair0, disj0 =
     if Trace.real sp then
@@ -332,40 +326,9 @@ let check_goal_status ~method_ ?(lane = Lane_native) ?stats ?budget ?cache goal 
     | None -> ()
   end;
   Trace.finish sp;
-  (verdict, status)
+  verdict
 
-let check_goal ?(method_ = Fm_tightened) ?lane ?stats ?budget ?cache goal =
-  fst (check_goal_status ~method_ ?lane ?stats ?budget ?cache goal)
-
-let default_ladder = [ Fm_plain; Fm_tightened ]
-
-(* Prefer the verdict carrying the most information when nothing proves the
-   goal: a concrete refutation beats a timeout beats "unsupported". *)
-let verdict_rank = function
-  | Valid -> 3
-  | Not_valid _ -> 2
-  | Timeout _ -> 1
-  | Unsupported _ -> 0
-
-let check_goal_escalating ?(ladder = default_ladder) ?lane ?stats ?budget ?cache goal =
-  let rec go best = function
-    | [] -> best
-    | method_ :: rest -> (
-        match check_goal_status ~method_ ?lane ?stats ?budget ?cache goal with
-        | Valid, _ -> Valid
-        | v, status ->
-            (* an escalation is a real extra solve: a rung answered by the
-               cache replays the ladder without doing solver work, and must
-               not inflate the escalation count *)
-            if rest <> [] && status <> `Hit then begin
-              Option.iter (fun s -> s.escalations <- s.escalations + 1) stats;
-              Metrics.incr m_escalations
-            end;
-            go (if verdict_rank v > verdict_rank best then v else best) rest)
-  in
-  go (Unsupported "empty escalation ladder") ladder
-
-let check_constraint ?method_ ?lane ?(escalate = false) ?stats ?budget ?cache phi =
+let check_constraint ?method_ ?lane ?stats ?budget ?cache phi =
   match
     let phi = Constr.eliminate_existentials phi in
     Constr.goals phi
@@ -375,19 +338,12 @@ let check_constraint ?method_ ?lane ?(escalate = false) ?stats ?budget ?cache ph
   | exception Out_of_memory -> Unsupported "solver out of memory"
   | exception e -> Unsupported ("internal solver error: " ^ Printexc.to_string e)
   | Ok goals ->
-      let check g =
-        if escalate then
-          let ladder =
-            match method_ with
-            | None -> default_ladder
-            | Some m -> m :: List.filter (fun m' -> m' <> m) default_ladder
-          in
-          check_goal_escalating ~ladder ?lane ?stats ?budget ?cache g
-        else check_goal ?method_ ?lane ?stats ?budget ?cache g
-      in
       let rec go = function
         | [] -> Valid
-        | g :: rest -> ( match check g with Valid -> go rest | other -> other)
+        | g :: rest -> (
+            match check_goal ?method_ ?lane ?stats ?budget ?cache g with
+            | Valid -> go rest
+            | other -> other)
       in
       go goals
 

@@ -46,18 +46,12 @@ type stats = {
   mutable fm : Fourier.stats;
   mutable solve_time : float;  (** wall-clock seconds spent refuting (monotonic) *)
   mutable timeouts : int;  (** goals abandoned on budget exhaustion *)
-  mutable escalations : int;
-      (** ladder steps taken past the first method that actually ran the
-          solver — a rung answered by the verdict cache is not an
-          escalation *)
   mutable cache_hits : int;  (** goals answered by the verdict cache *)
   mutable cache_misses : int;  (** cache lookups that fell through to a solve *)
   mutable native_solves : int;
       (** disjunct refutations completed on the machine-int lane *)
   mutable overflow_escalations : int;
-      (** native-lane runs that overflowed and re-solved on the bignum lane;
-          deliberately separate from [escalations], which counts
-          proof-method ladder steps *)
+      (** native-lane runs that overflowed and re-solved on the bignum lane *)
 }
 
 val new_stats : unit -> stats
@@ -95,40 +89,16 @@ val check_goal :
     — it still counts into [checked_goals] and [cache_hits] — and a miss
     records the computed verdict for later calls. *)
 
-val default_ladder : method_ list
-(** The escalation order [Fm_plain; Fm_tightened]: try the cheap plain
-    elimination first, then the paper's tightened rule.  Rational simplex
-    decides the same rational feasibility as [Fm_plain], so it is no rung
-    of its own; a ladder headed by an explicit method (e.g. [--solver
-    simplex]) tries that method first and then these. *)
-
-val check_goal_escalating :
-  ?ladder:method_ list ->
-  ?lane:lane ->
-  ?stats:stats ->
-  ?budget:Budget.t ->
-  ?cache:Dml_cache.Cache.t ->
-  Constr.goal ->
-  verdict
-(** Retry the goal along the ladder until some method proves it, all fail,
-    or the (shared) budget runs dry; later attempts run under the remaining
-    budget.  When nothing proves the goal the most informative verdict wins
-    ([Not_valid] over [Timeout] over [Unsupported]).  Caching is per rung:
-    each [(goal, method)] pair hits or misses independently, so a warm
-    cache replays the whole ladder without solving. *)
-
 val check_constraint :
   ?method_:method_ ->
   ?lane:lane ->
-  ?escalate:bool ->
   ?stats:stats ->
   ?budget:Budget.t ->
   ?cache:Dml_cache.Cache.t ->
   Constr.t ->
   verdict
 (** Eliminates existentials, extracts goals, and checks them all; the first
-    failing goal decides the verdict.  With [~escalate:true] each goal runs
-    the escalation ladder (starting from [?method_] when given). *)
+    failing goal decides the verdict.  The goals share [?budget]. *)
 
 val negation_formula : Constr.goal -> Idx.bexp
 (** [hyps /\ ~concl], exposed for tests and the [constraints] CLI command. *)

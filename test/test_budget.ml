@@ -1,6 +1,5 @@
 (* Resource-governed solving and graceful degradation: budget exhaustion
-   yields Timeout (never a hang), the escalation ladder proves goals the
-   first method alone cannot, and degraded compilation keeps a dynamic
+   yields Timeout (never a hang), and degraded compilation keeps a dynamic
    check at exactly the unproven sites. *)
 
 open Dml_index
@@ -121,43 +120,12 @@ let test_dnf_product_capped () =
   | Solver.Timeout _ -> ()
   | other -> Alcotest.failf "fuel 200: expected a timeout, got %a" Solver.pp_verdict other
 
-(* --- escalation ladder --------------------------------------------------- *)
-
-let test_escalation_ladder () =
-  (* bcopy needs the integral tightening rule: plain FM alone leaves
-     obligations unproven, but the ladder escalates past it *)
-  let run escalate =
-    let config =
-      { Pipeline.default_config with Pipeline.sc_method = Solver.Fm_plain;
-        sc_escalate = escalate }
-    in
-    match Pipeline.check_s (Session.create ~options:{ Session.default_options with Session.op_solve = config } ()) Dml_programs.Sources.bcopy with
-    | Ok r -> r
-    | Error f -> Alcotest.failf "bcopy: %s" (Pipeline.failure_to_string f)
-  in
-  let plain = run false in
-  Alcotest.(check bool) "plain FM leaves residue" false plain.Pipeline.rp_valid;
-  let escalated = run true in
-  Alcotest.(check bool) "escalation proves bcopy" true escalated.Pipeline.rp_valid;
-  Alcotest.(check bool) "escalations counted" true
-    (escalated.Pipeline.rp_solver_stats.Solver.escalations > 0)
-
-let test_escalation_under_budget () =
-  (* escalation still respects the budget: with an expired deadline every
-     rung reports Timeout, and the ladder's best verdict is Timeout *)
-  let stats = Solver.new_stats () in
-  let budget = Budget.create ~timeout_ms:0 () in
-  let verdict = Solver.check_goal_escalating ~stats ~budget (fourier_dense_goal 8) in
-  Alcotest.(check bool)
-    (Format.asprintf "budget governs the whole ladder (got %a)" Solver.pp_verdict verdict)
-    true (is_timeout verdict)
-
 (* --- per-obligation isolation through the pipeline ----------------------- *)
 
 let test_pipeline_budget_isolation () =
   (* zero fuel: obligations that need any solving work time out, each under
      its own budget; the pipeline still classifies every obligation *)
-  let config = { Pipeline.default_config with Pipeline.sc_fuel = Some 0 } in
+  let config = { Session.default_solve_config with Session.sc_fuel = Some 0 } in
   match Pipeline.check_s (Session.create ~options:{ Session.default_options with Session.op_solve = config } ()) Dml_programs.Sources.bsearch with
   | Error f -> Alcotest.failf "bsearch: %s" (Pipeline.failure_to_string f)
   | Ok r ->
@@ -291,11 +259,6 @@ let () =
           Alcotest.test_case "elimination limit times out" `Quick test_elimination_limit;
           Alcotest.test_case "unbudgeted behaviour unchanged" `Quick test_unbudgeted_still_works;
           Alcotest.test_case "DNF product capped before it is built" `Quick test_dnf_product_capped;
-        ] );
-      ( "escalation",
-        [
-          Alcotest.test_case "ladder proves bcopy from fm-plain" `Quick test_escalation_ladder;
-          Alcotest.test_case "ladder respects the budget" `Quick test_escalation_under_budget;
         ] );
       ( "pipeline",
         [

@@ -629,12 +629,12 @@ let test_reparse_proportional () =
    verbatim, so any accidental unconditional field shows up as a diff. *)
 let test_fingerprint_stability () =
   Alcotest.(check string) "default options JSON"
-    {|{"solve":{"method":"fm","escalate":false,"fuel":null,"timeout_ms":null,"max_eliminations":null},"cache":null,"mode":"strict","jobs":null}|}
+    {|{"solve":{"method":"fm","fuel":null,"timeout_ms":null,"max_eliminations":null},"cache":null,"mode":"strict","jobs":null}|}
     (J.to_string (S.options_to_json S.default_options));
-  Alcotest.(check string) "default fingerprint" "d714db67fd3f7ebe2be5317d4ed8c75f"
+  Alcotest.(check string) "default fingerprint" "5cdba22a00ce6af5725fe3255ca87f12"
     (S.fingerprint S.default_options);
   Alcotest.(check string) "memo key shape"
-    "071ff3dd54ba73a5c062b276fd74a102:d714db67fd3f7ebe2be5317d4ed8c75f"
+    "071ff3dd54ba73a5c062b276fd74a102:5cdba22a00ce6af5725fe3255ca87f12"
     (S.memo_key S.default_options "val x = 1");
   (* and with the flag set, the fingerprint moves *)
   let on = { S.default_options with S.op_incremental = true } in

@@ -209,6 +209,40 @@ let test_fingerprint_separation () =
     (String.equal (Session.memo_key base dotprod_unannot)
        (Session.memo_key infer_opts dotprod_unannot))
 
+(* --- the fixpoint memoises its qualifier tests ------------------------------ *)
+
+(* Rounds re-test the same goals, so [Engine.check_s] memoises them even
+   when the session has no verdict cache; the outcome is the one a cached
+   session gets. *)
+let test_memoises_qualifier_tests () =
+  let b = Option.get (Programs.find "dotprod") in
+  let src = Programs.unannotated b in
+  let run session =
+    match Engine.check_s session src with
+    | Ok oc -> oc
+    | Error f -> Alcotest.failf "dotprod twin: %s" (Pipeline.failure_to_string f)
+  in
+  let hits = Dml_obs.Metrics.counter "cache.hits" in
+  let hits0 = Dml_obs.Metrics.value hits in
+  let plain = run (Session.create ()) in
+  Alcotest.(check bool) "an uncached session still hits a cache" true
+    (Dml_obs.Metrics.value hits > hits0);
+  let cached =
+    run
+      (session
+         ~options:
+           { Session.default_options with Session.op_cache = Some Dml_cache.Cache.default_config }
+         ())
+  in
+  Alcotest.(check bool) "same stats" true (plain.Engine.oc_stats = cached.Engine.oc_stats);
+  Alcotest.(check bool) "same solution" true
+    (plain.Engine.oc_solution = cached.Engine.oc_solution);
+  Alcotest.(check int) "same residual" cached.Engine.oc_report.Pipeline.rp_residual
+    plain.Engine.oc_report.Pipeline.rp_residual;
+  Alcotest.(check string) "same unproven sites"
+    (render_unproven cached.Engine.oc_report)
+    (render_unproven plain.Engine.oc_report)
+
 let () =
   Alcotest.run "infer"
     [
@@ -221,5 +255,10 @@ let () =
         ] );
       ("budget", [ Alcotest.test_case "starved solver degrades" `Quick test_budget_degrades ]);
       ("harvest", [ Alcotest.test_case "bcopy twin divisor" `Quick test_harvest_divisor ]);
-      ("memo", [ Alcotest.test_case "fingerprint separation" `Quick test_fingerprint_separation ]);
+      ( "memo",
+        [
+          Alcotest.test_case "fingerprint separation" `Quick test_fingerprint_separation;
+          Alcotest.test_case "inference memoises its own qualifier tests" `Quick
+            test_memoises_qualifier_tests;
+        ] );
     ]

@@ -3,7 +3,7 @@
    file), the zero-allocation disabled path, and regressions for the four
    fixes that rode along with it: wall-clock table timing, the persistent
    store's write-failure leak, budget-tier stability under the clock, and
-   escalation counting on cache hits. *)
+   overflow counting. *)
 
 open Dml_obs
 open Dml_index
@@ -345,12 +345,12 @@ let test_tier_stable_under_clock () =
   Alcotest.(check int) "unlimited budgets keep the top tier" max_int
     (Budget.tier (Budget.unlimited ()))
 
-(* --- regression: cache hits are not escalations ----------------------------- *)
+(* --- a goal only tightening proves ------------------------------------------ *)
 
 (* Provable only with integral tightening: the negation 1 <= 2x <= 1 has the
    rational solution x = 1/2 but no integer one, so plain Fourier-Motzkin
-   fails the goal and the ladder must escalate; with tightening 2x >= 1
-   becomes x >= 1, a contradiction. *)
+   fails the goal; with tightening 2x >= 1 becomes x >= 1, a
+   contradiction. *)
 let tighten_goal () =
   let x = Ivar.fresh "x" in
   let open Idx in
@@ -360,52 +360,12 @@ let tighten_goal () =
     goal_concl = Bcmp (Rle, Imul (Iconst 2, Ivar x), Iconst 0);
   }
 
-let test_escalations_not_counted_on_hits () =
-  let g = tighten_goal () in
-  Alcotest.(check bool) "tightened FM proves the goal" true
-    (Solver.check_goal ~method_:Solver.Fm_tightened g = Solver.Valid);
-  Alcotest.(check bool) "plain FM does not" true
-    (Solver.check_goal ~method_:Solver.Fm_plain g <> Solver.Valid);
-  let cache = Dml_cache.Cache.create () in
-  let s1 = Solver.new_stats () in
-  Alcotest.(check bool) "cold ladder proves the goal" true
-    (Solver.check_goal_escalating ~stats:s1 ~cache g = Solver.Valid);
-  Alcotest.(check bool) "the cold ladder escalated" true (s1.Solver.escalations >= 1);
-  let s2 = Solver.new_stats () in
-  Alcotest.(check bool) "warm ladder still proves the goal" true
-    (Solver.check_goal_escalating ~stats:s2 ~cache g = Solver.Valid);
-  Alcotest.(check int) "a ladder replayed from the cache counts no escalations" 0
-    s2.Solver.escalations;
-  Alcotest.(check int) "every rung was a cache hit" 0 s2.Solver.cache_misses;
-  Alcotest.(check bool) "cache hits were recorded" true (s2.Solver.cache_hits >= 1)
+(* --- regression: overflow escalations are counted on both surfaces ---------- *)
 
-(* --- the default ladder has two rungs ------------------------------------------ *)
-
-(* [x <= 2 |- x <= 1] fails at x = 2 under every method, so the ladder
-   climbs from fm-plain to fm and stops there: one escalation. *)
-let test_not_valid_escalates_once () =
-  let x = Ivar.fresh "x" in
-  let g =
-    let open Idx in
-    {
-      Constr.goal_vars = [ (x, Sint) ];
-      goal_hyps = [ Bcmp (Rle, Ivar x, Iconst 2) ];
-      goal_concl = Bcmp (Rle, Ivar x, Iconst 1);
-    }
-  in
-  let stats = Solver.new_stats () in
-  (match Solver.check_goal_escalating ~stats g with
-  | Solver.Not_valid _ -> ()
-  | v -> Alcotest.failf "expected not valid, got %a" Solver.pp_verdict v);
-  Alcotest.(check int) "one escalation: fm-plain to fm" 1 stats.Solver.escalations
-
-(* --- regression: overflow escalations are not ladder escalations ------------ *)
-
-(* The two counters answer different questions — "did a weaker method fail?"
-   (solver.escalations, the method ladder) vs "did machine arithmetic run
-   out of bits?" (solver.overflow_escalations, the lane fallback) — and an
-   overflowing goal must bump only the latter, in both the per-run stats and
-   the process-wide registry. *)
+(* "Did machine arithmetic run out of bits?" (solver.overflow_escalations,
+   the lane fallback): an overflowing goal must bump it in both the per-run
+   stats and the process-wide registry, and a goal that never overflows must
+   count as a native solve instead. *)
 let overflow_goal () =
   let x = Ivar.fresh "x" and y = Ivar.fresh "y" in
   let big = 1 lsl 40 in
@@ -423,10 +383,8 @@ let overflow_goal () =
 let test_overflow_escalations_separate () =
   let g = overflow_goal () in
   let c_overflow = Metrics.counter "solver.overflow_escalations" in
-  let c_ladder = Metrics.counter "solver.escalations" in
   let c_native = Metrics.counter "solver.native_solves" in
   let overflow0 = Metrics.value c_overflow
-  and ladder0 = Metrics.value c_ladder
   and native0 = Metrics.value c_native in
   let stats = Solver.new_stats () in
   let v = Solver.check_goal ~method_:Solver.Fm_plain ~lane:Solver.Lane_native ~stats g in
@@ -434,11 +392,8 @@ let test_overflow_escalations_separate () =
     (v = Solver.check_goal ~method_:Solver.Fm_plain ~lane:Solver.Lane_bignum g);
   Alcotest.(check bool) "stats: overflow escalation recorded" true
     (stats.Solver.overflow_escalations >= 1);
-  Alcotest.(check int) "stats: ladder escalations untouched" 0 stats.Solver.escalations;
   Alcotest.(check bool) "registry: solver.overflow_escalations bumped" true
     (Metrics.value c_overflow - overflow0 >= 1);
-  Alcotest.(check int) "registry: solver.escalations untouched" 0
-    (Metrics.value c_ladder - ladder0);
   (* a re-solve that never overflows completes natively and counts there *)
   let stats' = Solver.new_stats () in
   let g' = tighten_goal () in
@@ -528,10 +483,6 @@ let () =
           Alcotest.test_case "store write failure leaks nothing" `Quick test_disk_write_fault;
           Alcotest.test_case "budget tier stable under the clock" `Quick
             test_tier_stable_under_clock;
-          Alcotest.test_case "cache hits are not escalations" `Quick
-            test_escalations_not_counted_on_hits;
-          Alcotest.test_case "a not-valid goal escalates once" `Quick
-            test_not_valid_escalates_once;
           Alcotest.test_case "overflow escalations are not ladder escalations" `Quick
             test_overflow_escalations_separate;
           Alcotest.test_case "pair refutations counted on every surface" `Quick

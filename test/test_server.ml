@@ -112,7 +112,6 @@ let test_overrides () =
        (obj
           [
             ("solver", str "simplex");
-            ("escalate", J.Bool true);
             ("fuel", J.Int 10);
             ("mode", str "degrade");
           ])
@@ -121,7 +120,6 @@ let test_overrides () =
   | Ok o ->
       Alcotest.(check bool) "solver" true
         (o.Session.op_solve.Session.sc_method = Dml_solver.Solver.Simplex_rational);
-      Alcotest.(check bool) "escalate" true o.Session.op_solve.Session.sc_escalate;
       Alcotest.(check (option int)) "fuel" (Some 10) o.Session.op_solve.Session.sc_fuel;
       Alcotest.(check bool) "mode" true (o.Session.op_mode = Session.Degrade);
       Alcotest.(check bool) "fingerprint moved" true
@@ -132,22 +130,27 @@ let test_overrides () =
   (match Protocol.apply_overrides base (obj [ ("solver", str "nope") ]) with
   | Error e -> Alcotest.(check bool) ("bad solver rejected: " ^ e) true (contains ~sub:"nope" e)
   | Ok _ -> Alcotest.fail "unknown solver accepted");
-  (* the arithmetic lane is no request option: a check naming it is a
-     structured bad-request that names the field *)
-  let resp =
-    Server.handle (Server.create ())
-      (obj
-         [
-           ("op", str "check");
-           ("source", str src_ok);
-           ("options", obj [ ("solver_lane", str "bignum") ]);
-         ])
-  in
-  expect_error_code "solver_lane option" "bad-request" resp;
-  match Option.bind (J.member "error" resp) (J.member "msg") with
-  | Some (J.String m) ->
-      Alcotest.(check bool) ("names the field: " ^ m) true (contains ~sub:"solver_lane" m)
-  | _ -> Alcotest.fail "solver_lane option: error without msg"
+  (* neither the arithmetic lane nor an escalation ladder is a request
+     option: a check naming one is a structured bad-request that names the
+     field *)
+  List.iter
+    (fun (field, value) ->
+      let resp =
+        Server.handle (Server.create ())
+          (obj
+             [
+               ("op", str "check");
+               ("source", str src_ok);
+               ("options", obj [ (field, value) ]);
+             ])
+      in
+      expect_error_code (field ^ " option") "bad-request" resp;
+      match Option.bind (J.member "error" resp) (J.member "msg") with
+      | Some (J.String m) ->
+          Alcotest.(check bool) ("names the field: " ^ m) true
+            (contains ~sub:(Printf.sprintf "unknown field %S" field) m)
+      | _ -> Alcotest.fail (field ^ " option: error without msg"))
+    [ ("solver_lane", str "bignum"); ("escalate", J.Bool true) ]
 
 (* --- golden transcript -------------------------------------------------------- *)
 
