@@ -9,46 +9,51 @@ open Dml_constr
 (* De Bruijn-style numbering: variables are numbered by their position in
    the binder list, restricted to the variables that actually occur in the
    sequent, with stray free variables (a degenerate case the sequent form
-   should not produce) appended in a deterministic order.  Renaming a
-   binder changes neither positions nor the canonical form; reordering
-   hypotheses never touches the binder list, so the numbering commutes
-   with the conjunct sorting done below. *)
+   should not produce) appended in a deterministic order.  The variables
+   of the hypotheses are numbered first and those only the conclusion
+   mentions after them, so one numbering of a hypothesis list serves every
+   conclusion tested under it.  Renaming a binder changes neither
+   positions nor the canonical form; reordering hypotheses never touches
+   the binder list, so the numbering commutes with the conjunct sorting
+   done below. *)
 
 type numbering = { index : (int, int) Hashtbl.t; sorts : string }
+
+let no_numbering = { index = Hashtbl.create 1; sorts = "" }
 
 let base_sort_char g =
   match Idx.base_sort g with Idx.Sint -> 'i' | Idx.Sbool -> 'b' | Idx.Ssubset _ -> '?'
 
-let number_goal (g : Constr.goal) =
-  let occurring =
-    List.fold_left
-      (fun acc h -> Ivar.Set.union acc (Idx.fv_bexp h))
-      (Idx.fv_bexp g.Constr.goal_concl) g.Constr.goal_hyps
-  in
-  let index = Hashtbl.create 16 in
-  let sorts = Buffer.create 16 in
-  let add v c =
-    if not (Hashtbl.mem index v.Ivar.id) then begin
-      Hashtbl.add index v.Ivar.id (Hashtbl.length index);
-      if Buffer.length sorts > 0 then Buffer.add_char sorts ',';
-      Buffer.add_char sorts c
-    end
-  in
-  List.iter
-    (fun (v, srt) -> if Ivar.Set.mem v occurring then add v (base_sort_char srt))
-    g.Constr.goal_vars;
-  let unbound =
-    Ivar.Set.filter (fun v -> not (Hashtbl.mem index v.Ivar.id)) occurring
-  in
-  List.iter
-    (fun v -> add v '?')
-    (List.sort
-       (fun a b ->
-         match compare (Ivar.name a) (Ivar.name b) with
-         | 0 -> compare a.Ivar.id b.Ivar.id
-         | c -> c)
-       (Ivar.Set.elements unbound));
-  { index; sorts = Buffer.contents sorts }
+(* [base] extended with the variables of [occurring] it does not number
+   yet; [base] itself is never mutated. *)
+let extend base goal_vars occurring =
+  let fresh = Ivar.Set.filter (fun v -> not (Hashtbl.mem base.index v.Ivar.id)) occurring in
+  if Ivar.Set.is_empty fresh then base
+  else begin
+    let index = Hashtbl.copy base.index in
+    let sorts = Buffer.create 16 in
+    Buffer.add_string sorts base.sorts;
+    let add v c =
+      if not (Hashtbl.mem index v.Ivar.id) then begin
+        Hashtbl.add index v.Ivar.id (Hashtbl.length index);
+        if Buffer.length sorts > 0 then Buffer.add_char sorts ',';
+        Buffer.add_char sorts c
+      end
+    in
+    List.iter
+      (fun (v, srt) -> if Ivar.Set.mem v fresh then add v (base_sort_char srt))
+      goal_vars;
+    let unbound = Ivar.Set.filter (fun v -> not (Hashtbl.mem index v.Ivar.id)) fresh in
+    List.iter
+      (fun v -> add v '?')
+      (List.sort
+         (fun a b ->
+           match compare (Ivar.name a) (Ivar.name b) with
+           | 0 -> compare a.Ivar.id b.Ivar.id
+           | c -> c)
+         (Ivar.Set.elements unbound));
+    { index; sorts = Buffer.contents sorts }
+  end
 
 let var_index nb v = Hashtbl.find nb.index v.Ivar.id
 
@@ -286,8 +291,22 @@ and junction ~conj rendered =
 (* Goal assembly                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let canonical (g : Constr.goal) =
-  let nb = number_goal g in
+(* The hypothesis half of a canonical form: the numbering of the
+   hypotheses' variables and the sorted conjunct set. *)
+type hyps_part = {
+  hp_vars : (Ivar.t * Idx.sort) list;
+  hp_hyps : Idx.bexp list;
+  hp_numbering : numbering;
+  hp_rendered : string;
+}
+
+let render_hyps (g : Constr.goal) =
+  let occurring =
+    List.fold_left
+      (fun acc h -> Ivar.Set.union acc (Idx.fv_bexp h))
+      Ivar.Set.empty g.Constr.goal_hyps
+  in
+  let nb = extend no_numbering g.Constr.goal_vars occurring in
   (* the hypothesis list is one big conjunction: collect every top-level
      conjunct (through nested [Band]s and negated [Bor]s) into a single
      sorted, deduplicated set, so splitting, nesting or reordering the
@@ -301,8 +320,32 @@ let canonical (g : Constr.goal) =
     if List.mem "F" hyp_set then [ "F" ]
     else List.sort_uniq compare (List.filter (fun s -> s <> "T") hyp_set)
   in
+  {
+    hp_vars = g.Constr.goal_vars;
+    hp_hyps = g.Constr.goal_hyps;
+    hp_numbering = nb;
+    hp_rendered = String.concat ";" hyps;
+  }
+
+(* The inference fixpoint tests a goal and then each conjunct of its
+   conclusion under the very same (physically shared) binder and
+   hypothesis lists; the hypothesis half of the last goal is kept, per
+   domain, so that family renders its hypotheses once. *)
+let last_hyps : hyps_part option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+
+let hyps_part (g : Constr.goal) =
+  match Domain.DLS.get last_hyps with
+  | Some hp when hp.hp_vars == g.Constr.goal_vars && hp.hp_hyps == g.Constr.goal_hyps -> hp
+  | _ ->
+      let hp = render_hyps g in
+      Domain.DLS.set last_hyps (Some hp);
+      hp
+
+let canonical (g : Constr.goal) =
+  let hp = hyps_part g in
+  let nb = extend hp.hp_numbering g.Constr.goal_vars (Idx.fv_bexp g.Constr.goal_concl) in
   let concl = canon_bexp nb ~pos:true g.Constr.goal_concl in
-  Printf.sprintf "g1|V:%s|H:%s|C:%s" nb.sorts (String.concat ";" hyps) concl
+  Printf.sprintf "g1|V:%s|H:%s|C:%s" nb.sorts hp.hp_rendered concl
 
 let digest g = Digest.to_hex (Digest.string (canonical g))
 let digest_hex_length = 32
