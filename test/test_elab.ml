@@ -361,6 +361,64 @@ fun halves(n) = (n div 2, n div 2)
 where halves <| {n:nat} int(n) -> [p:nat, q:nat | p + q = n] (int(p) * int(q))
 |}
 
+
+(* --- Elaboration golden ----------------------------------------------------- *)
+
+(* Every corpus program and its erased twin, elaborated through the
+   pipeline's front end, recorded as one row: obligation count, goal count
+   after existential elimination, and the MD5 of the rendered obligations
+   before and after elimination.  Nothing in the solver reads this far
+   upstream, so a change to elaboration, substitution or quantifier
+   closing that alters a single constraint node shows up here even when
+   every verdict survives.
+
+   Regenerating after an intentional change to the generated constraints:
+     DML_OBLIGATIONS_GOLDEN=$PWD/test/obligations_golden.txt \
+       dune exec test/test_elab.exe -- test golden *)
+
+module Pr = Dml_programs.Programs
+open Dml_constr
+
+let obligation_row name src =
+  match Pipeline.frontend src with
+  | Error f -> Alcotest.failf "%s: %s" name (Pipeline.failure_to_string f)
+  | Ok fe ->
+      let constrs = List.map (fun ob -> ob.Elab.ob_constr) fe.Pipeline.fe_obligations in
+      let eliminated = List.map Constr.eliminate_existentials constrs in
+      let goals =
+        List.fold_left
+          (fun n phi -> match Constr.goals phi with Ok gs -> n + List.length gs | Error _ -> n)
+          0 eliminated
+      in
+      let digest phis =
+        Digest.to_hex (Digest.string (String.concat "\n" (List.map Constr.to_string phis)))
+      in
+      Printf.sprintf "%s\t%d\t%d\t%s\t%s" name (List.length constrs) goals (digest constrs)
+        (digest eliminated)
+
+let obligation_rows () =
+  List.concat_map
+    (fun (b : Pr.benchmark) ->
+      [
+        obligation_row b.Pr.name b.Pr.source;
+        obligation_row (b.Pr.name ^ ":unannotated") (Pr.unannotated b);
+      ])
+    Pr.all
+
+let obligations_golden_path () =
+  if Sys.file_exists "obligations_golden.txt" then "obligations_golden.txt"
+  else "test/obligations_golden.txt"
+
+let test_obligations_golden () =
+  let got = String.concat "\n" (obligation_rows ()) ^ "\n" in
+  match Sys.getenv_opt "DML_OBLIGATIONS_GOLDEN" with
+  | Some out ->
+      Out_channel.with_open_bin out (fun oc -> output_string oc got);
+      print_endline ("wrote golden obligations to " ^ out)
+  | None ->
+      let want = In_channel.with_open_bin (obligations_golden_path ()) In_channel.input_all in
+      Alcotest.(check string) "obligation rows match the golden file" want got
+
 let () =
   Alcotest.run "elab"
     [
@@ -397,4 +455,6 @@ let () =
         ] );
       ( "static errors",
         [ Alcotest.test_case "resolution errors" `Quick test_static_errors ] );
+      ( "golden",
+        [ Alcotest.test_case "corpus obligations" `Quick test_obligations_golden ] );
     ]
