@@ -23,25 +23,19 @@ let impl b phi =
   | _, Top -> Top
   | _ -> Impl (b, phi)
 
-let rec fv = function
-  | Top -> Ivar.Set.empty
-  | Pred b -> Idx.fv_bexp b
-  | Conj (a, b) -> Ivar.Set.union (fv a) (fv b)
-  | Impl (b, phi) -> Ivar.Set.union (Idx.fv_bexp b) (fv phi)
-  | Forall (a, g, phi) | Exists (a, g, phi) ->
-      Ivar.Set.union
-        (Idx.fv_bexp (Idx.sort_refinement a g))
-        (Ivar.Set.remove a (fv phi))
+(* [occurs a phi] is membership of [a] in the free variables of [phi]. A
+   quantifier node's sort refinement counts as free, and it names the
+   node's own binder. *)
+let rec occurs a = function
+  | Top -> false
+  | Pred b -> Idx.occurs_bexp a b
+  | Conj (x, y) -> occurs a x || occurs a y
+  | Impl (b, x) -> Idx.occurs_bexp a b || occurs a x
+  | Forall (b, g, x) | Exists (b, g, x) ->
+      Idx.occurs_refinement a b g || ((not (Ivar.equal a b)) && occurs a x)
 
-let forall a g phi =
-  match phi with
-  | Top -> Top
-  | _ -> if Ivar.Set.mem a (fv phi) then Forall (a, g, phi) else phi
-
-let exists a g phi =
-  match phi with
-  | Top -> Top
-  | _ -> if Ivar.Set.mem a (fv phi) then Exists (a, g, phi) else phi
+let forall a g phi = if occurs a phi then Forall (a, g, phi) else phi
+let exists a g phi = if occurs a phi then Exists (a, g, phi) else phi
 
 let is_top = function Top -> true | _ -> false
 
@@ -68,11 +62,7 @@ let rec subst s phi =
         exists a' (subst_sort s g) (subst s body')
 
 and avoid_capture s a body =
-  let s = Ivar.Map.remove a s in
-  let image_fv =
-    Ivar.Map.fold (fun _ e acc -> Ivar.Set.union (Idx.fv_iexp e) acc) s Ivar.Set.empty
-  in
-  if Ivar.Set.mem a image_fv then begin
+  if Ivar.Map.exists (fun v e -> (not (Ivar.equal v a)) && Idx.occurs_iexp a e) s then begin
     let a' = Ivar.refresh a in
     let body' = subst (Ivar.Map.singleton a (Idx.Ivar a')) body in
     (a', body')
@@ -190,9 +180,10 @@ let rec eliminate_existentials phi =
         | [] -> exists a g x
         | atom :: rest -> (
             match solve_equation_for a atom with
-            | Some witness when not (Ivar.Set.mem a (Idx.fv_iexp witness)) ->
-                (* Substitute the witness; the sort refinement of [a] becomes a
-                   proof obligation on the witness. *)
+            | Some witness ->
+                (* Substitute the witness ([a] is not free in it); the sort
+                   refinement of [a] becomes a proof obligation on the
+                   witness. *)
                 let s = Ivar.Map.singleton a witness in
                 let obligation =
                   match Idx.sort_refinement a g with
@@ -200,7 +191,7 @@ let rec eliminate_existentials phi =
                   | refinement -> pred (Idx.subst_bexp s refinement)
                 in
                 eliminate_existentials (conj obligation (subst s x))
-            | _ -> try_atoms rest)
+            | None -> try_atoms rest)
       in
       try_atoms atoms
     end

@@ -20,43 +20,6 @@ let bool_any =
 
 let unit_ = Dtuple []
 
-let subst_index_arg s = function
-  | Iint i -> Iint (Idx.subst_iexp s i)
-  | Ibool b -> Ibool (Idx.subst_bexp s b)
-
-let rec subst_sort s = function
-  | (Idx.Sint | Idx.Sbool) as g -> g
-  | Idx.Ssubset (a, g, b) ->
-      let s = Ivar.Map.remove a s in
-      Idx.Ssubset (a, subst_sort s g, Idx.subst_bexp s b)
-
-let rec subst_index s t =
-  if Ivar.Map.is_empty s then t
-  else
-    match t with
-    | Dvar _ -> t
-    | Dcon (c, targs, idxs) ->
-        Dcon (c, List.map (subst_index s) targs, List.map (subst_index_arg s) idxs)
-    | Dtuple ts -> Dtuple (List.map (subst_index s) ts)
-    | Darrow (a, b) -> Darrow (subst_index s a, subst_index s b)
-    | Dpi (a, g, body) ->
-        let a', body' = avoid_capture s a body in
-        Dpi (a', subst_sort s g, subst_index s body')
-    | Dsigma (a, g, body) ->
-        let a', body' = avoid_capture s a body in
-        Dsigma (a', subst_sort s g, subst_index s body')
-
-and avoid_capture s a body =
-  let s = Ivar.Map.remove a s in
-  let image_fv =
-    Ivar.Map.fold (fun _ e acc -> Ivar.Set.union (Idx.fv_iexp e) acc) s Ivar.Set.empty
-  in
-  if Ivar.Set.mem a image_fv then begin
-    let a' = Ivar.refresh a in
-    (a', subst_index (Ivar.Map.singleton a (Idx.Ivar a')) body)
-  end
-  else (a, subst_index s body)
-
 let rename v v' t =
   let im = Ivar.Map.singleton v (Idx.Ivar v') in
   let bm = Ivar.Map.singleton v (Idx.Bvar v') in
@@ -94,23 +57,17 @@ let rec subst_tyvars s t =
   | Dpi (a, g, body) -> Dpi (a, g, subst_tyvars s body)
   | Dsigma (a, g, body) -> Dsigma (a, g, subst_tyvars s body)
 
-let fv_index_arg = function Iint i -> Idx.fv_iexp i | Ibool b -> Idx.fv_bexp b
-
-let rec fv_sort = function
-  | Idx.Sint | Idx.Sbool -> Ivar.Set.empty
-  | Idx.Ssubset (a, g, b) -> Ivar.Set.union (fv_sort g) (Ivar.Set.remove a (Idx.fv_bexp b))
-
-let rec fv_index = function
-  | Dvar _ -> Ivar.Set.empty
+let rec occurs a = function
+  | Dvar _ -> false
   | Dcon (_, targs, idxs) ->
-      List.fold_left
-        (fun acc i -> Ivar.Set.union acc (fv_index_arg i))
-        (List.fold_left (fun acc t -> Ivar.Set.union acc (fv_index t)) Ivar.Set.empty targs)
-        idxs
-  | Dtuple ts -> List.fold_left (fun acc t -> Ivar.Set.union acc (fv_index t)) Ivar.Set.empty ts
-  | Darrow (a, b) -> Ivar.Set.union (fv_index a) (fv_index b)
-  | Dpi (a, g, body) | Dsigma (a, g, body) ->
-      Ivar.Set.union (fv_sort g) (Ivar.Set.remove a (fv_index body))
+      List.exists (occurs a) targs
+      || List.exists
+           (function Iint i -> Idx.occurs_iexp a i | Ibool b -> Idx.occurs_bexp a b)
+           idxs
+  | Dtuple ts -> List.exists (occurs a) ts
+  | Darrow (x, y) -> occurs a x || occurs a y
+  | Dpi (b, g, body) | Dsigma (b, g, body) ->
+      Idx.occurs_sort a g || ((not (Ivar.equal a b)) && occurs a body)
 
 let strip_pis t =
   let rec go acc = function

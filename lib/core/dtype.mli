@@ -25,10 +25,6 @@ val unit_ : t
 
 (** {1 Substitution} *)
 
-val subst_index : Idx.iexp Ivar.Map.t -> t -> t
-(** Capture-avoiding substitution of integer index expressions for index
-    variables. *)
-
 val rename : Ivar.t -> Ivar.t -> t -> t
 (** [rename v v' t] replaces the variable [v] by [v'] at both integer
     ([Ivar]) and boolean ([Bvar]) occurrences — used when opening a
@@ -37,9 +33,10 @@ val rename : Ivar.t -> Ivar.t -> t -> t
 val subst_tyvars : (string * t) list -> t -> t
 (** Substitution of dependent types for ML type variables ['a]. *)
 
-val fv_index : t -> Ivar.Set.t
-
 (** {1 Inspection} *)
+
+val occurs : Ivar.t -> t -> bool
+(** [occurs a t]: the index variable [a] occurs free in [t]. *)
 
 val strip_pis : t -> (Ivar.t * Idx.sort) list * t
 (** Splits [Pi a1. ... Pi ak. t] into the quantifier prefix and body. *)

@@ -357,18 +357,11 @@ let finish_coerce st ctx cs ?result () =
   let result = Option.map (apply_flex_dtype maps) result in
   (* classify unsolved flexes *)
   let unsolved = List.filter (fun f -> f.fsol = None) cs.flexes in
-  let result_fv =
-    match result with Some t -> Dtype.fv_index t | None -> Ivar.Set.empty
-  in
-  let pending_fv =
-    List.fold_left (fun acc b -> Ivar.Set.union acc (Idx.fv_bexp b)) Ivar.Set.empty pending
-  in
   let existentials, regeneralised =
     List.partition
       (fun f ->
-        let in_result = Ivar.Set.mem f.fvar result_fv in
-        let in_pending = Ivar.Set.mem f.fvar pending_fv in
-        if in_result && in_pending then
+        let in_result = match result with Some t -> Dtype.occurs f.fvar t | None -> false in
+        if in_result && List.exists (Idx.occurs_bexp f.fvar) pending then
           err cs.cloc "cannot determine index %s in %s" (Ivar.name f.fvar) cs.cwhat;
         not in_result)
       unsolved
@@ -383,8 +376,7 @@ let finish_coerce st ctx cs ?result () =
       (fun phi f ->
         let refinement = Idx.sort_refinement f.fvar f.fsort in
         let inner = Constr.conj (Constr.pred refinement) phi in
-        if Ivar.Set.mem f.fvar (Constr.fv inner) then
-          Constr.exists f.fvar (Idx.base_sort f.fsort) inner
+        if Constr.occurs f.fvar inner then Constr.Exists (f.fvar, Idx.base_sort f.fsort, inner)
         else phi)
       phi existentials
   in

@@ -85,6 +85,27 @@ let rec fv_bexp = function
   | Bnot e -> fv_bexp e
   | Band (a, b) | Bor (a, b) -> Ivar.Set.union (fv_bexp a) (fv_bexp b)
 
+(* Occurrence tests answer [Ivar.Set.mem a (fv_* e)] without building the
+   set, and stop at the first hit. *)
+let rec occurs_iexp a = function
+  | Ivar v -> Ivar.equal a v
+  | Iconst _ -> false
+  | Iadd (x, y) | Isub (x, y) | Imul (x, y) | Idiv (x, y) | Imod (x, y) | Imin (x, y) | Imax (x, y)
+    ->
+      occurs_iexp a x || occurs_iexp a y
+  | Ineg x | Iabs x | Isgn x -> occurs_iexp a x
+
+let rec occurs_bexp a = function
+  | Bvar v -> Ivar.equal a v
+  | Bconst _ -> false
+  | Bcmp (_, x, y) -> occurs_iexp a x || occurs_iexp a y
+  | Bnot e -> occurs_bexp a e
+  | Band (x, y) | Bor (x, y) -> occurs_bexp a x || occurs_bexp a y
+
+let rec occurs_sort a = function
+  | Sint | Sbool -> false
+  | Ssubset (b, g, cond) -> occurs_sort a g || ((not (Ivar.equal a b)) && occurs_bexp a cond)
+
 let rec subst_iexp s = function
   | Ivar v as e -> ( match Ivar.Map.find_opt v s with Some e' -> e' | None -> e)
   | Iconst _ as e -> e
@@ -122,6 +143,20 @@ let sort_refinement a g =
         band inner cond
   in
   go a g
+
+(* Does [a] mention any condition of [g], bound there or not? *)
+let rec mentions_sort a = function
+  | Sint | Sbool -> false
+  | Ssubset (_, g, cond) -> occurs_bexp a cond || mentions_sort a g
+
+let occurs_refinement a b g =
+  match g with
+  | Sint | Sbool -> false
+  | Ssubset _ ->
+      (* the refinement renames every subset binder to [b] and simplifies as
+         it is built, so [a] can occur in it only if it is [b] or mentioned
+         in a condition; either way the built refinement decides exactly *)
+      (Ivar.equal a b || mentions_sort a g) && occurs_bexp a (sort_refinement b g)
 
 let rec equal_iexp x y =
   match (x, y) with

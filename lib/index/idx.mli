@@ -68,6 +68,20 @@ val sort_refinement : Ivar.t -> sort -> bexp
 val fv_iexp : iexp -> Ivar.Set.t
 val fv_bexp : bexp -> Ivar.Set.t
 
+val occurs_iexp : Ivar.t -> iexp -> bool
+val occurs_bexp : Ivar.t -> bexp -> bool
+(** [occurs_iexp a e] is [Ivar.Set.mem a (fv_iexp e)], decided by a walk
+    that allocates nothing and stops at the first occurrence. *)
+
+val occurs_sort : Ivar.t -> sort -> bool
+(** [a] occurs free in a condition of the sort (each subset binder scopes
+    over its own condition). *)
+
+val occurs_refinement : Ivar.t -> Ivar.t -> sort -> bool
+(** [occurs_refinement a b g] is [Ivar.Set.mem a (fv_bexp (sort_refinement b g))].
+    It builds the refinement only when [a] is [b] or is mentioned in one of
+    the sort's conditions. *)
+
 val subst_iexp : iexp Ivar.Map.t -> iexp -> iexp
 val subst_bexp : iexp Ivar.Map.t -> bexp -> bexp
 (** Substitution of integer index expressions for integer index variables.

@@ -105,8 +105,11 @@ struct
      each literal is translated once per goal.  The memo fills as the
      disjuncts are visited: a literal that overflows the lane's numbers
      is never stored, and surfaces again on every disjunct that holds it.
-     A goal has as many distinct literals as its formula has atoms (about
-     13 on the corpus), so an association list is the cheapest map. *)
+     The lookup is a linear scan.  That is cheap on annotated programs:
+     the check-batch benchmark averages 25.6 literal occurrences per goal.
+     It is not on inferred ones: a disjunct of the hanoi [--infer] twin
+     holds 562 literals on average, and the scan turns quadratic there
+     (ROADMAP item 1). *)
   type memo = (Dnf.literal * L.num Linear.cstr option) list ref
 
   let new_memo () : memo = ref []

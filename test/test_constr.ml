@@ -20,11 +20,122 @@ let test_smart () =
     | Constr.Forall _ -> false
     | _ -> true)
 
+(* --- the free-variable reference ------------------------------------------ *)
+
+(* The checker once built these sets at every binder to ask whether one
+   variable occurs.  They stay here as the reference the occurs walks, and
+   the smart constructors built on them, must agree with exactly. *)
+
+let rec fv = function
+  | Constr.Top -> Ivar.Set.empty
+  | Constr.Pred b -> fv_bexp b
+  | Constr.Conj (a, b) -> Ivar.Set.union (fv a) (fv b)
+  | Constr.Impl (b, phi) -> Ivar.Set.union (fv_bexp b) (fv phi)
+  | Constr.Forall (a, g, phi) | Constr.Exists (a, g, phi) ->
+      Ivar.Set.union (fv_bexp (sort_refinement a g)) (Ivar.Set.remove a (fv phi))
+
+let rec fv_sort = function
+  | Sint | Sbool -> Ivar.Set.empty
+  | Ssubset (a, g, b) -> Ivar.Set.union (fv_sort g) (Ivar.Set.remove a (fv_bexp b))
+
+let rec fv_dtype =
+  let open Dml_core.Dtype in
+  let union_map f l = List.fold_left (fun acc x -> Ivar.Set.union acc (f x)) Ivar.Set.empty l in
+  function
+  | Dvar _ -> Ivar.Set.empty
+  | Dcon (_, targs, idxs) ->
+      Ivar.Set.union (union_map fv_dtype targs)
+        (union_map (function Iint i -> fv_iexp i | Ibool b -> fv_bexp b) idxs)
+  | Dtuple ts -> union_map fv_dtype ts
+  | Darrow (a, b) -> Ivar.Set.union (fv_dtype a) (fv_dtype b)
+  | Dpi (a, g, body) | Dsigma (a, g, body) ->
+      Ivar.Set.union (fv_sort g) (Ivar.Set.remove a (fv_dtype body))
+
+let forall_ref a g phi =
+  match phi with
+  | Constr.Top -> Constr.Top
+  | _ -> if Ivar.Set.mem a (fv phi) then Constr.Forall (a, g, phi) else phi
+
+let exists_ref a g phi =
+  match phi with
+  | Constr.Top -> Constr.Top
+  | _ -> if Ivar.Set.mem a (fv phi) then Constr.Exists (a, g, phi) else phi
+
+let rec subst_sort_ref s = function
+  | (Sint | Sbool) as g -> g
+  | Ssubset (a, g, b) ->
+      let s = Ivar.Map.remove a s in
+      Ssubset (a, subst_sort_ref s g, subst_bexp s b)
+
+let rec subst_ref s phi =
+  if Ivar.Map.is_empty s then phi
+  else
+    match phi with
+    | Constr.Top -> Constr.Top
+    | Constr.Pred b -> Constr.pred (subst_bexp s b)
+    | Constr.Conj (a, b) -> Constr.conj (subst_ref s a) (subst_ref s b)
+    | Constr.Impl (b, phi) -> Constr.impl (subst_bexp s b) (subst_ref s phi)
+    | Constr.Forall (a, g, body) ->
+        let a', body' = avoid_capture_ref s a body in
+        forall_ref a' (subst_sort_ref s g) (subst_ref s body')
+    | Constr.Exists (a, g, body) ->
+        let a', body' = avoid_capture_ref s a body in
+        exists_ref a' (subst_sort_ref s g) (subst_ref s body')
+
+and avoid_capture_ref s a body =
+  let s = Ivar.Map.remove a s in
+  let image_fv =
+    Ivar.Map.fold (fun _ e acc -> Ivar.Set.union (fv_iexp e) acc) s Ivar.Set.empty
+  in
+  if Ivar.Set.mem a image_fv then begin
+    let a' = Ivar.refresh a in
+    (a', subst_ref (Ivar.Map.singleton a (Ivar a')) body)
+  end
+  else (a, body)
+
+let rec candidate_atoms phi acc =
+  match phi with
+  | Constr.Top -> acc
+  | Constr.Pred b -> bexp_atoms b acc
+  | Constr.Conj (x, y) -> candidate_atoms x (candidate_atoms y acc)
+  | Constr.Impl (b, x) -> bexp_atoms b (candidate_atoms x acc)
+  | Constr.Forall (_, _, x) | Constr.Exists (_, _, x) -> candidate_atoms x acc
+
+and bexp_atoms b acc =
+  match b with
+  | Band (x, y) -> bexp_atoms x (bexp_atoms y acc)
+  | Bcmp (Req, _, _) -> b :: acc
+  | Bvar _ | Bconst _ | Bcmp _ | Bnot _ | Bor _ -> acc
+
+let rec eliminate_ref phi =
+  match phi with
+  | Constr.Top | Constr.Pred _ -> phi
+  | Constr.Conj (a, b) -> Constr.conj (eliminate_ref a) (eliminate_ref b)
+  | Constr.Impl (b, x) -> Constr.impl b (eliminate_ref x)
+  | Constr.Forall (a, g, x) -> forall_ref a g (eliminate_ref x)
+  | Constr.Exists (a, g, x) ->
+      let x = eliminate_ref x in
+      let rec try_atoms = function
+        | [] -> exists_ref a g x
+        | atom :: rest -> (
+            match Constr.solve_equation_for a atom with
+            | Some witness when not (Ivar.Set.mem a (fv_iexp witness)) ->
+                let s = Ivar.Map.singleton a witness in
+                let obligation =
+                  match sort_refinement a g with
+                  | Bconst true -> Constr.Top
+                  | refinement -> Constr.pred (subst_bexp s refinement)
+                in
+                eliminate_ref (Constr.conj obligation (subst_ref s x))
+            | _ -> try_atoms rest)
+      in
+      try_atoms (candidate_atoms x [])
+
 let test_fv_subst () =
   let n = v "n" and m = v "m" in
   let phi = Constr.forall n Sint (Constr.pred (le (Ivar n) (Ivar m))) in
-  Alcotest.(check bool) "m free" true (Ivar.Set.mem m (Constr.fv phi));
-  Alcotest.(check bool) "n bound" false (Ivar.Set.mem n (Constr.fv phi));
+  Alcotest.(check bool) "m free" true (Constr.occurs m phi);
+  Alcotest.(check bool) "n bound" false (Constr.occurs n phi);
   (* capture-avoiding: substituting m := n must not capture under forall n *)
   let phi' = Constr.subst (Ivar.Map.singleton m (Ivar n)) phi in
   match phi' with
@@ -144,6 +255,257 @@ let test_size () =
   in
   Alcotest.(check int) "size" 3 (Constr.size phi)
 
+(* --- occurs against the reference, on random constraints -------------- *)
+
+(* A small pool of variables, used both free and as binders, so shadowing,
+   a quantifier whose own refinement names its binder, and a subset binder
+   that is also a free variable elsewhere all come up.  Terms use the raw
+   constructors: building a sort refinement re-simplifies them (a product
+   with zero, a conjunction with false), which can drop a syntactic
+   occurrence, and the walks must see exactly what [fv] sees. *)
+let pool = [ v "x"; v "y"; v "z"; v "w" ]
+
+let gen_var = QCheck.Gen.oneofl pool
+
+let gen_iexp =
+  let open QCheck.Gen in
+  let leaf = oneof [ map (fun a -> Ivar a) gen_var; map (fun n -> Iconst n) (int_bound 2) ] in
+  fix
+    (fun self n ->
+      if n = 0 then leaf
+      else
+        frequency
+          [
+            (3, leaf);
+            (2, map2 (fun a b -> Iadd (a, b)) (self (n - 1)) (self (n - 1)));
+            (1, map2 (fun a b -> Isub (a, b)) (self (n - 1)) (self (n - 1)));
+            (2, map2 (fun a b -> Imul (a, b)) (self (n - 1)) (self (n - 1)));
+            (1, map2 (fun a b -> Idiv (a, b)) (self (n - 1)) (self (n - 1)));
+            (1, map2 (fun a b -> Imin (a, b)) (self (n - 1)) (self (n - 1)));
+            (1, map (fun a -> Ineg a) (self (n - 1)));
+            (1, map (fun a -> Iabs a) (self (n - 1)));
+          ])
+    2
+
+let gen_bexp =
+  let open QCheck.Gen in
+  let rel = oneofl [ Rlt; Rle; Req; Rne; Rge; Rgt ] in
+  let leaf =
+    frequency
+      [
+        (1, map (fun a -> Bvar a) gen_var);
+        (1, map (fun b -> Bconst b) bool);
+        (3, map3 (fun r a b -> Bcmp (r, a, b)) rel gen_iexp gen_iexp);
+        (2, map2 (fun a e -> Bcmp (Req, Ivar a, e)) gen_var gen_iexp);
+      ]
+  in
+  fix
+    (fun self n ->
+      if n = 0 then leaf
+      else
+        frequency
+          [
+            (3, leaf);
+            (1, map (fun a -> Bnot a) (self (n - 1)));
+            (2, map2 (fun a b -> Band (a, b)) (self (n - 1)) (self (n - 1)));
+            (1, map2 (fun a b -> Bor (a, b)) (self (n - 1)) (self (n - 1)));
+          ])
+    2
+
+let gen_sort =
+  let open QCheck.Gen in
+  fix
+    (fun self n ->
+      if n = 0 then oneofl [ Sint; Sbool ]
+      else
+        frequency
+          [
+            (2, oneofl [ Sint; Sbool ]);
+            (3, map3 (fun a g b -> Ssubset (a, g, b)) gen_var (self (n - 1)) gen_bexp);
+          ])
+    2
+
+let gen_constr =
+  let open QCheck.Gen in
+  sized_size (int_bound 6)
+  @@ fix (fun self n ->
+         if n = 0 then oneof [ return Constr.Top; map (fun b -> Constr.Pred b) gen_bexp ]
+         else
+           frequency
+             [
+               (1, map (fun b -> Constr.Pred b) gen_bexp);
+               (2, map2 (fun a b -> Constr.Conj (a, b)) (self (n / 2)) (self (n / 2)));
+               (2, map2 (fun b x -> Constr.Impl (b, x)) gen_bexp (self (n - 1)));
+               (3, map3 (fun a g x -> Constr.Forall (a, g, x)) gen_var gen_sort (self (n - 1)));
+               (3, map3 (fun a g x -> Constr.Exists (a, g, x)) gen_var gen_sort (self (n - 1)));
+             ])
+
+let gen_dtype =
+  let open QCheck.Gen in
+  let open Dml_core.Dtype in
+  let leaf =
+    oneof
+      [
+        map (fun i -> Dcon ("int", [], [ Iint i ])) gen_iexp;
+        map (fun b -> Dcon ("bool", [], [ Ibool b ])) gen_bexp;
+        return (Dvar "a");
+      ]
+  in
+  sized_size (int_bound 4)
+  @@ fix (fun self n ->
+         if n = 0 then leaf
+         else
+           frequency
+             [
+               (1, leaf);
+               (1, map2 (fun t i -> Dcon ("array", [ t ], [ Iint i ])) (self (n - 1)) gen_iexp);
+               (1, map2 (fun a b -> Dtuple [ a; b ]) (self (n / 2)) (self (n / 2)));
+               (1, map2 (fun a b -> Darrow (a, b)) (self (n / 2)) (self (n / 2)));
+               (2, map3 (fun a g t -> Dpi (a, g, t)) gen_var gen_sort (self (n - 1)));
+               (2, map3 (fun a g t -> Dsigma (a, g, t)) gen_var gen_sort (self (n - 1)));
+             ])
+
+let gen_subst =
+  let open QCheck.Gen in
+  map
+    (fun l -> List.fold_left (fun s (a, e) -> Ivar.Map.add a e s) Ivar.Map.empty l)
+    (list_size (int_bound 3) (pair gen_var gen_iexp))
+
+(* Structural equality up to the variables each side refreshed: a variable
+   made after [mark] matches one of the same name made after [mark], one to
+   one; every older variable must be identical. *)
+let same_node ~mark x y =
+  let fwd = Hashtbl.create 8 and bwd = Hashtbl.create 8 in
+  let var (a : Ivar.t) (b : Ivar.t) =
+    if a.id <= mark || b.id <= mark then Ivar.equal a b
+    else
+      a.name = b.name
+      &&
+      match (Hashtbl.find_opt fwd a.id, Hashtbl.find_opt bwd b.id) with
+      | Some b', Some a' -> b' = b.id && a' = a.id
+      | None, None ->
+          Hashtbl.add fwd a.id b.id;
+          Hashtbl.add bwd b.id a.id;
+          true
+      | _ -> false
+  in
+  let rec iexp x y =
+    match (x, y) with
+    | Ivar a, Ivar b -> var a b
+    | Iconst m, Iconst n -> m = n
+    | Iadd (a, b), Iadd (c, d)
+    | Isub (a, b), Isub (c, d)
+    | Imul (a, b), Imul (c, d)
+    | Idiv (a, b), Idiv (c, d)
+    | Imod (a, b), Imod (c, d)
+    | Imin (a, b), Imin (c, d)
+    | Imax (a, b), Imax (c, d) ->
+        iexp a c && iexp b d
+    | Ineg a, Ineg b | Iabs a, Iabs b | Isgn a, Isgn b -> iexp a b
+    | _ -> false
+  in
+  let rec bexp x y =
+    match (x, y) with
+    | Bvar a, Bvar b -> var a b
+    | Bconst a, Bconst b -> a = b
+    | Bcmp (r, a, b), Bcmp (r', c, d) -> r = r' && iexp a c && iexp b d
+    | Bnot a, Bnot b -> bexp a b
+    | Band (a, b), Band (c, d) | Bor (a, b), Bor (c, d) -> bexp a c && bexp b d
+    | _ -> false
+  in
+  let rec sort x y =
+    match (x, y) with
+    | Sint, Sint | Sbool, Sbool -> true
+    | Ssubset (a, g, b), Ssubset (a', g', b') -> var a a' && sort g g' && bexp b b'
+    | _ -> false
+  in
+  let rec constr x y =
+    match (x, y) with
+    | Constr.Top, Constr.Top -> true
+    | Constr.Pred a, Constr.Pred b -> bexp a b
+    | Constr.Conj (a, b), Constr.Conj (c, d) -> constr a c && constr b d
+    | Constr.Impl (a, p), Constr.Impl (b, q) -> bexp a b && constr p q
+    | Constr.Forall (a, g, p), Constr.Forall (b, h, q)
+    | Constr.Exists (a, g, p), Constr.Exists (b, h, q) ->
+        var a b && sort g h && constr p q
+    | _ -> false
+  in
+  constr x y
+
+(* Run the library function and its reference on the same input, so each
+   refreshes its binders after a common mark. *)
+let agrees f f_ref x =
+  let mark = (Ivar.fresh "mark").id in
+  let got = f x in
+  let want = f_ref x in
+  same_node ~mark got want
+
+let arb_constr = QCheck.make ~print:Constr.to_string gen_constr
+
+let occurs_agrees_with_fv =
+  QCheck.Test.make ~name:"occurs agrees with fv" ~count:1000
+    (QCheck.make
+       ~print:(fun (phi, t) -> Constr.to_string phi ^ "  /  " ^ Dml_core.Dtype.to_string t)
+       (QCheck.Gen.pair gen_constr gen_dtype))
+    (fun (phi, t) ->
+      let rec bexps acc = function
+        | Constr.Top -> acc
+        | Constr.Pred b -> b :: acc
+        | Constr.Conj (x, y) -> bexps (bexps acc x) y
+        | Constr.Impl (b, x) -> bexps (b :: acc) x
+        | Constr.Forall (a, g, x) | Constr.Exists (a, g, x) ->
+            bexps (sort_refinement a g :: acc) x
+      in
+      let rec sorts acc = function
+        | Constr.Top | Constr.Pred _ -> acc
+        | Constr.Conj (x, y) -> sorts (sorts acc x) y
+        | Constr.Impl (_, x) -> sorts acc x
+        | Constr.Forall (a, g, x) | Constr.Exists (a, g, x) -> sorts ((a, g) :: acc) x
+      in
+      let rec iexps acc = function
+        | Bcmp (_, x, y) -> x :: y :: acc
+        | Bvar _ | Bconst _ -> acc
+        | Bnot x -> iexps acc x
+        | Band (x, y) | Bor (x, y) -> iexps (iexps acc x) y
+      in
+      let bs = bexps [] phi in
+      List.for_all
+        (fun a ->
+          Constr.occurs a phi = Ivar.Set.mem a (fv phi)
+          && Dml_core.Dtype.occurs a t = Ivar.Set.mem a (fv_dtype t)
+          && List.for_all (fun b -> occurs_bexp a b = Ivar.Set.mem a (fv_bexp b)) bs
+          && List.for_all
+               (fun e -> occurs_iexp a e = Ivar.Set.mem a (fv_iexp e))
+               (List.fold_left iexps [] bs)
+          && List.for_all
+               (fun (b, g) ->
+                 occurs_sort a g = Ivar.Set.mem a (fv_sort g)
+                 && occurs_refinement a b g
+                    = Ivar.Set.mem a (fv_bexp (sort_refinement b g)))
+               (sorts [] phi))
+        pool)
+
+let constructors_agree_with_reference =
+  QCheck.Test.make ~name:"forall, exists and subst build the reference node" ~count:1000
+    (QCheck.make
+       ~print:(fun (phi, (a, (g, s))) ->
+         Format.asprintf "%s  under %a : %a  with [%s]" (Constr.to_string phi) Ivar.pp a pp_sort
+           g
+           (String.concat "; "
+              (List.map
+                 (fun (b, e) -> Ivar.to_string b ^ " := " ^ iexp_to_string e)
+                 (Ivar.Map.bindings s))))
+       QCheck.Gen.(pair gen_constr (pair gen_var (pair gen_sort gen_subst))))
+    (fun (phi, (a, (g, s))) ->
+      Constr.forall a g phi = forall_ref a g phi
+      && Constr.exists a g phi = exists_ref a g phi
+      && agrees (Constr.subst s) (subst_ref s) phi)
+
+let elimination_agrees_with_reference =
+  QCheck.Test.make ~name:"existential elimination builds the reference node" ~count:1000
+    arb_constr
+    (agrees Constr.eliminate_existentials eliminate_ref)
+
 let () =
   Alcotest.run "constr"
     [
@@ -161,4 +523,11 @@ let () =
           Alcotest.test_case "unsolvable existential" `Quick test_exelim_unsolvable;
           Alcotest.test_case "witness sort obligation" `Quick test_exelim_sort_obligation;
         ] );
+      ( "occurs",
+        List.map QCheck_alcotest.to_alcotest
+          [
+            occurs_agrees_with_fv;
+            constructors_agree_with_reference;
+            elimination_agrees_with_reference;
+          ] );
     ]

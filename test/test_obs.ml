@@ -360,12 +360,13 @@ let tighten_goal () =
     goal_concl = Bcmp (Rle, Imul (Iconst 2, Ivar x), Iconst 0);
   }
 
-(* --- regression: overflow escalations are counted on both surfaces ---------- *)
+(* --- regression: overflow is counted on both surfaces ------------------------- *)
 
-(* "Did machine arithmetic run out of bits?" (solver.overflow_escalations,
-   the lane fallback): an overflowing goal must bump it in both the per-run
-   stats and the process-wide registry, and a goal that never overflows must
-   count as a native solve instead. *)
+(* solver.overflow_escalations counts goals whose native-integer solve ran
+   out of bits and fell back to the bignum lane.  An overflowing goal must
+   keep the bignum lane's verdict and bump the counter in both the per-run
+   stats and the process-wide registry; a goal that never overflows must
+   count as a native solve and leave the overflow counter at zero. *)
 let overflow_goal () =
   let x = Ivar.fresh "x" and y = Ivar.fresh "y" in
   let big = 1 lsl 40 in
@@ -380,7 +381,7 @@ let overflow_goal () =
     goal_concl = Bcmp (Rle, Ivar y, Iconst 0);
   }
 
-let test_overflow_escalations_separate () =
+let test_overflow_counted_on_both_surfaces () =
   let g = overflow_goal () in
   let c_overflow = Metrics.counter "solver.overflow_escalations" in
   let c_native = Metrics.counter "solver.native_solves" in
@@ -483,8 +484,8 @@ let () =
           Alcotest.test_case "store write failure leaks nothing" `Quick test_disk_write_fault;
           Alcotest.test_case "budget tier stable under the clock" `Quick
             test_tier_stable_under_clock;
-          Alcotest.test_case "overflow escalations are not ladder escalations" `Quick
-            test_overflow_escalations_separate;
+          Alcotest.test_case "overflow counted on both surfaces" `Quick
+            test_overflow_counted_on_both_surfaces;
           Alcotest.test_case "pair refutations counted on every surface" `Quick
             test_pair_refuted_counted;
         ] );
