@@ -108,14 +108,15 @@ let degrade_flag =
 
 (* --- parallelism ------------------------------------------------------------- *)
 
-let jobs_term ~doc = Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
-
 let batch_jobs_term =
-  jobs_term
-    ~doc:
-      "Shard the work across $(docv) forked worker processes (0 = one per core).  \
-       Results are merged back in input order, so --json output is byte-identical \
-       to -j 1; a crashed or hung worker degrades only the task it was running."
+  Arg.(
+    value
+    & opt (some int) None
+    & info [ "j"; "jobs" ] ~docv:"N"
+        ~doc:
+          "Shard the work across $(docv) forked worker processes (0 = one per core).  \
+           Results are merged back in input order, so --json output is byte-identical \
+           to -j 1; a crashed or hung worker degrades only the task it was running.")
 
 (* --- session assembly -------------------------------------------------------- *)
 

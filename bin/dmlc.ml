@@ -387,44 +387,13 @@ let run_cmd =
 
 (* --- tables ------------------------------------------------------------------------- *)
 
-(* [-j] for the table commands: one task per benchmark *name* (a benchmark
-   record holds closures and cannot cross the pipe; workers re-resolve the
-   name in their own copy of the registry). *)
-let table_jobs_term =
-  jobs_term
-    ~doc:
-      "Compute table rows in parallel with $(docv) forked worker processes (0 = one per \
-       core); rows are merged back in benchmark order."
-
-let pooled_rows ~jobs ~row_of_benchmark =
-  let jobs = if jobs <= 0 then Dml_par.Pool.cpu_count () else jobs in
-  let names =
-    List.map (fun b -> b.Dml_programs.Programs.name) Dml_programs.Programs.table_benchmarks
-  in
-  let worker name =
-    match Dml_programs.Programs.find name with
-    | Some b -> row_of_benchmark b
-    | None -> Error ("unknown benchmark: " ^ name)
-  in
-  Dml_par.Pool.run ~jobs ~worker names
-  |> List.map (function
-       | Ok row -> row
-       | Error e -> Error (Dml_par.Pool.error_to_string e))
-
 (* like [batch]: the table is printed in full, then a failed row fails the
    command *)
 let exit_if_failed rows = if List.exists Result.is_error rows then exit 1
 
 let table1_cmd =
-  let run infer jobs obs =
-    let rows, sink =
-      with_sink obs (fun () ->
-          match jobs with
-          | None -> Dml_programs.Tables.table1 ~infer ()
-          | Some jobs ->
-              pooled_rows ~jobs ~row_of_benchmark:(fun b ->
-                  Dml_programs.Tables.table1_row ~infer b))
-    in
+  let run infer obs =
+    let rows, sink = with_sink obs (fun () -> Dml_programs.Tables.table1 ~infer ()) in
     if obs.ob_json then
       emit_json
         (J.Obj
@@ -466,23 +435,16 @@ let table1_cmd =
   Cmd.v
     (Cmd.info "table1" ~doc:"Regenerate the paper's Table 1 (--infer adds the \
                              inferred-residual column from the unannotated twins).")
-    Term.(const run $ infer_term $ table_jobs_term $ obs_term)
+    Term.(const run $ infer_term $ obs_term)
 
 let table23_cmd =
-  let run backend_key scale jobs obs =
+  let run backend_key scale obs =
     let backend =
       match Dml_eval.Backend.find backend_key with
       | Some b -> b
       | None -> exit_err (Printf.sprintf "unknown backend %S" backend_key)
     in
-    let rows, sink =
-      with_sink obs (fun () ->
-          match jobs with
-          | None -> Dml_programs.Tables.table23 backend ~scale
-          | Some jobs ->
-              pooled_rows ~jobs ~row_of_benchmark:(fun b ->
-                  Dml_programs.Tables.run_benchmark backend ~scale b))
-    in
+    let rows, sink = with_sink obs (fun () -> Dml_programs.Tables.table23 backend ~scale) in
     if obs.ob_json then
         emit_json
           (J.Obj
@@ -547,7 +509,7 @@ let table23_cmd =
   in
   Cmd.v
     (Cmd.info "table23" ~doc:"Regenerate the paper's Tables 2/3 on a backend.")
-    Term.(const run $ backend $ scale $ table_jobs_term $ obs_term)
+    Term.(const run $ backend $ scale $ obs_term)
 
 let pretty_cmd =
   let run file =

@@ -58,116 +58,51 @@ let extend base goal_vars occurring =
 let var_index nb v = Hashtbl.find nb.index v.Ivar.id
 
 (* ------------------------------------------------------------------ *)
-(* Affine translation                                                  *)
-(* ------------------------------------------------------------------ *)
-
-(* A linear form [const + sum coeff_i * var_i] over bignums, keyed by the
-   canonical variable index.  Mirrors [Dml_solver.Linear] (which lives
-   above this library in the dependency order) but over numbered
-   variables, which is exactly what the canonical rendering needs. *)
-
-module IMap = Map.Make (Int)
-
-type form = { const : Bigint.t; coeffs : Bigint.t IMap.t }
-
-exception Not_affine
-
-let form_const c = { const = c; coeffs = IMap.empty }
-
-let form_add a b =
-  {
-    const = Bigint.add a.const b.const;
-    coeffs =
-      IMap.union
-        (fun _ x y ->
-          let s = Bigint.add x y in
-          if Bigint.is_zero s then None else Some s)
-        a.coeffs b.coeffs;
-  }
-
-let form_scale k f =
-  if Bigint.is_zero k then form_const Bigint.zero
-  else
-    { const = Bigint.mul k f.const; coeffs = IMap.map (fun c -> Bigint.mul k c) f.coeffs }
-
-let form_neg f = form_scale Bigint.minus_one f
-let form_sub a b = form_add a (form_neg b)
-
-let rec affine nb (e : Idx.iexp) =
-  match e with
-  | Idx.Ivar v ->
-      { const = Bigint.zero; coeffs = IMap.singleton (var_index nb v) Bigint.one }
-  | Idx.Iconst n -> form_const (Bigint.of_int n)
-  | Idx.Iadd (a, b) -> form_add (affine nb a) (affine nb b)
-  | Idx.Isub (a, b) -> form_sub (affine nb a) (affine nb b)
-  | Idx.Ineg a -> form_neg (affine nb a)
-  | Idx.Imul (a, b) -> (
-      let fa = affine nb a and fb = affine nb b in
-      match (IMap.is_empty fa.coeffs, IMap.is_empty fb.coeffs) with
-      | true, _ -> form_scale fa.const fb
-      | _, true -> form_scale fb.const fa
-      | false, false -> raise Not_affine)
-  | Idx.Idiv _ | Idx.Imod _ | Idx.Imin _ | Idx.Imax _ | Idx.Iabs _ | Idx.Isgn _ ->
-      raise Not_affine
-
-(* ------------------------------------------------------------------ *)
 (* Atom normalization                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let coeff_gcd f =
-  IMap.fold (fun _ k acc -> Bigint.gcd (Bigint.abs k) acc) f.coeffs Bigint.zero
-
-let render_form buf f =
-  IMap.iter
-    (fun v k ->
-      Buffer.add_string buf (Bigint.to_string k);
+(* An affine atom is the solver's own normal form: [Linear.normalize
+   ~tighten:true] divides [sum k_i x_i + c <= 0] through by the positive
+   gcd g of the k_i and floors the bound, an *equivalence* over the
+   integers (the left-hand side is an integer), so goals that differ by a
+   common factor or by the strict/non-strict presentation of the same
+   half-space share one canonical atom; an equation whose constant g does
+   not divide has no integer solution and becomes the constant [1 = 0].
+   The terms are rendered in the numbering's order, an equation's with its
+   first coefficient made positive. *)
+let render_atom nb tag rel (c : Bigint.t Linear.cstr) =
+  let f = c.Linear.form in
+  let terms = Array.mapi (fun i v -> (var_index nb v, f.Linear.coeffs.(i))) f.Linear.vars in
+  Array.sort (fun (a, _) (b, _) -> Int.compare a b) terms;
+  let flip = c.Linear.kind = Linear.Eq && Bigint.sign (snd terms.(0)) < 0 in
+  let signed k = if flip then Bigint.neg k else k in
+  let buf = Buffer.create 32 in
+  Buffer.add_string buf tag;
+  Array.iter
+    (fun (v, k) ->
+      Buffer.add_string buf (Bigint.to_string (signed k));
       Buffer.add_char buf '.';
       Buffer.add_string buf (string_of_int v);
       Buffer.add_char buf '+')
-    f.coeffs
+    terms;
+  Buffer.add_string buf rel;
+  Buffer.add_string buf (Bigint.to_string (Bigint.neg (signed f.Linear.const)));
+  Buffer.contents buf
 
-(* [form <= 0], tightened: dividing [sum k_i x_i <= -c] through by the
-   positive gcd g of the k_i and flooring the bound is an *equivalence*
-   over the integers (the left-hand side is an integer), so goals that
-   differ by a common factor or by the strict/non-strict presentation of
-   the same half-space share one canonical atom. *)
-let atom_le f =
-  if IMap.is_empty f.coeffs then if Bigint.le f.const Bigint.zero then "T" else "F"
-  else begin
-    let g = coeff_gcd f in
-    let coeffs = IMap.map (fun k -> fst (Bigint.divmod k g)) f.coeffs in
-    let bound = Bigint.fdiv (Bigint.neg f.const) g in
-    let buf = Buffer.create 32 in
-    Buffer.add_string buf "L:";
-    render_form buf { const = Bigint.zero; coeffs };
-    Buffer.add_string buf "<=";
-    Buffer.add_string buf (Bigint.to_string bound);
-    Buffer.contents buf
-  end
+(* [form <= 0] *)
+let atom_le nb f =
+  match Linear.normalize ~tighten:true (Linear.cstr_le f) with
+  | None -> "T"
+  | Some c when Array.length c.Linear.form.Linear.vars = 0 -> "F"
+  | Some c -> render_atom nb "L:" "<=" c
 
-(* [form = 0] (or [<> 0]): divide by the coefficient gcd — when it does not
-   divide the constant the equation has no integer solution — and fix the
-   overall sign by making the first coefficient positive. *)
-let atom_eqne ~ne f =
-  let t = if ne then "T" else "F" and f_ = if ne then "F" else "T" in
-  if IMap.is_empty f.coeffs then if Bigint.is_zero f.const then f_ else t
-  else begin
-    let g = coeff_gcd f in
-    if not (Bigint.is_zero (Bigint.fmod f.const g)) then t
-    else begin
-      let f =
-        { const = fst (Bigint.divmod f.const g);
-          coeffs = IMap.map (fun k -> fst (Bigint.divmod k g)) f.coeffs }
-      in
-      let f = if Bigint.sign (snd (IMap.min_binding f.coeffs)) < 0 then form_neg f else f in
-      let buf = Buffer.create 32 in
-      Buffer.add_string buf (if ne then "N:" else "E:");
-      render_form buf { f with const = Bigint.zero };
-      Buffer.add_string buf (if ne then "<>" else "=");
-      Buffer.add_string buf (Bigint.to_string (Bigint.neg f.const));
-      Buffer.contents buf
-    end
-  end
+(* [form = 0], or [form <> 0] with [~ne] *)
+let atom_eqne nb ~ne f =
+  let holds = if ne then "F" else "T" and fails = if ne then "T" else "F" in
+  match Linear.normalize ~tighten:true (Linear.cstr_eq f) with
+  | None -> holds
+  | Some c when Array.length c.Linear.form.Linear.vars = 0 -> fails
+  | Some c -> render_atom nb (if ne then "N:" else "E:") (if ne then "<>" else "=") c
 
 (* Structural fallback for atoms outside the affine fragment (div, mod,
    min, max, abs, sgn, non-linear products): a deterministic prefix
@@ -220,18 +155,18 @@ let atom_structural nb rel a b =
   Printf.sprintf "X:%s(%s,%s)" tag sa sb
 
 let atom_cmp nb rel a b =
-  match affine nb (Idx.Isub (a, b)) with
-  | exception Not_affine -> atom_structural nb rel a b
-  | d -> (
+  match Linear.of_iexp (Idx.Isub (a, b)) with
+  | None -> atom_structural nb rel a b
+  | Some d -> (
       (* integrality turns strict comparisons into non-strict ones, so
          [a < b] and [a + 1 <= b] share one canonical atom *)
       match rel with
-      | Idx.Rle -> atom_le d
-      | Idx.Rlt -> atom_le (form_add d (form_const Bigint.one))
-      | Idx.Rge -> atom_le (form_neg d)
-      | Idx.Rgt -> atom_le (form_add (form_neg d) (form_const Bigint.one))
-      | Idx.Req -> atom_eqne ~ne:false d
-      | Idx.Rne -> atom_eqne ~ne:true d)
+      | Idx.Rle -> atom_le nb d
+      | Idx.Rlt -> atom_le nb (Linear.add d (Linear.of_int 1))
+      | Idx.Rge -> atom_le nb (Linear.neg d)
+      | Idx.Rgt -> atom_le nb (Linear.add (Linear.neg d) (Linear.of_int 1))
+      | Idx.Req -> atom_eqne nb ~ne:false d
+      | Idx.Rne -> atom_eqne nb ~ne:true d)
 
 (* ------------------------------------------------------------------ *)
 (* Formula normalization                                               *)

@@ -2,25 +2,11 @@ type verdict = Valid | Not_valid of string | Unsupported of string | Timeout of 
 
 type entry = { e_tier : int; e_verdict : verdict }
 
-(* Intrusive doubly-linked list threading the memo table in recency order:
-   [mru] is the most recently touched node, [lru] the eviction candidate.
-   All operations are O(1). *)
-type node = {
-  n_key : string;
-  mutable n_entry : entry;
-  mutable n_prev : node option;  (* towards the MRU end *)
-  mutable n_next : node option;  (* towards the LRU end *)
-}
-
 type t = {
-  max_entries : int;
+  memo : (string, entry) Lru.t;
   dir : string option;
   max_disk_bytes : int;
   max_disk_entries : int;
-  table : (string, node) Hashtbl.t;
-  mutable mru : node option;
-  mutable lru : node option;
-  mutable evictions : int;
   mutable corrupt : int;
   mutable quarantined : int;
   mutable disk_evictions : int;
@@ -35,28 +21,6 @@ let m_quarantined = Dml_obs.Metrics.counter "cache.quarantined"
 let m_disk_evictions = Dml_obs.Metrics.counter "cache.disk_evictions"
 let m_disk_reads = Dml_obs.Metrics.counter "cache.disk_reads"
 let m_disk_writes = Dml_obs.Metrics.counter "cache.disk_writes"
-
-(* ------------------------------------------------------------------ *)
-(* LRU list plumbing                                                   *)
-(* ------------------------------------------------------------------ *)
-
-let unlink t n =
-  (match n.n_prev with Some p -> p.n_next <- n.n_next | None -> t.mru <- n.n_next);
-  (match n.n_next with Some s -> s.n_prev <- n.n_prev | None -> t.lru <- n.n_prev);
-  n.n_prev <- None;
-  n.n_next <- None
-
-let push_front t n =
-  n.n_next <- t.mru;
-  n.n_prev <- None;
-  (match t.mru with Some m -> m.n_prev <- Some n | None -> t.lru <- Some n);
-  t.mru <- Some n
-
-let touch t n =
-  if t.mru != Some n then begin
-    unlink t n;
-    push_front t n
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Persistent layer                                                    *)
@@ -336,14 +300,10 @@ let create ?(max_entries = memo_capacity) ?dir ?(max_disk_bytes = disk_byte_cap)
   in
   let t =
     {
-      max_entries;
+      memo = Lru.create max_entries;
       dir;
       max_disk_bytes;
       max_disk_entries;
-      table = Hashtbl.create 256;
-      mru = None;
-      lru = None;
-      evictions = 0;
       corrupt = 0;
       quarantined = 0;
       disk_evictions = 0;
@@ -356,8 +316,8 @@ let create ?(max_entries = memo_capacity) ?dir ?(max_disk_bytes = disk_byte_cap)
   if max_disk_bytes > 0 || max_disk_entries > 0 then sweep t;
   t
 
-let size t = Hashtbl.length t.table
-let evictions t = t.evictions
+let size t = Lru.length t.memo
+let evictions t = Lru.evictions t.memo
 let corrupt_entries t = t.corrupt
 let quarantined t = t.quarantined
 let disk_evictions t = t.disk_evictions
@@ -365,36 +325,16 @@ let persist_time t = t.persist_time
 
 let disk_file t key = Option.map (fun dir -> file_of_key dir key) t.dir
 
-let evict_past_capacity t =
-  if t.max_entries > 0 then
-    while Hashtbl.length t.table > t.max_entries do
-      match t.lru with
-      | None -> Hashtbl.reset t.table (* unreachable: list mirrors the table *)
-      | Some n ->
-          unlink t n;
-          Hashtbl.remove t.table n.n_key;
-          t.evictions <- t.evictions + 1;
-          Dml_obs.Metrics.incr m_evictions
-    done
-
 let insert_memo t key entry =
-  match Hashtbl.find_opt t.table key with
-  | Some n ->
-      n.n_entry <- entry;
-      touch t n
-  | None ->
-      let n = { n_key = key; n_entry = entry; n_prev = None; n_next = None } in
-      Hashtbl.replace t.table key n;
-      push_front t n;
-      evict_past_capacity t
+  let before = Lru.evictions t.memo in
+  Lru.add t.memo key entry;
+  Dml_obs.Metrics.incr ~by:(Lru.evictions t.memo - before) m_evictions
 
-let peek t key = Option.map (fun n -> n.n_entry) (Hashtbl.find_opt t.table key)
+let peek t key = Lru.peek t.memo key
 
 let find t key =
-  match Hashtbl.find_opt t.table key with
-  | Some n ->
-      touch t n;
-      Some (n.n_entry, `Mem)
+  match Lru.find t.memo key with
+  | Some e -> Some (e, `Mem)
   | None -> (
       match t.dir with
       | None -> None

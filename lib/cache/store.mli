@@ -15,8 +15,8 @@ type verdict =
   | Not_valid of string
   | Unsupported of string
   | Timeout of string
-      (** mirrors [Dml_solver.Solver.verdict]; duplicated here because the
-          solver sits *above* this library in the dependency order *)
+(** A solver verdict; the solver's own type ({!Dml_solver.Solver.verdict}
+    re-exports this one and documents the constructors). *)
 
 type entry = { e_tier : int; e_verdict : verdict }
 

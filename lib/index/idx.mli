@@ -8,8 +8,9 @@
            | ~b | b /\ b | b \/ b v}
     and index sorts [int], [bool] and subset sorts [{a : g | b}].
 
-    Linearity is not enforced here; the solver's linearisation pass
-    ({!Dml_solver.Linearize}) decides which expressions it can handle. *)
+    Linearity is not enforced here: {!Linear.of_iexp} translates the
+    affine fragment, and the solver's purification ({!Dml_solver.Purify})
+    removes everything else first. *)
 
 type iexp =
   | Ivar of Ivar.t

@@ -14,41 +14,14 @@ let harvest prog =
   let rec exp (e : Ast.exp) =
     match e.Ast.edesc with
     | Ast.Eint n -> note_const n
-    | Ast.Ebool _ | Ast.Echar _ | Ast.Estring _ | Ast.Evar _ -> ()
     | Ast.Eapp
         ({ edesc = Ast.Evar f; _ }, { edesc = Ast.Etuple [ a; { edesc = Ast.Eint d; _ } ]; _ })
       when d > 0 && List.mem f Dml_core.Basis.divisor_prims ->
         Hashtbl.replace divisors d ();
         note_const d;
         exp a
-    | Ast.Eapp (f, a) ->
-        exp f;
-        exp a
-    | Ast.Etuple es -> List.iter exp es
-    | Ast.Eif (a, b, c) ->
-        exp a;
-        exp b;
-        exp c
-    | Ast.Ecase (s, arms) ->
-        exp s;
-        List.iter (fun (_, e) -> exp e) arms
-    | Ast.Efn (_, b) -> exp b
-    | Ast.Elet (ds, b) ->
-        List.iter dec ds;
-        exp b
-    | Ast.Eandalso (a, b) | Ast.Eorelse (a, b) ->
-        exp a;
-        exp b
-    | Ast.Eannot (e, _) | Ast.Eraise e -> exp e
-    | Ast.Ehandle (e, arms) ->
-        exp e;
-        List.iter (fun (_, a) -> exp a) arms
-  and dec (d : Ast.dec) =
-    match d.Ast.ddesc with
-    | Ast.Dval (_, e, _) -> exp e
-    | Ast.Dfun fds -> List.iter (fun fd -> List.iter (fun (_, e) -> exp e) fd.Ast.fclauses) fds
-    | Ast.Dexception _ -> ()
-  in
+    | _ -> Ast.iter_exp ~exp ~dec e
+  and dec d = Ast.iter_dec ~exp d in
   List.iter (function Ast.Tdec d -> dec d | _ -> ()) prog;
   List.iter note_const [ -1; 0; 1 ];
   let sorted tbl = List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) tbl []) in

@@ -131,6 +131,69 @@ let mk_dec ddesc dloc = { ddesc; dloc }
 let unit_exp loc = mk_exp (Etuple []) loc
 let unit_pat loc = mk_pat (Ptuple []) loc
 
+(* One-level traversals: [iter_exp] applies [exp] to each immediate
+   sub-expression of a node and [dec] to each immediate declaration, in
+   source order; [map_exp] rebuilds the node from their images (the order
+   in which it applies them is unspecified, so they should be pure).  A
+   pass over the whole tree matches the nodes it treats specially and
+   hands every other node to one of these, passing itself back in. *)
+let iter_exp ~exp ~dec e =
+  match e.edesc with
+  | Eint _ | Ebool _ | Echar _ | Estring _ | Evar _ -> ()
+  | Etuple es -> List.iter exp es
+  | Eapp (a, b) | Eandalso (a, b) | Eorelse (a, b) ->
+      exp a;
+      exp b
+  | Eif (a, b, c) ->
+      exp a;
+      exp b;
+      exp c
+  | Ecase (a, arms) | Ehandle (a, arms) ->
+      exp a;
+      List.iter (fun (_, b) -> exp b) arms
+  | Efn (_, a) | Eannot (a, _) | Eraise a -> exp a
+  | Elet (ds, b) ->
+      List.iter dec ds;
+      exp b
+
+let iter_dec ~exp d =
+  match d.ddesc with
+  | Dval (_, e, _) -> exp e
+  | Dfun fds -> List.iter (fun fd -> List.iter (fun (_, e) -> exp e) fd.fclauses) fds
+  | Dexception _ -> ()
+
+let map_exp ~exp ~dec e =
+  let arms = List.map (fun (p, b) -> (p, exp b)) in
+  let edesc =
+    match e.edesc with
+    | (Eint _ | Ebool _ | Echar _ | Estring _ | Evar _) as d -> d
+    | Etuple es -> Etuple (List.map exp es)
+    | Eapp (a, b) -> Eapp (exp a, exp b)
+    | Eif (a, b, c) -> Eif (exp a, exp b, exp c)
+    | Ecase (a, ms) -> Ecase (exp a, arms ms)
+    | Efn (p, a) -> Efn (p, exp a)
+    | Elet (ds, b) -> Elet (List.map dec ds, exp b)
+    | Eandalso (a, b) -> Eandalso (exp a, exp b)
+    | Eorelse (a, b) -> Eorelse (exp a, exp b)
+    | Eannot (a, t) -> Eannot (exp a, t)
+    | Eraise a -> Eraise (exp a)
+    | Ehandle (a, ms) -> Ehandle (exp a, arms ms)
+  in
+  { e with edesc }
+
+let map_dec ~exp d =
+  let ddesc =
+    match d.ddesc with
+    | Dval (p, e, t) -> Dval (p, exp e, t)
+    | Dfun fds ->
+        Dfun
+          (List.map
+             (fun fd -> { fd with fclauses = List.map (fun (ps, b) -> (ps, exp b)) fd.fclauses })
+             fds)
+    | Dexception _ as dd -> dd
+  in
+  { d with ddesc }
+
 let rec pat_vars p =
   match p.pdesc with
   | Pwild | Pint _ | Pbool _ | Pchar _ | Pstring _ -> []

@@ -443,41 +443,18 @@ end
    [assert], [datatype] and [typeref] declarations are library signatures,
    not annotations, and stay. *)
 let rec erase_exp e =
-  let arms = List.map (fun (p, b) -> (p, erase_exp b)) in
-  let edesc =
-    match e.edesc with
-    | (Eint _ | Ebool _ | Echar _ | Estring _ | Evar _) as d -> d
-    | Etuple es -> Etuple (List.map erase_exp es)
-    | Eapp (f, a) -> Eapp (erase_exp f, erase_exp a)
-    | Eif (a, b, c) -> Eif (erase_exp a, erase_exp b, erase_exp c)
-    | Ecase (s, ms) -> Ecase (erase_exp s, arms ms)
-    | Efn (p, b) -> Efn (p, erase_exp b)
-    | Elet (ds, b) -> Elet (List.map erase_dec ds, erase_exp b)
-    | Eandalso (a, b) -> Eandalso (erase_exp a, erase_exp b)
-    | Eorelse (a, b) -> Eorelse (erase_exp a, erase_exp b)
-    | Eannot (e, _) -> (erase_exp e).edesc
-    | Eraise e -> Eraise (erase_exp e)
-    | Ehandle (e, ms) -> Ehandle (erase_exp e, arms ms)
-  in
-  { e with edesc }
+  match e.edesc with
+  | Eannot (inner, _) -> { e with edesc = (erase_exp inner).edesc }
+  | _ -> map_exp ~exp:erase_exp ~dec:erase_dec e
 
 and erase_dec d =
+  let d = map_dec ~exp:erase_exp d in
   let ddesc =
     match d.ddesc with
-    | Dval (p, e, _) -> Dval (p, erase_exp e, None)
+    | Dval (p, e, _) -> Dval (p, e, None)
     | Dfun fs ->
-        Dfun
-          (List.map
-             (fun f ->
-               {
-                 f with
-                 ftyparams = [];
-                 fiparams = [];
-                 fannot = None;
-                 fclauses = List.map (fun (ps, b) -> (ps, erase_exp b)) f.fclauses;
-               })
-             fs)
-    | Dexception _ as d -> d
+        Dfun (List.map (fun f -> { f with ftyparams = []; fiparams = []; fannot = None }) fs)
+    | Dexception _ as dd -> dd
   in
   { d with ddesc }
 

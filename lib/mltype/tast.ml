@@ -67,6 +67,34 @@ type ttop =
 
 type tprogram = ttop list
 
+(* One-level traversals, as [Ast.iter_exp]/[Ast.iter_dec]: [texp] on each
+   immediate sub-expression and [tdec] on each immediate declaration, in
+   source order. *)
+let iter_texp ~texp ~tdec e =
+  match e.tdesc with
+  | TEint _ | TEbool _ | TEchar _ | TEstring _ | TEvar _ -> ()
+  | TEcon (_, _, arg) -> Option.iter texp arg
+  | TEtuple es -> List.iter texp es
+  | TEapp (a, b) | TEandalso (a, b) | TEorelse (a, b) ->
+      texp a;
+      texp b
+  | TEif (a, b, c) ->
+      texp a;
+      texp b;
+      texp c
+  | TEcase (a, arms) | TEhandle (a, arms) ->
+      texp a;
+      List.iter (fun (_, b) -> texp b) arms
+  | TEfn (_, a) | TEannot (a, _) | TEraise a -> texp a
+  | TElet (ds, b) ->
+      List.iter tdec ds;
+      texp b
+
+let iter_tdec ~texp = function
+  | TDval (_, e, _, _) -> texp e
+  | TDfun fds -> List.iter (fun fd -> List.iter (fun (_, e) -> texp e) fd.tfclauses) fds
+  | TDexception _ -> ()
+
 (* --- zonking: freeze all unification variables after inference ---------- *)
 
 let zonk_inst inst = List.map (fun (v, t) -> (v, Mltype.zonk t)) inst

@@ -16,33 +16,26 @@ type t1_row = {
 
 (* an ephemeral per-row session: table rows are deliberately checked cold,
    so one benchmark's verdicts never warm another's timings *)
-let cold_session ?(method_ = Dml_solver.Solver.Fm_tightened) ~infer () =
-  let options =
-    {
-      Session.default_options with
-      Session.op_solve = { Session.default_solve_config with Session.sc_method = method_ };
-      op_infer = infer;
-    }
-  in
-  Session.create ~options ()
+let cold_session ~infer () =
+  Session.create ~options:{ Session.default_options with Session.op_infer = infer } ()
 
-let check_cold ?method_ src = Pipeline.check_s (cold_session ?method_ ~infer:false ()) src
+let check_cold src = Pipeline.check_s (cold_session ~infer:false ()) src
 
 (* Residual bound checks when the benchmark's *unannotated twin* is checked
    under qualifier inference, cold like the annotated row.  0 means parity
    with the annotated column (every site the annotations prove, inference
    proves too); an [Error] records a front-end failure or an abandoned
    fixpoint rather than disqualifying the annotated row. *)
-let inferred_residual ?method_ (b : Programs.benchmark) =
-  match Dml_infer.Engine.check_s (cold_session ?method_ ~infer:true ()) (Programs.unannotated b) with
+let inferred_residual (b : Programs.benchmark) =
+  match Dml_infer.Engine.check_s (cold_session ~infer:true ()) (Programs.unannotated b) with
   | Error f -> Error (Pipeline.failure_to_string f)
   | Ok oc -> (
       match oc.Dml_infer.Engine.oc_abandoned with
       | Some why -> Error ("abandoned: " ^ why)
       | None -> Ok oc.Dml_infer.Engine.oc_report.Pipeline.rp_residual)
 
-let table1_row ?method_ ?(infer = false) (b : Programs.benchmark) =
-  match check_cold ?method_ b.Programs.source with
+let table1_row ~infer (b : Programs.benchmark) =
+  match check_cold b.Programs.source with
   | Error f -> Error (Pipeline.failure_to_string f)
   | Ok r ->
       if not r.Pipeline.rp_valid then Error (b.Programs.name ^ ": unproven constraints")
@@ -56,10 +49,10 @@ let table1_row ?method_ ?(infer = false) (b : Programs.benchmark) =
             t1_annotations = r.Pipeline.rp_annotations;
             t1_annotation_lines = r.Pipeline.rp_annotation_lines;
             t1_code_lines = r.Pipeline.rp_code_lines;
-            t1_inferred = (if infer then Some (inferred_residual ?method_ b) else None);
+            t1_inferred = (if infer then Some (inferred_residual b) else None);
           }
 
-let table1 ?infer () = List.map (fun b -> table1_row ?infer b) Programs.table_benchmarks
+let table1 ?(infer = false) () = List.map (table1_row ~infer) Programs.table_benchmarks
 
 (* --- Tables 2 and 3 --------------------------------------------------------- *)
 

@@ -5,7 +5,6 @@
     checks on any registered evaluation backend ({!Dml_eval.Backend}), plus
     the number of dynamically eliminated checks. *)
 
-open Dml_solver
 
 type t1_row = {
   t1_name : string;
@@ -23,8 +22,6 @@ type t1_row = {
           was not requested *)
 }
 
-val table1_row :
-  ?method_:Solver.method_ -> ?infer:bool -> Programs.benchmark -> (t1_row, string) result
 val table1 : ?infer:bool -> unit -> (t1_row, string) result list
 (** One row per Table 1 program, in the paper's order.  [infer] (default
     [false]) additionally checks each benchmark's unannotated twin with
@@ -44,19 +41,15 @@ val time_pair : (unit -> unit) -> (unit -> unit) -> float * float
     tests: interleaved paired measurement on the monotonic wall clock,
     each side's best of five alternated rounds. *)
 
-val run_benchmark :
-  Dml_eval.Backend.t -> scale:int -> Programs.benchmark -> (t23_row, string) result
-(** Type checks, degrades any unproven site to a checked access
-    ({!Dml_core.Pipeline.degraded_pred}), hands the benchmark to the
-    backend's measurement function, and reports the row.  An unavailable
-    backend (e.g. {!Dml_eval.Backend.native} with no toolchain) yields an
-    [Error] naming the reason. *)
-
 val table23 : Dml_eval.Backend.t -> scale:int -> (t23_row, string) result list
+(** One row per Table 2/3 program: each is type checked, any unproven
+    site degraded to a checked access ({!Dml_core.Pipeline.degraded_pred}),
+    and the benchmark handed to the backend's measurement function.  An
+    unavailable backend (e.g. {!Dml_eval.Backend.native} with no
+    toolchain) yields an [Error] row naming the reason. *)
 
 val print_table1_rows : Format.formatter -> (t1_row, string) result list -> unit
-(** Print Table 1 from rows of {!table1}; the parallel [table1 -j] path
-    computes rows in worker processes and prints them here. *)
+(** Print Table 1 from rows of {!table1}. *)
 
 val print_table23_rows :
   Format.formatter -> Dml_eval.Backend.t -> scale:int -> (t23_row, string) result list -> unit

@@ -11,6 +11,7 @@
     [Dml_numeric.Checked.Overflow]. *)
 
 open Dml_numeric
+open Dml_index
 
 type verdict = Unsat | Sat
 

@@ -8,7 +8,11 @@ type method_ = Fm_tightened | Fm_plain | Simplex_rational
 
 type lane = Lane_bignum | Lane_native
 
-type verdict = Valid | Not_valid of string | Unsupported of string | Timeout of string
+type verdict = Dml_cache.Cache.verdict =
+  | Valid
+  | Not_valid of string
+  | Unsupported of string
+  | Timeout of string
 
 type stats = {
   mutable checked_goals : int;
@@ -250,18 +254,6 @@ let method_slug = function
   | Fm_plain -> "fm-plain"
   | Simplex_rational -> "simplex"
 
-let verdict_of_cached = function
-  | Dml_cache.Cache.Valid -> Valid
-  | Dml_cache.Cache.Not_valid m -> Not_valid m
-  | Dml_cache.Cache.Unsupported m -> Unsupported m
-  | Dml_cache.Cache.Timeout m -> Timeout m
-
-let cached_of_verdict = function
-  | Valid -> Dml_cache.Cache.Valid
-  | Not_valid m -> Dml_cache.Cache.Not_valid m
-  | Unsupported m -> Dml_cache.Cache.Unsupported m
-  | Timeout m -> Dml_cache.Cache.Timeout m
-
 let verdict_slug = function
   | Valid -> "valid"
   | Not_valid _ -> "not-valid"
@@ -302,17 +294,17 @@ let check_goal ?(method_ = Fm_tightened) ?(lane = Lane_native) ?stats ?budget ?c
               (fun s ->
                 s.checked_goals <- s.checked_goals + 1;
                 s.cache_hits <- s.cache_hits + 1;
-                match v with Dml_cache.Cache.Timeout _ -> s.timeouts <- s.timeouts + 1 | _ -> ())
+                match v with Timeout _ -> s.timeouts <- s.timeouts + 1 | _ -> ())
               stats;
             Metrics.incr m_goals;
             Metrics.incr m_cache_hits;
-            (match v with Dml_cache.Cache.Timeout _ -> Metrics.incr m_timeouts | _ -> ());
-            (verdict_of_cached v, `Hit)
+            (match v with Timeout _ -> Metrics.incr m_timeouts | _ -> ());
+            (v, `Hit)
         | None ->
             Option.iter (fun s -> s.cache_misses <- s.cache_misses + 1) stats;
             Metrics.incr m_cache_misses;
             let v = check_goal_uncached ~method_ ~lane ?stats ?budget goal in
-            Dml_cache.Cache.add cache ~digest ~method_:m ~tier (cached_of_verdict v);
+            Dml_cache.Cache.add cache ~digest ~method_:m ~tier v;
             (v, `Miss))
   in
   if Trace.real sp then begin

@@ -28,7 +28,7 @@ type lane =
       (** machine-int fast path with checked arithmetic; overflow re-solves
           the disjunct on the bignum lane (the default) *)
 
-type verdict =
+type verdict = Dml_cache.Cache.verdict =
   | Valid
   | Not_valid of string
       (** refutation failed; the payload is a human-readable hint, including a

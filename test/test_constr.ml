@@ -77,10 +77,10 @@ let rec subst_ref s phi =
     | Constr.Impl (b, phi) -> Constr.impl (subst_bexp s b) (subst_ref s phi)
     | Constr.Forall (a, g, body) ->
         let a', body' = avoid_capture_ref s a body in
-        forall_ref a' (subst_sort_ref s g) (subst_ref s body')
+        forall_ref a' (subst_sort_ref s g) (subst_ref (Ivar.Map.remove a s) body')
     | Constr.Exists (a, g, body) ->
         let a', body' = avoid_capture_ref s a body in
-        exists_ref a' (subst_sort_ref s g) (subst_ref s body')
+        exists_ref a' (subst_sort_ref s g) (subst_ref (Ivar.Map.remove a s) body')
 
 and avoid_capture_ref s a body =
   let s = Ivar.Map.remove a s in
@@ -143,6 +143,23 @@ let test_fv_subst () =
       Alcotest.(check bool) "binder renamed" true (Ivar.equal a n');
       Alcotest.(check bool) "image is old n" true (Ivar.equal b n)
   | _ -> Alcotest.fail "unexpected shape after substitution"
+
+(* A quantifier's own binder is not free under it: [x := 1] leaves
+   [forall x. x > 0] alone, and [x := 1, y := x] substitutes only [y]
+   under [exists x], refreshing the binder the image would capture. *)
+let test_subst_skips_binder () =
+  let x = v "x" and y = v "y" in
+  let phi = Constr.forall x Sint (Constr.pred (Bcmp (Rgt, Ivar x, Iconst 0))) in
+  Alcotest.(check string) "forall x. x > 0 is closed" (Constr.to_string phi)
+    (Constr.to_string (Constr.subst (Ivar.Map.singleton x (Iconst 1)) phi));
+  let psi = Constr.exists x Sint (Constr.pred (le (Ivar x) (Ivar y))) in
+  let s = Ivar.Map.add x (Iconst 1) (Ivar.Map.singleton y (Ivar x)) in
+  match Constr.subst s psi with
+  | Constr.Exists (x', _, Constr.Pred (Bcmp (Rle, Ivar a, Ivar b))) ->
+      Alcotest.(check bool) "binder refreshed" false (Ivar.equal x' x);
+      Alcotest.(check bool) "bound occurrence follows the binder" true (Ivar.equal a x');
+      Alcotest.(check bool) "y replaced by the outer x" true (Ivar.equal b x)
+  | other -> Alcotest.failf "unexpected shape: %s" (Constr.to_string other)
 
 (* --- equation solving --------------------------------------------------- *)
 
@@ -513,6 +530,8 @@ let () =
         [
           Alcotest.test_case "smart constructors" `Quick test_smart;
           Alcotest.test_case "fv and capture-avoiding subst" `Quick test_fv_subst;
+          Alcotest.test_case "subst leaves a quantifier's binder alone" `Quick
+            test_subst_skips_binder;
           Alcotest.test_case "size" `Quick test_size;
           Alcotest.test_case "goal extraction" `Quick test_goals_structure;
         ] );
