@@ -41,8 +41,9 @@ val occurs : Ivar.t -> t -> bool
     subset-sorted quantifier or appears in a subset sort's condition. *)
 
 val subst : Idx.iexp Ivar.Map.t -> t -> t
-(** Capture-avoiding substitution: bound variables are refreshed when they
-    would capture a free variable of the image. *)
+(** Capture-avoiding substitution of the free variables: a quantifier's
+    own binder is left alone under it, and bound variables are refreshed
+    when they would capture a free variable of the image. *)
 
 val size : t -> int
 (** Number of atomic predicates, for reporting. *)
