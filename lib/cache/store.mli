@@ -46,8 +46,8 @@ val create :
     [max_disk_bytes]/[max_disk_entries] cap the persistent directory
     (defaults {!disk_byte_cap}/{!disk_entry_cap}; [<= 0] unbounded): when
     either cap is exceeded, {!sweep} deletes the oldest cache-owned files
-    first.  With a cap set, a sweep runs at [create] and then every
-    {!val-sweep_write_period} disk writes.  {!Cache} always uses the
+    first.  With a cap set, a sweep runs at [create] and then every 32
+    disk writes.  {!Cache} always uses the
     defaults; the overrides exist for the sweep tests. *)
 
 val find : t -> string -> (entry * [ `Mem | `Disk ]) option
@@ -88,9 +88,6 @@ val sweep : t -> unit
     temp files older than {!stale_tmp_age_s}.  A no-op without a persistent
     layer.  Safe under concurrent readers, writers and sweepers: every
     deletion is best-effort and every read re-validates. *)
-
-val sweep_write_period : int
-(** Disk writes between automatic sweeps when a cap is set. *)
 
 val stale_tmp_age_s : float
 (** Age past which an orphaned [*.dmlv.tmp.*] staging file (a writer died

@@ -39,13 +39,6 @@ let exists a g phi = if occurs a phi then Exists (a, g, phi) else phi
 
 let is_top = function Top -> true | _ -> false
 
-(* Substitution inside a sort's refinement, avoiding its own binder. *)
-let rec subst_sort s = function
-  | (Idx.Sint | Idx.Sbool) as g -> g
-  | Idx.Ssubset (a, g, b) ->
-      let s = Ivar.Map.remove a s in
-      Idx.Ssubset (a, subst_sort s g, Idx.subst_bexp s b)
-
 let rec subst s phi =
   if Ivar.Map.is_empty s then phi
   else
@@ -57,11 +50,11 @@ let rec subst s phi =
     | Forall (a, g, body) ->
         let inner = Ivar.Map.remove a s in
         let a', body' = avoid_capture inner a body in
-        forall a' (subst_sort s g) (subst inner body')
+        forall a' (Idx.subst_sort s Ivar.Map.empty g) (subst inner body')
     | Exists (a, g, body) ->
         let inner = Ivar.Map.remove a s in
         let a', body' = avoid_capture inner a body in
-        exists a' (subst_sort s g) (subst inner body')
+        exists a' (Idx.subst_sort s Ivar.Map.empty g) (subst inner body')
 
 (* [s] no longer maps [a]: a quantifier's own binder is not free under it.
    [Ivar.Map.remove] returns the map itself when the binder is absent, so

@@ -209,9 +209,12 @@ let process_typeref env (tr : Ast.typeref_def) =
             (* validate the shape: after the Pi prefix, the head (or the
                codomain for a unary constructor) must be the refined family
                fully applied *)
-            let _, body = Dtype.strip_pis dt in
-            let result = match body with Dtype.Darrow (_, r) -> r | t -> t in
-            (match result with
+            let rec result = function
+              | Dtype.Dpi (_, _, t) -> result t
+              | Dtype.Darrow (_, r) -> r
+              | t -> t
+            in
+            (match result dt with
             | Dtype.Dcon (n, _, idxs)
               when n = tr.Ast.tr_name && List.length idxs = List.length sorts ->
                 ()

@@ -20,33 +20,36 @@ let bool_any =
 
 let unit_ = Dtuple []
 
-let rename v v' t =
-  let im = Ivar.Map.singleton v (Idx.Ivar v') in
-  let bm = Ivar.Map.singleton v (Idx.Bvar v') in
-  let ren_iexp i = Idx.subst_iexp im i in
-  let ren_bexp b = Idx.subst_bvar bm (Idx.subst_bexp im b) in
-  let ren_index = function
-    | Iint i -> Iint (ren_iexp i)
-    | Ibool b -> Ibool (ren_bexp b)
-  in
-  let rec ren_sort = function
-    | (Idx.Sint | Idx.Sbool) as g -> g
-    | Idx.Ssubset (a, g, b) ->
-        if Ivar.equal a v then Idx.Ssubset (a, ren_sort g, b)
-        else Idx.Ssubset (a, ren_sort g, ren_bexp b)
-  in
-  let rec go t =
+let subst_index im bm = function
+  | Iint i -> Iint (Idx.subst_iexp im i)
+  | Ibool b -> Ibool (Idx.subst_bvar bm (Idx.subst_bexp im b))
+
+let rec subst im bm t =
+  if Ivar.Map.is_empty im && Ivar.Map.is_empty bm then t
+  else
     match t with
     | Dvar _ -> t
-    | Dcon (c, targs, idxs) -> Dcon (c, List.map go targs, List.map ren_index idxs)
-    | Dtuple ts -> Dtuple (List.map go ts)
-    | Darrow (a, b) -> Darrow (go a, go b)
-    | Dpi (a, g, body) ->
-        if Ivar.equal a v then Dpi (a, ren_sort g, body) else Dpi (a, ren_sort g, go body)
-    | Dsigma (a, g, body) ->
-        if Ivar.equal a v then Dsigma (a, ren_sort g, body) else Dsigma (a, ren_sort g, go body)
+    | Dcon (c, targs, idxs) ->
+        Dcon (c, List.map (subst im bm) targs, List.map (subst_index im bm) idxs)
+    | Dtuple ts -> Dtuple (List.map (subst im bm) ts)
+    | Darrow (a, b) -> Darrow (subst im bm a, subst im bm b)
+    | Dpi (a, g, body) -> Dpi (a, Idx.subst_sort im bm g, under a im bm body)
+    | Dsigma (a, g, body) -> Dsigma (a, Idx.subst_sort im bm g, under a im bm body)
+
+(* a binder hides its own variable *)
+and under a im bm body = subst (Ivar.Map.remove a im) (Ivar.Map.remove a bm) body
+
+(* One pass over the prefix collects the renaming; the body is substituted
+   once, at the end. *)
+let open_prefix ?pi ?sigma t =
+  let rec go im bm t =
+    match (t, pi, sigma) with
+    | (Dpi (a, g, body), Some fresh, _ | Dsigma (a, g, body), _, Some fresh) ->
+        let a' = fresh a (Idx.subst_sort im bm g) in
+        go (Ivar.Map.add a (Idx.Ivar a') im) (Ivar.Map.add a (Idx.Bvar a') bm) body
+    | _ -> subst im bm t
   in
-  go t
+  go Ivar.Map.empty Ivar.Map.empty t
 
 let rec subst_tyvars s t =
   match t with
@@ -69,33 +72,21 @@ let rec occurs a = function
   | Dpi (b, g, body) | Dsigma (b, g, body) ->
       Idx.occurs_sort a g || ((not (Ivar.equal a b)) && occurs a body)
 
-let strip_pis t =
-  let rec go acc = function
-    | Dpi (a, g, body) -> go ((a, g) :: acc) body
-    | t -> (List.rev acc, t)
-  in
-  go [] t
-
 let open_sigmas t =
-  let rec go acc t =
-    match t with
-    | Dsigma (a, g, body) ->
+  match t with
+  | Dsigma _ | Dtuple _ ->
+      let opened = ref [] in
+      let sigma a g =
         let a' = Ivar.refresh a in
-        let body = rename a a' body in
-        go ((a', g) :: acc) body
-    | Dtuple ts ->
-        let acc, ts =
-          List.fold_left
-            (fun (acc, ts) t ->
-              let acc, t = go acc t in
-              (acc, t :: ts))
-            (acc, []) ts
-        in
-        (acc, Dtuple (List.rev ts))
-    | _ -> (acc, t)
-  in
-  let acc, t = go [] t in
-  (List.rev acc, t)
+        opened := (a', g) :: !opened;
+        a'
+      in
+      let rec go t =
+        match open_prefix ~sigma t with Dtuple ts -> Dtuple (List.map go ts) | t -> t
+      in
+      let t = go t in
+      (List.rev !opened, t)
+  | _ -> ([], t)
 
 let index_eq a b =
   match (a, b) with

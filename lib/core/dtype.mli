@@ -25,10 +25,24 @@ val unit_ : t
 
 (** {1 Substitution} *)
 
-val rename : Ivar.t -> Ivar.t -> t -> t
-(** [rename v v' t] replaces the variable [v] by [v'] at both integer
-    ([Ivar]) and boolean ([Bvar]) occurrences — used when opening a
-    quantifier whose sort may be [bool]. *)
+val subst : Idx.iexp Ivar.Map.t -> Idx.bexp Ivar.Map.t -> t -> t
+(** [subst im bm t] replaces index variables at integer ([Ivar])
+    occurrences from [im] and at boolean ([Bvar]) occurrences from [bm],
+    simultaneously, in indices and in sorts ({!Idx.subst_sort}).  A
+    [Pi]/[Sigma] binder hides its own variable from its body.  With both
+    maps empty, [t] itself. *)
+
+val subst_index : Idx.iexp Ivar.Map.t -> Idx.bexp Ivar.Map.t -> index -> index
+(** {!subst} on one index argument. *)
+
+val open_prefix :
+  ?pi:(Ivar.t -> Idx.sort -> Ivar.t) -> ?sigma:(Ivar.t -> Idx.sort -> Ivar.t) -> t -> t
+(** [open_prefix ?pi ?sigma t] opens the leading [Pi] binders (when [pi]
+    is given) and [Sigma] binders (when [sigma] is given) of [t], in any
+    interleaving, and returns the body.  Each binder [a : g] is replaced by
+    the variable [fresh a g'], called in prefix order, where [fresh] is [pi]
+    or [sigma] and [g'] is [g] under the renaming of the binders before it.
+    The body is substituted once, at the end. *)
 
 val subst_tyvars : (string * t) list -> t -> t
 (** Substitution of dependent types for ML type variables ['a]. *)
@@ -38,14 +52,11 @@ val subst_tyvars : (string * t) list -> t -> t
 val occurs : Ivar.t -> t -> bool
 (** [occurs a t]: the index variable [a] occurs free in [t]. *)
 
-val strip_pis : t -> (Ivar.t * Idx.sort) list * t
-(** Splits [Pi a1. ... Pi ak. t] into the quantifier prefix and body. *)
-
 val open_sigmas : t -> (Ivar.t * Idx.sort) list * t
 (** Replaces the top-level (and tuple-component) [Sigma] binders by fresh
-    variables, returning the fresh variables with their sorts.  The caller
-    must add them to the universal context with their sort refinements as
-    hypotheses. *)
+    variables through {!open_prefix}, returning the fresh variables with
+    their sorts.  The caller must add them to the universal context with
+    their sort refinements as hypotheses. *)
 
 val index_eq : index -> index -> Idx.bexp
 (** The boolean index formula asserting equality of two index arguments

@@ -57,77 +57,22 @@ let open_into_ctx ctx ty =
   let ctx = List.fold_left (fun ctx (v, g) -> push_uni ctx v g) ctx opened in
   (ctx, ty)
 
+(* Introduce the leading Pi binders of [ty] as fresh universals. *)
+let push_pis ctx ty =
+  let ctx = ref ctx in
+  let pi v g =
+    let v' = Ivar.refresh v in
+    ctx := push_uni !ctx v' g;
+    v'
+  in
+  let ty = Dtype.open_prefix ~pi ty in
+  (!ctx, ty)
+
 let lookup_val ctx x =
   match SMap.find_opt x ctx.vals with Some ds -> Some ds | None -> Denv.find_val ctx.denv x
 
 let resolve_at loc ctx stype =
   try Denv.resolve_stype ctx.denv ctx.iscope stype with Denv.Error msg -> err loc "%s" msg
-
-(* --- alpha-equality of dependent types ------------------------------------ *)
-
-let rec alpha_eq map a b =
-  let open Dtype in
-  match (a, b) with
-  | Dvar x, Dvar y -> x = y
-  | Dtuple xs, Dtuple ys -> List.length xs = List.length ys && List.for_all2 (alpha_eq map) xs ys
-  | Darrow (a1, b1), Darrow (a2, b2) -> alpha_eq map a1 a2 && alpha_eq map b1 b2
-  | Dcon (c1, t1, i1), Dcon (c2, t2, i2) ->
-      c1 = c2
-      && List.length t1 = List.length t2
-      && List.for_all2 (alpha_eq map) t1 t2
-      && List.length i1 = List.length i2
-      && List.for_all2 (alpha_eq_index map) i1 i2
-  | Dpi (v1, g1, b1), Dpi (v2, g2, b2) | Dsigma (v1, g1, b1), Dsigma (v2, g2, b2) ->
-      alpha_eq_sort map g1 g2 && alpha_eq ((v1, v2) :: map) b1 b2
-  | (Dvar _ | Dcon _ | Dtuple _ | Darrow _ | Dpi _ | Dsigma _), _ -> false
-
-and alpha_eq_index map a b =
-  match (a, b) with
-  | Dtype.Iint i, Dtype.Iint j -> alpha_eq_iexp map i j
-  | Dtype.Ibool p, Dtype.Ibool q -> alpha_eq_bexp map p q
-  | (Dtype.Iint _ | Dtype.Ibool _), _ -> false
-
-and alpha_var map v w =
-  match List.assoc_opt v map with Some v' -> Ivar.equal v' w | None -> Ivar.equal v w
-
-and alpha_eq_iexp map a b =
-  let open Idx in
-  match (a, b) with
-  | Ivar v, Ivar w -> alpha_var map v w
-  | Iconst x, Iconst y -> x = y
-  | Iadd (a1, b1), Iadd (a2, b2)
-  | Isub (a1, b1), Isub (a2, b2)
-  | Imul (a1, b1), Imul (a2, b2)
-  | Idiv (a1, b1), Idiv (a2, b2)
-  | Imod (a1, b1), Imod (a2, b2)
-  | Imin (a1, b1), Imin (a2, b2)
-  | Imax (a1, b1), Imax (a2, b2) ->
-      alpha_eq_iexp map a1 a2 && alpha_eq_iexp map b1 b2
-  | Ineg a1, Ineg a2 | Iabs a1, Iabs a2 | Isgn a1, Isgn a2 -> alpha_eq_iexp map a1 a2
-  | ( ( Ivar _ | Iconst _ | Iadd _ | Isub _ | Ineg _ | Imul _ | Idiv _ | Imod _ | Imin _ | Imax _
-      | Iabs _ | Isgn _ ),
-      _ ) ->
-      false
-
-and alpha_eq_bexp map a b =
-  let open Idx in
-  match (a, b) with
-  | Bvar v, Bvar w -> alpha_var map v w
-  | Bconst x, Bconst y -> x = y
-  | Bcmp (r1, a1, b1), Bcmp (r2, a2, b2) ->
-      r1 = r2 && alpha_eq_iexp map a1 a2 && alpha_eq_iexp map b1 b2
-  | Bnot a1, Bnot a2 -> alpha_eq_bexp map a1 a2
-  | Band (a1, b1), Band (a2, b2) | Bor (a1, b1), Bor (a2, b2) ->
-      alpha_eq_bexp map a1 a2 && alpha_eq_bexp map b1 b2
-  | (Bvar _ | Bconst _ | Bcmp _ | Bnot _ | Band _ | Bor _), _ -> false
-
-and alpha_eq_sort map g1 g2 =
-  let open Idx in
-  match (g1, g2) with
-  | Sint, Sint | Sbool, Sbool -> true
-  | Ssubset (v1, g1, b1), Ssubset (v2, g2, b2) ->
-      alpha_eq_sort map g1 g2 && alpha_eq_bexp ((v1, v2) :: map) b1 b2
-  | (Sint | Sbool | Ssubset _), _ -> false
 
 (* --- coercion with flexible index variables -------------------------------- *)
 
@@ -166,13 +111,18 @@ let new_flex cs v g =
 
 let find_flex cs v = List.find_opt (fun f -> Ivar.equal f.fvar v) cs.flexes
 
-let open_actual cs v g body =
+(* A fresh universal for an actual binder, recorded with its refinement. *)
+let open_actual cs v g =
   let v' = Ivar.refresh v in
   cs.added <- Euni (v', g) :: cs.added;
   (match Idx.sort_refinement v' g with
   | Idx.Bconst true -> ()
   | refinement -> cs.added <- Ehyp refinement :: cs.added);
-  Dtype.rename v v' body
+  v'
+
+(* [body] with its binder [v] replaced by [v'] *)
+let instantiate v v' body =
+  Dtype.subst (Ivar.Map.singleton v (Idx.Ivar v')) (Ivar.Map.singleton v (Idx.Bvar v')) body
 
 (* Substitution of solved flexes into indices. *)
 let flex_subst_maps cs =
@@ -185,28 +135,11 @@ let flex_subst_maps cs =
     (Ivar.Map.empty, Ivar.Map.empty)
     cs.flexes
 
-let apply_flex_iexp (im, bm) i = ignore bm; Idx.subst_iexp im i
-let apply_flex_bexp (im, bm) b = Idx.subst_bvar bm (Idx.subst_bexp im b)
-
-let apply_flex_index maps = function
-  | Dtype.Iint i -> Dtype.Iint (apply_flex_iexp maps i)
-  | Dtype.Ibool b -> Dtype.Ibool (apply_flex_bexp maps b)
-
-let rec apply_flex_sort maps g =
-  match g with
-  | Idx.Sint | Idx.Sbool -> g
-  | Idx.Ssubset (v, g', b) -> Idx.Ssubset (v, apply_flex_sort maps g', apply_flex_bexp maps b)
-
-let rec apply_flex_dtype maps t =
-  let open Dtype in
-  match t with
-  | Dvar _ -> t
-  | Dcon (c, targs, idxs) ->
-      Dcon (c, List.map (apply_flex_dtype maps) targs, List.map (apply_flex_index maps) idxs)
-  | Dtuple ts -> Dtuple (List.map (apply_flex_dtype maps) ts)
-  | Darrow (a, b) -> Darrow (apply_flex_dtype maps a, apply_flex_dtype maps b)
-  | Dpi (v, g, body) -> Dpi (v, apply_flex_sort maps g, apply_flex_dtype maps body)
-  | Dsigma (v, g, body) -> Dsigma (v, apply_flex_sort maps g, apply_flex_dtype maps body)
+let same_index a b =
+  match (a, b) with
+  | Dtype.Iint i, Dtype.Iint j -> Idx.equal_iexp i j
+  | Dtype.Ibool p, Dtype.Ibool q -> Idx.equal_bexp p q
+  | (Dtype.Iint _ | Dtype.Ibool _), _ -> false
 
 (* Structural matching of an actual type against an expected one.
 
@@ -231,19 +164,17 @@ let rec coerce cs variance actual expected =
       solve_tyflex cs variance (Option.get (find_tyflex cs x)) ~actual:None
         ~expected:(Some expected)
   (* open actual existentials into the local context *)
-  | Dsigma (v, g, body), _ -> coerce cs variance (open_actual cs v g body) expected
+  | Dsigma (v, g, body), _ -> coerce cs variance (instantiate v (open_actual cs v g) body) expected
   (* flexible witness for an expected existential *)
   | _, Dsigma (v, g, body) ->
       let f = new_flex cs v g in
-      coerce cs variance actual (rename v f.fvar body)
+      coerce cs variance actual (instantiate v f.fvar body)
   (* flexible instantiation of an actual universal *)
   | Dpi (v, g, body), _ ->
       let f = new_flex cs v g in
-      coerce cs variance (rename v f.fvar body) expected
+      coerce cs variance (instantiate v f.fvar body) expected
   (* checking against a universal: push it *)
-  | _, Dpi (v, g, body) ->
-      let body = open_actual cs v g body in
-      coerce cs variance actual body
+  | _, Dpi (v, g, body) -> coerce cs variance actual (instantiate v (open_actual cs v g) body)
   | Dtuple xs, Dtuple ys when List.length xs = List.length ys ->
       List.iter2 (coerce cs variance) xs ys
   | Darrow (a1, b1), Darrow (a2, b2) ->
@@ -281,9 +212,9 @@ and solve_tyflex cs variance t ~actual ~expected =
           | _ -> assert false))
 
 and match_index cs iact iexp =
-  let maps = flex_subst_maps cs in
-  let iact = apply_flex_index maps iact in
-  let iexp = apply_flex_index maps iexp in
+  let im, bm = flex_subst_maps cs in
+  let iact = Dtype.subst_index im bm iact in
+  let iexp = Dtype.subst_index im bm iexp in
   let try_assign candidate other =
     match candidate with
     | Dtype.Iint (Idx.Ivar v) | Dtype.Ibool (Idx.Bvar v) -> (
@@ -300,7 +231,7 @@ and match_index cs iact iexp =
   in
   if try_assign iexp iact then ()
   else if try_assign iact iexp then ()
-  else if alpha_eq_index [] iact iexp then () (* reflexive equations carry no content *)
+  else if same_index iact iexp then () (* reflexive equations carry no content *)
   else
     match Dtype.index_eq iact iexp with
     | eq -> cs.pending <- eq :: cs.pending
@@ -316,14 +247,14 @@ and match_index cs iact iexp =
 let finish_coerce st ctx cs ?result () =
   (* iterate substitution: a solution may mention other flexes *)
   let rec settle n =
-    let maps = flex_subst_maps cs in
+    let im, bm = flex_subst_maps cs in
     let changed = ref false in
     List.iter
       (fun f ->
         match f.fsol with
         | Some sol ->
-            let sol' = apply_flex_index maps sol in
-            if not (alpha_eq_index [] sol sol') then begin
+            let sol' = Dtype.subst_index im bm sol in
+            if not (same_index sol sol') then begin
               f.fsol <- Some sol';
               changed := true
             end
@@ -339,7 +270,7 @@ let finish_coerce st ctx cs ?result () =
       cs.tyflexes
   in
   let result = Option.map (Dtype.subst_tyvars tysub) result in
-  let maps = flex_subst_maps cs in
+  let im, bm = flex_subst_maps cs in
   (* refinement obligations for solved flexes; these may mention other
      flexes, so they are collected raw and substituted with everything else *)
   let refinements =
@@ -353,8 +284,10 @@ let finish_coerce st ctx cs ?result () =
             | refinement -> Some refinement))
       cs.flexes
   in
-  let pending = List.rev_map (apply_flex_bexp maps) (refinements @ cs.pending) in
-  let result = Option.map (apply_flex_dtype maps) result in
+  let pending =
+    List.rev_map (fun b -> Idx.subst_bvar bm (Idx.subst_bexp im b)) (refinements @ cs.pending)
+  in
+  let result = Option.map (Dtype.subst im bm) result in
   (* classify unsolved flexes *)
   let unsolved = List.filter (fun f -> f.fsol = None) cs.flexes in
   let existentials, regeneralised =
@@ -366,6 +299,8 @@ let finish_coerce st ctx cs ?result () =
         not in_result)
       unsolved
   in
+  (* an unsolved flex's sort may mention solved ones *)
+  let sort f = Idx.subst_sort im bm f.fsort in
   (* existential flexes: refinement becomes part of the existential body *)
   let phi =
     Constr.conj_list
@@ -374,7 +309,7 @@ let finish_coerce st ctx cs ?result () =
   let phi =
     List.fold_left
       (fun phi f ->
-        let refinement = Idx.sort_refinement f.fvar f.fsort in
+        let refinement = Idx.sort_refinement f.fvar (sort f) in
         let inner = Constr.conj (Constr.pred refinement) phi in
         if Constr.occurs f.fvar inner then Constr.Exists (f.fvar, Idx.base_sort f.fsort, inner)
         else phi)
@@ -388,7 +323,7 @@ let finish_coerce st ctx cs ?result () =
   | None -> (ctx, None)
   | Some t ->
       let t =
-        List.fold_left (fun t f -> Dtype.Dpi (f.fvar, f.fsort, t)) t regeneralised
+        List.fold_left (fun t f -> Dtype.Dpi (f.fvar, sort f, t)) t regeneralised
       in
       (ctx, Some t)
 
@@ -399,19 +334,13 @@ let subsume st ctx ~loc ~what actual expected =
 
 (* Apply a (possibly Pi-quantified) function type to an argument type.
    [tyvars] gives the ML type variables of the function's scheme with their
-   phase-1 instantiation embeddings, to be refined by dependent matching. *)
+   phase-1 instantiation embeddings, to be refined by dependent matching.
+   The function type's quantifier prefix is opened in one pass: a Pi binder
+   becomes a flex, a Sigma binder a fresh universal. *)
 let apply_type st ctx ~loc ~what ?(tyvars = []) fty argty =
   let cs = new_cstate loc what in
   cs.tyflexes <- List.map (fun (v, fallback) -> { tname = v; tfallback = fallback; tsol = None }) tyvars;
-  let rec strip t =
-    match t with
-    | Dtype.Dpi (v, g, body) ->
-        let f = new_flex cs v g in
-        strip (Dtype.rename v f.fvar body)
-    | Dtype.Dsigma (v, g, body) -> strip (open_actual cs v g body)
-    | t -> t
-  in
-  match strip fty with
+  match Dtype.open_prefix ~pi:(fun v g -> (new_flex cs v g).fvar) ~sigma:(open_actual cs) fty with
   | Dtype.Darrow (dom, cod) -> begin
       coerce cs `Cov argty dom;
       match finish_coerce st ctx cs ~result:cod () with
@@ -481,15 +410,7 @@ let rec pat_dep st ctx (p : Tast.tpat) sty =
         Dtype.subst_tyvars (List.map (fun (v, t) -> (v, Denv.embed ctx.denv t)) inst) condty
       in
       (* refresh and universally introduce the constructor's index params *)
-      let rec strip ctx t =
-        match t with
-        | Dtype.Dpi (v, g, body) ->
-            let v' = Ivar.refresh v in
-            let ctx = push_uni ctx v' g in
-            strip ctx (Dtype.rename v v' body)
-        | t -> (ctx, t)
-      in
-      let ctx, body = strip ctx condty in
+      let ctx, body = push_pis ctx condty in
       let argty, resty =
         match body with
         | Dtype.Darrow (a, r) -> (Some a, r)
@@ -499,9 +420,8 @@ let rec pat_dep st ctx (p : Tast.tpat) sty =
          scrutinee's *)
       let ctx =
         match (resty, sty) with
-        | Dtype.Dcon (_, rtargs, ridxs), Dtype.Dcon (_, stargs, sidxs)
+        | Dtype.Dcon (_, _, ridxs), Dtype.Dcon (_, _, sidxs)
           when List.length ridxs = List.length sidxs ->
-            ignore (List.for_all2 (alpha_eq []) rtargs stargs);
             List.fold_left2
               (fun ctx ri si ->
                 match Dtype.index_eq ri si with
@@ -641,10 +561,9 @@ and syn_short_circuit st ctx ~negate_first a b =
 and check st ctx (e : Tast.texp) expected =
   let loc = e.Tast.tloc in
   match expected with
-  | Dtype.Dpi (v, g, body) ->
-      let v' = Ivar.refresh v in
-      let ctx = push_uni ctx v' g in
-      check st ctx e (Dtype.rename v v' body)
+  | Dtype.Dpi _ ->
+      let ctx, expected = push_pis ctx expected in
+      check st ctx e expected
   | _ -> (
       match e.Tast.tdesc with
       | Tast.TEfn (p, body) -> begin
@@ -752,19 +671,11 @@ and check_dec st ctx (d : Tast.tdec) : ctx =
 
 and check_clause st ctx (fd : Tast.tfundef) (pats, body) sig_ty =
   (* push the signature's Pi prefix, then decompose one arrow per pattern *)
-  let rec strip ctx t =
-    match t with
-    | Dtype.Dpi (v, g, rest) ->
-        let v' = Ivar.refresh v in
-        let ctx = push_uni ctx v' g in
-        strip ctx (Dtype.rename v v' rest)
-    | t -> (ctx, t)
-  in
   let rec go ctx pats t =
     match pats with
     | [] -> check st ctx body t
     | p :: rest -> (
-        let ctx, t = strip ctx t in
+        let ctx, t = push_pis ctx t in
         match t with
         | Dtype.Darrow (dom, cod) ->
             let ctx = pat_dep st ctx p dom in
@@ -773,8 +684,7 @@ and check_clause st ctx (fd : Tast.tfundef) (pats, body) sig_ty =
             err fd.Tast.tfloc "the type of %s has fewer arrows than its clauses have arguments"
               fd.Tast.tfname)
   in
-  let ctx, t = strip ctx sig_ty in
-  go ctx pats t
+  go ctx pats sig_ty
 
 and bind_pattern st ctx (p : Tast.tpat) ty scheme =
   match p.Tast.tpdesc with

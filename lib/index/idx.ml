@@ -134,6 +134,16 @@ let rec subst_bvar s = function
   | Band (a, b) -> band (subst_bvar s a) (subst_bvar s b)
   | Bor (a, b) -> bor (subst_bvar s a) (subst_bvar s b)
 
+let subst_sort im bm g =
+  let rec go im bm = function
+    | (Sint | Sbool) as g -> g
+    | Ssubset (a, g, cond) ->
+        let im = Ivar.Map.remove a im and bm = Ivar.Map.remove a bm in
+        let cond = subst_bexp im cond in
+        Ssubset (a, go im bm g, if Ivar.Map.is_empty bm then cond else subst_bvar bm cond)
+  in
+  if Ivar.Map.is_empty im && Ivar.Map.is_empty bm then g else go im bm g
+
 let sort_refinement a g =
   let rec go a = function
     | Sint | Sbool -> Bconst true

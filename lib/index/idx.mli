@@ -92,6 +92,11 @@ val subst_bvar : bexp Ivar.Map.t -> bexp -> bexp
 (** Substitution of boolean index expressions for boolean index variables
     ([Bvar] occurrences). *)
 
+val subst_sort : iexp Ivar.Map.t -> bexp Ivar.Map.t -> sort -> sort
+(** [subst_sort im bm g] substitutes in the sort's conditions, integer and
+    boolean occurrences at once; a subset binder hides its own variable
+    from everything under it.  With both maps empty, [g] itself. *)
+
 val equal_iexp : iexp -> iexp -> bool
 val equal_bexp : bexp -> bexp -> bool
 

@@ -26,9 +26,6 @@ val bind : env -> (string * Mltype.scheme) list -> env
     the incremental checker inserts the stored bindings of a declaration it
     does not re-infer. *)
 
-val infer_exp : env -> Ast.exp -> Tast.texp
-(** @raise Type_error *)
-
 val infer_dec : env -> Ast.dec -> env * Tast.tdec
 
 val infer_program : env -> Ast.program -> env * Tast.tprogram

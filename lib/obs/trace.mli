@@ -7,8 +7,8 @@
     span times, budget deadlines and the pipeline's aggregate timings are
     directly comparable.
 
-    When no sink is installed (the default), {!start} returns the shared
-    {!null_span} and every other operation is a single pointer test: the
+    When no sink is installed (the default), {!start} returns a shared
+    inert span and every other operation is a single pointer test: the
     disabled path allocates nothing, which is what keeps tracing free for
     the production/benchmark configuration.  Tracing is enabled by [dmlc
     --trace FILE] and [--json], which install a sink for the duration of the
@@ -34,16 +34,14 @@ val current_sink : unit -> sink option
 
 val enabled : unit -> bool
 
-val null_span : span
-(** The inert span returned by {!start} when tracing is disabled. *)
-
 val real : span -> bool
-(** [false] exactly on {!null_span}: guard for attribute computations that
-    are themselves costly. *)
+(** [false] exactly on the inert span {!start} returns when tracing is
+    disabled: guard for attribute computations that are themselves
+    costly. *)
 
 val start : string -> span
 (** Open a span.  With no sink installed this is one branch and returns
-    {!null_span} without allocating. *)
+    the inert span without allocating. *)
 
 val set : span -> string -> Json.t -> unit
 (** Attach an attribute (last write to a key wins at serialization). *)
@@ -69,7 +67,7 @@ val adopt : span -> unit
     data, so a completed tree survives [Marshal]: the worker pool collects
     the spans recorded inside a worker process and the parent adopts them,
     keeping [--trace]/[--json] complete under [-j N].  No-op without a sink
-    or on {!null_span}. *)
+    or on the inert span. *)
 
 val span_name : span -> string
 

@@ -42,7 +42,9 @@
 
     Error codes: ["bad-json"] (unparseable payload), ["bad-request"]
     (envelope/field errors), ["unknown-base"] (a [check_patch] named a base
-    source id the server has never checked), ["oversized-frame"] (a header
+    source id the server has not successfully checked, or has evicted:
+    the registry keeps the {!Server.memo_capacity} (128) most recently
+    used sources), ["oversized-frame"] (a header
     announcing a negative length or more than {!max_frame}, on either
     transport; the connection is closed: the stream cannot be resynchronized). *)
 

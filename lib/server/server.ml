@@ -14,15 +14,17 @@ let ops = [ "check"; "batch"; "status"; "metrics"; "shutdown" ]
 type incr_store = {
   i_states : (string, Dml_core.Incr.state) Hashtbl.t;
       (** options fingerprint -> per-declaration verdict store *)
-  i_sources : (string, int) Hashtbl.t;
+  i_sources : (string, int) Lru.t;
       (** fingerprint × source id -> unit count of a successfully checked
           source: the registry [base] ids are validated against, and the
-          unit count behind a memo hit's [incr] object *)
+          unit count behind a memo hit's [incr] object.  At most
+          [memo_capacity] sources; an evicted id is an unknown base. *)
 }
 
 (* The response memo holds at most [memo_capacity] documents (20-30 KB
    each for a corpus-sized program); storing into a full memo evicts the
-   least recently used entry. *)
+   least recently used entry.  The [check_patch] base registry has the same
+   bound. *)
 let memo_capacity = 128
 
 type t = {
@@ -64,7 +66,7 @@ let create ?(options = Session.default_options) ?(request_timeout_ms = default_r
     t_dispatch;
     t_incr =
       (if options.Session.op_incremental then
-         Some { i_states = Hashtbl.create 4; i_sources = Hashtbl.create 64 }
+         Some { i_states = Hashtbl.create 4; i_sources = Lru.create memo_capacity }
        else None);
   }
 
@@ -210,14 +212,16 @@ let do_check_patch t ~id ~program ~source ~base ~options =
             let source_id = Digest.to_hex (Digest.string source) in
             let source_key sid = fp ^ ":" ^ sid in
             match base with
-            | Some b when not (Hashtbl.mem inc.i_sources (source_key b)) ->
+            | Some b when Lru.find inc.i_sources (source_key b) = None ->
                 Protocol.error_response ~id ~code:"unknown-base"
                   (Printf.sprintf
-                     "base %S is not the source id of a successful check under these options" b)
+                     "base %S is not the source id of a successful check under these options, or \
+                      has been evicted"
+                     b)
             | _ -> (
                 let key = memo_key ~source_id ~fp ~program in
                 match
-                  (Lru.find t.t_memo key, Hashtbl.find_opt inc.i_sources (source_key source_id))
+                  (Lru.find t.t_memo key, Lru.find inc.i_sources (source_key source_id))
                 with
                 | Some doc, Some units ->
                     memo_response t ~id ~op:"check_patch"
@@ -241,7 +245,7 @@ let do_check_patch t ~id ~program ~source ~base ~options =
                     | Ok (report, stats) ->
                         let doc = Report_json.of_report ~program report in
                         Lru.add t.t_memo key doc;
-                        Hashtbl.replace inc.i_sources (source_key source_id)
+                        Lru.add inc.i_sources (source_key source_id)
                           stats.Dml_core.Incr.st_units;
                         Protocol.ok_response ~id ~op:"check_patch"
                           (Json.Obj

@@ -41,7 +41,9 @@ open Dml_obs
 type t
 
 val memo_capacity : int
-(** 128 — the most result documents the memo keeps. *)
+(** 128 — the most result documents the memo keeps, and the most checked
+    sources the [check_patch] base registry keeps (least recently used
+    evicted first; an evicted id answers ["unknown-base"]). *)
 
 val default_request_timeout_ms : int
 (** 30_000 — the default per-request deadline under a worker pool. *)

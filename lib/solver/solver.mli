@@ -115,7 +115,3 @@ val pp_verdict : Format.formatter -> verdict -> unit
 val verdict_slug : verdict -> string
 (** Machine-readable verdict tag (["valid"], ["not-valid"], ["unsupported"],
     ["timeout"]) used by trace spans and the JSON reports. *)
-
-val rat_model_to_string : Rat.t Ivar.Map.t -> string
-(** Counterexample printer: [name = value] pairs in variable order,
-    integer values without a denominator. *)

@@ -184,6 +184,38 @@ val x = sub(a, 3)
   check_fails "negative index" {|
 val a = array(3, 0)
 val x = sub(a, ~1)
+|};
+  (* n's sort mentions m: applying pick opens both binders, and n's
+     refinement must speak of m's instance, not of the signature's m *)
+  ignore
+    (check_ok "later sort mentions an earlier binder"
+       {|
+fun pick(m, n) = n
+where pick <| {m:nat} {n:nat | n < m} int(m) * int(n) -> int(n)
+val x = pick(5, 3)
+|});
+  check_fails "earlier binder bounds a later one"
+    {|
+fun pick(m, n) = n
+where pick <| {m:nat} {n:nat | n < m} int(m) * int(n) -> int(n)
+val x = pick(3, 5)
+|};
+  (* applied to m alone, pick's type keeps n's binder, whose sort must then
+     speak of the solved m *)
+  ignore
+    (check_ok "partial application keeps a later binder's sort"
+       {|
+fun pick m n = n
+where pick <| {m:nat} {n:nat | n < m} int(m) -> int(n) -> int(n)
+val f = pick 5
+val x = f 3
+|});
+  check_fails "partial application bounds the later binder"
+    {|
+fun pick m n = n
+where pick <| {m:nat} {n:nat | n < m} int(m) -> int(n) -> int(n)
+val f = pick 5
+val x = f 7
 |}
 
 let test_update () =
@@ -362,6 +394,44 @@ where halves <| {n:nat} int(n) -> [p:nat, q:nat | p + q = n] (int(p) * int(q))
 |}
 
 
+(* --- Substitution into dependent types ------------------------------------------- *)
+
+let test_dtype_subst () =
+  let open Dml_index in
+  let a = Ivar.fresh "a" and c = Ivar.fresh "c" and p = Ivar.fresh "p" and q = Ivar.fresh "q" in
+  let seven = Idx.Iconst 7 and nine = Idx.Iconst 9 in
+  let ints l = List.fold_left (fun m (v, e) -> Ivar.Map.add v e m) Ivar.Map.empty l in
+  let check what want got =
+    Alcotest.(check string) what (Dtype.to_string want) (Dtype.to_string got);
+    Alcotest.(check bool) (what ^ " (structurally)") true (want = got)
+  in
+  (* a Pi binder hides its own variable; the occurrence outside it is replaced *)
+  let shadow = Dtype.Dpi (a, Idx.Sint, Dtype.int_ (Idx.Ivar a)) in
+  check "shadowing Pi binder"
+    (Dtype.Darrow (Dtype.int_ seven, shadow))
+    (Dtype.subst (ints [ (a, seven) ]) Ivar.Map.empty
+       (Dtype.Darrow (Dtype.int_ (Idx.Ivar a), shadow)));
+  (* a subset sort's binder hides its own variable from its condition *)
+  let sort x = Idx.Ssubset (a, Idx.Sint, Idx.cmp Idx.Rlt (Idx.Ivar a) x) in
+  check "subset-sort binder"
+    (Dtype.Dsigma (p, sort nine, Dtype.int_ (Idx.Ivar p)))
+    (Dtype.subst (ints [ (a, seven); (c, nine) ]) Ivar.Map.empty
+       (Dtype.Dsigma (p, sort (Idx.Ivar c), Dtype.int_ (Idx.Ivar p))));
+  (* a bool-sorted variable is renamed at its Bvar occurrences, by subst
+     and by the prefix opener alike *)
+  let renamed = Dtype.bool_ (Idx.bnot (Idx.Bvar q)) in
+  check "bool-sorted variable"
+    renamed
+    (Dtype.subst (ints [ (p, Idx.Ivar q) ]) (Ivar.Map.singleton p (Idx.Bvar q))
+       (Dtype.bool_ (Idx.bnot (Idx.Bvar p))));
+  check "bool-sorted binder opened"
+    renamed
+    (Dtype.open_prefix
+       ~pi:(fun _ _ -> q)
+       (Dtype.Dpi (p, Idx.Sbool, Dtype.bool_ (Idx.bnot (Idx.Bvar p)))));
+  Alcotest.(check bool) "empty maps return the type itself" true
+    (Dtype.subst Ivar.Map.empty Ivar.Map.empty shadow == shadow)
+
 (* --- Elaboration golden ----------------------------------------------------- *)
 
 (* Every corpus program and its erased twin, elaborated through the
@@ -452,6 +522,7 @@ let () =
             test_bool_singleton_through_case;
           Alcotest.test_case "indexed element types" `Quick test_indexed_element_type_preserved;
           Alcotest.test_case "existential pairs" `Quick test_sigma_pair_binding;
+          Alcotest.test_case "substitution into types" `Quick test_dtype_subst;
         ] );
       ( "static errors",
         [ Alcotest.test_case "resolution errors" `Quick test_static_errors ] );

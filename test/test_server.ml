@@ -581,6 +581,22 @@ let test_memo_bounded () =
   Alcotest.(check bool) "reverting to the previous source is a memo hit" true
     (J.member "memo" r = Some (J.Bool true))
 
+(* The base registry is bounded like the memo: once more sources than it
+   holds have been checked since, the first one is evicted and naming it as
+   a base is an unknown base, while the newest one still patches. *)
+let test_base_registry_bounded () =
+  let server = Server.create ~options:incr_options () in
+  let src i = Printf.sprintf "val a = array(4, 0)\nval x = sub(a, 2)\nval n = %d\n" i in
+  let first = incr_source_id "first" (Server.handle server (patch_req (src 0))) in
+  let newest = ref first in
+  for i = 1 to Server.memo_capacity do
+    newest := incr_source_id "later" (Server.handle server (patch_req ~base:!newest (src i)))
+  done;
+  expect_error_code "an evicted base" "unknown-base"
+    (Server.handle server (patch_req ~base:first (src 0)));
+  expect_ok "the newest base"
+    (Server.handle server (patch_req ~base:!newest (src (Server.memo_capacity + 1))))
+
 let test_patch_rejections () =
   (* parse-level strictness: the op rejects fields it does not know *)
   check_error_mentions "check_patch unknown field"
@@ -836,6 +852,7 @@ let () =
         [
           Alcotest.test_case "base, patch, revert" `Quick test_patch_roundtrip;
           Alcotest.test_case "bounded memo" `Quick test_memo_bounded;
+          Alcotest.test_case "bounded base registry" `Quick test_base_registry_bounded;
           Alcotest.test_case "strict rejections" `Quick test_patch_rejections;
           Alcotest.test_case "coalescing race" `Quick test_patch_coalescing;
         ] );
