@@ -293,10 +293,7 @@ let () =
               ("timeouts", J.Int (int_at [ "result"; "counters"; "server.timeouts" ] metrics));
               ( "worker_lost",
                 J.Int (int_at [ "result"; "counters"; "server.worker_lost" ] metrics) );
-              ( "cache_quarantined",
-                J.Int (int_at [ "result"; "counters"; "cache.quarantined" ] metrics) );
-              ( "cache_disk_evictions",
-                J.Int (int_at [ "result"; "counters"; "cache.disk_evictions" ] metrics) );
+              ("cache_corrupt", J.Int (int_at [ "result"; "counters"; "cache.corrupt" ] metrics));
             ] );
         ( "pool",
           match Option.bind (J.member "result" status) (J.member "pool") with

@@ -21,22 +21,35 @@
     a proven one or vice versa beyond what re-running the solver with the
     same resources would produce; with unlimited budgets cache-on and
     cache-off verdicts are identical (the oracle property tested in
-    [test_cache.ml]). *)
+    [test_cache.ml]).
+
+    The cache is an {!Lru} memo of 4,096 entries, in front of an optional
+    verdict log: one append-only file per directory, every record carrying
+    its length and an MD5 checksum.  One scan on [create] indexes the log,
+    and a lookup that misses the index first reads whatever other
+    processes appended since.  A torn, truncated, bit-flipped or foreign
+    record is counted as corrupt and reads as a miss; the records after it
+    still hit.  A damaged or unwritable directory degrades to a cold or
+    memory-only cache, never to an exception. *)
 
 open Dml_constr
 
-type verdict = Store.verdict =
+type verdict =
   | Valid
   | Not_valid of string
   | Unsupported of string
   | Timeout of string
+(** A solver verdict; the solver's own type ({!Dml_solver.Solver.verdict}
+    re-exports this one and documents the constructors). *)
 
-type config = { dir : string option  (** persistent on-disk store ([--cache-dir]) *) }
+type config = { dir : string option  (** the verdict log's directory ([--cache-dir]) *) }
 
 val default_config : config
-(** No persistent layer.  The memo table holds {!Store.memo_capacity}
-    entries; a persistent directory is capped at {!Store.disk_byte_cap} /
-    {!Store.disk_entry_cap}. *)
+(** No verdict log: a memory-only cache. *)
+
+val log_cap : int
+(** The verdict log's byte cap, 8 MiB.  A log found over it on [create]
+    starts over, and so does the log that an append takes past it. *)
 
 type snapshot = {
   s_hits : int;  (** lookups answered from the cache *)
@@ -44,12 +57,10 @@ type snapshot = {
   s_misses : int;  (** lookups that fell through to the solver *)
   s_stores : int;  (** verdicts recorded *)
   s_evictions : int;  (** LRU evictions *)
-  s_corrupt : int;  (** corrupt disk entries treated as misses *)
-  s_quarantined : int;  (** corrupt entries renamed aside ([*.bad]) *)
-  s_disk_evictions : int;  (** files deleted by the capacity sweep *)
+  s_corrupt : int;  (** damaged log records, read as misses *)
   s_entries : int;  (** memo-table entries right now *)
-  s_lookup_time : float;  (** seconds spent in cache lookups (incl. disk reads) *)
-  s_persist_time : float;  (** seconds spent reading/writing the disk layer *)
+  s_lookup_time : float;  (** seconds spent in cache lookups (incl. log reads) *)
+  s_persist_time : float;  (** seconds spent reading and appending the log *)
 }
 
 type t
@@ -82,3 +93,9 @@ val config_to_json : config -> Dml_obs.Json.t
 val digest_goal : Constr.goal -> string
 (** {!Canon.digest}, re-exported so clients need not depend on the
     canonicalizer directly. *)
+
+val write_fault_injection : (Unix.file_descr -> unit) ref
+(** Test-only seam, called with the open log descriptor before each
+    append.  Raising [Unix_error] or [Sys_error] from it exercises the
+    failure path, which closes the descriptor and keeps the verdict in
+    memory.  Reset it to [ignore] after use. *)

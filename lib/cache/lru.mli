@@ -1,6 +1,6 @@
 (** A bounded table that evicts its least recently used entry: a hash
     table plus a doubly-linked recency list, every operation O(1).  The
-    verdict store's memo layer, the [dmld] response memo and the
+    verdict cache's memo, the [dmld] response memo and the
     incremental checker's unit store are all one of these. *)
 
 type ('k, 'v) t

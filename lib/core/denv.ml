@@ -98,7 +98,6 @@ and bool_of scope si =
   | Rbool b -> b
   | Rint _ -> errf "expected a boolean index expression"
 
-let resolve_iexp = int_of
 let resolve_bexp = bool_of
 
 (* --- quantifier groups ----------------------------------------------------- *)

@@ -29,13 +29,9 @@ type t = {
 val builtin : Tyenv.t -> t
 (** Knows [int : int], [bool : bool], ['a array : nat] and [unit]. *)
 
-val resolve_sort : string -> Idx.sort
-(** ["int"], ["bool"] or ["nat"].  @raise Error otherwise. *)
-
 type iscope = (Ivar.t * Idx.sort) SMap.t
 (** Index variables in scope during type resolution. *)
 
-val resolve_iexp : iscope -> Ast.sindex -> Idx.iexp
 val resolve_bexp : iscope -> Ast.sindex -> Idx.bexp
 
 val resolve_stype : t -> iscope -> Ast.stype -> Dtype.t

@@ -7,10 +7,6 @@
     itself, and the verified counterexample assignment when the solver
     reconstructed one. *)
 
-val render_obligation :
-  src:string -> Pipeline.checked_obligation -> string option
-(** [None] when the obligation is proven; otherwise a multi-line report. *)
-
 val render_report : src:string -> Pipeline.report -> string
 (** All unproven obligations of a report, or a one-line success summary. *)
 

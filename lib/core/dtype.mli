@@ -65,4 +65,3 @@ val index_eq : index -> index -> Idx.bexp
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
-val pp_index : Format.formatter -> index -> unit

@@ -113,36 +113,23 @@ let rec names_pat acc p =
   | Pcon (c, None) -> c :: acc
   | Pcon (c, Some p) -> names_pat (c :: acc) p
 
-let rec names_exp acc e =
-  match e.edesc with
-  | Eint _ | Ebool _ | Echar _ | Estring _ -> acc
-  | Evar x -> x :: acc
-  | Etuple es -> List.fold_left names_exp acc es
-  | Eapp (a, b) | Eandalso (a, b) | Eorelse (a, b) -> names_exp (names_exp acc a) b
-  | Eif (a, b, c) -> names_exp (names_exp (names_exp acc a) b) c
-  | Ecase (e, arms) | Ehandle (e, arms) ->
-      List.fold_left
-        (fun acc (p, body) -> names_exp (names_pat acc p) body)
-        (names_exp acc e) arms
-  | Efn (p, body) -> names_exp (names_pat acc p) body
-  | Elet (ds, body) -> names_exp (List.fold_left names_dec acc ds) body
-  | Eannot (e, t) -> names_stype (names_exp acc e) t
-  | Eraise e -> names_exp acc e
-
-and names_dec acc d =
-  match d.ddesc with
-  | Dval (p, e, ann) -> names_stype_opt (names_exp (names_pat acc p) e) ann
-  | Dfun fds -> List.fold_left names_fundef acc fds
-  | Dexception (n, t) -> names_stype_opt (n :: acc) t
-
-and names_fundef acc fd =
-  let acc = List.fold_left names_quant (fd.fname :: acc) fd.fiparams in
-  let acc =
-    List.fold_left
-      (fun acc (ps, body) -> names_exp (List.fold_left names_pat acc ps) body)
-      acc fd.fclauses
+(* Over the one-level walkers of {!Ast}, built once per declaration *)
+let names_dec d =
+  let acc = ref [] in
+  let pat p = acc := names_pat !acc p and typ t = acc := names_stype !acc t in
+  let rec exp e =
+    (match e.edesc with Evar x -> acc := x :: !acc | _ -> ());
+    iter_exp ~pat ~typ ~exp ~dec e
+  and dec d =
+    (match d.ddesc with
+    | Dval _ -> ()
+    | Dfun fds ->
+        List.iter (fun fd -> acc := List.fold_left names_quant (fd.fname :: !acc) fd.fiparams) fds
+    | Dexception (n, _) -> acc := n :: !acc);
+    iter_dec ~pat ~typ ~exp d
   in
-  names_stype_opt acc fd.fannot
+  dec d;
+  !acc
 
 let mentioned_top = function
   | Tdatatype d ->
@@ -157,7 +144,7 @@ let mentioned_top = function
   | Tassert asserts ->
       List.fold_left (fun acc (n, t) -> names_stype (n :: acc) t) [] asserts
   | Ttypedef (n, t) -> names_stype [ n ] t
-  | Tdec d -> names_dec [] d
+  | Tdec d -> names_dec d
 
 (* The names a unit defines for the units after it.  An [assert] counts as
    a definer too: a later [fun f] carries the asserted signature, so it

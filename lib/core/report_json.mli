@@ -17,9 +17,6 @@ val solver_stats_to_json : Solver.stats -> Dml_obs.Json.t
     [overflow_escalations] and [fm.pair_refuted] keys appear only when
     non-zero. *)
 
-val obligation_to_json : Pipeline.checked_obligation -> Dml_obs.Json.t
-(** One ["obligations"] element: what, loc, verdict (+detail), duration. *)
-
 val of_report :
   ?schema:string ->
   program:string ->

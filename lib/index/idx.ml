@@ -138,9 +138,11 @@ let subst_sort im bm g =
   let rec go im bm = function
     | (Sint | Sbool) as g -> g
     | Ssubset (a, g, cond) ->
+        (* [a] scopes over [cond] only, as in [occurs_sort] *)
+        let g = go im bm g in
         let im = Ivar.Map.remove a im and bm = Ivar.Map.remove a bm in
         let cond = subst_bexp im cond in
-        Ssubset (a, go im bm g, if Ivar.Map.is_empty bm then cond else subst_bvar bm cond)
+        Ssubset (a, g, if Ivar.Map.is_empty bm then cond else subst_bvar bm cond)
   in
   if Ivar.Map.is_empty im && Ivar.Map.is_empty bm then g else go im bm g
 

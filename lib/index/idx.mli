@@ -95,7 +95,8 @@ val subst_bvar : bexp Ivar.Map.t -> bexp -> bexp
 val subst_sort : iexp Ivar.Map.t -> bexp Ivar.Map.t -> sort -> sort
 (** [subst_sort im bm g] substitutes in the sort's conditions, integer and
     boolean occurrences at once; a subset binder hides its own variable
-    from everything under it.  With both maps empty, [g] itself. *)
+    from its own condition only, not from its inner sort.  With both maps
+    empty, [g] itself. *)
 
 val equal_iexp : iexp -> iexp -> bool
 val equal_bexp : bexp -> bexp -> bool

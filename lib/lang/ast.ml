@@ -132,12 +132,14 @@ let unit_exp loc = mk_exp (Etuple []) loc
 let unit_pat loc = mk_pat (Ptuple []) loc
 
 (* One-level traversals: [iter_exp] applies [exp] to each immediate
-   sub-expression of a node and [dec] to each immediate declaration, in
-   source order; [map_exp] rebuilds the node from their images (the order
-   in which it applies them is unspecified, so they should be pure).  A
-   pass over the whole tree matches the nodes it treats specially and
-   hands every other node to one of these, passing itself back in. *)
-let iter_exp ~exp ~dec e =
+   sub-expression of a node, [dec] to each immediate declaration, and the
+   optional [pat] and [typ] to the patterns and type annotations the node
+   itself carries; [map_exp] rebuilds the node from the images of its
+   sub-expressions and declarations (the order in which it applies them
+   is unspecified, so they should be pure).  A pass over the whole tree
+   matches the nodes it treats specially and hands every other node to
+   one of these, passing itself back in. *)
+let iter_exp ?(pat = ignore) ?(typ = ignore) ~exp ~dec e =
   match e.edesc with
   | Eint _ | Ebool _ | Echar _ | Estring _ | Evar _ -> ()
   | Etuple es -> List.iter exp es
@@ -150,17 +152,39 @@ let iter_exp ~exp ~dec e =
       exp c
   | Ecase (a, arms) | Ehandle (a, arms) ->
       exp a;
-      List.iter (fun (_, b) -> exp b) arms
-  | Efn (_, a) | Eannot (a, _) | Eraise a -> exp a
+      List.iter
+        (fun (p, b) ->
+          pat p;
+          exp b)
+        arms
+  | Efn (p, a) ->
+      pat p;
+      exp a
+  | Eannot (a, t) ->
+      exp a;
+      typ t
+  | Eraise a -> exp a
   | Elet (ds, b) ->
       List.iter dec ds;
       exp b
 
-let iter_dec ~exp d =
+let iter_dec ?(pat = ignore) ?(typ = ignore) ~exp d =
   match d.ddesc with
-  | Dval (_, e, _) -> exp e
-  | Dfun fds -> List.iter (fun fd -> List.iter (fun (_, e) -> exp e) fd.fclauses) fds
-  | Dexception _ -> ()
+  | Dval (p, e, t) ->
+      pat p;
+      exp e;
+      Option.iter typ t
+  | Dfun fds ->
+      List.iter
+        (fun fd ->
+          List.iter
+            (fun (ps, e) ->
+              List.iter pat ps;
+              exp e)
+            fd.fclauses;
+          Option.iter typ fd.fannot)
+        fds
+  | Dexception (_, t) -> Option.iter typ t
 
 let map_exp ~exp ~dec e =
   let arms = List.map (fun (p, b) -> (p, exp b)) in

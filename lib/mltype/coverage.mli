@@ -4,10 +4,6 @@
     SML compilers warn on both; our fragment does the same so pattern
     compilation without tag checks rests on an explicit analysis. *)
 
-val useful : Tyenv.t -> Tast.tpat list list -> Tast.tpat list -> bool
-(** [useful tyenv matrix row] — would [row] match some value no row of
-    [matrix] matches?  (Variables count as wildcards.)  Exposed for tests. *)
-
 val check_rows : Tyenv.t -> arity:int -> Tast.tpat list list -> (int list, unit) result
 (** Analyse a pattern matrix (one row per clause/arm).
     [Ok redundant_rows] when the matrix is exhaustive ([redundant_rows] are

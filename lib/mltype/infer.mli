@@ -26,11 +26,6 @@ val bind : env -> (string * Mltype.scheme) list -> env
     the incremental checker inserts the stored bindings of a declaration it
     does not re-infer. *)
 
-val infer_dec : env -> Ast.dec -> env * Tast.tdec
-
 val infer_program : env -> Ast.program -> env * Tast.tprogram
 (** Processes the whole program; the returned typed AST is fully zonked. *)
 
-val is_syntactic_value : Tyenv.t -> Ast.exp -> bool
-(** The value restriction's notion of non-expansive expression (constructor
-    status decides whether an application is a value). *)

@@ -130,22 +130,6 @@ let rec zonk t =
   | Ttuple ts -> Ttuple (List.map zonk ts)
   | Tarrow (a, b) -> Tarrow (zonk a, zonk b)
 
-let free_ids t =
-  let acc = ref [] in
-  let rec go t =
-    match repr t with
-    | Tvar { contents = Unbound (id, _) } -> if not (List.mem id !acc) then acc := id :: !acc
-    | Tvar _ -> assert false
-    | Tqvar _ -> ()
-    | Tcon (_, args) -> List.iter go args
-    | Ttuple ts -> List.iter go ts
-    | Tarrow (a, b) ->
-        go a;
-        go b
-  in
-  go t;
-  List.rev !acc
-
 (* Precedence: arrow 0, tuple 1, application/atom 2. *)
 let rec pp_prec prec fmt t =
   let open Format in

@@ -29,11 +29,6 @@ exception Unify_error of t * t
 val unify : t -> t -> unit
 (** @raise Unify_error on a constructor clash or occurs-check failure. *)
 
-val occurs_or_adjust : tv ref -> int -> t -> bool
-(** [occurs_or_adjust r level t] is true when [r] occurs in [t]; as a side
-    effect lowers the level of unbound variables in [t] to [level] (exposed
-    for tests). *)
-
 type scheme = { svars : string list; sbody : t }
 (** Quantified type: the [svars] are [Tqvar] names bound in [sbody]. *)
 
@@ -52,9 +47,6 @@ val instantiate_mapped : level:int -> scheme -> t * (string * t) list
 val zonk : t -> t
 (** Resolve all links, producing a [Tvar]-free type when fully determined;
     leftover unbound variables are frozen as [Tqvar "_weak<n>"]. *)
-
-val free_ids : t -> int list
-(** Ids of unbound unification variables (after repr). *)
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -43,10 +43,9 @@ val start : string -> span
 (** Open a span.  With no sink installed this is one branch and returns
     the inert span without allocating. *)
 
-val set : span -> string -> Json.t -> unit
+val set_str : span -> string -> string -> unit
 (** Attach an attribute (last write to a key wins at serialization). *)
 
-val set_str : span -> string -> string -> unit
 val set_int : span -> string -> int -> unit
 val set_bool : span -> string -> bool -> unit
 

@@ -72,7 +72,6 @@ let create ?(options = Session.default_options) ?(request_timeout_ms = default_r
 
 let session t = t.t_session
 let stopping t = t.t_stop
-let pooled t = t.t_dispatch <> None
 
 let count_request t op =
   match Hashtbl.find_opt t.t_requests op with

@@ -67,9 +67,6 @@ val session : t -> Dml_core.Session.t
 val stopping : t -> bool
 (** Set by a [shutdown] request; the serve loops exit after responding. *)
 
-val pooled : t -> bool
-(** Whether a worker pool backs this server. *)
-
 val handle : t -> Json.t -> Json.t
 (** Decode one request document and produce its response envelope —
     transport-independent (the stdio loop and in-process tests call this).

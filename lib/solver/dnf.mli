@@ -19,13 +19,10 @@ type literal =
 
 exception Too_large
 
-val max_disjuncts : int
-(** Hard cap on the DNF size; {!dnf} raises {!Too_large} beyond it. *)
-
 val dnf : ?budget:Budget.t -> Idx.bexp -> literal list list
 (** [dnf b] is the list of disjuncts of the DNF of [b].  An empty list means
     [b] is unsatisfiable (identically false); a disjunct with no literals is
     identically true.  With [?budget], every intermediate expansion charges
     its size in fuel units.
-    @raise Too_large when the expansion exceeds {!max_disjuncts}.
+    @raise Too_large when the expansion exceeds 20,000 disjuncts.
     @raise Budget.Exhausted when the budget runs out first. *)

@@ -1,9 +1,9 @@
 (* The constraint-verdict cache: canonicalization identifies goals up to
-   alpha-renaming, conjunct order and integer-equivalent atoms; the store
-   evicts LRU and survives (or gracefully ignores) a damaged disk layer;
-   tier rules keep reuse sound; and the oracle property — cache-on and
-   cache-off produce identical verdicts — holds over the whole benchmark
-   corpus and over generated token soup. *)
+   alpha-renaming, conjunct order and integer-equivalent atoms; the memo
+   evicts LRU; the verdict log survives concurrent writers and reads
+   damage as misses; tier rules keep reuse sound; and the oracle property
+   — cache-on and cache-off produce identical verdicts — holds over the
+   whole benchmark corpus and over generated token soup. *)
 
 open Dml_index
 open Dml_constr
@@ -229,30 +229,29 @@ let test_canon_golden () =
 
 (* --- LRU eviction ----------------------------------------------------------- *)
 
-let entry tier verdict = { Store.e_tier = tier; e_verdict = verdict }
-
 let test_lru_eviction () =
-  let s = Store.create ~max_entries:2 () in
-  Store.add s "k1" (entry 1 Store.Valid);
-  Store.add s "k2" (entry 1 Store.Valid);
+  let s = Lru.create 2 in
+  Lru.add s "k1" 1;
+  Lru.add s "k2" 2;
   (* touch k1 so k2 is the least recently used *)
-  ignore (Store.find s "k1");
-  Store.add s "k3" (entry 1 Store.Valid);
-  Alcotest.(check int) "capacity respected" 2 (Store.size s);
-  Alcotest.(check int) "one eviction" 1 (Store.evictions s);
-  Alcotest.(check bool) "LRU key evicted" true (Store.find s "k2" = None);
-  Alcotest.(check bool) "touched key survives" true (Store.find s "k1" <> None);
-  Alcotest.(check bool) "new key present" true (Store.find s "k3" <> None)
+  ignore (Lru.find s "k1");
+  Lru.add s "k3" 3;
+  Alcotest.(check int) "capacity respected" 2 (Lru.length s);
+  Alcotest.(check int) "one eviction" 1 (Lru.evictions s);
+  Alcotest.(check bool) "LRU key evicted" true (Lru.find s "k2" = None);
+  Alcotest.(check bool) "touched key survives" true (Lru.find s "k1" <> None);
+  Alcotest.(check bool) "new key present" true (Lru.find s "k3" <> None)
 
 let test_cache_eviction_counter () =
-  (* the memo table has a fixed size: one digest past it evicts the oldest *)
+  (* the memo table has a fixed size, 4,096 entries: one digest past it
+     evicts the oldest *)
   let c = Cache.create () in
-  for i = 0 to Store.memo_capacity do
+  for i = 0 to 4096 do
     Cache.add c ~digest:(Printf.sprintf "d%d" i) ~method_:"fm" ~tier:1 Cache.Valid
   done;
   let s = Cache.snapshot c in
   Alcotest.(check int) "eviction counted" 1 s.Cache.s_evictions;
-  Alcotest.(check int) "entries bounded" Store.memo_capacity s.Cache.s_entries;
+  Alcotest.(check int) "entries bounded" 4096 s.Cache.s_entries;
   Alcotest.(check bool) "evicted digest misses" true
     (Cache.find c ~digest:"d0" ~method_:"fm" ~tier:1 = None)
 
@@ -284,75 +283,91 @@ let test_tier_rules () =
   Alcotest.(check bool) "method is part of the key" true
     (Cache.find c ~digest:"v" ~method_:"simplex" ~tier:1 = None)
 
-(* --- persistence: roundtrip and damage hygiene -------------------------------- *)
+(* --- persistence: one verdict log per directory -------------------------------- *)
 
 let temp_dir () = Filename.temp_dir "dml-cache-test" ""
+let on dir = Cache.create ~config:{ Cache.dir = Some dir } ()
+let log_of dir = Filename.concat dir "verdicts.log"
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+let write_file path s = Out_channel.with_open_bin path (fun oc -> output_string oc s)
+
+let append_file path s =
+  Out_channel.with_open_gen [ Open_wronly; Open_append; Open_binary ] 0o644 path (fun oc ->
+      output_string oc s)
+
+let put c d = Cache.add c ~digest:d ~method_:"fm" ~tier:1 Cache.Valid
+let hits c d = Cache.find c ~digest:d ~method_:"fm" ~tier:1 = Some Cache.Valid
+let corrupt c = (Cache.snapshot c).Cache.s_corrupt
+let disk_hits c = (Cache.snapshot c).Cache.s_disk_hits
 
 let test_disk_roundtrip () =
   let dir = temp_dir () in
-  let s1 = Store.create ~dir () in
-  Store.add s1 "key" (entry 7 (Store.Not_valid "cex"));
-  let s2 = Store.create ~dir () in
-  (match Store.find s2 "key" with
-  | Some (e, `Disk) ->
-      Alcotest.(check int) "tier survives the roundtrip" 7 e.Store.e_tier;
-      Alcotest.(check bool) "verdict survives the roundtrip" true
-        (e.Store.e_verdict = Store.Not_valid "cex")
-  | Some (_, `Mem) -> Alcotest.fail "fresh store answered from memory"
-  | None -> Alcotest.fail "persisted entry not found");
+  let c1 = on dir in
+  Cache.add c1 ~digest:"d" ~method_:"fm" ~tier:7 (Cache.Timeout "deadline");
+  (* a message with a newline, a tab and backslashes survives the record
+     format *)
+  let msg = "x = 1\n\ty = \"2\\n\" \\" in
+  Cache.add c1 ~digest:"n" ~method_:"fm" ~tier:1 (Cache.Not_valid msg);
+  Alcotest.(check (array string)) "one log file" [| "verdicts.log" |] (Sys.readdir dir);
+  let c2 = on dir in
+  Alcotest.(check bool) "verdict replayed at its tier" true
+    (Cache.find c2 ~digest:"d" ~method_:"fm" ~tier:7 = Some (Cache.Timeout "deadline"));
+  Alcotest.(check bool) "the tier survives the roundtrip" true
+    (Cache.find c2 ~digest:"d" ~method_:"fm" ~tier:8 = None);
+  Alcotest.(check bool) "the message survives the roundtrip" true
+    (Cache.find c2 ~digest:"n" ~method_:"fm" ~tier:1 = Some (Cache.Not_valid msg));
+  Alcotest.(check int) "both read from the log" 2 (disk_hits c2);
   (* the disk hit was promoted: a second lookup is a memo hit *)
-  match Store.find s2 "key" with
-  | Some (_, `Mem) -> ()
-  | _ -> Alcotest.fail "disk hit was not promoted into the memo table"
+  ignore (Cache.find c2 ~digest:"n" ~method_:"fm" ~tier:1);
+  Alcotest.(check int) "promoted into the memo" 2 (disk_hits c2)
 
 let flip_last_byte path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let b = really_input_string ic n in
-  close_in ic;
-  let b = Bytes.of_string b in
+  let b = Bytes.of_string (read_file path) in
+  let n = Bytes.length b in
   Bytes.set b (n - 1) (Char.chr (Char.code (Bytes.get b (n - 1)) lxor 0xff));
-  let oc = open_out_bin path in
-  output_bytes oc b;
-  close_out oc
+  write_file path (Bytes.to_string b)
 
 let test_bit_flip_is_a_miss () =
   let dir = temp_dir () in
-  let s1 = Store.create ~dir () in
-  Store.add s1 "key" (entry 3 Store.Valid);
-  let path = Option.get (Store.disk_file s1 "key") in
-  flip_last_byte path;
-  let s2 = Store.create ~dir () in
-  Alcotest.(check bool) "bit-flipped entry is a miss" true (Store.find s2 "key" = None);
-  Alcotest.(check int) "corruption counted" 1 (Store.corrupt_entries s2)
+  put (on dir) "key";
+  flip_last_byte (log_of dir);
+  let c = on dir in
+  Alcotest.(check bool) "bit-flipped record is a miss" true (not (hits c "key"));
+  Alcotest.(check int) "corruption counted" 1 (corrupt c)
 
+(* A truncated tail cannot be told from a record another process is still
+   writing, so it is a miss but not yet corrupt; once a record follows it,
+   it is. *)
 let test_truncation_is_a_miss () =
   let dir = temp_dir () in
-  let s1 = Store.create ~dir () in
-  Store.add s1 "key" (entry 3 (Store.Timeout "deadline exceeded after a while"));
-  let path = Option.get (Store.disk_file s1 "key") in
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let b = really_input_string ic (n / 2) in
-  close_in ic;
-  let oc = open_out_bin path in
-  output_string oc b;
-  close_out oc;
-  let s2 = Store.create ~dir () in
-  Alcotest.(check bool) "truncated entry is a miss" true (Store.find s2 "key" = None);
-  Alcotest.(check int) "corruption counted" 1 (Store.corrupt_entries s2)
+  let c1 = on dir in
+  Cache.add c1 ~digest:"k1" ~method_:"fm" ~tier:3 (Cache.Timeout "deadline exceeded after a while");
+  let path = log_of dir in
+  let b = read_file path in
+  write_file path (String.sub b 0 (String.length b / 2));
+  let c2 = on dir in
+  Alcotest.(check bool) "truncated record is a miss" true
+    (Cache.find c2 ~digest:"k1" ~method_:"fm" ~tier:3 = None);
+  Alcotest.(check int) "a tail still being written is not corrupt" 0 (corrupt c2);
+  put c1 "k2";
+  Alcotest.(check bool) "the record appended behind it hits" true (hits c2 "k2");
+  Alcotest.(check int) "then the torn tail is corrupt" 1 (corrupt c2)
 
 let test_foreign_file_is_a_miss () =
   let dir = temp_dir () in
-  let s1 = Store.create ~dir () in
-  Store.add s1 "key" (entry 1 Store.Valid);
-  let path = Option.get (Store.disk_file s1 "key") in
-  let oc = open_out_bin path in
-  output_string oc "this is not a cache entry at all\n";
-  close_out oc;
-  let s2 = Store.create ~dir () in
-  Alcotest.(check bool) "foreign file is a miss" true (Store.find s2 "key" = None);
-  Alcotest.(check bool) "corruption counted" true (Store.corrupt_entries s2 >= 1)
+  write_file (log_of dir) "this is not a cache log at all\n";
+  let c1 = on dir in
+  Alcotest.(check bool) "foreign bytes are a miss" true (not (hits c1 "key"));
+  Alcotest.(check int) "corruption counted" 1 (corrupt c1);
+  put c1 "key";
+  (* junk appended without a newline after a whole record *)
+  append_file (log_of dir) "garbage";
+  let c2 = on dir in
+  Alcotest.(check bool) "the record before the junk hits" true (hits c2 "key");
+  put c2 "key2";
+  let c3 = on dir in
+  Alcotest.(check bool) "a record after the junk hits" true (hits c3 "key" && hits c3 "key2");
+  Alcotest.(check int) "each run of junk counted once" 2 (corrupt c3)
 
 let test_cache_level_corruption () =
   let dir = temp_dir () in
@@ -367,102 +382,56 @@ let test_cache_level_corruption () =
   Alcotest.(check int) "snapshot reports the corruption" 1
     (Cache.snapshot c2).Cache.s_corrupt
 
-(* Regression: the temp-file name must be unique per in-flight write even
-   within one process — a pid-only suffix collides when two tasks of the
-   same process write the same key, one renaming the other's half-written
-   file into place.  The fault-injection hook runs while the temp file is
-   open, so [readdir] observes each write's temp name. *)
-let test_tmp_names_unique () =
+(* A record torn in the middle of the log loses itself only: the reader
+   resynchronises at the newline that opens the next record. *)
+let test_torn_record () =
   let dir = temp_dir () in
-  let s = Store.create ~dir () in
-  let seen = ref [] in
-  let capture _oc =
-    Array.iter
-      (fun f -> if not (Filename.check_suffix f ".dmlv") then seen := f :: !seen)
-      (Sys.readdir dir)
-  in
-  Store.write_fault_injection := capture;
-  Fun.protect
-    ~finally:(fun () -> Store.write_fault_injection := (fun _ -> ()))
-    (fun () ->
-      Store.add s "k" (entry 1 Store.Valid);
-      Store.add s "k" (entry 1 Store.Valid));
-  match !seen with
-  | [ b; a ] ->
-      Alcotest.(check bool) "temp names of successive writes differ" true (a <> b)
-  | l -> Alcotest.failf "expected two temp files over two writes, saw %d" (List.length l)
+  let c1 = on dir in
+  List.iter (put c1) [ "k1"; "k2"; "k3" ];
+  let path = log_of dir in
+  let b = read_file path in
+  let second = String.index_from b 1 '\n' in
+  let third = String.index_from b (second + 1) '\n' in
+  write_file path
+    (String.sub b 0 ((second + third) / 2) ^ String.sub b third (String.length b - third));
+  let c2 = on dir in
+  Alcotest.(check bool) "records around it hit" true (hits c2 "k1" && hits c2 "k3");
+  Alcotest.(check bool) "the torn record is a miss" true (not (hits c2 "k2"));
+  Alcotest.(check int) "it alone is corrupt" 1 (corrupt c2)
 
-(* --- crash safety: quarantine, bounded growth, concurrent writers ------------- *)
-
-(* A corrupt entry is not only a miss: it is renamed aside (so it is never
-   re-read and re-rejected on every lookup) and counted. *)
-let test_quarantine () =
+(* A miss reads what other processes appended since the last scan. *)
+let test_sees_other_writers () =
   let dir = temp_dir () in
-  let s1 = Store.create ~dir () in
-  Store.add s1 "key" (entry 3 Store.Valid);
-  let path = Option.get (Store.disk_file s1 "key") in
-  flip_last_byte path;
-  let s2 = Store.create ~dir () in
-  Alcotest.(check bool) "corrupt entry is a miss" true (Store.find s2 "key" = None);
-  Alcotest.(check int) "quarantine counted" 1 (Store.quarantined s2);
-  Alcotest.(check bool) "entry renamed aside" true (Sys.file_exists (path ^ ".bad"));
-  Alcotest.(check bool) "poisoned file gone" false (Sys.file_exists path);
-  (* the slot is writable again, and the rewrite reads back *)
-  Store.add s2 "key" (entry 3 Store.Valid);
-  let s3 = Store.create ~dir () in
-  (match Store.find s3 "key" with
-  | Some (e, `Disk) -> Alcotest.(check int) "rewritten entry reads back" 3 e.Store.e_tier
-  | _ -> Alcotest.fail "rewritten entry not found");
-  Alcotest.(check int) "no further quarantine" 0 (Store.quarantined s3)
+  let reader = on dir in
+  Alcotest.(check bool) "cold" true (not (hits reader "k"));
+  (match Unix.fork () with
+  | 0 ->
+      put (on dir) "k";
+      Unix._exit 0
+  | pid -> ignore (Unix.waitpid [] pid));
+  Alcotest.(check bool) "the other process's verdict hits without reopening" true
+    (hits reader "k");
+  Alcotest.(check int) "read from the log" 1 (disk_hits reader)
 
-let dmlv_files dir =
-  Sys.readdir dir |> Array.to_list |> List.filter (fun f -> Filename.check_suffix f ".dmlv")
+(* --- crash safety: bounded growth, concurrent writers ---------------------------- *)
 
-let test_sweep_cap () =
+let test_log_cap () =
   let dir = temp_dir () in
-  let s = Store.create ~dir ~max_disk_entries:3 () in
-  for i = 1 to 8 do
-    Store.add s (Printf.sprintf "key%d" i) (entry 1 Store.Valid);
-    (* distinct mtimes, so oldest-first is deterministic *)
-    Unix.sleepf 0.01
-  done;
-  Store.sweep s;
-  Alcotest.(check int) "swept down to the entry cap" 3 (List.length (dmlv_files dir));
-  Alcotest.(check bool) "evictions counted" true (Store.disk_evictions s >= 5);
-  (* quarantined copies count toward the cap and age out with everything
-     else: push the directory over again with fresh entries, and the old
-     group — the renamed .bad among it — is what gets reclaimed *)
-  let survivor = List.hd (dmlv_files dir) in
-  Sys.rename (Filename.concat dir survivor) (Filename.concat dir (survivor ^ ".bad"));
-  Unix.sleepf 0.01;
-  for i = 9 to 11 do
-    Store.add s (Printf.sprintf "key%d" i) (entry 1 Store.Valid);
-    Unix.sleepf 0.01
-  done;
-  Store.sweep s;
-  Alcotest.(check bool) "quarantined copy swept under the cap" false
-    (Sys.file_exists (Filename.concat dir (survivor ^ ".bad")));
-  Alcotest.(check int) "still at the cap" 3 (List.length (dmlv_files dir))
+  let path = log_of dir in
+  let size () = (Unix.stat path).Unix.st_size in
+  write_file path (String.make (Cache.log_cap + 1) 'x');
+  let c = on dir in
+  Alcotest.(check int) "a log over the cap starts over at open" 0 (size ());
+  put c "k";
+  Alcotest.(check bool) "and takes records again" true (hits (on dir) "k");
+  write_file path (String.make (Cache.log_cap - 10) 'x');
+  let c = on dir in
+  put c "k2";
+  Alcotest.(check int) "the append that crosses the cap starts it over" 0 (size ());
+  Alcotest.(check bool) "the verdict is still served from memory" true (hits c "k2")
 
-let test_sweep_byte_cap () =
-  let dir = temp_dir () in
-  let s0 = Store.create ~dir () in
-  Store.add s0 "k1" (entry 1 Store.Valid);
-  Unix.sleepf 0.01;
-  Store.add s0 "k2" (entry 1 Store.Valid);
-  let bytes =
-    List.fold_left
-      (fun a f -> a + (Unix.stat (Filename.concat dir f)).Unix.st_size)
-      0 (dmlv_files dir)
-  in
-  (* a budget one byte short of both entries: creating a capped store over
-     the directory sweeps exactly the older one *)
-  let _s = Store.create ~dir ~max_disk_bytes:(bytes - 1) () in
-  Alcotest.(check int) "byte cap enforced at open" 1 (List.length (dmlv_files dir))
-
-(* Many processes writing the same directory — including the same keys —
-   must never produce a torn read: tmp+rename keeps every published entry
-   whole, whichever writer wins. *)
+(* Many processes appending to one log — the same keys included — write
+   whole records: every key reads back and nothing is corrupt. *)
 let test_concurrent_writers () =
   let dir = temp_dir () in
   let n_writers = 4 and n_keys = 25 in
@@ -470,9 +439,10 @@ let test_concurrent_writers () =
     List.init n_writers (fun w ->
         match Unix.fork () with
         | 0 ->
-            let s = Store.create ~dir () in
+            let c = on dir in
             for i = 1 to n_keys do
-              Store.add s (Printf.sprintf "key%d" i) (entry ((w + i) mod 5) Store.Valid)
+              Cache.add c ~digest:(Printf.sprintf "key%d" i) ~method_:"fm"
+                ~tier:((w + i) mod 5) Cache.Valid
             done;
             Unix._exit 0
         | pid -> pid)
@@ -482,17 +452,14 @@ let test_concurrent_writers () =
       let _, status = Unix.waitpid [] pid in
       Alcotest.(check bool) "writer exited cleanly" true (status = Unix.WEXITED 0))
     pids;
-  let s = Store.create ~dir () in
+  let c = on dir in
   for i = 1 to n_keys do
-    match Store.find s (Printf.sprintf "key%d" i) with
-    | Some ({ Store.e_verdict = Store.Valid; _ }, _) -> ()
-    | Some _ -> Alcotest.failf "key%d read back a wrong verdict" i
-    | None -> Alcotest.failf "key%d unreadable after concurrent writes" i
+    if not (hits c (Printf.sprintf "key%d" i)) then
+      Alcotest.failf "key%d unreadable after concurrent writes" i
   done;
-  Alcotest.(check int) "no torn entries" 0 (Store.corrupt_entries s);
-  Alcotest.(check int) "nothing quarantined" 0 (Store.quarantined s);
-  Alcotest.(check int) "every writer's files were counted once" n_keys
-    (List.length (dmlv_files dir))
+  Alcotest.(check int) "no torn records" 0 (corrupt c);
+  Alcotest.(check int) "all from the log" n_keys (disk_hits c);
+  Alcotest.(check (array string)) "one log file" [| "verdicts.log" |] (Sys.readdir dir)
 
 (* --- solver integration ------------------------------------------------------- *)
 
@@ -617,13 +584,12 @@ let () =
           Alcotest.test_case "truncation" `Quick test_truncation_is_a_miss;
           Alcotest.test_case "foreign file" `Quick test_foreign_file_is_a_miss;
           Alcotest.test_case "cache-level corruption" `Quick test_cache_level_corruption;
-          Alcotest.test_case "unique temp names" `Quick test_tmp_names_unique;
+          Alcotest.test_case "torn record mid-log" `Quick test_torn_record;
+          Alcotest.test_case "sees other writers" `Quick test_sees_other_writers;
         ] );
       ( "crash-safety",
         [
-          Alcotest.test_case "quarantine" `Quick test_quarantine;
-          Alcotest.test_case "entry-cap sweep" `Quick test_sweep_cap;
-          Alcotest.test_case "byte-cap sweep" `Quick test_sweep_byte_cap;
+          Alcotest.test_case "log byte cap" `Quick test_log_cap;
           Alcotest.test_case "concurrent writers" `Quick test_concurrent_writers;
         ] );
       ( "solver",

@@ -63,9 +63,7 @@ let exists_ref a g phi =
 
 let rec subst_sort_ref s = function
   | (Sint | Sbool) as g -> g
-  | Ssubset (a, g, b) ->
-      let s = Ivar.Map.remove a s in
-      Ssubset (a, subst_sort_ref s g, subst_bexp s b)
+  | Ssubset (a, g, b) -> Ssubset (a, subst_sort_ref s g, subst_bexp (Ivar.Map.remove a s) b)
 
 let rec subst_ref s phi =
   if Ivar.Map.is_empty s then phi
@@ -160,6 +158,23 @@ let test_subst_skips_binder () =
       Alcotest.(check bool) "bound occurrence follows the binder" true (Ivar.equal a x');
       Alcotest.(check bool) "y replaced by the outer x" true (Ivar.equal b x)
   | other -> Alcotest.failf "unexpected shape: %s" (Constr.to_string other)
+
+(* A subset binder scopes over its own condition only, as in
+   [Idx.occurs_sort]: under [z := e] the [z] free in the inner sort of
+   [{z : {w : bool | w || z >= 1} | 0 <= z}] is substituted, and the bound
+   [z] of the outer condition is not. *)
+let test_subst_sort_scope () =
+  let z = v "z" and w = v "w" in
+  let sort inner outer = Ssubset (z, Ssubset (w, Sbool, inner), outer) in
+  let show g = Format.asprintf "%a" pp_sort g in
+  let g = sort (Bor (Bvar w, Bcmp (Rge, Ivar z, Iconst 1))) (le (Iconst 0) (Ivar z)) in
+  Alcotest.(check string) "integer map reaches the inner sort"
+    (show (sort (Bor (Bvar w, Bcmp (Rge, Iconst 5, Iconst 1))) (le (Iconst 0) (Ivar z))))
+    (show (subst_sort (Ivar.Map.singleton z (Iconst 5)) Ivar.Map.empty g));
+  let g = sort (Bor (Bvar w, Bvar z)) (Bvar z) in
+  Alcotest.(check string) "boolean map reaches the inner sort"
+    (show (sort (bor (Bvar w) (Bconst false)) (Bvar z)))
+    (show (subst_sort Ivar.Map.empty (Ivar.Map.singleton z (Bconst false)) g))
 
 (* --- equation solving --------------------------------------------------- *)
 
@@ -532,6 +547,8 @@ let () =
           Alcotest.test_case "fv and capture-avoiding subst" `Quick test_fv_subst;
           Alcotest.test_case "subst leaves a quantifier's binder alone" `Quick
             test_subst_skips_binder;
+          Alcotest.test_case "subst_sort scopes a subset binder over its condition" `Quick
+            test_subst_sort_scope;
           Alcotest.test_case "size" `Quick test_size;
           Alcotest.test_case "goal extraction" `Quick test_goals_structure;
         ] );

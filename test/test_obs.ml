@@ -298,37 +298,44 @@ let test_time_pair_wall_clock () =
     true (slept >= 0.015);
   Alcotest.(check bool) "the empty side is faster" true (quick < slept)
 
-(* --- regression: persistent-store write failures leak nothing -------------- *)
+(* --- regression: verdict-log write failures leak nothing ------------------ *)
 
 let test_disk_write_fault () =
+  let module Cache = Dml_cache.Cache in
   let dir =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "dml_obs_store_%d" (Unix.getpid ()))
   in
   (try Unix.mkdir dir 0o700 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
   Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-  let st = Dml_cache.Store.create ~dir () in
-  let entry = { Dml_cache.Store.e_tier = 3; e_verdict = Dml_cache.Store.Valid } in
+  let open_cache () = Cache.create ~config:{ Cache.dir = Some dir } () in
+  let c = open_cache () in
+  let put c d = Cache.add c ~digest:d ~method_:"fm" ~tier:3 Cache.Valid in
+  let hits c d = Cache.find c ~digest:d ~method_:"fm" ~tier:3 = Some Cache.Valid in
   let count_fds () = try Array.length (Sys.readdir "/proc/self/fd") with Sys_error _ -> -1 in
-  Dml_cache.Store.write_fault_injection :=
-    (fun _ -> raise (Sys_error "injected write failure"));
+  Cache.write_fault_injection := (fun _ -> raise (Sys_error "injected write failure"));
   let fds_before = count_fds () in
   for i = 1 to 50 do
-    Dml_cache.Store.add st (Printf.sprintf "k%d" i) entry
+    put c (Printf.sprintf "k%d" i)
   done;
   let fds_after = count_fds () in
-  Dml_cache.Store.write_fault_injection := (fun _ -> ());
+  Cache.write_fault_injection := ignore;
   Alcotest.(check bool)
     (Printf.sprintf "no file descriptors leaked (%d -> %d)" fds_before fds_after)
     true
     (fds_before = -1 || fds_after <= fds_before);
-  Alcotest.(check int) "failed writes leave no temp files behind" 0
-    (Array.length (Sys.readdir dir));
-  (* the store still persists once writes succeed again *)
-  Dml_cache.Store.add st "k_ok" entry;
-  (match Dml_cache.Store.disk_file st "k_ok" with
-  | None -> Alcotest.fail "expected a persistent layer"
-  | Some path -> Alcotest.(check bool) "entry persisted after recovery" true (Sys.file_exists path));
+  let bytes =
+    Array.fold_left
+      (fun n f -> n + (Unix.stat (Filename.concat dir f)).Unix.st_size)
+      0 (Sys.readdir dir)
+  in
+  Alcotest.(check int) "failed appends leave no bytes behind" 0 bytes;
+  Alcotest.(check bool) "the verdicts are still served from memory" true (hits c "k1");
+  (* the cache still persists once appends succeed again *)
+  put c "k_ok";
+  let fresh = open_cache () in
+  Alcotest.(check bool) "entry persisted after recovery" true (hits fresh "k_ok");
+  Alcotest.(check int) "read from the log" 1 (Cache.snapshot fresh).Cache.s_disk_hits;
   Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
   Unix.rmdir dir
 
