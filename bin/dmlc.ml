@@ -11,9 +11,10 @@
 
    Shared flag parsing lives in [Cli_options]; every subcommand assembles a
    [Dml_core.Session.t] from its flags and runs the pipeline through it.
-   The JSON documents are built by [Dml_core.Report_json] — the same
-   builders the dmld server uses, which is what keeps server responses
-   byte-identical to one-shot [--json] output. *)
+   The JSON documents are built by [Dml_core.Report_json], a check's through
+   [Dml_infer.Engine.check_json] — the same builders the dmld server uses,
+   which is what keeps server responses byte-identical to one-shot [--json]
+   output. *)
 
 open Cmdliner
 open Dml_core
@@ -21,6 +22,7 @@ open Cli_options
 module J = Dml_obs.Json
 module Trace = Dml_obs.Trace
 module Metrics = Dml_obs.Metrics
+module Engine = Dml_infer.Engine
 
 let print_stats (report : Pipeline.report) =
   let s = report.Pipeline.rp_solver_stats in
@@ -59,55 +61,33 @@ let check_cmd =
         let session =
           Session.create ~options:(session_options ~mode ~infer ~solve:config ~cache_spec ()) ()
         in
-        (* under --infer the document schema bumps to dml-check/2 (it gains
-           the "inferred" object); without it, output stays byte-identical *)
-        let schema = if infer then Some "dml-check/2" else None in
-        let result, sink =
-          with_sink obs (fun () ->
-              if infer then
-                match Dml_infer.Engine.check_s session src with
-                | Error f -> Error f
-                | Ok oc -> Ok (oc.Dml_infer.Engine.oc_report, Some oc)
-              else
-                match Pipeline.check_s session src with
-                | Error f -> Error f
-                | Ok report -> Ok (report, None))
-        in
-        match result with
-        | Error f ->
-            if obs.ob_json then begin
-              emit_json
-                (Report_json.of_failure ?schema ~program:file ~extra:(obs_fields obs sink) f);
-              exit 1
-            end
-            else exit_err (Diagnose.render_failure ~src f)
-        | Ok (report, outcome) ->
-            if obs.ob_json then begin
-              let extra =
-                (match outcome with
-                | Some oc -> [ ("inferred", Dml_infer.Engine.infer_json ~program:file oc) ]
-                | None -> [])
-                @ obs_fields obs sink
-              in
-              emit_json (Report_json.of_report ?schema ~program:file ~extra report);
-              if (not report.Pipeline.rp_valid) && not degrade then exit 1
-            end
-            else begin
+        let result, sink = with_sink obs (fun () -> Engine.check session src) in
+        if obs.ob_json then begin
+          emit_json
+            (Engine.check_json ~extra:(obs_fields obs sink) session ~program:file result);
+          match result with
+          | Ok (report, _) when report.Pipeline.rp_valid || degrade -> ()
+          | _ -> exit 1
+        end
+        else
+          match result with
+          | Error f -> exit_err (Diagnose.render_failure ~src f)
+          | Ok (report, outcome) ->
               Format.printf "%a@." Pipeline.pp_report report;
               (match outcome with
               | None -> ()
               | Some oc ->
-                  let st = oc.Dml_infer.Engine.oc_stats in
+                  let st = oc.Engine.oc_stats in
                   Format.printf
                     "inference: liquid vars=%d rounds=%d qualifiers tested=%d kept=%d@."
-                    st.Dml_infer.Engine.st_liquid_vars st.Dml_infer.Engine.st_iterations
-                    st.Dml_infer.Engine.st_quals_tested st.Dml_infer.Engine.st_quals_kept;
+                    st.Engine.st_liquid_vars st.Engine.st_iterations
+                    st.Engine.st_quals_tested st.Engine.st_quals_kept;
                   List.iter
-                    (fun (fs : Dml_infer.Engine.fun_solution) ->
-                      Format.printf "  inferred %s : %s@." fs.Dml_infer.Engine.fs_fun
-                        fs.Dml_infer.Engine.fs_type)
-                    oc.Dml_infer.Engine.oc_solution;
-                  match oc.Dml_infer.Engine.oc_abandoned with
+                    (fun (fs : Engine.fun_solution) ->
+                      Format.printf "  inferred %s : %s@." fs.Engine.fs_fun
+                        fs.Engine.fs_type)
+                    oc.Engine.oc_solution;
+                  match oc.Engine.oc_abandoned with
                   | Some why -> Format.printf "inference abandoned (checked plainly): %s@." why
                   | None -> ());
               if stats then print_stats report;
@@ -123,8 +103,7 @@ let check_cmd =
                 print_string (Diagnose.render_report ~src report);
                 profile_text obs;
                 if not report.Pipeline.rp_valid then exit 1
-              end
-            end)
+              end)
   in
   let stats_flag =
     let doc = "Print solver and cache counters (goals solved, hits, misses, evictions, \
@@ -223,9 +202,7 @@ let batch_cmd =
          carries none, which keeps it byte-identical across -j widths *)
       let sink = match mode with Runner.Sequential -> sink | Runner.Workers _ -> None in
       emit_json
-        (Runner.batch_json
-           ?schema:(if infer then Some "dml-batch/2" else None)
-           ~profile:obs.ob_profile
+        (Runner.batch_json ~options ~profile:obs.ob_profile
            ~extra:(cache_field @ obs_fields obs sink)
            ~passes ())
     end

@@ -18,8 +18,6 @@ let bool_any =
   let a = Ivar.fresh "b" in
   Dsigma (a, Idx.Sbool, bool_ (Idx.Bvar a))
 
-let unit_ = Dtuple []
-
 let subst_index im bm = function
   | Iint i -> Iint (Idx.subst_iexp im i)
   | Ibool b -> Ibool (Idx.subst_bvar bm (Idx.subst_bexp im b))

@@ -21,7 +21,6 @@ val int_ : Idx.iexp -> t
 
 val bool_ : Idx.bexp -> t
 val bool_any : t
-val unit_ : t
 
 (** {1 Substitution} *)
 
@@ -63,5 +62,4 @@ val index_eq : index -> index -> Idx.bexp
     (equality for integers, equivalence for booleans).
     @raise Invalid_argument when the kinds differ. *)
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

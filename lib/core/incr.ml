@@ -14,7 +14,7 @@
      and lexing and parsing restart after the last unit the prefix fully
      determines and stop where the old suffix resumes at the same line and
      column.  Reused units keep their exact fingerprints, so only the
-     re-parsed ones are hashed;
+     re-parsed ones are pretty-printed, hashed and walked for names;
    - *solving*, the dominant cost of a cold check, runs only for units whose
      digest is not in the store: the dirty cone of the edit;
    - *phases 1 and 2* (ML inference and elaboration) are skipped for every
@@ -53,9 +53,10 @@
 
    The verdict store is keyed by options fingerprint × unit digest, so a
    state may be shared across derived sessions without ever reusing a
-   verdict across differing solver policies.  The front-end products and
-   the kept parse hold only the last successful check's (or parse's) units,
-   so they are bounded by one buffer. *)
+   verdict across differing solver policies; the parse and front-end
+   products do not depend on solving options at all.  They hold only the
+   last successful check's (or parse's) units, so they are bounded by one
+   buffer. *)
 
 open Dml_lang
 open Dml_solver
@@ -181,6 +182,24 @@ let fun_names = function
   | Tdec { ddesc = Dfun fds; _ } -> List.map (fun fd -> fd.fname) fds
   | _ -> []
 
+(* What a unit's digest is made of besides its dependencies' digests: a
+   function of the declaration alone, so a recheck keeps it by exact
+   fingerprint and walks only the re-parsed units. *)
+type summary = {
+  content : string;  (* {!content_digest} *)
+  mentioned : string list;  (* {!mentioned_top}, without duplicates *)
+  defined : string list;  (* {!defined_top} *)
+  a_val : bool;
+}
+
+let summarize top =
+  {
+    content = content_digest top;
+    mentioned = List.sort_uniq String.compare (mentioned_top top);
+    defined = defined_top top;
+    a_val = is_val top;
+  }
+
 (* One digest per declaration, in program order: its content digest plus
    the sorted digests of the latest earlier definer of every mentioned name
    and of every earlier top-level [val].  A name no earlier unit defines
@@ -188,23 +207,23 @@ let fun_names = function
    [val] edges are not about names: a top-level [val] whose type opens
    existential indices pushes universal entries and hypotheses that wrap
    every later obligation, whatever it mentions. *)
-let digests_of_contents prog contents =
+let digests_of_summaries summaries =
   let definer : (string, string) Hashtbl.t = Hashtbl.create 64 in
   let vals = ref [] in
-  List.map2
-    (fun top content ->
+  List.map
+    (fun u ->
       let deps =
-        List.filter_map (Hashtbl.find_opt definer) (mentioned_top top) @ !vals
+        List.filter_map (Hashtbl.find_opt definer) u.mentioned @ !vals
         |> List.sort_uniq String.compare
       in
-      let digest = Digest.to_hex (Digest.string (String.concat "\n" (content :: deps))) in
-      List.iter (fun n -> Hashtbl.replace definer n digest) (defined_top top);
-      if is_val top then vals := digest :: !vals;
+      let digest = Digest.to_hex (Digest.string (String.concat "\n" (u.content :: deps))) in
+      List.iter (fun n -> Hashtbl.replace definer n digest) u.defined;
+      if u.a_val then vals := digest :: !vals;
       digest)
-    prog contents
+    summaries
 
 let unit_digests (prog : Ast.program) : string list =
-  digests_of_contents prog (List.map content_digest prog)
+  digests_of_summaries (List.map summarize prog)
 
 (* ------------------------------------------------------------------ *)
 (* The stores                                                          *)
@@ -252,8 +271,8 @@ type state = {
   mutable fronts : (string, stored_front) Hashtbl.t;
       (* the last successful check's [fun] units, by digest and exact
          fingerprint *)
-  mutable contents : (string, string) Hashtbl.t;
-      (* the last successful check's content digests, by exact fingerprint *)
+  mutable summaries : (string, summary) Hashtbl.t;
+      (* the last successful check's unit summaries, by exact fingerprint *)
 }
 
 let create () =
@@ -261,7 +280,7 @@ let create () =
     store = Dml_cache.Lru.create 0;
     parsed = None;
     fronts = Hashtbl.create 1;
-    contents = Hashtbl.create 1;
+    summaries = Hashtbl.create 1;
   }
 
 let stored_units state = Dml_cache.Lru.length state.store
@@ -370,24 +389,24 @@ let check state session src =
     state.parsed <- Some parsed;
     let user_prog = Reparse.program parsed and spans = Reparse.spans parsed in
     let prelude = Prelude.get () in
-    (* the pretty-printed content digest only for units whose exact form
-       the last check did not see *)
+    (* pretty-print and walk only the units whose exact form the last
+       check did not see *)
     let exacts = Reparse.fingerprints parsed in
-    let contents =
+    let summaries =
       List.map2
         (fun top exact ->
-          match Hashtbl.find_opt state.contents exact with
-          | Some c -> c
-          | None -> content_digest top)
+          match Hashtbl.find_opt state.summaries exact with
+          | Some u -> u
+          | None -> summarize top)
         user_prog exacts
     in
-    let digests = digests_of_contents user_prog contents in
+    let digests = digests_of_summaries summaries in
     let mlenv, user_tprog, ectx, user_obs, fronts, front_reused =
       front_end state.fronts prelude user_prog (List.map2 ( ^ ) digests exacts)
     in
     state.fronts <- fronts;
-    state.contents <- Hashtbl.create 64;
-    List.iter2 (Hashtbl.replace state.contents) exacts contents;
+    state.summaries <- Hashtbl.create 64;
+    List.iter2 (Hashtbl.replace state.summaries) exacts summaries;
     let gen_time = Budget.now () -. t0 in
     let units =
       (false, Lazy.force basis_digest, prelude.obligations)

@@ -23,10 +23,12 @@
     ([test/test_incr.ml]) asserts this byte-for-byte across random patch
     sequences.
 
-    A state must not be shared across option sets that check differently:
+    A state may be shared across option sets that check differently:
     store keys are prefixed with the session's options fingerprint, so a
-    mismatched session never reuses (it only re-solves).  The [dmld] server
-    keeps one state per fingerprint behind the [check_patch] op. *)
+    session never reuses a verdict solved under other options (it only
+    re-solves), while the kept parse and front-end products do not depend
+    on solving options.  The [dmld] server keeps one state, whatever
+    options its [check_patch] requests carry. *)
 
 type state
 

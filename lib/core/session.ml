@@ -79,8 +79,6 @@ let options_to_json o = Json.Obj (options_fields o)
 
 let fingerprint o = Digest.to_hex (Digest.string (Json.to_string (options_to_json o)))
 
-let memo_key o source = Digest.to_hex (Digest.string source) ^ ":" ^ fingerprint o
-
 type t = {
   t_options : options;
   t_cache : Dml_cache.Cache.t option;
@@ -97,8 +95,6 @@ let create ?sink ?cache ?(options = default_options) () =
 
 let options t = t.t_options
 let solve t = t.t_options.op_solve
-let mode t = t.t_options.op_mode
-let strict t = t.t_options.op_mode = Strict
 let cache t = t.t_cache
 let sink t = t.t_sink
 

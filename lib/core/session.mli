@@ -59,9 +59,10 @@ type options = {
       (** run the liquid-qualifier annotation-inference pass
           ({!Dml_infer.Engine}) before checking, so unannotated programs
           still get proven-safe accesses.  Folded into {!fingerprint} (and
-          hence {!memo_key} and the verdict-cache keying) only when set, so
-          inferring and non-inferring checks never share memo entries while
-          every pre-existing fingerprint stays stable. *)
+          hence dmld's {!Dml_server.Server.memo_key} and the verdict-cache
+          keying) only when set, so inferring and non-inferring checks
+          never share memo entries while every pre-existing fingerprint
+          stays stable. *)
   op_incremental : bool;
       (** declaration-grain incremental rechecking ([dmld serve
           --incremental]): the server keeps a per-declaration verdict store
@@ -83,13 +84,6 @@ val fingerprint : options -> string
 (** Digest of {!options_to_json}: equal exactly when two option records
     would check programs identically. *)
 
-val memo_key : options -> string -> string
-(** [memo_key opts source] — the program-level memoization key: source
-    digest × options fingerprint.  Two checks with the same key are
-    guaranteed the same verdict set, which is what lets the [dmld] server
-    answer a repeated [check] of an unchanged program with zero solver
-    calls. *)
-
 (** {1 Sessions} *)
 
 type t
@@ -103,10 +97,6 @@ val create : ?sink:Dml_obs.Trace.sink -> ?cache:Dml_cache.Cache.t -> ?options:op
 
 val options : t -> options
 val solve : t -> solve_config
-val mode : t -> mode
-
-val strict : t -> bool
-(** [mode t = Strict]. *)
 
 val cache : t -> Dml_cache.Cache.t option
 (** The session's verdict cache — shared across every check of the

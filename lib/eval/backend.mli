@@ -57,7 +57,12 @@ val find : string -> t option
 (** Look up by key or alias. *)
 
 val all : unit -> t list
-(** The three platforms, in table order. *)
+(** The three platforms, in table order: {!cost_model}; ["compiled"]
+    (alias ["closure"]), the closure compiler ({!Compile}) in wall-clock
+    seconds; and ["native"], {!Codegen} emitting OCaml source with proven
+    sites as [Array.unsafe_get]/[unsafe_set], compiled with the installed
+    toolchain (it needs {!request.rq_native_driver}, and is unavailable,
+    with a reason, when no toolchain is on PATH). *)
 
 val time_pair : (unit -> unit) -> (unit -> unit) -> float * float
 (** Interleaved paired measurement on the monotonic wall clock
@@ -70,13 +75,3 @@ val cost_model : t
 (** Platform A (["cost-model"], alias ["cycles"]): the closure compiler
     charging its virtual-cycle cost model ({!Compile.initial_costed});
     "times" are virtual megacycles. *)
-
-val compiled : t
-(** Platform B (["compiled"], alias ["closure"]): the closure compiler
-    ({!Compile}), wall-clock seconds. *)
-
-val native : t
-(** Platform C (["native"]): {!Codegen} — emit OCaml source with proven
-    sites as [Array.unsafe_get]/[unsafe_set], compile with the installed
-    toolchain, time the binaries.  Requires {!request.rq_native_driver};
-    unavailable (with a reason) when no toolchain is on PATH. *)

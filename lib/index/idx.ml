@@ -24,9 +24,6 @@ type bexp =
 
 type sort = Sint | Sbool | Ssubset of Ivar.t * sort * bexp
 
-let ivar v = Ivar v
-let iconst n = Iconst n
-
 let iadd a b =
   match (a, b) with
   | Iconst x, Iconst y -> Iconst (x + y)

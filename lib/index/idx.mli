@@ -40,9 +40,6 @@ type sort = Sint | Sbool | Ssubset of Ivar.t * sort * bexp
 
 (** {1 Smart constructors} *)
 
-val ivar : Ivar.t -> iexp
-val iconst : int -> iexp
-
 val iadd : iexp -> iexp -> iexp
 (** Constant-folds when both sides are constants; [e+0 = e]. *)
 
@@ -112,8 +109,6 @@ val eval_iexp : value Ivar.Map.t -> iexp -> int
     @raise Division_by_zero accordingly. *)
 
 val eval_bexp : value Ivar.Map.t -> bexp -> bool
-
-val holds : rel -> int -> int -> bool
 
 (** {1 Printing} *)
 

@@ -10,7 +10,6 @@ let refresh v = fresh v.name
 let name v = v.name
 let compare a b = Int.compare a.id b.id
 let equal a b = a.id = b.id
-let hash v = v.id
 
 let to_string v = v.name
 let pp fmt v = Format.pp_print_string fmt v.name

@@ -13,9 +13,7 @@ val refresh : t -> t
 (** A fresh variable with the same source name. *)
 
 val name : t -> string
-val compare : t -> t -> int
 val equal : t -> t -> bool
-val hash : t -> int
 
 val pp : Format.formatter -> t -> unit
 (** Prints the source name, disambiguated with the id ([n#3]) only when the

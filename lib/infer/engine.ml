@@ -652,3 +652,23 @@ let infer_json ~program oc =
                  ])
              residual) );
     ]
+
+(* The one place that picks a session's checker and its document schema:
+   every surface ([dmlc check], batch rows, [dmld] inline and pooled) runs
+   and renders its checks through these two. *)
+let check session src =
+  if (Session.options session).Session.op_infer then
+    Result.map (fun oc -> (oc.oc_report, Some oc)) (check_s session src)
+  else Result.map (fun rp -> (rp, None)) (Pipeline.check_s session src)
+
+let check_json ?(extra = []) session ~program result =
+  (* dml-check/2 only when the session opted into inference, so every
+     pre-existing consumer keeps seeing byte-identical /1 documents *)
+  let schema = if (Session.options session).Session.op_infer then Some "dml-check/2" else None in
+  match result with
+  | Ok (report, outcome) ->
+      let inferred =
+        match outcome with Some oc -> [ ("inferred", infer_json ~program oc) ] | None -> []
+      in
+      Report_json.of_report ?schema ~program ~extra:(inferred @ extra) report
+  | Error f -> Report_json.of_failure ?schema ~program ~extra f

@@ -75,6 +75,21 @@ val check_s :
     sound).  Never raises; front-end failures of the {e original} program
     are returned as failures exactly like {!Pipeline.check_s}. *)
 
-val infer_json : program:string -> outcome -> Dml_obs.Json.t
-(** The dml-infer/1 trace of the final solution: stats, per-function
-    inferred types and kept qualifiers, and the residual sites. *)
+val check :
+  Session.t -> string -> (Pipeline.report * outcome option, Pipeline.failure) result
+(** The session's checker on one source: {!check_s} when the session's
+    options set [op_infer] (the outcome is [Some]), the plain
+    {!Dml_core.Pipeline.check_s} otherwise ([None]).  [dmlc check], every
+    batch row and [dmld], inline or pooled, check through this one choice. *)
+
+val check_json :
+  ?extra:(string * Dml_obs.Json.t) list ->
+  Session.t ->
+  program:string ->
+  (Pipeline.report * outcome option, Pipeline.failure) result ->
+  Dml_obs.Json.t
+(** The check document of a {!check} result under the same session:
+    [dml-check/1] without [op_infer]; under it [dml-check/2], whose report
+    form carries the [dml-infer/1] trace of the final solution (stats,
+    per-function inferred types and kept qualifiers, residual sites) as
+    ["inferred"].  [extra] fields ([dmlc]'s spans and metrics) follow. *)

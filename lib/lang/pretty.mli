@@ -5,12 +5,7 @@
     equal AST (checked by property tests through {!Equal}). *)
 
 val pp_sindex : Format.formatter -> Ast.sindex -> unit
-val pp_stype : Format.formatter -> Ast.stype -> unit
-val pp_pat : Format.formatter -> Ast.pat -> unit
-val pp_exp : Format.formatter -> Ast.exp -> unit
-val pp_dec : Format.formatter -> Ast.dec -> unit
 val pp_top : Format.formatter -> Ast.top -> unit
-val pp_program : Format.formatter -> Ast.program -> unit
 
 val exp_to_string : Ast.exp -> string
 val stype_to_string : Ast.stype -> string

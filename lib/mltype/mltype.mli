@@ -48,6 +48,5 @@ val zonk : t -> t
 (** Resolve all links, producing a [Tvar]-free type when fully determined;
     leftover unbound variables are frozen as [Tqvar "_weak<n>"]. *)
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 val pp_scheme : Format.formatter -> scheme -> unit

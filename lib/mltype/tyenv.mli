@@ -21,7 +21,6 @@ type t = {
   abbrevs : Ast.stype SMap.t;  (** [type name = t] declarations *)
 }
 
-val empty : t
 val builtin : t
 (** Knows the built-in type families [int], [bool], [array] and [unit]
     (which are not datatypes but are recognised by {!erase}). *)

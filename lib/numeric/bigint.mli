@@ -11,7 +11,6 @@ type t
 
 val zero : t
 val one : t
-val minus_one : t
 
 val of_int : int -> t
 
@@ -39,8 +38,6 @@ val abs : t -> t
 val add : t -> t -> t
 val sub : t -> t -> t
 val mul : t -> t -> t
-val succ : t -> t
-val pred : t -> t
 
 val divmod : t -> t -> t * t
 (** Truncated division: [divmod a b] is [(q, r)] with [a = q*b + r],
@@ -63,9 +60,7 @@ val min : t -> t -> t
 val max : t -> t -> t
 
 val lt : t -> t -> bool
-val le : t -> t -> bool
 val gt : t -> t -> bool
-val ge : t -> t -> bool
 
 val to_bigint : t -> t
 (** The identity: with {!div}, makes [Bigint] a {!Number.S}. *)

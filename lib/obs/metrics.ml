@@ -141,11 +141,6 @@ let sorted_instruments () =
   Hashtbl.fold (fun name instr acc -> (name, instr) :: acc) registry []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let counters () =
-  List.filter_map
-    (fun (name, instr) -> match instr with Counter c -> Some (name, c.c_value) | _ -> None)
-    (sorted_instruments ())
-
 let histogram_json h =
   Json.Obj
     [

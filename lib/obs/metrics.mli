@@ -56,9 +56,6 @@ val absorb : export -> unit
     Total: a name registered under a different instrument kind is skipped
     rather than raised on. *)
 
-val counters : unit -> (string * int) list
-(** Current counter values, sorted by name. *)
-
 val to_json : unit -> Json.t
 (** [{ "schema": "dml-metrics/1", "counters": {name: value, ...},
       "histograms": {name: {count, sum, min, max, buckets}, ...} }],

@@ -9,10 +9,6 @@
     the blocking readers and writers below are built on them, and the
     server's non-blocking socket loop uses the same pair itself. *)
 
-val max_frame : int
-(** Sanity cap on the payload length (bytes).  A header announcing more than
-    this is treated as stream corruption, not an allocation request. *)
-
 val encode : string -> string
 (** The complete frame (header and payload) carrying the given bytes. *)
 
@@ -40,8 +36,9 @@ val decode :
   ?max:int -> decoder -> [ `Frame of string | `Need of int | `Oversized of int ]
 (** Consume the next complete frame and return its payload, or report that
     [n] more bytes are needed before anything can be decided, or that the
-    buffered header announces a length outside [[0, max]] (default
-    {!max_frame}; a length too large for an [int] is reported as
+    buffered header announces a length outside [[0, max]] (default 256 MiB,
+    a sanity cap: a larger header is stream corruption, not an allocation
+    request; a length too large for an [int] is reported as
     [max_int]).  An out-of-range header is never consumed: the stream
     cannot be resynchronized past it. *)
 
@@ -54,7 +51,7 @@ val read_raw :
     connection.  Reads exactly the frame's bytes, never past them. *)
 
 val read : Unix.file_descr -> ('a, [ `Eof | `Error of string ]) result
-(** {!read_raw} at the {!max_frame} cap, then unmarshal; an out-of-range
+(** {!read_raw} at the default 256 MiB cap, then unmarshal; an out-of-range
     header or an unmarshalling failure is [`Error].  The ['a] is whatever
     the writer marshalled — the caller must know the protocol; a type
     mismatch is undefined behaviour exactly as with [Marshal]. *)

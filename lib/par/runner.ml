@@ -27,7 +27,7 @@ type row = { row_name : string; row_result : (summary, string) result }
 
 type mode = Sequential | Workers of int
 
-let summarize ?(inferred = false) (rp : Pipeline.report) =
+let summarize ~inferred (rp : Pipeline.report) =
   let obligation_rows =
     List.map
       (fun (co : Pipeline.checked_obligation) ->
@@ -67,20 +67,14 @@ let worker_options (options : Session.options) =
 let session_for options = Session.create ~options:(worker_options options) ()
 
 (* The one per-program check behind every batch row, in process or in a
-   worker: the inference fixpoint when the session's options set
-   [op_infer], the plain pipeline otherwise. *)
+   worker: the session's checker, {!Dml_infer.Engine.check}. *)
 let check_one session target =
   match target.tg_source with
   | Error msg -> Error msg
-  | Ok src ->
-      if (Session.options session).Session.op_infer then (
-        match Dml_infer.Engine.check_s session src with
-        | Ok oc -> Ok (summarize ~inferred:true oc.Dml_infer.Engine.oc_report)
-        | Error f -> Error (Pipeline.failure_to_string f))
-      else (
-        match Pipeline.check_s session src with
-        | Ok rp -> Ok (summarize rp)
-        | Error f -> Error (Pipeline.failure_to_string f))
+  | Ok src -> (
+      match Dml_infer.Engine.check session src with
+      | Ok (rp, outcome) -> Ok (summarize ~inferred:(Option.is_some outcome) rp)
+      | Error f -> Error (Pipeline.failure_to_string f))
 
 (* Test-only fault injection, keyed by program name through the environment
    (the variables survive the fork): lets the oracle tests provoke a worker
@@ -112,7 +106,7 @@ let error_of_pool_failure = function
 let run_pooled ~jobs ?task_timeout_ms (options : Session.options) targets =
   (* Each worker builds its own cache on first use *after* the fork, from
      the shared [op_cache] config: the memo LRU is private per process,
-     while a [dir] is shared through the store's atomic tmp-rename writes. *)
+     while a [dir]'s verdict log is shared through its [O_APPEND] writes. *)
   let worker_session = lazy (session_for options) in
   let worker target =
     test_injection target.tg_name;
@@ -241,7 +235,9 @@ let aggregate_json ~profile rows =
       ]
     else [])
 
-let batch_json ?(schema = "dml-batch/1") ?(profile = false) ?(extra = []) ~passes () =
+let batch_json ?(profile = false) ?(extra = []) ~options ~passes () =
+  (* only under --infer: every pre-inference document keeps its schema *)
+  let schema = if options.Session.op_infer then "dml-batch/2" else "dml-batch/1" in
   Json.Obj
     ([
       ("schema", Json.String schema);

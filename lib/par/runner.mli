@@ -4,11 +4,11 @@
     In process ([Sequential]), targets are checked in order against one
     session — the caller's when it passes one, so a [dmlc batch --repeat]
     or a warm [dmld] session amortizes across calls.  Under [Workers n],
-    each task is one whole program: a worker runs the full
-    {!Dml_core.Pipeline.check_s} on it against its own verdict cache (built
+    each task is one whole program: a worker runs the session's checker
+    ({!Dml_infer.Engine.check}) on it against its own verdict cache (built
     lazily in the worker from the shared cache {e config}, so a
-    [--cache-dir] is shared through the filesystem's atomic writes while
-    the in-memory LRU stays per-worker).
+    [--cache-dir]'s verdict log is shared through its appends while the
+    in-memory LRU stays per-worker).
 
     Worker loss maps onto a row error: a crashed or expired program task
     becomes that row's ["worker crashed"] / ["worker timed out"], never a
@@ -121,17 +121,18 @@ val rows_json : ?profile:bool -> row list -> Dml_obs.Json.t list
     "solve_s", "gen_s"}]. *)
 
 val batch_json :
-  ?schema:string ->
   ?profile:bool ->
   ?extra:(string * Dml_obs.Json.t) list ->
+  options:Dml_core.Session.options ->
   passes:row list list ->
   unit ->
   Dml_obs.Json.t
 (** The batch document [{schema, passes: [{pass, programs, aggregate}]}],
     with aggregate [{"programs", "failed", "constraints", "goals",
-    "residual"}].  [schema] defaults to ["dml-batch/1"]; callers batching
-    under [--infer] bump it to ["dml-batch/2"], the schema whose rows may
-    carry ["inferred"].  [profile] (default [false]) adds the volatile row
+    "residual"}], for passes checked under [options].  The schema is
+    ["dml-batch/1"], or ["dml-batch/2"] (whose rows may carry
+    ["inferred"]) when [options] set [op_infer].  [profile] (default
+    [false]) adds the volatile row
     fields of {!rows_json} and the aggregate's [{"solver_calls",
     "cache_hits", "cache_misses", "hit_rate_pct", "solve_s", "lookup_s"}];
     without it the document is deterministic.  [extra] fields (the

@@ -1,4 +1,5 @@
-(** The native instance of {!Drivers} ({!Dml_eval.Backend.native}).
+(** The native instance of {!Drivers} (the ["native"] backend,
+    {!Dml_eval.Backend.find}).
 
     [find name] is the driver for the benchmark of that name ({!Programs}'s
     registry names), or [None] for programs without one: OCaml source that

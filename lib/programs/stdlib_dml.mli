@@ -3,12 +3,5 @@
     ([split]), recursion through existential openings ([msort]), div-based
     in-place bounds ([arev]), and length arithmetic across clauses. *)
 
-val lists : string
-(** [append], [map], [zip], [unzip], [take], [drop], [last], [insert]/
-    [isort], [merge], [split], [msort]. *)
-
-val arrays : string
-(** [afill], [amap], [afoldl], [amax], [arev]. *)
-
 val source : string
 (** Both parts, checked as one program. *)

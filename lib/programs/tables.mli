@@ -45,8 +45,7 @@ val table23 : Dml_eval.Backend.t -> scale:int -> (t23_row, string) result list
 (** One row per Table 2/3 program: each is type checked, any unproven
     site degraded to a checked access ({!Dml_core.Pipeline.degraded_pred}),
     and the benchmark handed to the backend's measurement function.  An
-    unavailable backend (e.g. {!Dml_eval.Backend.native} with no
-    toolchain) yields an [Error] row naming the reason. *)
+    unavailable backend (e.g. the ["native"] one with no toolchain) yields an [Error] row naming the reason. *)
 
 val print_table1_rows : Format.formatter -> (t1_row, string) result list -> unit
 (** Print Table 1 from rows of {!table1}. *)

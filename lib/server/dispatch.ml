@@ -1,7 +1,5 @@
 open Dml_obs
 module Session = Dml_core.Session
-module Pipeline = Dml_core.Pipeline
-module Report_json = Dml_core.Report_json
 module Runner = Dml_par.Runner
 module Worker = Dml_par.Worker
 
@@ -27,57 +25,31 @@ let task_label = function
   | T_batch { programs; _ } -> ( match programs with (n, _) :: _ -> n | [] -> "-")
 
 (* The same document builders whether a task runs on a pool worker or
-   inline in the parent: this is what keeps a [-j] server's check documents
-   byte-identical to single-shot [dmlc check --json]. *)
+   inline in the parent, and the same ones [dmlc] uses: this is what keeps
+   a [-j] server's documents byte-identical to single-shot [--json]
+   output. *)
 let check_doc session ~program source =
-  if (Session.options session).Session.op_infer then (
-    (* dml-check/2: same document plus the ["inferred"] solution trace —
-       the schema only moves when the session opted into inference, so
-       every pre-existing consumer keeps seeing byte-identical /1 docs *)
-    match Dml_infer.Engine.check_s session source with
-    | Ok oc ->
-        Report_json.of_report ~schema:"dml-check/2" ~program
-          ~extra:[ ("inferred", Dml_infer.Engine.infer_json ~program oc) ]
-          oc.Dml_infer.Engine.oc_report
-    | Error f -> Report_json.of_failure ~schema:"dml-check/2" ~program f)
-  else
-    match Pipeline.check_s session source with
-    | Ok rp -> Report_json.of_report ~program rp
-    | Error f -> Report_json.of_failure ~program f
+  Dml_infer.Engine.check_json session ~program (Dml_infer.Engine.check session source)
 
 let batch_doc session programs =
   let options = Session.options session in
   let targets =
     List.map (fun (name, src) -> { Runner.tg_name = name; tg_source = Ok src }) programs
   in
-  Runner.batch_json
-    ?schema:(if options.Session.op_infer then Some "dml-batch/2" else None)
-    ~passes:[ Runner.check_targets_s ~session options targets ] ()
+  Runner.batch_json ~options ~passes:[ Runner.check_targets_s ~session options targets ] ()
 
 (* A warm worker, built after the fork: the base session (shared verdict
-   cache, built on first use) plus derived sessions per override
-   fingerprint, all sharing the base cache object — the same soundness
-   argument as the server's own [with_options] path. *)
+   cache, built on first use), from which each task's session is derived
+   by {!Session.with_options} — a record copy sharing the base cache, the
+   same soundness argument as the server's own per-request overrides. *)
 let worker base_options () =
   let base = lazy (Session.create ~options:base_options ()) in
-  let base_fp = Session.fingerprint base_options in
-  let derived : (string, Session.t) Hashtbl.t = Hashtbl.create 4 in
-  let session_for opts =
-    let fp = Session.fingerprint opts in
-    if fp = base_fp then Lazy.force base
-    else
-      match Hashtbl.find_opt derived fp with
-      | Some s -> s
-      | None ->
-          let s = Session.with_options (Lazy.force base) opts in
-          Hashtbl.replace derived fp s;
-          s
-  in
   fun ((opts : Session.options), task) ->
     Runner.test_injection (task_label task);
+    let session = Session.with_options (Lazy.force base) opts in
     match task with
-    | T_check { program; source } -> check_doc (session_for opts) ~program source
-    | T_batch { programs } -> batch_doc (session_for opts) programs
+    | T_check { program; source } -> check_doc session ~program source
+    | T_batch { programs } -> batch_doc session programs
 
 (* ------------------------------------------------------------------ *)
 (* The dispatcher                                                      *)
@@ -188,9 +160,8 @@ let submit t ~now ~options task =
     let j =
       {
         j_id = t.d_next_id;
-        (* strip the parallelism shape here too, so a no-override request
-           fingerprints equal to the workers' base options and reuses their
-           warm base session instead of deriving one *)
+        (* strip the parallelism shape here too: a worker never forks a
+           nested pool *)
         j_options = Runner.worker_options options;
         j_task = task;
         j_submitted = now;

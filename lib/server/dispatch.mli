@@ -5,7 +5,7 @@
     frames, enforces deadlines and reaps.  Workers stay warm across
     requests: each holds a lazily built {!Dml_core.Session.t}; under
     [--cache-dir] its verdict cache persists between tasks, and the shared
-    directory crosses processes through the store's atomic writes.  Jobs arrive one
+    directory's verdict log crosses processes through its appends.  Jobs arrive one
     at a time from the serve loop, and every failure becomes a structured
     outcome rather than a torn-down pool:
 
@@ -28,12 +28,13 @@ type task =
   | T_batch of { programs : (string * string) list }
 
 val check_doc : Dml_core.Session.t -> program:string -> string -> Json.t
-(** The [dml-check/1] document for one source — the single builder used by
-    pool workers and by the server's inline path, so [-j] responses are
+(** The check document for one source, {!Dml_infer.Engine.check_json} of
+    {!Dml_infer.Engine.check}: the builder pool workers and the server's
+    inline path share with [dmlc check --json], so [-j] responses are
     byte-identical to inline ones. *)
 
 val batch_doc : Dml_core.Session.t -> (string * string) list -> Json.t
-(** The [dml-batch/1] document for a named-program list, from
+(** The [dml-batch] document for a named-program list, from
     {!Dml_par.Runner.check_targets_s}: in process against the given
     (warm) session, or pooled when the session's options ask for
     parallelism. *)

@@ -4,8 +4,11 @@
     {!Dml_par.Frame.read_raw} — the worker pool's framing discipline with a
     verbatim payload) whose payload is one UTF-8 JSON document
     ({!Dml_obs.Json}), over a Unix-domain socket or stdin/stdout
-    ([dmld --stdio]).  One request frame yields exactly one response frame,
-    in order; a connection may pipeline requests.
+    ([dmld --stdio]).  One request frame yields exactly one response frame;
+    a connection may pipeline requests.  Without a worker pool responses
+    come back in request order; with one, a memo hit or [status] may
+    overtake an in-flight check, so clients correlate by the envelope
+    ["id"].
 
     Request envelope (unknown fields are rejected, so typos fail loudly):
     {v

@@ -7,13 +7,14 @@ module Lru = Dml_cache.Lru
 
 let ops = [ "check"; "batch"; "status"; "metrics"; "shutdown" ]
 
-(* The warm state behind [check_patch] ([--incremental] servers only).
-   Both tables are segregated by options fingerprint, mirroring the unit
-   store's own keying: a base options change (or per-request override)
-   never reuses verdicts across option sets that check differently. *)
+(* The warm state behind [check_patch] ([--incremental] servers only).  One
+   unit store serves every options fingerprint: it keys its verdicts by
+   fingerprint itself, and its parse and front-end products do not depend
+   on solving options.  The base registry is keyed by fingerprint too, so a
+   per-request override never reuses verdicts across option sets that
+   check differently. *)
 type incr_store = {
-  i_states : (string, Dml_core.Incr.state) Hashtbl.t;
-      (** options fingerprint -> per-declaration verdict store *)
+  i_state : Dml_core.Incr.state;  (** the per-declaration verdict store *)
   i_sources : (string, int) Lru.t;
       (** fingerprint × source id -> unit count of a successfully checked
           source: the registry [base] ids are validated against, and the
@@ -66,7 +67,7 @@ let create ?(options = Session.default_options) ?(request_timeout_ms = default_r
     t_dispatch;
     t_incr =
       (if options.Session.op_incremental then
-         Some { i_states = Hashtbl.create 4; i_sources = Lru.create memo_capacity }
+         Some { i_state = Dml_core.Incr.create (); i_sources = Lru.create memo_capacity }
        else None);
   }
 
@@ -88,13 +89,14 @@ let request_session t = function
         (fun opts -> (opts, Session.with_options t.t_session opts))
         (Protocol.apply_overrides (Session.options t.t_session) overrides)
 
-(* The bytes of {!Session.memo_key} followed by the program digest, from a
-   source id and options fingerprint the caller computed once. *)
-let memo_key ~source_id ~fp ~program =
+(* The program memo key from a source id and options fingerprint the caller
+   computed once: the program name is part of the stored document, so it
+   joins the semantic key. *)
+let key_of ~source_id ~fp ~program =
   String.concat ":" [ source_id; fp; Digest.to_hex (Digest.string program) ]
 
-let memo_key_of opts ~program source =
-  memo_key ~source_id:(Digest.to_hex (Digest.string source)) ~fp:(Session.fingerprint opts)
+let memo_key opts ~program source =
+  key_of ~source_id:(Digest.to_hex (Digest.string source)) ~fp:(Session.fingerprint opts)
     ~program
 
 let memo_response t ~id ~op doc =
@@ -132,14 +134,34 @@ let overloaded_response ~id d =
        "server at capacity (%d workers busy, %d requests queued); retry after backoff"
        (Dispatch.workers d) (Dispatch.queued d))
 
+(* A check or batch the memo cannot answer, bound for the worker pool.
+   Routing ({!route}) is the same for every transport; only the socket
+   loop runs a job asynchronously, and {!handle} drives it to completion
+   with [dispatch_sync]. *)
+type job = {
+  jb_id : Json.t;  (** the envelope id *)
+  jb_op : string;
+  jb_key : string option;  (** the memo key a finished check is stored under *)
+  jb_options : Session.options;
+  jb_task : Dispatch.task;
+}
+
+type routed = Answer of Json.t | Job of Dispatch.t * job
+
+(* Admit a job to the pool, or answer it [overloaded]. *)
+let submit d j =
+  Result.map_error
+    (fun `Overloaded -> overloaded_response ~id:j.jb_id d)
+    (Dispatch.submit d ~now:(Clock.now ()) ~options:j.jb_options j.jb_task)
+
 (* Drive one dispatched job to completion and answer it (the stdio serve
    loop and the transport-free [handle] path: one client, so blocking on the
    pool is the protocol's request/response order anyway).  Deadlines,
    retries and respawns still apply — this is what gives a --stdio server
    crash and hang isolation. *)
-let dispatch_sync t d ~id ~op ?key ~options task =
-  match Dispatch.submit d ~now:(Clock.now ()) ~options task with
-  | Error `Overloaded -> overloaded_response ~id d
+let dispatch_sync t d j =
+  match submit d j with
+  | Error r -> r
   | Ok job_id ->
       let rec wait () =
         let timeout =
@@ -156,26 +178,30 @@ let dispatch_sync t d ~id ~op ?key ~options task =
         | Some outcome -> outcome
         | None -> wait ()
       in
-      response_of_outcome t ~id ~op ?key (wait ())
+      response_of_outcome t ~id:j.jb_id ~op:j.jb_op ?key:j.jb_key (wait ())
+
+(* The work the memo cannot answer runs inline without a pool, and becomes
+   a {!job} with one. *)
+let run_or_submit t ~id ~op ?key ~options task inline =
+  match t.t_dispatch with
+  | None -> Answer (inline ())
+  | Some d ->
+      Job (d, { jb_id = id; jb_op = op; jb_key = key; jb_options = options; jb_task = task })
 
 let do_check t ~id ~program ~source ~options =
   match request_session t options with
-  | Error e -> Protocol.error_response ~id ~code:"bad-request" e
+  | Error e -> Answer (Protocol.error_response ~id ~code:"bad-request" e)
   | Ok (opts, session) -> (
       let program = Option.value program ~default:"-" in
-      (* the program name is part of the stored document, so it joins the
-         semantic key (source digest × options fingerprint) *)
-      let key = memo_key_of opts ~program source in
+      let key = memo_key opts ~program source in
       match Lru.find t.t_memo key with
-      | Some doc -> memo_response t ~id ~op:"check" doc
-      | None -> (
-          match t.t_dispatch with
-          | None ->
+      | Some doc -> Answer (memo_response t ~id ~op:"check" doc)
+      | None ->
+          run_or_submit t ~id ~op:"check" ~key ~options:opts
+            (Dispatch.T_check { program; source })
+            (fun () ->
               response_of_outcome t ~id ~op:"check" ~key
-                (Dispatch.Done (Dispatch.check_doc session ~program source))
-          | Some d ->
-              dispatch_sync t d ~id ~op:"check" ~key ~options:opts
-                (Dispatch.T_check { program; source })))
+                (Dispatch.Done (Dispatch.check_doc session ~program source))))
 
 let incr_json ~source_id ~units ~dirty ~reused ~solver_calls =
   Json.Obj
@@ -218,7 +244,7 @@ let do_check_patch t ~id ~program ~source ~base ~options =
                       has been evicted"
                      b)
             | _ -> (
-                let key = memo_key ~source_id ~fp ~program in
+                let key = key_of ~source_id ~fp ~program in
                 match
                   (Lru.find t.t_memo key, Lru.find inc.i_sources (source_key source_id))
                 with
@@ -232,15 +258,7 @@ let do_check_patch t ~id ~program ~source ~base ~options =
                            );
                          ])
                 | _ -> (
-                    let state =
-                      match Hashtbl.find_opt inc.i_states fp with
-                      | Some st -> st
-                      | None ->
-                          let st = Dml_core.Incr.create () in
-                          Hashtbl.replace inc.i_states fp st;
-                          st
-                    in
-                    match Dml_core.Incr.check state session source with
+                    match Dml_core.Incr.check inc.i_state session source with
                     | Ok (report, stats) ->
                         let doc = Report_json.of_report ~program report in
                         Lru.add t.t_memo key doc;
@@ -272,11 +290,10 @@ let do_check_patch t ~id ~program ~source ~base ~options =
 
 let do_batch t ~id ~programs ~options =
   match request_session t options with
-  | Error e -> Protocol.error_response ~id ~code:"bad-request" e
-  | Ok (opts, session) -> (
-      match t.t_dispatch with
-      | None -> Protocol.ok_response ~id ~op:"batch" (Dispatch.batch_doc session programs)
-      | Some d -> dispatch_sync t d ~id ~op:"batch" ~options:opts (Dispatch.T_batch { programs }))
+  | Error e -> Answer (Protocol.error_response ~id ~code:"bad-request" e)
+  | Ok (opts, session) ->
+      run_or_submit t ~id ~op:"batch" ~options:opts (Dispatch.T_batch { programs }) (fun () ->
+          Protocol.ok_response ~id ~op:"batch" (Dispatch.batch_doc session programs))
 
 let status_doc t =
   let requests =
@@ -309,23 +326,27 @@ let status_doc t =
     @ (match t.t_dispatch with None -> [] | Some d -> [ ("pool", Dispatch.to_json d) ])
     @ [ ("options", Session.options_to_json (Session.options t.t_session)) ])
 
-let handle t v =
+(* Decode one request, count it, and answer it or hand back its pool job. *)
+let route t v =
   match Protocol.parse_request v with
   | Error e ->
       let id = Option.value (Json.member "id" v) ~default:Json.Null in
-      Protocol.error_response ~id ~code:"bad-request" e
+      Answer (Protocol.error_response ~id ~code:"bad-request" e)
   | Ok { Protocol.id; req } -> (
       count_request t (Protocol.op_name req);
       match req with
       | Protocol.Check { program; source; options } -> do_check t ~id ~program ~source ~options
       | Protocol.Check_patch { program; source; base; options } ->
-          do_check_patch t ~id ~program ~source ~base ~options
+          Answer (do_check_patch t ~id ~program ~source ~base ~options)
       | Protocol.Batch { programs; options } -> do_batch t ~id ~programs ~options
-      | Protocol.Status -> Protocol.ok_response ~id ~op:"status" (status_doc t)
-      | Protocol.Metrics -> Protocol.ok_response ~id ~op:"metrics" (Metrics.to_json ())
+      | Protocol.Status -> Answer (Protocol.ok_response ~id ~op:"status" (status_doc t))
+      | Protocol.Metrics -> Answer (Protocol.ok_response ~id ~op:"metrics" (Metrics.to_json ()))
       | Protocol.Shutdown ->
           t.t_stop <- true;
-          Protocol.ok_response ~id ~op:"shutdown" (Json.Obj [ ("stopping", Json.Bool true) ]))
+          Answer
+            (Protocol.ok_response ~id ~op:"shutdown" (Json.Obj [ ("stopping", Json.Bool true) ])))
+
+let handle t v = match route t v with Answer r -> r | Job (d, j) -> dispatch_sync t d j
 
 (* ------------------------------------------------------------------ *)
 (* Transports                                                          *)
@@ -446,12 +467,11 @@ let fill_conn conn =
   in
   go ()
 
-(* An in-flight dispatched request: which clients wait on it ([p_waiters]
-   grows past one when concurrent checks coalesce on the same memo key)
-   and where to store the document on success. *)
+(* An in-flight dispatched request: its job, and which clients wait on it
+   ([p_waiters] grows past one when concurrent checks coalesce on the same
+   memo key). *)
 type pending = {
-  p_op : string;
-  p_key : string option;
+  p_job : job;
   mutable p_waiters : (int * Json.t) list;  (** connection id × envelope id *)
 }
 
@@ -481,60 +501,37 @@ let serve_unix t ~path =
     | None -> ()
     | Some p ->
         Hashtbl.remove routes job_id;
-        Option.iter (Hashtbl.remove inflight_keys) p.p_key;
+        let { jb_op = op; jb_key = key; _ } = p.p_job in
+        Option.iter (Hashtbl.remove inflight_keys) key;
         List.iter
-          (fun (cid, id) ->
-            respond_to cid (response_of_outcome t ~id ~op:p.p_op ?key:p.p_key outcome))
+          (fun (cid, id) -> respond_to cid (response_of_outcome t ~id ~op ?key outcome))
           (List.rev p.p_waiters)
   in
-  (* Handle one decoded request from [conn].  With a worker pool, check and
-     batch work that the memo cannot answer is submitted and the response
-     happens in [complete] — so one client's slow check never
-     head-of-line-blocks another's.  Everything else (check_patch too: the
-     parent owns the unit store, and the dirty cone is the cheap part)
-     answers immediately through [handle]. *)
+  (* Handle one decoded request from [conn].  A pool job (check and batch
+     work the memo cannot answer) is submitted and answered in [complete],
+     so one client's slow check never head-of-line-blocks another's; an
+     identical in-flight check is joined instead.  Everything else
+     (check_patch too: the parent owns the unit store, and the dirty cone
+     is the cheap part) is answered at once. *)
   let handle_frame conn payload =
     let immediate v = enqueue_response conn v in
     match Json.of_string payload with
     | Error msg -> immediate (Protocol.error_response ~id:Json.Null ~code:"bad-json" msg)
     | Ok v -> (
-        let pooled =
-          match (t.t_dispatch, Protocol.parse_request v) with
-          | Some d, Ok { Protocol.id; req = Protocol.Check { program; source; options } } -> (
-              match request_session t options with
-              | Ok (opts, _) -> (
-                  let program = Option.value program ~default:"-" in
-                  let key = memo_key_of opts ~program source in
-                  match Lru.find t.t_memo key with
-                  | Some doc -> Some (`Memo (id, doc))
-                  | None ->
-                      Some (`Job (d, id, "check", Some key, opts, Dispatch.T_check { program; source })))
-              | Error _ -> None)
-          | Some d, Ok { Protocol.id; req = Protocol.Batch { programs; options } } ->
-              Result.to_option (request_session t options)
-              |> Option.map (fun (opts, _) ->
-                     `Job (d, id, "batch", None, opts, Dispatch.T_batch { programs }))
-          | _ -> None
-        in
-        match pooled with
-        | None -> immediate (handle t v)
-        | Some (`Memo (id, doc)) ->
-            count_request t "check";
-            immediate (memo_response t ~id ~op:"check" doc)
-        | Some (`Job (d, id, op, key, options, task)) -> (
-            count_request t op;
-            match Option.bind key (Hashtbl.find_opt inflight_keys) with
+        match route t v with
+        | Answer r -> immediate r
+        | Job (d, j) -> (
+            match Option.bind j.jb_key (Hashtbl.find_opt inflight_keys) with
             | Some job_id ->
                 (* coalesce: join the identical in-flight check *)
                 let p = Hashtbl.find routes job_id in
-                p.p_waiters <- (conn.c_id, id) :: p.p_waiters
+                p.p_waiters <- (conn.c_id, j.jb_id) :: p.p_waiters
             | None -> (
-                match Dispatch.submit d ~now:(Clock.now ()) ~options task with
-                | Error `Overloaded -> immediate (overloaded_response ~id d)
+                match submit d j with
+                | Error r -> immediate r
                 | Ok job_id ->
-                    Hashtbl.replace routes job_id
-                      { p_op = op; p_key = key; p_waiters = [ (conn.c_id, id) ] };
-                    Option.iter (fun k -> Hashtbl.replace inflight_keys k job_id) key)))
+                    Hashtbl.replace routes job_id { p_job = j; p_waiters = [ (conn.c_id, j.jb_id) ] };
+                    Option.iter (fun k -> Hashtbl.replace inflight_keys k job_id) j.jb_key)))
   in
   let jobs_outstanding () = Hashtbl.length routes > 0 in
   let output_outstanding () = List.exists (fun c -> c.c_alive && conn_has_output c) !conns in

@@ -5,8 +5,8 @@
     - under [--cache-dir], the session's shared verdict cache, so repeated
       goals are solved once across every check of the server's lifetime
       (and of earlier servers on the same directory);
-    - program-level memoization keyed by {!Dml_core.Session.memo_key}
-      (source digest × options fingerprint): a repeated [check] of an
+    - program-level memoization keyed by {!memo_key} (source digest ×
+      options fingerprint × program-name digest): a repeated [check] of an
       unchanged program under unchanged options is answered from the memo —
       zero solver calls — with the stored result document verbatim and
       ["memo": true] in the envelope.  The memo always lives in the {e
@@ -44,6 +44,15 @@ val memo_capacity : int
 (** 128 — the most result documents the memo keeps, and the most checked
     sources the [check_patch] base registry keeps (least recently used
     evicted first; an evicted id answers ["unknown-base"]). *)
+
+val memo_key : Dml_core.Session.options -> program:string -> string -> string
+(** [memo_key opts ~program source] — the program-level memoization key:
+    source digest × {!Dml_core.Session.fingerprint} × program-name digest,
+    joined by [":"].  Two checks with the same key are guaranteed the same
+    document, which is what lets the server answer a repeated [check] of
+    an unchanged program with zero solver calls; options that check
+    differently (inference on or off, another solver or budget) never share
+    a key. *)
 
 val default_request_timeout_ms : int
 (** 30_000 — the default per-request deadline under a worker pool. *)

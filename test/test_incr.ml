@@ -634,8 +634,9 @@ let test_fingerprint_stability () =
   Alcotest.(check string) "default fingerprint" "5cdba22a00ce6af5725fe3255ca87f12"
     (S.fingerprint S.default_options);
   Alcotest.(check string) "memo key shape"
-    "071ff3dd54ba73a5c062b276fd74a102:5cdba22a00ce6af5725fe3255ca87f12"
-    (S.memo_key S.default_options "val x = 1");
+    "071ff3dd54ba73a5c062b276fd74a102:5cdba22a00ce6af5725fe3255ca87f12:\
+     336d5ebc5436534e61d16e63ddfca327"
+    (Server.memo_key S.default_options ~program:"-" "val x = 1");
   (* and with the flag set, the fingerprint moves *)
   let on = { S.default_options with S.op_incremental = true } in
   Alcotest.(check bool) "incremental fingerprint differs" true

@@ -205,9 +205,9 @@ let test_fingerprint_separation () =
   let infer_opts = { base with Session.op_infer = true } in
   Alcotest.(check bool) "fingerprints differ" false
     (String.equal (Session.fingerprint base) (Session.fingerprint infer_opts));
-  Alcotest.(check bool) "memo keys differ on the same source" false
-    (String.equal (Session.memo_key base dotprod_unannot)
-       (Session.memo_key infer_opts dotprod_unannot))
+  let key opts = Dml_server.Server.memo_key opts ~program:"dotprod" dotprod_unannot in
+  Alcotest.(check bool) "server memo keys differ on the same source" false
+    (String.equal (key base) (key infer_opts))
 
 (* --- the fixpoint memoises its qualifier tests ------------------------------ *)
 

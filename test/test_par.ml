@@ -208,7 +208,9 @@ let proj_row (r : Runner.row) =
                   o.Runner.or_verdict)
               s.Runner.sm_obligations))
 
-let doc_bytes rows = Json.to_string_pretty (Runner.batch_json ~passes:[ rows ] ())
+let doc_bytes rows =
+  Json.to_string_pretty
+    (Runner.batch_json ~options:Dml_core.Session.default_options ~passes:[ rows ] ())
 
 let test_corpus_oracle () =
   let targets = corpus_targets () in

@@ -450,13 +450,14 @@ let with_fault_env f =
 
 let pooled_options = { cached_options with Session.op_jobs = Some 1 }
 
-let fork_pooled_server ?(max_queue = 256) ?(options = pooled_options) ~path () =
+let fork_pooled_server ?(max_queue = 256) ?(options = pooled_options) ?(request_timeout_ms = 300)
+    ~path () =
   (try Sys.remove path with Sys_error _ -> ());
   match Unix.fork () with
   | 0 ->
       (try
          Server.serve_unix
-           (Server.create ~options ~request_timeout_ms:300 ~max_queue ())
+           (Server.create ~options ~request_timeout_ms ~max_queue ())
            ~path
        with _ -> ());
       Unix._exit 0
@@ -596,6 +597,48 @@ let test_base_registry_bounded () =
     (Server.handle server (patch_req ~base:first (src 0)));
   expect_ok "the newest base"
     (Server.handle server (patch_req ~base:!newest (src (Server.memo_capacity + 1))))
+
+(* One unit store serves every options fingerprint.  Patches that alternate
+   between the server's options and a [fuel: 0] override on one buffer
+   each answer exactly what a cold check under the same options does: no
+   verdict solved without a budget is replayed for the starved requests,
+   and none of theirs for the unlimited ones. *)
+let test_patch_alternating_options () =
+  let server = Server.create ~options:incr_options () in
+  let starved = { incr_options with Session.op_solve = { Session.default_solve_config with Session.sc_fuel = Some 0 } } in
+  let edited = src_ok ^ "val y = sub(a, 3)\n" in
+  let patch ~id ?base ~fuel source =
+    let options = if fuel then [ ("options", obj [ ("fuel", J.Int 0) ]) ] else [] in
+    match patch_req ~id ?base source with
+    | J.Obj fields -> Server.handle server (J.Obj (fields @ options))
+    | _ -> assert false
+  in
+  let cold options source =
+    match Pipeline.check_s (Session.create ~options ()) source with
+    | Ok rp -> Report_json.of_report ~program:"buf.dml" rp
+    | Error f -> Alcotest.fail (Pipeline.failure_to_string f)
+  in
+  let expect_cold what options source resp =
+    expect_ok what resp;
+    Alcotest.(check bool) (what ^ ": not a memo hit") true (J.member "memo" resp = None);
+    Alcotest.(check string) (what ^ ": equals a cold check under its options")
+      (J.to_string (scrub (cold options source)))
+      (J.to_string (scrub (check_of what resp)))
+  in
+  let r1 = patch ~id:1 ~fuel:false src_ok in
+  expect_cold "unlimited, establishing" incr_options src_ok r1;
+  let r2 = patch ~id:2 ~fuel:true src_ok in
+  expect_cold "fuel 0, establishing" starved src_ok r2;
+  Alcotest.(check bool) "the starved check leaves a residual" true
+    (J.member "valid" (check_of "r2" r2) = Some (J.Bool false));
+  let r3 = patch ~id:3 ~base:(incr_source_id "r1" r1) ~fuel:false edited in
+  expect_cold "unlimited, patched" incr_options edited r3;
+  Alcotest.(check int) "the unlimited patch re-solves only the new declaration" 1
+    (incr_int "r3" "dirty" r3);
+  let r4 = patch ~id:4 ~base:(incr_source_id "r2" r2) ~fuel:true edited in
+  expect_cold "fuel 0, patched" starved edited r4;
+  Alcotest.(check int) "the starved patch re-solves only the new declaration" 1
+    (incr_int "r4" "dirty" r4)
 
 let test_patch_rejections () =
   (* parse-level strictness: the op rejects fields it does not know *)
@@ -792,6 +835,66 @@ let test_pool_shedding () =
       (try Unix.close c1 with Unix.Unix_error _ -> ());
       shutdown_and_reap c2 pid)
 
+(* --- one routing path on a pool -------------------------------------------------- *)
+
+(* A pooled check that misses the memo and a [status] pipelined on one
+   connection: the status may overtake the check, and each response carries
+   its own request's id whatever the order. *)
+let test_pipelined_ids () =
+  let path = Filename.concat (Filename.get_temp_dir_name ()) "dml_test_pipelined.sock" in
+  let pid = fork_pooled_server ~request_timeout_ms:30_000 ~path () in
+  let fd = connect path in
+  let frames =
+    Dml_par.Frame.encode (J.to_string (check_req ~id:1 "bsearch" Dml_programs.Sources.bsearch))
+    ^ Dml_par.Frame.encode (J.to_string (obj [ ("op", str "status"); ("id", J.Int 2) ]))
+  in
+  write_all fd (Bytes.of_string frames) 0 (String.length frames);
+  let answers =
+    List.map
+      (fun what ->
+        let r = recv_ok what fd in
+        expect_ok what r;
+        (J.member "op" r, J.member "id" r))
+      [ "first response"; "second response" ]
+  in
+  List.iter
+    (fun (op, id) ->
+      Alcotest.(check bool) "one response per request, under its id" true
+        (List.mem (Some (str op), Some (J.Int id)) answers))
+    [ ("check", 1); ("status", 2) ];
+  shutdown_and_reap fd pid
+
+(* An inferred check ({"infer": true}) answered by a -j 1 server is the
+   document the inline server gives. *)
+let test_pooled_infer () =
+  let twin =
+    Dml_programs.Programs.unannotated (Option.get (Dml_programs.Programs.find "dotprod"))
+  in
+  let req =
+    obj
+      [
+        ("op", str "check");
+        ("id", J.Int 1);
+        ("program", str "dotprod-twin.dml");
+        ("source", str twin);
+        ("options", obj [ ("infer", J.Bool true) ]);
+      ]
+  in
+  let inline = Server.handle (Server.create ~options:cached_options ()) req in
+  expect_ok "inline" inline;
+  Alcotest.(check bool) "an inferred document" true
+    (J.member "schema" (result_of "inline" inline) = Some (str "dml-check/2"));
+  let path = Filename.concat (Filename.get_temp_dir_name ()) "dml_test_infer.sock" in
+  let pid = fork_pooled_server ~request_timeout_ms:30_000 ~path () in
+  let fd = connect path in
+  Protocol.send fd req;
+  let pooled = recv_ok "pooled" fd in
+  expect_ok "pooled" pooled;
+  Alcotest.(check string) "pooled inferred document equals the inline one"
+    (J.to_string (scrub (result_of "inline" inline)))
+    (J.to_string (scrub (result_of "pooled" pooled)));
+  shutdown_and_reap fd pid
+
 (* --- socket framing -------------------------------------------------------------- *)
 
 (* The socket loop decodes frames incrementally: a request trickling in a
@@ -847,12 +950,19 @@ let () =
           Alcotest.test_case "socket framing" `Quick test_socket_frames;
         ] );
       ("warm", [ Alcotest.test_case "memo oracle" `Quick test_warm_oracle ]);
-      ("socket", [ Alcotest.test_case "concurrent clients" `Quick test_concurrent_clients ]);
+      ( "socket",
+        [
+          Alcotest.test_case "concurrent clients" `Quick test_concurrent_clients;
+          Alcotest.test_case "pipelined ids on a pool" `Quick test_pipelined_ids;
+          Alcotest.test_case "pooled inferred document" `Quick test_pooled_infer;
+        ] );
       ( "patch",
         [
           Alcotest.test_case "base, patch, revert" `Quick test_patch_roundtrip;
           Alcotest.test_case "bounded memo" `Quick test_memo_bounded;
           Alcotest.test_case "bounded base registry" `Quick test_base_registry_bounded;
+          Alcotest.test_case "alternating override fingerprints" `Quick
+            test_patch_alternating_options;
           Alcotest.test_case "strict rejections" `Quick test_patch_rejections;
           Alcotest.test_case "coalescing race" `Quick test_patch_coalescing;
         ] );
