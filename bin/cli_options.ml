@@ -3,9 +3,11 @@
    dmlc's subcommands, dmld's serve front-end and the dmli REPL all take the
    same knobs: the per-obligation solver budget (--solver/--fuel/
    --timeout-ms/--max-elim), the persistent verdict cache (--cache-dir),
-   observability (--trace/--profile/--json), parallelism (-j) and the
-   strict/degrade switch.  They are defined once here and assembled into a
-   [Dml_core.Session.options] with [session_options]. *)
+   observability (--trace/--profile/--json) and parallelism (-j).  They
+   are defined once here and assembled into a [Dml_core.Session.options]
+   with [session_options].  The strict/degrade switch is defined here too,
+   but it is no session option: [dmlc check], [dmlc run] and [dmli] read
+   it themselves when they consume a report. *)
 
 open Cmdliner
 open Dml_core
@@ -130,12 +132,11 @@ let infer_term =
               types.  Inference never proves a site the annotated checker would \
               reject; unprovable sites degrade exactly as without $(b,--infer).")
 
-let session_options ?(mode = Session.Strict) ?jobs ?(infer = false) ?(incremental = false)
+let session_options ?jobs ?(infer = false) ?(incremental = false)
     ~solve ~cache_spec () =
   {
     Session.op_solve = solve;
     op_cache = cache_spec;
-    op_mode = mode;
     op_jobs = jobs;
     op_infer = infer;
     op_incremental = incremental;

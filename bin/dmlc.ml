@@ -57,9 +57,8 @@ let with_source ~json file k =
 let check_cmd =
   let run config cache_spec stats degrade infer obs file =
     with_source ~json:obs.ob_json file (fun src ->
-        let mode = if degrade then Session.Degrade else Session.Strict in
         let session =
-          Session.create ~options:(session_options ~mode ~infer ~solve:config ~cache_spec ()) ()
+          Session.create ~options:(session_options ~infer ~solve:config ~cache_spec ()) ()
         in
         let result, sink = with_sink obs (fun () -> Engine.check session src) in
         if obs.ob_json then begin
@@ -277,9 +276,8 @@ let constraints_cmd =
 let run_cmd =
   let run config cache_spec degrade obs file binding unchecked =
     with_source ~json:obs.ob_json file (fun src ->
-        let mode = if degrade then Session.Degrade else Session.Strict in
         let session =
-          Session.create ~options:(session_options ~mode ~solve:config ~cache_spec ()) ()
+          Session.create ~options:(session_options ~solve:config ~cache_spec ()) ()
         in
         let result, sink =
           with_sink obs (fun () ->
@@ -295,10 +293,10 @@ let run_cmd =
                   let residual_sites = not report.Pipeline.rp_valid in
                   let counters = Dml_eval.Prims.new_counters () in
                   let sp_eval = Trace.start "eval" in
-                  let degraded =
-                    if residual_sites then Some (Pipeline.degraded_pred report) else None
+                  let ce =
+                    Dml_eval.Compile.initial_fast mode ~counters
+                      ?degraded:(Pipeline.degraded report) ()
                   in
-                  let ce = Dml_eval.Compile.initial_fast mode ~counters ?degraded () in
                   let ce = Dml_eval.Compile.run_program ce tprog in
                   let value = Dml_eval.Compile.lookup ce binding in
                   Trace.set_str sp_eval "backend" "compiled";

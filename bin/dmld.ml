@@ -27,9 +27,8 @@ let socket_arg =
 (* --- serve ------------------------------------------------------------------ *)
 
 let serve_cmd =
-  let run config cache_spec degrade jobs incremental stdio socket request_timeout_ms max_queue =
-    let mode = if degrade then Dml_core.Session.Degrade else Dml_core.Session.Strict in
-    let options = session_options ~mode ?jobs ~incremental ~solve:config ~cache_spec () in
+  let run config cache_spec jobs incremental stdio socket request_timeout_ms max_queue =
+    let options = session_options ?jobs ~incremental ~solve:config ~cache_spec () in
     let server = Server.create ~options ~request_timeout_ms ~max_queue () in
     if stdio then Server.serve_stdio server
     else begin
@@ -77,8 +76,7 @@ let serve_cmd =
   in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
-      const run $ solve_config $ cache_spec_term $ degrade_flag
-      $ batch_jobs_term $ incremental $ stdio $ socket_arg $ request_timeout_ms
+      const run $ solve_config $ cache_spec_term $ batch_jobs_term $ incremental $ stdio $ socket_arg $ request_timeout_ms
       $ max_queue)
 
 (* --- client helpers ---------------------------------------------------------- *)

@@ -94,9 +94,8 @@ let print_binding mlenv lookup name =
    --cache-dir.  --trace FILE writes the session's spans on exit; --profile
    prints the metrics registry on exit. *)
 let repl solve cache_spec degrade trace profile =
-  let mode = if degrade then Session.Degrade else Session.Strict in
   let checker =
-    Session.create ~options:(Cli_options.session_options ~mode ~solve ~cache_spec ()) ()
+    Session.create ~options:(Cli_options.session_options ~solve ~cache_spec ()) ()
   in
   let sink =
     match trace with
@@ -131,12 +130,9 @@ let repl solve cache_spec degrade trace profile =
             match Parser.parse_program fragment with
             | exception _ -> ()
             | prog ->
-                let degraded =
-                  if report.Pipeline.rp_valid then None
-                  else Some (Pipeline.degraded_pred report)
-                in
                 let ce =
-                  Dml_eval.Compile.initial_fast Dml_eval.Prims.Unchecked ?degraded ()
+                  Dml_eval.Compile.initial_fast Dml_eval.Prims.Unchecked
+                    ?degraded:(Pipeline.degraded report) ()
                 in
                 (match Dml_eval.Compile.run_program ce report.Pipeline.rp_tprog with
                 | ce ->

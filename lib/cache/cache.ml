@@ -22,12 +22,13 @@ type entry = { tier : int; verdict : verdict }
    is a newline, the MD5 of its payload in hex, a space, the payload's
    length, a space and the payload; a payload holds no newline, so the
    newline that opens a record is where a reader resynchronises after
-   damage.  [index] maps each key to the offset and length of its latest
-   record; [scanned] is how far the file has been read, and a tail record
-   still being written is left unread from there. *)
+   damage.  [index] maps each key to the entry of its latest record, so a
+   disk hit reads nothing; it holds at most what the log holds, which
+   [log_cap] bounds.  [scanned] is how far the file has been read, and a
+   tail record still being written is left unread from there. *)
 type log = {
   path : string;
-  index : (string, int * int) Hashtbl.t;
+  index : (string, entry) Hashtbl.t;
   mutable scanned : int;
 }
 
@@ -171,8 +172,8 @@ let scan t log buf =
     else if i + 1 < n && buf.[i] = '\n' && buf.[i + 1] = '\n' then go (i + 1) (* an empty line *)
     else
       match parse buf i with
-      | Record (key, _, stop) ->
-          Hashtbl.replace log.index key (log.scanned + i, stop - i);
+      | Record (key, e, stop) ->
+          Hashtbl.replace log.index key e;
           go stop
       | Partial -> i
       | Bad ->
@@ -198,25 +199,6 @@ let refresh t log =
       with
       | buf -> scan t log buf
       | exception Sys_error _ -> ())
-
-(* The entry behind an index hit, re-read and re-checked: a record lost to
-   a concurrent reset is a miss. *)
-let read_entry log key =
-  match Hashtbl.find_opt log.index key with
-  | None -> None
-  | Some (off, len) -> (
-      let buf =
-        try
-          In_channel.with_open_bin log.path (fun ic ->
-              In_channel.seek ic (Int64.of_int off);
-              Option.value ~default:"" (In_channel.really_input_string ic len))
-        with Sys_error _ -> ""
-      in
-      match parse buf 0 with
-      | Record (k, e, _) when k = key -> Some e
-      | _ ->
-          Hashtbl.remove log.index key;
-          None)
 
 (* Test-only seam, called with the open descriptor before each append:
    raising from it exercises the failure path, which must close the
@@ -246,7 +228,7 @@ let append log key e =
                 reset log
               end
               else if written = len && stop - len = log.scanned then begin
-                Hashtbl.replace log.index key (log.scanned, len);
+                Hashtbl.replace log.index key e;
                 log.scanned <- stop
               end
             with Unix.Unix_error _ | Sys_error _ -> ())
@@ -318,7 +300,7 @@ let lookup t key =
       Option.bind t.log (fun log ->
           timed t (fun () ->
               if not (Hashtbl.mem log.index key) then refresh t log;
-              read_entry log key)
+              Hashtbl.find_opt log.index key)
           |> Option.map (fun e ->
                  remember t key e;
                  (e, true)))

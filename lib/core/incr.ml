@@ -62,6 +62,7 @@ open Dml_lang
 open Dml_solver
 open Dml_mltype
 module Metrics = Dml_obs.Metrics
+module Trace = Dml_obs.Trace
 
 let m_rechecks = Metrics.counter "incr.rechecks"
 let m_units = Metrics.counter "incr.units"
@@ -264,24 +265,20 @@ type stored_front = {
    session, and the largest corpus source or twin has 7. *)
 let unit_capacity = 4096
 
+(* What the last successful check kept of one declaration, by its exact
+   fingerprint: its summary, and for a [fun] unit before the first [val]
+   its phase 1 and 2 products, tagged with the digest they were made under. *)
+type kept_unit = { k_summary : summary; k_front : (string * stored_front) option }
+
 type state = {
   store : (string, stored_unit) Dml_cache.Lru.t;
   mutable parsed : Reparse.t option;
       (* the last successfully parsed text, declaration by declaration *)
-  mutable fronts : (string, stored_front) Hashtbl.t;
-      (* the last successful check's [fun] units, by digest and exact
-         fingerprint *)
-  mutable summaries : (string, summary) Hashtbl.t;
-      (* the last successful check's unit summaries, by exact fingerprint *)
+  mutable kept : (string, kept_unit) Hashtbl.t;
+      (* the last successful check's units, by exact fingerprint *)
 }
 
-let create () =
-  {
-    store = Dml_cache.Lru.create 0;
-    parsed = None;
-    fronts = Hashtbl.create 1;
-    summaries = Hashtbl.create 1;
-  }
+let create () = { store = Dml_cache.Lru.create 0; parsed = None; kept = Hashtbl.create 1 }
 
 let stored_units state = Dml_cache.Lru.length state.store
 
@@ -312,24 +309,29 @@ type phase1 =
   | Always of Tast.ttop  (** a unit that runs the front end on every check *)
 
 (* Phases 1 and 2 over the user program, reusing the stored products of
-   every [fun] unit before the first top-level [val] whose key is in
-   [fronts].  Units from the first [val] onward always run: only a [val]
-   pushes entries into the elaboration context's prefix or leaves weak type
-   variables a later unit can fix, so before it a [fun] unit's products
-   depend on nothing but the declarations it names, which its digest
-   covers.  Returns the final environments, the typed user program, each
-   unit's obligations, the products of every [fun] unit before the first
-   [val] (the next check's [fronts]) and how many units were reused. *)
-let front_end fronts (prelude : Prelude.t) user_prog keys =
+   every [fun] unit before the first top-level [val] that the last check
+   kept under the same exact fingerprint and digest.  Units from the first
+   [val] onward always run: only a [val] pushes entries into the
+   elaboration context's prefix or leaves weak type variables a later unit
+   can fix, so before it a [fun] unit's products depend on nothing but the
+   declarations it names, which its digest covers.  [keys] gives each
+   unit's exact fingerprint, summary and digest.  Returns the final
+   environments, the typed user program, each unit's obligations, what to
+   keep of each unit for the next check and how many units were reused. *)
+let front_end kept (prelude : Prelude.t) user_prog keys =
+  let stored (exact, _, digest) =
+    match Hashtbl.find_opt kept exact with
+    | Some { k_front = Some (d, sf); _ } when d = digest -> Some sf
+    | _ -> None
+  in
   (* phase 1: units before the first [val] one at a time, each zonked on
      its own (nothing after it can reach its type variables), then the
      rest in one pass zonked together, as a cold check does *)
   let rec phase1 env acc = function
     | (top, key) :: rest when not (is_val top) ->
         let names = fun_names top in
-        let stored = if names = [] then None else Hashtbl.find_opt fronts key in
         let env, p =
-          match stored with
+          match if names = [] then None else stored key with
           | Some sf ->
               env.Infer.warnings := sf.sf_warnings @ !(env.Infer.warnings);
               (Infer.bind env sf.sf_schemes, Reused sf)
@@ -347,47 +349,104 @@ let front_end fronts (prelude : Prelude.t) user_prog keys =
         let env, items = Infer.infer_program env (List.map fst rest) in
         (env, List.rev_append acc (List.map2 (fun (_, key) item -> (key, Always item)) rest items))
   in
+  let sp = Trace.start "infer" in
   let mlenv, units = phase1 (Prelude.env prelude) [] (List.combine user_prog keys) in
+  Trace.finish sp;
   (* phase 2, unit by unit, threading the whole elaboration context *)
-  let fronts' = Hashtbl.create 64 in
+  let sp = Trace.start "elaborate" in
+  let kept' = Hashtbl.create 64 in
+  let keep (exact, k_summary, digest) front =
+    Hashtbl.replace kept' exact
+      { k_summary; k_front = Option.map (fun sf -> (digest, sf)) front }
+  in
   let ectx, done_rev =
     List.fold_left
       (fun (ectx, acc) (key, p) ->
         match p with
         | Reused sf ->
-            Hashtbl.replace fronts' key sf;
+            keep key (Some sf);
             (Elab.bind_vals ectx sf.sf_dschemes, (sf.sf_titem, sf.sf_obligations) :: acc)
         | Inferred (item, schemes, warnings) ->
             let ectx, obs = Elab.elaborate_tops ectx [ item ] in
-            Hashtbl.replace fronts' key
-              {
-                sf_schemes = schemes;
-                sf_dschemes = Elab.bound_vals ectx (List.map fst schemes);
-                sf_titem = item;
-                sf_obligations = obs;
-                sf_warnings = warnings;
-              };
+            keep key
+              (Some
+                 {
+                   sf_schemes = schemes;
+                   sf_dschemes = Elab.bound_vals ectx (List.map fst schemes);
+                   sf_titem = item;
+                   sf_obligations = obs;
+                   sf_warnings = warnings;
+                 });
             (ectx, (item, obs) :: acc)
         | Always item ->
+            keep key None;
             let ectx, obs = Elab.elaborate_tops ectx [ item ] in
             (ectx, (item, obs) :: acc))
       (Elab.with_tyenv prelude.ectx mlenv.Infer.tyenv, [])
       units
   in
+  Trace.finish sp;
   let items, unit_obs = List.split (List.rev done_rev) in
   let reused = List.length (List.filter (function _, Reused _ -> true | _ -> false) units) in
-  (mlenv, items, ectx, unit_obs, fronts', reused)
+  (mlenv, items, ectx, unit_obs, kept', reused)
+
+(* Solve dirty units, reuse clean ones; program order is the assembly
+   order, so reordered-but-unedited declarations reuse their verdicts under
+   their new positions and locations. *)
+let solve_units state ~fp (solve : Pipeline.solve) units st =
+  let total_stats = Solver.new_stats () in
+  let dirty = ref 0 and reused = ref 0 and solver_calls = ref 0 in
+  let checked_units =
+    List.map
+      (fun (is_user, digest, obs) ->
+        let key = fp ^ ":" ^ digest in
+        let what = List.map (fun ob -> ob.Elab.ob_what) obs in
+        match Dml_cache.Lru.find state.store key with
+        | Some su when su.su_what = what ->
+            if is_user then incr reused;
+            Solver.merge_stats ~into:total_stats su.su_stats;
+            List.map2
+              (fun ob (v, dur) -> { Pipeline.co_obligation = ob; co_verdict = v; co_time = dur })
+              obs su.su_verdicts
+        | found ->
+            (* unknown digest — or a stored unit whose obligation list no
+               longer lines up, which means a dependency edge was missed:
+               count it and fall back to solving, never to stale reuse *)
+            if found <> None then Metrics.incr m_mismatches;
+            if is_user then incr dirty;
+            solver_calls := !solver_calls + List.length obs;
+            let ustats = Solver.new_stats () in
+            let checked = List.map (solve ~stats:ustats) obs in
+            Dml_cache.Lru.add state.store key
+              {
+                su_what = what;
+                su_verdicts =
+                  List.map (fun co -> (co.Pipeline.co_verdict, co.Pipeline.co_time)) checked;
+                su_stats = ustats;
+              };
+            Solver.merge_stats ~into:total_stats ustats;
+            checked)
+      units
+  in
+  Dml_cache.Lru.trim state.store (max unit_capacity (List.length units));
+  let st = { st with st_dirty = !dirty; st_reused = !reused; st_solver_calls = !solver_calls } in
+  Metrics.incr ~by:st.st_units m_units;
+  Metrics.incr ~by:st.st_dirty m_dirty;
+  Metrics.incr ~by:st.st_reused m_reused;
+  Metrics.incr ~by:st.st_solver_calls m_solver_calls;
+  Metrics.incr ~by:st.st_front_reused m_front_reused;
+  (List.concat checked_units, total_stats, st)
 
 let check state session src =
-  Pipeline.with_session_sink session @@ fun () ->
-  Metrics.incr m_rechecks;
-  let since = Pipeline.cache_mark session in
   let fp = Session.fingerprint (Session.options session) in
-  try
+  let front () =
+    Metrics.incr m_rechecks;
     let t0 = Budget.now () in
+    let sp = Trace.start "parse" in
     let parsed = Reparse.parse ?last:state.parsed src in
+    Trace.finish sp;
     state.parsed <- Some parsed;
-    let user_prog = Reparse.program parsed and spans = Reparse.spans parsed in
+    let user_prog = Reparse.program parsed in
     let prelude = Prelude.get () in
     (* pretty-print and walk only the units whose exact form the last
        check did not see *)
@@ -395,102 +454,35 @@ let check state session src =
     let summaries =
       List.map2
         (fun top exact ->
-          match Hashtbl.find_opt state.summaries exact with
-          | Some u -> u
+          match Hashtbl.find_opt state.kept exact with
+          | Some k -> k.k_summary
           | None -> summarize top)
         user_prog exacts
     in
     let digests = digests_of_summaries summaries in
-    let mlenv, user_tprog, ectx, user_obs, fronts, front_reused =
-      front_end state.fronts prelude user_prog (List.map2 ( ^ ) digests exacts)
+    let keys = List.map2 (fun (e, s) d -> (e, s, d)) (List.combine exacts summaries) digests in
+    let mlenv, user_tprog, ectx, user_obs, kept, front_reused =
+      front_end state.kept prelude user_prog keys
     in
-    state.fronts <- fronts;
-    state.summaries <- Hashtbl.create 64;
-    List.iter2 (Hashtbl.replace state.summaries) exacts summaries;
-    let gen_time = Budget.now () -. t0 in
+    state.kept <- kept;
+    let fe =
+      Pipeline.frontend_of ~t0 ~src ~spans:(Reparse.spans parsed) ~mlenv ~user_tprog ~ectx
+        (List.concat user_obs)
+    in
     let units =
       (false, Lazy.force basis_digest, prelude.obligations)
       :: List.map2 (fun d obs -> (true, d, obs)) digests user_obs
     in
-    (* solve dirty units, reuse clean ones; program order is the assembly
-       order, so reordered-but-unedited declarations reuse their verdicts
-       under their new positions and locations *)
-    let t1 = Budget.now () in
-    let total_stats = Solver.new_stats () in
-    let dirty = ref 0 and reused = ref 0 and solver_calls = ref 0 in
-    let checked_units =
-      List.map
-        (fun (is_user, digest, obs) ->
-          let key = fp ^ ":" ^ digest in
-          let what = List.map (fun ob -> ob.Elab.ob_what) obs in
-          match Dml_cache.Lru.find state.store key with
-          | Some su when su.su_what = what ->
-              if is_user then incr reused;
-              Solver.merge_stats ~into:total_stats su.su_stats;
-              List.map2
-                (fun ob (v, dur) ->
-                  { Pipeline.co_obligation = ob; co_verdict = v; co_time = dur })
-                obs su.su_verdicts
-          | found ->
-              (* unknown digest — or a stored unit whose obligation list no
-                 longer lines up, which means a dependency edge was missed:
-                 count it and fall back to solving, never to stale reuse *)
-              if found <> None then Metrics.incr m_mismatches;
-              if is_user then incr dirty;
-              solver_calls := !solver_calls + List.length obs;
-              let ustats = Solver.new_stats () in
-              let checked =
-                List.map (fun ob -> Pipeline.solve_obligation_s session ~stats:ustats ob) obs
-              in
-              Dml_cache.Lru.add state.store key
-                {
-                  su_what = what;
-                  su_verdicts =
-                    List.map (fun co -> (co.Pipeline.co_verdict, co.Pipeline.co_time)) checked;
-                  su_stats = ustats;
-                };
-              Solver.merge_stats ~into:total_stats ustats;
-              checked)
-        units
-    in
-    Dml_cache.Lru.trim state.store (max unit_capacity (List.length units));
-    let solve_time = Budget.now () -. t1 in
-    let obligations = List.concat checked_units in
-    let annotations, annotation_lines = Pipeline.annotation_metrics spans in
-    let fe =
-      {
-        Pipeline.fe_obligations = List.map (fun co -> co.Pipeline.co_obligation) obligations;
-        fe_gen_time = gen_time;
-        fe_annotations = annotations;
-        fe_annotation_lines = annotation_lines;
-        fe_code_lines = Pipeline.count_code_lines src;
-        fe_tprog = prelude.tprog @ user_tprog;
-        fe_user_tprog = user_tprog;
-        fe_warnings = List.rev !(mlenv.Infer.warnings);
-        fe_mlenv = mlenv;
-        fe_denv = Elab.export_denv ectx;
-      }
-    in
-    let report =
-      Pipeline.assemble ?cache_stats:(Pipeline.cache_delta since) ~stats:total_stats ~solve_time
-        fe obligations
-    in
     let st =
       {
         st_units = List.length user_prog;
-        st_dirty = !dirty;
-        st_reused = !reused;
-        st_solver_calls = !solver_calls;
+        st_dirty = 0;
+        st_reused = 0;
+        st_solver_calls = 0;
         st_front_reused = front_reused;
         st_reparsed = Reparse.reparsed parsed;
       }
     in
-    Metrics.incr ~by:st.st_units m_units;
-    Metrics.incr ~by:st.st_dirty m_dirty;
-    Metrics.incr ~by:st.st_reused m_reused;
-    Metrics.incr ~by:st.st_solver_calls m_solver_calls;
-    Metrics.incr ~by:st.st_front_reused m_front_reused;
-    Ok (report, st)
-  with
-  | Sys.Break as e -> raise e
-  | e -> Error (Pipeline.failure_of_exn e)
+    Ok (fe, (units, st))
+  in
+  Pipeline.run session front (fun solve _ (units, st) -> solve_units state ~fp solve units st)

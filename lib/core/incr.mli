@@ -58,8 +58,10 @@ type stats = {
 
 val check :
   state -> Session.t -> string -> (Pipeline.report * stats, Pipeline.failure) result
-(** Incrementally check [src] under the session, updating the state.
-    Never raises (same failure conversion as {!Pipeline.check_s}).  A
+(** Incrementally check [src] under the session, updating the state: one
+    {!Pipeline.run} check whose front end re-parses and re-elaborates what
+    the edit reaches and whose solving reuses the store.  Never raises
+    (same failure conversion as {!Pipeline.check_s}).  A
     failure leaves the verdict store and the front-end products unchanged;
     a text that parses is kept as the next check's re-parse base even when
     a later phase fails. *)

@@ -78,6 +78,8 @@ let degraded_pred report =
   | [] -> fun _ -> false
   | sites -> fun loc -> List.mem loc sites
 
+let degraded report = if report.rp_valid then None else Some (degraded_pred report)
+
 let stage_name = function
   | `Lex -> "lexical error"
   | `Parse -> "syntax error"
@@ -116,18 +118,12 @@ let failure_of_exn = function
         f_loc = Loc.dummy;
       }
 
-let frontend_ast_exn ?t0 ~src ~spans user_prog =
-  let t0 = match t0 with Some t -> t | None -> Budget.now () in
+(* The front-end record, built the same way for a whole-program front end
+   and for {!Incr}'s unit-by-unit one: [obligations] are the user
+   program's, in generation order, after the basis's. *)
+let frontend_of ~t0 ~src ~spans ~mlenv ~user_tprog ~ectx obligations =
   let prelude = Prelude.get () in
   let annotations, annotation_lines = annotation_metrics spans in
-  (* phase 1 over the user code, from the post-basis environment *)
-  let sp = Trace.start "infer" in
-  let mlenv, user_tprog, ectx = Prelude.start prelude user_prog in
-  Trace.finish sp;
-  (* phase 2 *)
-  let sp = Trace.start "elaborate" in
-  let ectx, obligations = Elab.elaborate_tops ectx user_tprog in
-  Trace.finish sp;
   {
     fe_obligations = prelude.obligations @ obligations;
     fe_gen_time = Budget.now () -. t0;
@@ -141,24 +137,37 @@ let frontend_ast_exn ?t0 ~src ~spans user_prog =
     fe_denv = Elab.export_denv ectx;
   }
 
+let frontend_ast_exn ?t0 ~src ~spans user_prog =
+  let t0 = match t0 with Some t -> t | None -> Budget.now () in
+  (* phase 1 over the user code, from the post-basis environment *)
+  let sp = Trace.start "infer" in
+  let mlenv, user_tprog, ectx = Prelude.start (Prelude.get ()) user_prog in
+  Trace.finish sp;
+  (* phase 2 *)
+  let sp = Trace.start "elaborate" in
+  let ectx, obligations = Elab.elaborate_tops ectx user_tprog in
+  Trace.finish sp;
+  frontend_of ~t0 ~src ~spans ~mlenv ~user_tprog ~ectx obligations
+
+let parse src =
+  let sp = Trace.start "parse" in
+  let parsed = Parser.parse_program_with_spans src in
+  Trace.finish sp;
+  parsed
+
 let frontend_exn src =
   let t0 = Budget.now () in
-  let sp = Trace.start "parse" in
-  let user_prog, spans = Parser.parse_program_with_spans src in
-  Trace.finish sp;
+  let user_prog, spans = parse src in
   frontend_ast_exn ~t0 ~src ~spans user_prog
 
-let frontend src =
-  match frontend_exn src with
-  | fe -> Ok fe
+let attempt f x =
+  match f x with
+  | v -> Ok v
   | exception Sys.Break -> raise Sys.Break
   | exception e -> Error (failure_of_exn e)
 
-let frontend_ast ~src ~spans user_prog =
-  match frontend_ast_exn ~src ~spans user_prog with
-  | fe -> Ok fe
-  | exception Sys.Break -> raise Sys.Break
-  | exception e -> Error (failure_of_exn e)
+let frontend src = attempt frontend_exn src
+let frontend_ast ~src ~spans user_prog = attempt (frontend_ast_exn ~src ~spans) user_prog
 
 (* Run [f] with the session's trace sink installed (restoring whatever was
    active): a session with a sink traces its checks wherever they happen;
@@ -174,12 +183,12 @@ let with_session_sink session f =
 (* Solve one obligation under its own fresh budget and isolation barrier:
    one pathological constraint exhausts its own allowance and degrades its
    own site, without starving the rest of the program. *)
-let solve_obligation_raw ~config ?stats ?cache ob =
+let solve_obligation ~config ?cache ~stats ob =
   let budget = Session.budget_of_solve_config config in
   let sp = Trace.start "obligation" in
   let ot0 = Budget.now () in
   let verdict =
-    Solver.check_constraint ~method_:config.Session.sc_method ?stats ?budget ?cache
+    Solver.check_constraint ~method_:config.Session.sc_method ~stats ?budget ?cache
       ob.Elab.ob_constr
   in
   if Trace.real sp then begin
@@ -190,12 +199,7 @@ let solve_obligation_raw ~config ?stats ?cache ob =
   Trace.finish sp;
   { co_obligation = ob; co_verdict = verdict; co_time = Budget.now () -. ot0 }
 
-let solve_obligation_s session ?stats ob =
-  with_session_sink session (fun () ->
-      solve_obligation_raw ~config:(Session.solve session) ?stats
-        ?cache:(Session.cache session) ob)
-
-let assemble ?cache_stats ~stats ~solve_time fe obligations =
+let assemble ~cache_stats ~stats ~solve_time fe obligations =
   let residual = List.filter (fun co -> co.co_verdict <> Solver.Valid) obligations in
   let timeouts =
     List.length
@@ -223,37 +227,41 @@ let assemble ?cache_stats ~stats ~solve_time fe obligations =
     rp_cache_stats = cache_stats;
   }
 
-type cache_mark = (Dml_cache.Cache.t * Dml_cache.Cache.snapshot) option
+type solve = stats:Solver.stats -> Elab.obligation -> checked_obligation
 
-let cache_mark session =
-  Option.map (fun c -> (c, Dml_cache.Cache.snapshot c)) (Session.cache session)
-
-let cache_delta mark =
-  Option.map (fun (c, before) -> Dml_cache.Cache.diff (Dml_cache.Cache.snapshot c) before) mark
-
-(* The solving half of [check_s], without installing the sink: callers run
-   it inside their own [with_session_sink], once per check. *)
-let solve_frontend session ~since fe =
-  let config = Session.solve session and cache = Session.cache session in
+let solve_all (solve : solve) fe x =
   let stats = Solver.new_stats () in
-  let t1 = Budget.now () in
-  let obligations = List.map (solve_obligation_raw ~config ~stats ?cache) fe.fe_obligations in
-  let solve_time = Budget.now () -. t1 in
-  assemble ?cache_stats:(cache_delta since) ~stats ~solve_time fe obligations
+  (List.map (solve ~stats) fe.fe_obligations, stats, x)
 
-let check_s session src =
+(* The one check driver.  Everything a check owes its session and the
+   process, whichever surface runs it, is done here once: the session's
+   sink, the cache delta, the [check] span and the [pipeline.*]
+   instruments, and the conversion of any exception into a failure. *)
+let run session front solve_front =
   with_session_sink session @@ fun () ->
-  let since = cache_mark session in
+  let cache = Session.cache session in
+  let mark = Option.map (fun c -> (c, Dml_cache.Cache.snapshot c)) cache in
   let sp_check = Trace.start "check" in
   Metrics.incr m_runs;
   let result =
-  try Ok (solve_frontend session ~since (frontend_exn src))
-  with
-  | Sys.Break as e -> raise e
-  | e -> Error (failure_of_exn e)
+    try
+      match front () with
+      | Error f -> Error f
+      | Ok (fe, x) ->
+          let config = Session.solve session in
+          let t1 = Budget.now () in
+          let obligations, stats, y = solve_front (solve_obligation ~config ?cache) fe x in
+          let solve_time = Budget.now () -. t1 in
+          let cache_stats =
+            Option.map (fun (c, b) -> Dml_cache.Cache.diff (Dml_cache.Cache.snapshot c) b) mark
+          in
+          Ok (assemble ~cache_stats ~stats ~solve_time fe obligations, y)
+    with
+    | Sys.Break as e -> raise e
+    | e -> Error (failure_of_exn e)
   in
   (match result with
-  | Ok r ->
+  | Ok (r, _) ->
       Metrics.incr ~by:r.rp_constraints m_obligations;
       Metrics.incr ~by:r.rp_residual m_residual;
       Metrics.observe h_gen_ms (r.rp_gen_time *. 1000.);
@@ -269,6 +277,9 @@ let check_s session src =
   (* also closes any stage span abandoned by an exception *)
   Trace.finish sp_check;
   result
+
+let check_s session src =
+  Result.map fst (run session (fun () -> Ok (frontend_exn src, ())) solve_all)
 
 let pp_failure fmt f =
   Format.fprintf fmt "%s at %a: %s" (stage_name f.f_stage) Loc.pp f.f_loc f.f_msg

@@ -10,11 +10,16 @@
     {!Session.solve_config}) behind the solver's isolation barrier, so one
     pathological constraint times out or faults alone — its verdict becomes
     [Timeout]/[Unsupported] — while every other obligation is still decided.
-    A report with residual (unproven) obligations supports two consumptions:
-    strict mode rejects the program ({!check_valid_s}); degraded mode compiles
-    it with dynamic checks at exactly the residual sites
-    ({!degraded_sites}/{!degraded_pred}, consumed by [Dml_eval.Compile] and
-    [Dml_eval.Codegen]). *)
+    Every check, whatever surface asks for it, runs through one driver,
+    {!run}: the plain checker ({!check_s}), the incremental checker
+    ({!Incr.check}) and the inference engine ({!Dml_infer.Engine.check_s})
+    only supply its front end and its solving order.
+
+    A report with residual (unproven) obligations supports two consumptions,
+    chosen by the caller, not by the session: a strict caller rejects the
+    program ({!check_valid_s}); a degrading one compiles it with dynamic
+    checks at exactly the residual sites ({!degraded}, consumed by
+    [Dml_eval.Compile] and [Dml_eval.Codegen]). *)
 
 open Dml_lang
 open Dml_solver
@@ -56,14 +61,14 @@ type report = {
           [None] when no cache was supplied *)
 }
 
-(** {1 The staged pipeline}
+(** {1 The check driver}
 
-    {!check_s} is the one-call front door; the three stages below are exposed
-    for engines that stage a check themselves: the incremental checker
-    ({!Incr}) solves only the obligations of dirty declarations and
-    reassembles the report from reused and fresh verdicts, and the
-    inference engine ({!Dml_infer.Engine}) re-runs the front end per
-    fixpoint round. *)
+    {!run} is the one function that runs a check: {!check_s} passes it the
+    whole-program front end, the incremental checker ({!Incr}) its
+    declaration-grain one, and the inference engine ({!Dml_infer.Engine})
+    its qualifier fixpoint.  Whatever the surface, a check installs the
+    session's sink, reports the session cache's delta, opens one root
+    [check] span and bumps the [pipeline.*] instruments, all here. *)
 
 type frontend = {
   fe_obligations : Elab.obligation list;  (** in generation order *)
@@ -82,6 +87,11 @@ val frontend : string -> (frontend, failure) result
 (** Parse, ML inference, dependent elaboration — everything before solving.
     Never raises (same failure conversion as {!check_s}). *)
 
+val parse : string -> Ast.program * (int * int) list
+(** The user program and its annotation spans, under a [parse] span — the
+    parse step of {!frontend}.  Raises the lexer's and parser's errors;
+    inside a {!run} front end they become its failure. *)
+
 val frontend_ast :
   src:string -> spans:(int * int) list -> Ast.program -> (frontend, failure) result
 (** Like {!frontend}, but on an already-parsed (possibly rewritten) user
@@ -92,57 +102,48 @@ val frontend_ast :
     {e original} source, so synthesized templates never count as
     hand-written annotations. *)
 
+val frontend_of :
+  t0:float ->
+  src:string ->
+  spans:(int * int) list ->
+  mlenv:Infer.env ->
+  user_tprog:Tast.tprogram ->
+  ectx:Elab.ectx ->
+  Elab.obligation list ->
+  frontend
+(** The front-end record of a user program whose phases 1 and 2 ended in
+    [mlenv] and [ectx] with these obligations (generation order, the
+    basis's excluded: they are prepended), timed from [t0] — what
+    {!frontend} builds, for a front end staged elsewhere ({!Incr}). *)
+
 val failure_of_exn : exn -> failure
 (** The pipeline's exception-to-failure conversion (staged front-end errors
-    and the catch-all [`Internal] case), exposed for engines that stage
-    front-end calls themselves. *)
-
-val with_session_sink : Session.t -> (unit -> 'a) -> 'a
-(** Run [f] with the session's trace sink installed (restoring whatever was
-    active), as {!check_s} does — for engines ({!Dml_infer.Engine},
-    {!Incr}) that stage pipeline calls themselves. *)
+    and the catch-all [`Internal] case). *)
 
 val count_code_lines : string -> int
 (** Non-blank source lines — the [code_lines] report metric. *)
 
-val annotation_metrics : (int * int) list -> int * int
-(** [(annotations, annotation_lines)] from the parser's annotation spans —
-    the Table 1 metrics, shared with staged front ends. *)
-
-val solve_obligation_s :
-  Session.t -> ?stats:Solver.stats -> Elab.obligation -> checked_obligation
+type solve = stats:Solver.stats -> Elab.obligation -> checked_obligation
 (** Decide one obligation under a fresh budget built from the session's
-    solve config, against the session's verdict cache and trace sink — what
-    {!check_s} does for each obligation, exposed for {!Incr}, which
-    re-solves only the obligations of dirty declarations.  Never raises:
-    the solver's isolation barrier converts faults to verdicts. *)
+    solve config, against the session's verdict cache, adding the work to
+    [stats].  Never raises: the solver's isolation barrier converts faults
+    to verdicts. *)
 
-val assemble :
-  ?cache_stats:Dml_cache.Cache.snapshot ->
-  stats:Solver.stats ->
-  solve_time:float ->
-  frontend ->
-  checked_obligation list ->
-  report
-(** Rebuild a {!report} from a front end and its solved obligations, in
-    generation order. *)
+val run :
+  Session.t ->
+  (unit -> (frontend * 'a, failure) result) ->
+  (solve -> frontend -> 'a -> checked_obligation list * Solver.stats * 'b) ->
+  (report * 'b, failure) result
+(** [run session front solve] runs one check: [front ()], then [solve]
+    with the session's per-obligation {!solve}, which returns the checked
+    obligations in generation order and the solver work they took.  The
+    report joins the front end, those verdicts, the solving time and the
+    session cache's counters over the whole check.  Never raises but on
+    [Sys.Break]: an exception from either half becomes a failure. *)
 
-type cache_mark
-(** The session's verdict-cache counters at the start of a check (empty
-    when the session has no cache). *)
-
-val cache_mark : Session.t -> cache_mark
-
-val cache_delta : cache_mark -> Dml_cache.Cache.snapshot option
-(** The cache counters since [mark]: a report's [rp_cache_stats]. *)
-
-val solve_frontend : Session.t -> since:cache_mark -> frontend -> report
-(** The solving half of {!check_s}: decide every obligation under the
-    session's solve config and cache, then {!assemble} the report with the
-    cache delta since [since].  Installs no trace sink: call it inside
-    {!with_session_sink}.  [since] is the caller's, so an engine that
-    solves in rounds ({!Dml_infer.Engine}) reports the delta over all of
-    them. *)
+val solve_all : solve -> frontend -> 'a -> checked_obligation list * Solver.stats * 'a
+(** Every obligation of the front end, in order, into one stats block:
+    the solving half of {!check_s}. *)
 
 val check_s : Session.t -> string -> (report, failure) result
 (** Runs the full pipeline on a user program (after the basis) under
@@ -169,6 +170,10 @@ val degraded_sites : report -> Loc.t list
 val degraded_pred : report -> Loc.t -> bool
 (** Membership predicate over {!degraded_sites} (constant-false when the
     report is fully valid), in the shape the backends consume. *)
+
+val degraded : report -> (Loc.t -> bool) option
+(** What a degraded run passes the backends: [None] when the report is
+    fully valid, else [Some] {!degraded_pred}. *)
 
 val stage_name : [ `Lex | `Parse | `Mltype | `Elab | `Internal ] -> string
 val pp_failure : Format.formatter -> failure -> unit

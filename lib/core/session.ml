@@ -25,12 +25,9 @@ let budget_of_solve_config c =
   | fuel, timeout_ms, max_eliminations ->
       Some (Budget.create ?fuel ?timeout_ms ?max_eliminations ())
 
-type mode = Strict | Degrade
-
 type options = {
   op_solve : solve_config;
   op_cache : Dml_cache.Cache.config option;
-  op_mode : mode;
   op_jobs : int option;
   op_infer : bool;
   op_incremental : bool;
@@ -40,7 +37,6 @@ let default_options =
   {
     op_solve = default_solve_config;
     op_cache = None;
-    op_mode = Strict;
     op_jobs = None;
     op_infer = false;
     op_incremental = false;
@@ -62,7 +58,6 @@ let options_fields o =
         match o.op_cache with
         | None -> Json.Null
         | Some c -> Dml_cache.Cache.config_to_json c );
-      ("mode", Json.String (match o.op_mode with Strict -> "strict" | Degrade -> "degrade"));
       ("jobs", json_of_int_opt o.op_jobs);
     ]
     (* emitted only when set: every pre-inference fingerprint, memo key and

@@ -39,19 +39,12 @@ val budget_of_solve_config : solve_config -> Budget.t option
 
 (** {1 Options} *)
 
-type mode =
-  | Strict  (** reject programs with unproven obligations *)
-  | Degrade
-      (** accept them, keeping a dynamic bound check at exactly the
-          unproven sites *)
-
 type options = {
   op_solve : solve_config;
   op_cache : Dml_cache.Cache.config option;
       (** verdict-cache configuration; [None] disables caching.  Kept as a
           {e config} (not a built cache) so options stay plain data — each
           consumer builds or shares the actual cache object ({!create}). *)
-  op_mode : mode;
   op_jobs : int option;
       (** [None]: check in-process; [Some 0]: one forked worker per core;
           [Some n]: [n] forked workers (batch fronts only) *)

@@ -494,69 +494,38 @@ let check_s ?(vocab_keep = fun _ -> true) session src =
         Session.create ?sink:(Session.sink session) ~cache:(Dml_cache.Cache.create ())
           ~options:(Session.options session) ()
   in
-  Pipeline.with_session_sink session @@ fun () ->
-  let since = Pipeline.cache_mark session in
-  let parsed =
-    match Parser.parse_program_with_spans src with
-    | p -> Ok p
-    | exception Sys.Break -> raise Sys.Break
-    | exception e -> Error (Pipeline.failure_of_exn e)
-  in
-  match parsed with
-  | Error f -> Error f
-  | Ok (user_prog, spans) -> (
-      (* the plain front end: principal ML types and the resolved families *)
-      match Pipeline.frontend_ast ~src ~spans user_prog with
-      | Error f -> Error f
-      | Ok fe0 ->
-          let st =
-            {
-              session;
-              registry = Hashtbl.create 32;
-              kmap = Hashtbl.create 32;
-              templates = Hashtbl.create 16;
-              skeletons = [];
-              next_tag = tag_base;
-              tested = 0;
-              rounds = 0;
-              solver_stats = Solver.new_stats ();
-            }
-          in
-          let su =
-            {
-              su_value_used = collect_value_uses fe0.Pipeline.fe_user_tprog;
-              su_harvest = Qualifier.harvest user_prog;
-              su_keep = vocab_keep;
-              su_denv = fe0.Pipeline.fe_denv;
-            }
-          in
-          let sp = Trace.start "infer-fixpoint" in
-          build_templates st su fe0.Pipeline.fe_user_tprog;
-          let finish_trace () =
-            let s = engine_stats st in
-            if Trace.real sp then begin
-              Trace.set_int sp "liquid_vars" s.st_liquid_vars;
-              Trace.set_int sp "iterations" s.st_iterations;
-              Trace.set_int sp "quals_tested" s.st_quals_tested;
-              Trace.set_int sp "quals_kept" s.st_quals_kept
-            end;
-            Trace.finish sp;
-            s
-          in
-          let outcome ?abandoned report =
-            let s = finish_trace () in
-            bump_metrics s;
-            Ok
-              {
-                oc_report = report;
-                oc_stats = s;
-                oc_solution = solution_of st;
-                oc_abandoned = abandoned;
-              }
-          in
-          if st.skeletons = [] then
-            (* nothing to infer: behave exactly like a plain check *)
-            outcome (Pipeline.solve_frontend session ~since fe0)
+  let front () =
+    let user_prog, spans = Pipeline.parse src in
+    (* the plain front end: principal ML types and the resolved families *)
+    match Pipeline.frontend_ast ~src ~spans user_prog with
+    | Error f -> Error f
+    | Ok fe0 ->
+        let st =
+          {
+            session;
+            registry = Hashtbl.create 32;
+            kmap = Hashtbl.create 32;
+            templates = Hashtbl.create 16;
+            skeletons = [];
+            next_tag = tag_base;
+            tested = 0;
+            rounds = 0;
+            solver_stats = Solver.new_stats ();
+          }
+        in
+        let su =
+          {
+            su_value_used = collect_value_uses fe0.Pipeline.fe_user_tprog;
+            su_harvest = Qualifier.harvest user_prog;
+            su_keep = vocab_keep;
+            su_denv = fe0.Pipeline.fe_denv;
+          }
+        in
+        let sp = Trace.start "infer-fixpoint" in
+        build_templates st su fe0.Pipeline.fe_user_tprog;
+        let final =
+          (* nothing to infer: behave exactly like a plain check *)
+          if st.skeletons = [] then Ok fe0
           else begin
             (* the weakening cap is a belt on top of monotonicity: every
                productive round removes at least one qualifier, so rounds
@@ -579,23 +548,34 @@ let check_s ?(vocab_keep = fun _ -> true) session src =
               | Ok fe -> if sweep st then stabilize () else Ok fe
             in
             match stabilize () with
-            | Error f ->
-                (* a synthesized template broke the front end: degrade to the
-                   plain (uninferred) check rather than failing the program *)
-                outcome
-                  ~abandoned:(Pipeline.failure_to_string f)
-                  (Pipeline.solve_frontend session ~since fe0)
-            | Ok _ -> (
+            | Error f -> Error f
+            | Ok _ ->
                 (* final pass without sentinels: the types as a user would
                    have written them, and a report free of marker atoms *)
-                let prog' = rewrite st ~ws:false user_prog in
-                match Pipeline.frontend_ast ~src ~spans prog' with
-                | Error f ->
-                    outcome
-                      ~abandoned:(Pipeline.failure_to_string f)
-                      (Pipeline.solve_frontend session ~since fe0)
-                | Ok fe -> outcome (Pipeline.solve_frontend session ~since fe))
-          end)
+                Pipeline.frontend_ast ~src ~spans (rewrite st ~ws:false user_prog)
+          end
+        in
+        let s = engine_stats st in
+        if Trace.real sp then begin
+          Trace.set_int sp "liquid_vars" s.st_liquid_vars;
+          Trace.set_int sp "iterations" s.st_iterations;
+          Trace.set_int sp "quals_tested" s.st_quals_tested;
+          Trace.set_int sp "quals_kept" s.st_quals_kept
+        end;
+        Trace.finish sp;
+        bump_metrics s;
+        (* a synthesized template that broke the front end degrades to the
+           plain (uninferred) check rather than failing the program *)
+        let fe, abandoned =
+          match final with
+          | Ok fe -> (fe, None)
+          | Error f -> (fe0, Some (Pipeline.failure_to_string f))
+        in
+        Ok (fe, (s, solution_of st, abandoned))
+  in
+  Pipeline.run session front Pipeline.solve_all
+  |> Result.map (fun (report, (s, solution, abandoned)) ->
+         { oc_report = report; oc_stats = s; oc_solution = solution; oc_abandoned = abandoned })
 
 let infer_json ~program oc =
   let r = oc.oc_report in

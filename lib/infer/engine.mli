@@ -72,8 +72,11 @@ val check_s :
     when it has one, else in a cache private to this call.
     [?vocab_keep] filters the initial vocabulary by rendered qualifier
     (the fuzzing hook — inference from any sub-vocabulary must stay
-    sound).  Never raises; front-end failures of the {e original} program
-    are returned as failures exactly like {!Pipeline.check_s}. *)
+    sound).  Runs as one {!Pipeline.run} check: the fixpoint is its front
+    end, so the whole inference sits under the one root [check] span and
+    counts once in [pipeline.runs].  Never raises; front-end failures of
+    the {e original} program are returned as failures exactly like
+    {!Pipeline.check_s}. *)
 
 val check :
   Session.t -> string -> (Pipeline.report * outcome option, Pipeline.failure) result

@@ -79,14 +79,11 @@ let run_benchmark (backend : Backend.t) ~scale (b : Programs.benchmark) =
           (* Partial credit: any unproven obligation degrades its own site to a
              checked access instead of disqualifying the whole benchmark, and the
              residual column counts the checks that survive. *)
-          let degraded =
-            if report.Pipeline.rp_valid then None else Some (Pipeline.degraded_pred report)
-          in
           let rq =
             {
               Backend.rq_name = b.Programs.name;
               rq_tprog = tprog;
-              rq_degraded = degraded;
+              rq_degraded = Pipeline.degraded report;
               rq_scale = scale;
               rq_run = b.Programs.run;
               rq_native_driver = Native_drivers.find b.Programs.name;

@@ -142,7 +142,6 @@ let apply_overrides (base : Session.options) v =
       "fuel";
       "timeout_ms";
       "max_eliminations";
-      "mode";
       "infer";
     ]
   in
@@ -151,7 +150,6 @@ let apply_overrides (base : Session.options) v =
   | Ok () -> (
       let ( let* ) = Result.bind in
       let solve = ref base.Session.op_solve in
-      let mode = ref base.Session.op_mode in
       let infer = ref base.Session.op_infer in
       let* () =
         match Json.member "solver" v with
@@ -169,17 +167,6 @@ let apply_overrides (base : Session.options) v =
             solve := { !solve with Session.sc_max_eliminations = n })
       in
       let* () =
-        match Json.member "mode" v with
-        | None -> Ok ()
-        | Some (Json.String "strict") ->
-            mode := Session.Strict;
-            Ok ()
-        | Some (Json.String "degrade") ->
-            mode := Session.Degrade;
-            Ok ()
-        | Some _ -> Error "option \"mode\" must be \"strict\" or \"degrade\""
-      in
-      let* () =
         match Json.member "infer" v with
         | None -> Ok ()
         | Some (Json.Bool b) ->
@@ -187,7 +174,7 @@ let apply_overrides (base : Session.options) v =
             Ok ()
         | Some _ -> Error "option \"infer\" must be a boolean"
       in
-      Ok { base with Session.op_solve = !solve; op_mode = !mode; op_infer = !infer })
+      Ok { base with Session.op_solve = !solve; op_infer = !infer })
 
 (* ------------------------------------------------------------------ *)
 (* Envelopes and transport                                             *)

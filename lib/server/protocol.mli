@@ -18,7 +18,7 @@
         ... op-specific fields ... }
     v}
     - [check]: ["source"] (program text, required), ["program"] (display
-      name, default ["-"]), ["options"] (solve/mode overrides).
+      name, default ["-"]), ["options"] (solve overrides).
     - [check_patch]: like [check] plus ["base"] (a prior response's
       ["source_id"], or null) — declaration-grain incremental recheck,
       served only by [dmld --incremental] (see {!request}).
@@ -26,10 +26,10 @@
     - [status], [metrics], [shutdown]: no extra fields.
 
     Options overrides (["options"]): ["solver"] (["fm"]/["fm-plain"]/
-    ["simplex"]), ["fuel"], ["timeout_ms"], ["max_eliminations"], ["mode"]
-    (["strict"]/["degrade"]), ["infer"].  Only the
-    solving policy and mode may change per request; the verdict cache and
-    parallelism shape belong to the server.
+    ["simplex"]), ["fuel"], ["timeout_ms"], ["max_eliminations"],
+    ["infer"].  Only the solving policy and [infer] may change per
+    request; the verdict cache and parallelism shape belong to the
+    server.
 
     Response envelope:
     {v

@@ -629,12 +629,12 @@ let test_reparse_proportional () =
    verbatim, so any accidental unconditional field shows up as a diff. *)
 let test_fingerprint_stability () =
   Alcotest.(check string) "default options JSON"
-    {|{"solve":{"method":"fm","fuel":null,"timeout_ms":null,"max_eliminations":null},"cache":null,"mode":"strict","jobs":null}|}
+    {|{"solve":{"method":"fm","fuel":null,"timeout_ms":null,"max_eliminations":null},"cache":null,"jobs":null}|}
     (J.to_string (S.options_to_json S.default_options));
-  Alcotest.(check string) "default fingerprint" "5cdba22a00ce6af5725fe3255ca87f12"
+  Alcotest.(check string) "default fingerprint" "a5fa40d13d827c1662aa4c0da81cf34b"
     (S.fingerprint S.default_options);
   Alcotest.(check string) "memo key shape"
-    "071ff3dd54ba73a5c062b276fd74a102:5cdba22a00ce6af5725fe3255ca87f12:\
+    "071ff3dd54ba73a5c062b276fd74a102:a5fa40d13d827c1662aa4c0da81cf34b:\
      336d5ebc5436534e61d16e63ddfca327"
     (Server.memo_key S.default_options ~program:"-" "val x = 1");
   (* and with the flag set, the fingerprint moves *)

@@ -225,12 +225,17 @@ let test_prelude_matches_one_pass () =
           Alcotest.(check (list string)) (b.name ^ ": obligations")
             (List.map describe reference) (List.map describe fe.Pipeline.fe_obligations)
       | Error f -> Alcotest.fail (Pipeline.failure_to_string f));
-      let session = Session.create () in
+      (* the reference solve: the solver called directly, under the
+         default session's method and without a budget or cache *)
       let stats = Solver.new_stats () in
       let verdicts =
-        List.map (fun ob -> (Pipeline.solve_obligation_s session ~stats ob).Pipeline.co_verdict) reference
+        List.map
+          (fun (ob : Elab.obligation) ->
+            Solver.check_constraint ~method_:Session.default_solve_config.Session.sc_method
+              ~stats ob.ob_constr)
+          reference
       in
-      match Pipeline.check_s session b.source with
+      match Pipeline.check_s (Session.create ()) b.source with
       | Ok r ->
           Alcotest.(check bool) (b.name ^ ": verdicts") true
             (verdicts = List.map (fun co -> co.Pipeline.co_verdict) r.Pipeline.rp_obligations);
@@ -259,6 +264,74 @@ let test_count_code_lines () =
     check (String.init (Random.State.int rand 24) (fun _ -> " \t\r\nab".[Random.State.int rand 6]))
   done
 
+(* Every surface runs its check through the one driver: a plain check, an
+   inferred check and an incremental recheck each leave exactly one root
+   [check] span carrying the plain check's attributes, count once in
+   [pipeline.runs] and add their constraints to [pipeline.obligations].
+   A front-end failure is counted and marked the same way. *)
+let test_one_driver_every_surface () =
+  let module Metrics = Dml_obs.Metrics in
+  let module Trace = Dml_obs.Trace in
+  let module J = Dml_obs.Json in
+  let runs = Metrics.counter "pipeline.runs"
+  and obligations = Metrics.counter "pipeline.obligations"
+  and failures = Metrics.counter "pipeline.failures" in
+  let root what sk =
+    match Trace.roots sk with
+    | [ sp ] ->
+        Alcotest.(check string) (what ^ ": root span") "check" (Trace.span_name sp);
+        Option.value ~default:J.Null (J.member "attrs" (Trace.span_to_json sp))
+    | rs -> Alcotest.failf "%s: expected one root span, got %d" what (List.length rs)
+  in
+  let surface what check =
+    let sk = Trace.create_sink () in
+    let session = Session.create ~sink:sk () in
+    let runs0 = Metrics.value runs and obligations0 = Metrics.value obligations in
+    match check session with
+    | Error f -> Alcotest.failf "%s: %s" what (Pipeline.failure_to_string f)
+    | Ok (r : Pipeline.report) ->
+        Alcotest.(check int) (what ^ ": pipeline.runs") 1 (Metrics.value runs - runs0);
+        Alcotest.(check int) (what ^ ": pipeline.obligations") r.rp_constraints
+          (Metrics.value obligations - obligations0);
+        Alcotest.(check string) (what ^ ": check attributes")
+          (J.to_string
+             (J.Obj
+                [
+                  ("valid", J.Bool r.rp_valid);
+                  ("constraints", J.Int r.rp_constraints);
+                  ("residual", J.Int r.rp_residual);
+                ]))
+          (J.to_string (root what sk));
+        J.to_string (root what sk)
+  in
+  let dotprod = Option.get (Dml_programs.Programs.find "dotprod") in
+  let src = dotprod.Dml_programs.Programs.source in
+  let plain = surface "plain" (fun s -> Pipeline.check_s s src) in
+  let incremental =
+    surface "incremental" (fun s -> Result.map fst (Incr.check (Incr.create ()) s src))
+  in
+  Alcotest.(check string) "incremental attributes equal the plain check's" plain incremental;
+  let twin = Dml_programs.Programs.unannotated dotprod in
+  ignore
+    (surface "inferred" (fun s ->
+         Result.map (fun oc -> oc.Dml_infer.Engine.oc_report) (Dml_infer.Engine.check_s s twin)));
+  List.iter
+    (fun (what, check) ->
+      let sk = Trace.create_sink () in
+      let session = Session.create ~sink:sk () in
+      let runs0 = Metrics.value runs and failures0 = Metrics.value failures in
+      Alcotest.(check bool) (what ^ ": fails") true (Result.is_error (check session));
+      Alcotest.(check int) (what ^ ": pipeline.runs") 1 (Metrics.value runs - runs0);
+      Alcotest.(check int) (what ^ ": pipeline.failures") 1 (Metrics.value failures - failures0);
+      Alcotest.(check string) (what ^ ": failure attribute") {|{"failure":"syntax error"}|}
+        (J.to_string (root what sk)))
+    [
+      ("plain failure", fun s -> Result.map ignore (Pipeline.check_s s "val = ;"));
+      ( "incremental failure",
+        fun s -> Result.map ignore (Incr.check (Incr.create ()) s "val = ;") );
+      ("inferred failure", fun s -> Result.map ignore (Dml_infer.Engine.check_s s "val = ;"));
+    ]
+
 let () =
   Alcotest.run "pipeline"
     [
@@ -269,6 +342,7 @@ let () =
           Alcotest.test_case "code lines" `Quick test_count_code_lines;
           Alcotest.test_case "solver selection" `Quick test_solver_selection;
           Alcotest.test_case "user program isolation" `Quick test_user_program_isolation;
+          Alcotest.test_case "one driver on every surface" `Quick test_one_driver_every_surface;
         ] );
       ( "semantics",
         [

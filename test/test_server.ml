@@ -113,7 +113,6 @@ let test_overrides () =
           [
             ("solver", str "simplex");
             ("fuel", J.Int 10);
-            ("mode", str "degrade");
           ])
    with
   | Error e -> Alcotest.fail e
@@ -121,7 +120,6 @@ let test_overrides () =
       Alcotest.(check bool) "solver" true
         (o.Session.op_solve.Session.sc_method = Dml_solver.Solver.Simplex_rational);
       Alcotest.(check (option int)) "fuel" (Some 10) o.Session.op_solve.Session.sc_fuel;
-      Alcotest.(check bool) "mode" true (o.Session.op_mode = Session.Degrade);
       Alcotest.(check bool) "fingerprint moved" true
         (Session.fingerprint o <> Session.fingerprint base));
   (match Protocol.apply_overrides base (obj [ ("bogus", J.Int 1) ]) with
@@ -130,9 +128,9 @@ let test_overrides () =
   (match Protocol.apply_overrides base (obj [ ("solver", str "nope") ]) with
   | Error e -> Alcotest.(check bool) ("bad solver rejected: " ^ e) true (contains ~sub:"nope" e)
   | Ok _ -> Alcotest.fail "unknown solver accepted");
-  (* neither the arithmetic lane nor an escalation ladder is a request
-     option: a check naming one is a structured bad-request that names the
-     field *)
+  (* neither the arithmetic lane, an escalation ladder nor a strict/degrade
+     mode is a request option: a check naming one is a structured
+     bad-request that names the field *)
   List.iter
     (fun (field, value) ->
       let resp =
@@ -150,7 +148,7 @@ let test_overrides () =
           Alcotest.(check bool) ("names the field: " ^ m) true
             (contains ~sub:(Printf.sprintf "unknown field %S" field) m)
       | _ -> Alcotest.fail (field ^ " option: error without msg"))
-    [ ("solver_lane", str "bignum"); ("escalate", J.Bool true) ]
+    [ ("solver_lane", str "bignum"); ("escalate", J.Bool true); ("mode", str "degrade") ]
 
 (* --- golden transcript -------------------------------------------------------- *)
 
